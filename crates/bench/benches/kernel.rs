@@ -3,13 +3,10 @@
 //! `planaria_sim::oracle`) vs the tiered-queue + slab hot path, at
 //! 10^4 / 10^5 / 10^6 bursty requests.
 //!
-//! The baseline lane is the complete pre-overhaul hot path: the oracle
-//! kernel's containers *and* the pre-overhaul scheduling body preserved
-//! verbatim behind `SpatialPolicy::with_reference_hot_path` (eager
-//! estimate views, full-list placement sorts, comparator-evaluated
-//! unfit scores), so the reported speedup is new-vs-pre-PR, not
-//! new-vs-new — the lane reproduces the throughput the seed commit
-//! recorded in `results/BENCH_scale.json` on this host.
+//! Both lanes drive the production `spatial_policy()`, so the baseline
+//! lane differs from the tiered lane only in the kernel's containers:
+//! the reported speedup measures the container overhaul alone, not the
+//! scheduler.
 //!
 //! The workload is the scale bench's bursty QoS-Hard Scenario-C trace:
 //! bursts keep a deep backlog of queued tenants, every scheduling event
@@ -140,7 +137,7 @@ fn main() {
         let trace = bursty_cfg(n).generate();
         let events = 2.0 * n as f64; // one arrival + one completion each
         let t_legacy = time_per_iter(iters, || {
-            let mut policy = engine.spatial_policy().with_reference_hot_path();
+            let mut policy = engine.spatial_policy();
             black_box(run_reference(
                 &cfg,
                 black_box(&trace),
@@ -153,7 +150,7 @@ fn main() {
         });
         // Exactness guard: the bench must never drift into racing two
         // different simulations.
-        let mut policy = engine.spatial_policy().with_reference_hot_path();
+        let mut policy = engine.spatial_policy();
         let reference = run_reference(&cfg, &trace, &mut policy, &mut NullCollector);
         let tiered = engine.run(&trace);
         assert_eq!(

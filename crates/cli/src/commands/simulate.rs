@@ -4,9 +4,21 @@ use crate::args::{parse_qos, parse_scenario, ArgError, Args};
 use planaria_arch::AcceleratorConfig;
 use planaria_core::PlanariaEngine;
 use planaria_prema::PremaEngine;
+use planaria_telemetry::{mean_occupancy, occupancy_strip, Event, RecordingCollector};
 use planaria_workload::{
     fairness, meets_sla, violation_rate, QosLevel, Scenario, SimResult, TraceConfig,
 };
+
+/// Allocation changes that resized or preempted a *running* tenant
+/// (`from > 0`); fresh grants from the queue do not count.
+fn reconfigurations(rec: &RecordingCollector) -> usize {
+    rec.events()
+        .iter()
+        .filter(
+            |te| matches!(te.event, Event::Allocation { from, to, .. } if from > 0 && from != to),
+        )
+        .count()
+}
 
 /// Runs `--requests N` (default 200) Poisson arrivals at `--lambda` q/s
 /// (default 60) from `--scenario` (default C) at `--qos` (default M) on
@@ -33,12 +45,13 @@ pub fn simulate(args: &Args) -> Result<(), ArgError> {
             let engine = PlanariaEngine::new(AcceleratorConfig::planaria());
             let iso = engine.library().isolated_latencies();
             if timeline != 0 {
-                let (r, t) = engine.run_traced(&trace);
-                println!("{}", t.render_occupancy(64));
+                let mut rec = RecordingCollector::new();
+                let r = engine.run_with_collector(&trace, &mut rec);
+                println!("{}", occupancy_strip(&rec, 64));
                 println!(
                     "reconfigurations: {}, mean occupancy: {:.0}%",
-                    t.reconfigurations(),
-                    t.mean_occupancy() * 100.0
+                    reconfigurations(&rec),
+                    mean_occupancy(&rec) * 100.0
                 );
                 (r, iso)
             } else {
@@ -81,4 +94,30 @@ pub fn simulate(args: &Args) -> Result<(), ArgError> {
     );
     println!("makespan         : {:.3} s", result.makespan);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use planaria_model::units::Cycles;
+    use planaria_telemetry::Collector;
+
+    #[test]
+    fn reconfigurations_count_running_resizes_only() {
+        let mut rec = RecordingCollector::new();
+        for (tenant, from, to) in [(0, 0, 16), (0, 16, 8), (1, 0, 8), (1, 8, 8)] {
+            rec.record(
+                Cycles::ZERO,
+                Event::Allocation {
+                    tenant,
+                    from,
+                    to,
+                    mask: 0,
+                },
+            );
+        }
+        // Only tenant 0's 16 -> 8 resize counts: grants from 0 are fresh
+        // starts and 8 -> 8 changes nothing.
+        assert_eq!(reconfigurations(&rec), 1);
+    }
 }

@@ -30,7 +30,6 @@ pub mod engine;
 pub mod fleet;
 pub mod sched_state;
 pub mod scheduler;
-pub mod trace;
 
 pub use cluster::{
     dispatch, min_nodes_for_sla, run_cluster, run_cluster_fabric, run_cluster_recorded,
@@ -47,4 +46,3 @@ pub use sched_state::{FloorEntry, SchedState, Seed};
 pub use scheduler::{
     allocate_spatially_into, min_slack_cycles, schedule_tasks_spatially, AllocScratch, SchedTask,
 };
-pub use trace::{EngineTrace, EventKind, TraceEvent};

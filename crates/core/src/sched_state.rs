@@ -28,6 +28,11 @@
 //! `incremental_equivalence` property test), so the incremental scheduler
 //! is result-exact, not approximate.
 //!
+//! [`SchedState::full_rescan`] is the scheduler's oracle: a memo that
+//! never records, so every `seed` misses and every tenant scans from 1 —
+//! the paper's `ESTIMATERESOURCES` verbatim, selected by
+//! `PlanariaEngine::with_incremental(false)`.
+//!
 //! # Storage
 //!
 //! Request ids are assigned monotonically, so the id-keyed map is stored
@@ -88,12 +93,23 @@ pub struct SchedState {
     window: VecDeque<Option<FloorEntry>>,
     /// Number of `Some` slots (live + not-yet-pruned retired entries).
     occupied: usize,
+    /// Full-rescan mode: `record` is a no-op, so the window stays empty.
+    rescan: bool,
 }
 
 impl SchedState {
     /// An empty memo.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The full-rescan oracle: a memo that never records. Every `seed`
+    /// answers `Floor(1)` and `prune` has nothing to sweep.
+    pub fn full_rescan() -> Self {
+        Self {
+            rescan: true,
+            ..Self::default()
+        }
     }
 
     /// Number of memoized entries (live + not-yet-pruned retired).
@@ -136,6 +152,9 @@ impl SchedState {
     /// dropped on the floor — a later `seed` for them misses, which is
     /// sound (miss = fresh scan from 1).
     pub fn record(&mut self, id: u64, floor: u32, done: Cycles, total: Cycles, fit: Cycles) {
+        if self.rescan {
+            return;
+        }
         let Some(off) = id.checked_sub(self.base) else {
             return;
         };
@@ -194,6 +213,14 @@ mod tests {
     fn seed_without_memo_scans_from_one() {
         let s = SchedState::new();
         assert_eq!(s.seed(7, cy(0), cy(100), 50), Seed::Floor(1));
+    }
+
+    #[test]
+    fn full_rescan_memo_never_remembers() {
+        let mut s = SchedState::full_rescan();
+        s.record(7, 4, cy(10), cy(100), cy(40));
+        assert!(s.is_empty());
+        assert_eq!(s.seed(7, cy(10), cy(100), 1000), Seed::Floor(1));
     }
 
     #[test]

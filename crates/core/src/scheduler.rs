@@ -105,34 +105,17 @@ pub fn min_slack_cycles(freq_hz: f64) -> i64 {
 /// aligned with the input slice (0 = stay queued). The allocations always
 /// sum to at most `total`. `min_slack` is the urgency-score clamp in
 /// cycles — pass [`min_slack_cycles`] of the chip's clock.
-pub fn schedule_tasks_spatially(tasks: &[SchedTask<'_>], total: u32, min_slack: i64) -> Vec<u32> {
-    schedule_tasks_spatially_hinted(tasks, total, &[], min_slack).0
-}
-
-/// [`schedule_tasks_spatially`] with per-task estimate floors, returning
-/// `(allocations, estimates)` so the caller can seed the next call's
-/// floors (see [`SchedTask::estimate_resources_from`] for when a floor is
-/// sound). `floors` may be empty (all 1) or aligned with `tasks`; the
-/// returned estimates are aligned with `tasks`.
 ///
 /// This is the convenient materializing wrapper; the engines' hot loop
-/// calls [`allocate_spatially_into`] directly with reusable scratch
-/// buffers so steady-state events allocate nothing.
-pub fn schedule_tasks_spatially_hinted(
-    tasks: &[SchedTask<'_>],
-    total: u32,
-    floors: &[u32],
-    min_slack: i64,
-) -> (Vec<u32>, Vec<u32>) {
-    if tasks.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
+/// calls [`allocate_spatially_into`] directly with memoized estimates and
+/// reusable scratch buffers so steady-state events allocate nothing.
+pub fn schedule_tasks_spatially(tasks: &[SchedTask<'_>], total: u32, min_slack: i64) -> Vec<u32> {
     let mut estimates = Vec::with_capacity(tasks.len());
     let mut fit = Vec::with_capacity(tasks.len());
     let mut priorities = Vec::with_capacity(tasks.len());
     let mut slacks = Vec::with_capacity(tasks.len());
-    for (i, t) in tasks.iter().enumerate() {
-        let (e, f) = t.estimate_resources_with_fit(floors.get(i).copied().unwrap_or(1), total);
+    for t in tasks {
+        let (e, f) = t.estimate_resources_with_fit(1, total);
         estimates.push(e);
         fit.push(f);
         priorities.push(t.priority);
@@ -150,7 +133,7 @@ pub fn schedule_tasks_spatially_hinted(
         &mut alloc,
         &mut scratch,
     );
-    (alloc, estimates)
+    alloc
 }
 
 /// Reusable working memory for [`allocate_spatially_into`]. Owned by the
@@ -174,7 +157,7 @@ pub struct AllocScratch {
 /// [`SchedTask::estimate_resources_with_fit`], possibly memoized). Given
 /// those, this function needs no table access at all — it is the pure
 /// `ALLOCATEFITTASKS` / `ALLOCATEUNFITTASKS` arithmetic of §V, bit-for-bit
-/// identical to the materializing wrappers above.
+/// identical to the materializing wrapper above.
 ///
 /// `alloc` is cleared and refilled aligned with the inputs; allocations
 /// always sum to at most `total`. `min_slack` is the unfit-path urgency
@@ -271,9 +254,8 @@ fn allocate_fit_into(
 /// comparator the hottest arithmetic in the whole per-event path. The
 /// comparator sees bit-identical `f64` values either way and the sort is
 /// stable, so the packing order — and therefore every allocation — is
-/// unchanged; [`reference::allocate_spatially_reference_into`] keeps the
-/// old body alive and the `unfit_path_matches_reference_*` property test
-/// pins the two together.
+/// unchanged; the test module keeps the comparator-sort body as the
+/// oracle of the `unfit_path_matches_reference_*` property test.
 fn allocate_unfit_into(
     priorities: &[u32],
     slacks: &[i64],
@@ -345,89 +327,6 @@ fn allocate_unfit_into(
         let grant = estimates[i].min(remaining);
         alloc[i] = grant;
         remaining -= grant;
-    }
-}
-
-/// The pre-overhaul allocation arithmetic, retained verbatim.
-///
-/// `planaria-sim`'s `oracle` module keeps the replaced kernel containers
-/// (plain heap, `BTreeMap` index) alive so the hot-path overhaul stays
-/// testable and measurable against exactly what it replaced; this module
-/// is the allocator leg of the same preservation on the scheduler side.
-/// The *whole* pre-overhaul reschedule body lives on as
-/// `SpatialPolicy::reschedule_reference` in `planaria-core`'s engine
-/// (eager estimate views, unfiltered placement sorts), selected by
-/// `with_reference_hot_path`; that body calls
-/// [`allocate_spatially_reference_into`] here, which carries the
-/// pre-overhaul unfit allocator — scores evaluated inside the sort
-/// comparator over a fresh `0..n` — while the fit path is shared by both
-/// lanes (its sort swap is order-preserving, so sharing only speeds the
-/// baseline up — the conservative direction for the race). The kernel
-/// bench's baseline lane runs through that complete path, so
-/// `BENCH_kernel.json` measures new-hot-path vs pre-PR-hot-path rather
-/// than new-vs-new, and the property tests below pin the two allocator
-/// implementations bit-for-bit.
-pub mod reference {
-    use super::{allocate_fit_into, AllocScratch, Cycles};
-
-    /// Pre-overhaul [`allocate_spatially_into`](super::allocate_spatially_into):
-    /// identical dispatch, comparator-evaluated unfit scores.
-    pub fn allocate_spatially_reference_into(
-        priorities: &[u32],
-        slacks: &[i64],
-        estimates: &[u32],
-        fit: &[Cycles],
-        total: u32,
-        min_slack: i64,
-        alloc: &mut Vec<u32>,
-        scratch: &mut AllocScratch,
-    ) {
-        alloc.clear();
-        if estimates.is_empty() {
-            return;
-        }
-        let need: u32 = estimates.iter().sum();
-        if need <= total {
-            allocate_fit_into(priorities, estimates, fit, total, alloc, scratch);
-        } else {
-            allocate_unfit_reference_into(
-                priorities, slacks, estimates, total, min_slack, alloc, scratch,
-            );
-        }
-    }
-
-    /// The pre-overhaul unfit body: the score closure runs inside the
-    /// comparator, twice per comparison.
-    fn allocate_unfit_reference_into(
-        priorities: &[u32],
-        slacks: &[i64],
-        estimates: &[u32],
-        total: u32,
-        min_slack: i64,
-        alloc: &mut Vec<u32>,
-        scratch: &mut AllocScratch,
-    ) {
-        scratch.order.clear();
-        scratch.order.extend(0..estimates.len());
-        let score = |i: usize| {
-            let slack = slacks[i].max(min_slack) as f64;
-            f64::from(priorities[i]) / (slack * f64::from(estimates[i]))
-        };
-        scratch.order.sort_by(|&a, &b| {
-            score(b)
-                .partial_cmp(&score(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        alloc.resize(estimates.len(), 0);
-        let mut remaining = total;
-        for &i in scratch.order.iter() {
-            if remaining == 0 {
-                break;
-            }
-            let grant = estimates[i].min(remaining);
-            alloc[i] = grant;
-            remaining -= grant;
-        }
     }
 }
 
@@ -598,31 +497,36 @@ mod tests {
         assert!(schedule_tasks_spatially(&[], 16, PAPER_MIN_SLACK).is_empty());
     }
 
-    #[test]
-    fn hinted_with_unit_floors_matches_plain() {
-        let nets: Vec<_> = [DnnId::ResNet50, DnnId::TinyYolo, DnnId::Gnmt]
-            .iter()
-            .map(|&id| compiled(id))
-            .collect();
-        for slack_s in [0.001, 0.01, 0.1] {
-            let tasks: Vec<SchedTask> = nets
-                .iter()
-                .enumerate()
-                .map(|(i, c)| SchedTask {
-                    priority: (i as u32 % 11) + 1,
-                    slack: cy(slack_s),
-                    done: 0.2 * i as f64,
-                    compiled: c,
-                })
-                .collect();
-            let plain = schedule_tasks_spatially(&tasks, 16, PAPER_MIN_SLACK);
-            let (hinted, estimates) =
-                schedule_tasks_spatially_hinted(&tasks, 16, &[1, 1, 1], PAPER_MIN_SLACK);
-            assert_eq!(plain, hinted, "slack {slack_s}");
-            for (t, &e) in tasks.iter().zip(&estimates) {
-                assert_eq!(e, t.estimate_resources(16), "slack {slack_s}");
+    /// The pre-overhaul `ALLOCATEUNFITTASKS`, kept as the oracle for the
+    /// warm-started insertion sort: the score closure runs inside a stable
+    /// comparator sort over a fresh `0..n`.
+    fn allocate_unfit_by_comparator(
+        priorities: &[u32],
+        slacks: &[i64],
+        estimates: &[u32],
+        total: u32,
+        min_slack: i64,
+    ) -> Vec<u32> {
+        let score = |i: usize| {
+            let slack = slacks[i].max(min_slack) as f64;
+            f64::from(priorities[i]) / (slack * f64::from(estimates[i]))
+        };
+        let mut order: Vec<usize> = (0..estimates.len()).collect();
+        order.sort_by(|&a, &b| {
+            score(b)
+                .partial_cmp(&score(a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut alloc = vec![0; estimates.len()];
+        let mut remaining = total;
+        for i in order {
+            if remaining == 0 {
+                break;
             }
+            alloc[i] = estimates[i].min(remaining);
+            remaining -= alloc[i];
         }
+        alloc
     }
 
     #[test]
@@ -631,46 +535,41 @@ mod tests {
         // evaluates inside its comparator; the two must produce the same
         // allocation vector bit-for-bit on any queue shape — including
         // score ties (equal priority/slack/estimate triples), which the
-        // stable sort must break identically.
+        // stable sort must break identically. One scratch serves every
+        // round, so each sort warm-starts from the previous round's
+        // permutation across growing and shrinking queues.
         let mut rng = planaria_model::SplitMix64::new(0xA110C);
+        let mut scratch = AllocScratch::default();
+        let mut hot = Vec::new();
         for round in 0..500 {
             let n = 1 + rng.next_below(40) as usize;
             let mut priorities = Vec::with_capacity(n);
             let mut slacks = Vec::with_capacity(n);
             let mut estimates = Vec::with_capacity(n);
-            let mut fit = Vec::with_capacity(n);
             for _ in 0..n {
                 // Coarse buckets force frequent exact ties.
                 priorities.push(1 + rng.next_below(4) as u32);
                 // Spans negative (past-deadline) through positive slack.
                 slacks.push(rng.next_below(8) as i64 * 1_000 - 2_000);
                 estimates.push(1 + rng.next_below(4) as u32);
-                fit.push(Cycles::new(rng.next_below(10_000)));
             }
             let total = 1 + rng.next_below(16) as u32;
-            let mut hot = Vec::new();
-            let mut old = Vec::new();
-            let mut s1 = AllocScratch::default();
-            let mut s2 = AllocScratch::default();
-            allocate_spatially_into(
+            hot.clear();
+            allocate_unfit_into(
                 &priorities,
                 &slacks,
                 &estimates,
-                &fit,
                 total,
                 PAPER_MIN_SLACK,
                 &mut hot,
-                &mut s1,
+                &mut scratch,
             );
-            reference::allocate_spatially_reference_into(
+            let old = allocate_unfit_by_comparator(
                 &priorities,
                 &slacks,
                 &estimates,
-                &fit,
                 total,
                 PAPER_MIN_SLACK,
-                &mut old,
-                &mut s2,
             );
             assert_eq!(hot, old, "round {round}: n={n} total={total}");
         }

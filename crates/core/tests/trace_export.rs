@@ -6,14 +6,16 @@
 //!    globally monotonic timestamps — the validator enforces the last
 //!    two).
 //! 2. The collector hooks must be invisible to the simulation:
-//!    `run` (NullCollector), `run_with_collector(RecordingCollector)`,
-//!    and `run_traced` must produce bit-identical results.
+//!    `run` (NullCollector) and `run_with_collector` with a
+//!    `RecordingCollector` or a `StatsCollector` must produce
+//!    bit-identical results.
 
 use planaria_arch::AcceleratorConfig;
 use planaria_core::PlanariaEngine;
 use planaria_prema::PremaEngine;
 use planaria_telemetry::{
-    chrome_trace, occupancy_tsv, validate_chrome_trace, Event, RecordingCollector,
+    chrome_trace, mean_occupancy, occupancy_strip, occupancy_tsv, validate_chrome_trace, Event,
+    RecordingCollector, StatsCollector,
 };
 use planaria_workload::{QosLevel, Scenario, SimResult, TraceConfig};
 
@@ -82,9 +84,17 @@ fn contended_run_exports_a_valid_chrome_trace() {
         "expected a mid-flight reallocation under contention"
     );
 
-    // The occupancy timeline covers the same run.
+    // The occupancy timeline and its summaries cover the same run.
     let tsv = occupancy_tsv(&rec);
     assert!(tsv.lines().count() > 2, "expected occupancy samples");
+    let occ = mean_occupancy(&rec);
+    assert!(occ > 0.0 && occ <= 1.0, "mean occupancy {occ}");
+    let strip = occupancy_strip(&rec, 32);
+    assert!(strip.starts_with("occupancy [0.0000s.."), "{strip}");
+    assert!(
+        strip.chars().rev().take(32).all(|c| c.is_ascii_digit()),
+        "{strip}"
+    );
 }
 
 #[test]
@@ -113,16 +123,21 @@ fn planaria_results_are_bit_identical_across_collectors() {
     let plain = engine.run(&workload);
     let mut rec = RecordingCollector::new();
     let recorded = engine.run_with_collector(&workload, &mut rec);
-    let (traced, trace) = engine.run_traced(&workload);
+    let mut stats = StatsCollector::new();
+    let aggregated = engine.run_with_collector(&workload, &mut stats);
 
     assert_eq!(
         bits(&plain),
         bits(&recorded),
         "RecordingCollector changed results"
     );
-    assert_eq!(bits(&plain), bits(&traced), "EngineTrace changed results");
+    assert_eq!(
+        bits(&plain),
+        bits(&aggregated),
+        "StatsCollector changed results"
+    );
     assert!(rec.len() > 0);
-    assert!(!trace.events().is_empty());
+    assert_eq!(stats.events(), rec.len() as u64);
 }
 
 #[test]

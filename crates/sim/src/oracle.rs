@@ -22,14 +22,10 @@
 //! equivalence suite (`tests/kernel_equivalence.rs` at the workspace
 //! root) pins `run == run_reference` result-byte-for-byte across
 //! workloads, and `benches/kernel.rs` races the two for
-//! `results/BENCH_kernel.json`. The scheduler side of the same overhaul
-//! is preserved the same way — `planaria-core` keeps the complete
-//! pre-overhaul reschedule body alive as
-//! `SpatialPolicy::reschedule_reference` (selected by
-//! `with_reference_hot_path`, backed by the old allocator arithmetic in
-//! `scheduler::reference`), and the bench's baseline lane drives this
-//! kernel with that policy — so the race measures the complete pre-PR
-//! hot path, containers and scheduler both.
+//! `results/BENCH_kernel.json`. Both sides drive the same production
+//! policy, so the comparison isolates the kernel's containers; this
+//! module is the kernel layer's one oracle (the scheduler's is
+//! `planaria-core`'s full-rescan mode).
 //!
 //! Telemetry caveat: the oracle forwards the collector to the policy but
 //! emits no kernel-side events of its own, so comparisons run with

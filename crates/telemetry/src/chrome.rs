@@ -1,4 +1,6 @@
-//! Exporters: Chrome trace-event JSON and a TSV occupancy timeline.
+//! Exporters: Chrome trace-event JSON and a TSV occupancy timeline, plus
+//! the two occupancy summaries `planaria-cli simulate --timeline` prints
+//! (time-weighted mean and a decile strip).
 //!
 //! The Chrome format (loadable in Perfetto or `chrome://tracing`) maps
 //! the recording onto:
@@ -18,7 +20,7 @@
 //! is globally monotonic and byte-deterministic.
 
 use crate::collector::RecordingCollector;
-use crate::event::Event;
+use crate::event::{Event, TimedEvent};
 use crate::json::escape;
 use planaria_model::units::Cycles;
 use std::collections::BTreeMap;
@@ -351,6 +353,79 @@ pub fn occupancy_tsv(rec: &RecordingCollector) -> String {
     out
 }
 
+/// The events the occupancy analyses replay: arrivals, allocation changes
+/// and completions, in recording order.
+fn occupancy_events(rec: &RecordingCollector) -> impl Iterator<Item = &TimedEvent> {
+    rec.events().iter().filter(|te| {
+        matches!(
+            te.event,
+            Event::Arrival { .. } | Event::Allocation { .. } | Event::Completion { .. }
+        )
+    })
+}
+
+/// Applies one replayed event to the live `tenant -> subarrays` map.
+fn replay(live: &mut BTreeMap<u64, u32>, event: &Event) {
+    if let Event::Allocation { tenant, to, .. } = *event {
+        live.insert(tenant, to);
+    } else if let Event::Completion { tenant, .. } = *event {
+        live.remove(&tenant);
+    }
+}
+
+/// Time-weighted mean chip occupancy (allocated subarrays / total) from
+/// the first to the last arrival, allocation change or completion.
+pub fn mean_occupancy(rec: &RecordingCollector) -> f64 {
+    let total = f64::from(rec.meta().total_subarrays.max(1));
+    let mut live = BTreeMap::new();
+    let (mut last, mut acc, mut span) = (None, 0.0, 0.0);
+    for te in occupancy_events(rec) {
+        if let Some(prev) = last {
+            let dt = te.ts.saturating_sub(prev).as_f64();
+            acc += dt * f64::from(live.values().sum::<u32>()) / total;
+            span += dt;
+        }
+        last = Some(te.ts);
+        replay(&mut live, &te.event);
+    }
+    if span > 0.0 {
+        acc / span
+    } else {
+        0.0
+    }
+}
+
+/// A coarse text strip of chip occupancy: `buckets` columns, each the
+/// occupancy decile (0-9) at the bucket's midpoint, after the span in
+/// seconds.
+pub fn occupancy_strip(rec: &RecordingCollector, buckets: usize) -> String {
+    let events: Vec<&TimedEvent> = occupancy_events(rec).collect();
+    let (c0, c1) = match (events.first(), events.last()) {
+        (Some(first), Some(last)) if buckets > 0 => (first.ts, last.ts),
+        _ => return String::from("(empty trace)"),
+    };
+    let meta = rec.meta();
+    let freq = Some(meta.freq_hz).filter(|&f| f > 0.0).unwrap_or(1.0);
+    let total = u64::from(meta.total_subarrays.max(1));
+    let span = (c1.as_f64() - c0.as_f64()).max(1e-12);
+    let mut out = format!(
+        "occupancy [{:.4}s..{:.4}s] ",
+        c0.seconds_at(freq),
+        c1.seconds_at(freq)
+    );
+    let mut live = BTreeMap::new();
+    let mut pending = events.into_iter().peekable();
+    for b in 0..buckets {
+        let t = c0.as_f64() + span * (b as f64 + 0.5) / buckets as f64;
+        while let Some(te) = pending.next_if(|te| te.ts.as_f64() <= t) {
+            replay(&mut live, &te.event);
+        }
+        let used = u64::from(live.values().sum::<u32>());
+        let _ = write!(out, "{}", (used * 9 / total).min(9));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,5 +525,83 @@ mod tests {
         assert!(lines[1].starts_with("0\t"));
         assert!(lines[1].ends_with("4\t100.00"));
         assert!(lines[2].ends_with("0\t0.00"));
+    }
+
+    /// Two tenants on a 16-subarray chip at 1 Hz (one cycle == one
+    /// second): tenant 0 runs alone, shares the chip 8/8 with tenant 1,
+    /// then both finish. A trailing queue wait lies outside the replay.
+    fn shared_recording() -> RecordingCollector {
+        let mut c = RecordingCollector::new();
+        c.set_meta(SimMeta {
+            freq_hz: 1.0,
+            total_subarrays: 16,
+        });
+        let alloc = |tenant, from, to| Event::Allocation {
+            tenant,
+            from,
+            to,
+            mask: 0,
+        };
+        let done = |tenant| Event::Completion {
+            tenant,
+            latency: Cycles::new(2),
+        };
+        for (ts, event) in [
+            (
+                0,
+                Event::Arrival {
+                    tenant: 0,
+                    dnn: DnnId::ResNet50,
+                },
+            ),
+            (0, alloc(0, 0, 16)),
+            (
+                1,
+                Event::Arrival {
+                    tenant: 1,
+                    dnn: DnnId::Gnmt,
+                },
+            ),
+            (1, alloc(0, 16, 8)),
+            (1, alloc(1, 0, 8)),
+            (2, done(0)),
+            (3, done(1)),
+            (
+                5,
+                Event::QueueWait {
+                    tenant: 2,
+                    start: Cycles::ZERO,
+                    duration: Cycles::new(5),
+                },
+            ),
+        ] {
+            c.record(Cycles::new(ts), event);
+        }
+        c
+    }
+
+    #[test]
+    fn occupancy_accounts_time_weighted() {
+        // [0,1): 16/16; [1,2): 16/16 (8+8); [2,3): 8/16 → mean = 5/6.
+        let occ = mean_occupancy(&shared_recording());
+        assert!((occ - (1.0 + 1.0 + 0.5) / 3.0).abs() < 1e-9, "got {occ}");
+    }
+
+    #[test]
+    fn timeline_renders_with_requested_width() {
+        // Midpoints 0.25, 0.75, ..., 2.75 s: full chip until tenant 0
+        // completes at 2 s, then 8/16 (decile 4).
+        assert_eq!(
+            occupancy_strip(&shared_recording(), 6),
+            "occupancy [0.0000s..3.0000s] 999944"
+        );
+    }
+
+    #[test]
+    fn empty_trace_renders_placeholder() {
+        let empty = RecordingCollector::new();
+        assert_eq!(occupancy_strip(&empty, 8), "(empty trace)");
+        assert_eq!(occupancy_strip(&shared_recording(), 0), "(empty trace)");
+        assert_eq!(mean_occupancy(&empty), 0.0);
     }
 }

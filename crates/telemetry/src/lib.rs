@@ -32,8 +32,9 @@
 //!   renderings;
 //! * exporters: Chrome trace-event JSON ([`chrome_trace`], loadable in
 //!   Perfetto / `chrome://tracing`, one "process" per tenant and one
-//!   track per subarray pod) and a TSV occupancy timeline
-//!   ([`occupancy_tsv`]);
+//!   track per subarray pod), a TSV occupancy timeline
+//!   ([`occupancy_tsv`]) and its two summaries ([`mean_occupancy`],
+//!   [`occupancy_strip`]);
 //! * an in-repo validator ([`validate_chrome_trace`]) backed by a
 //!   minimal std-only JSON parser ([`json`]), so exported traces are
 //!   checked structurally (event nesting, monotonic timestamps) without
@@ -58,7 +59,7 @@ pub mod metrics;
 pub mod sketch;
 pub mod validate;
 
-pub use chrome::{chrome_trace, occupancy_tsv};
+pub use chrome::{chrome_trace, mean_occupancy, occupancy_strip, occupancy_tsv};
 pub use cluster::{cluster_chrome_trace, ClusterRecording};
 pub use collector::{Collector, NullCollector, RecordingCollector, StatsCollector};
 pub use event::{Event, SimMeta, TimedEvent};

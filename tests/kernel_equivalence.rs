@@ -3,14 +3,13 @@
 //!
 //! The reference keeps the replaced containers alive — one plain
 //! `BinaryHeap` event queue, a `BTreeMap` tenant index, no stale ledger,
-//! no compaction — driving the same event loop. The Planaria oracle
-//! lanes additionally run the pre-overhaul allocator arithmetic
-//! (`with_reference_hot_path`), so each comparison pins the *complete*
-//! pre-PR hot path — containers and scheduler arithmetic — against the
-//! overhauled one. Both engines' policies are run through both kernels
-//! across the scenario/QoS grid, at rates that keep the node saturated
-//! (deep backlogs are where the tiers, the slab window and compaction
-//! actually engage), and every result must digest identically.
+//! no compaction — driving the same event loop. Both lanes run each
+//! engine's production policy, so a comparison isolates the kernel: the
+//! scheduler has its own oracle (the full-rescan mode pinned by
+//! `incremental_equivalence`). Both engines' policies are run through
+//! both kernels across the scenario/QoS grid, at rates that keep the node
+//! saturated (deep backlogs are where the tiers, the slab window and
+//! compaction actually engage), and every result must digest identically.
 
 use planaria_core::PlanariaEngine;
 use planaria_prema::{Policy, PremaEngine};
@@ -34,7 +33,7 @@ fn planaria_policy_matches_reference_across_the_grid() {
             for lambda in [40.0, 400.0] {
                 let trace = TraceConfig::new(scenario, qos, lambda, 160, 0xBEEF).generate();
                 let hot = engine.run(&trace);
-                let mut policy = engine.spatial_policy().with_reference_hot_path();
+                let mut policy = engine.spatial_policy();
                 let oracle = run_reference(&cfg, &trace, &mut policy, &mut NullCollector);
                 assert_identical(&hot, &oracle, &format!("{scenario}/{qos}/{lambda}"));
             }
@@ -70,7 +69,7 @@ fn streamed_path_matches_streamed_reference_on_a_bursty_trace() {
     let trace_cfg =
         TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 5_000, 0x5ca1e).with_burstiness(6.0);
     let hot = engine.run_streamed(trace_cfg.stream());
-    let mut policy = engine.spatial_policy().with_reference_hot_path();
+    let mut policy = engine.spatial_policy();
     let oracle = run_streamed_reference(&cfg, trace_cfg.stream(), &mut policy, &mut NullCollector);
     assert_identical(&hot, &oracle, "bursty streamed");
 }
