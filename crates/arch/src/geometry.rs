@@ -86,6 +86,8 @@ pub enum GeometryError {
     ZeroChannels,
     /// No SIMD lanes attached to the subarrays.
     ZeroSimdLanes,
+    /// A fleet with no nodes.
+    EmptyFleet,
     /// A fleet mixes clock frequencies across nodes.
     MixedClockFrequency {
         /// Index of the offending node.
@@ -129,6 +131,7 @@ impl fmt::Display for GeometryError {
             ),
             GeometryError::ZeroChannels => write!(f, "at least one DRAM channel is required"),
             GeometryError::ZeroSimdLanes => write!(f, "at least one SIMD lane is required"),
+            GeometryError::EmptyFleet => write!(f, "a fleet needs at least one node"),
             GeometryError::MixedClockFrequency {
                 node,
                 freq_hz,
@@ -370,10 +373,14 @@ pub fn validate(cfg: &AcceleratorConfig) -> Result<(), GeometryError> {
 ///
 /// # Errors
 ///
-/// Returns the first per-node [`GeometryError`], or
+/// Returns [`GeometryError::EmptyFleet`] for no nodes, the first
+/// per-node [`GeometryError`], or
 /// [`GeometryError::MixedClockFrequency`] naming the first node whose
 /// clock disagrees with node 0's.
 pub fn validate_fleet(cfgs: &[AcceleratorConfig]) -> Result<(), GeometryError> {
+    if cfgs.is_empty() {
+        return Err(GeometryError::EmptyFleet);
+    }
     for (node, cfg) in cfgs.iter().enumerate() {
         validate(cfg)?;
         if cfg.freq_hz != cfgs[0].freq_hz {
@@ -601,7 +608,7 @@ mod tests {
         ));
         assert!(err.to_string().contains("share one clock frequency"));
         assert!(validate_fleet(&[a, a, AcceleratorConfig::monolithic()]).is_ok());
-        assert!(validate_fleet(&[]).is_ok());
+        assert_eq!(validate_fleet(&[]), Err(GeometryError::EmptyFleet));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! JSON record.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{run_cluster_fabric, DispatchPolicy, FabricTuning, PlanariaEngine};
+use planaria_core::{DispatchPolicy, Fleet, PlanariaEngine};
 use planaria_workload::{QosLevel, Scenario, TraceConfig};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -47,15 +47,8 @@ fn main() {
     let jobs_sweep: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8, 12] };
     let trace = cluster_cfg(requests).generate();
 
-    let run = || {
-        run_cluster_fabric(
-            &engine,
-            NODES,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        )
-    };
+    let fleet = Fleet::new(vec![engine; NODES]).expect("uniform fleet");
+    let run = || fleet.run(&trace, DispatchPolicy::LeastWork);
 
     // Serial reference: results at every jobs setting must digest equal.
     std::env::set_var(planaria_parallel::JOBS_ENV, "1");

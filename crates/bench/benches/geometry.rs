@@ -14,7 +14,7 @@
 
 use planaria_arch::{named_sweep, AcceleratorConfig};
 use planaria_compiler::CompiledLibrary;
-use planaria_core::GeoFleet;
+use planaria_core::{Fleet, PlanariaEngine};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -32,7 +32,7 @@ fn main() {
         .expect("valid geometry");
     let (_, misses0) = CompiledLibrary::cache_stats();
     let t0 = Instant::now();
-    let single = black_box(GeoFleet::new(&[cold_cfg]).expect("valid fleet"));
+    let single = black_box(Fleet::new(vec![PlanariaEngine::new(cold_cfg)]).expect("valid fleet"));
     let t_single = t0.elapsed().as_secs_f64();
     let (_, misses1) = CompiledLibrary::cache_stats();
     assert_eq!(misses1 - misses0, 1, "one cold geometry, one compile");
@@ -46,7 +46,9 @@ fn main() {
         .build()
         .expect("valid geometry");
     let t0 = Instant::now();
-    let fleet = black_box(GeoFleet::new(&[fleet_cfg; 8]).expect("valid fleet"));
+    let fleet = black_box(
+        Fleet::new([fleet_cfg; 8].map(PlanariaEngine::new).to_vec()).expect("valid fleet"),
+    );
     let t_fleet8 = t0.elapsed().as_secs_f64();
     let (_, misses2) = CompiledLibrary::cache_stats();
     assert_eq!(

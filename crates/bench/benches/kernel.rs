@@ -30,7 +30,7 @@ use planaria_arch::AcceleratorConfig;
 use planaria_compiler::CompiledLibrary;
 use planaria_core::PlanariaEngine;
 use planaria_model::units::Picojoules;
-use planaria_sim::oracle::run_reference;
+use planaria_sim::oracle::run_streamed_reference;
 use planaria_sim::run_streamed_sink;
 use planaria_telemetry::NullCollector;
 use planaria_workload::{Completion, DigestBuilder, QosLevel, Scenario, SpillSink, TraceConfig};
@@ -138,7 +138,7 @@ fn main() {
         let events = 2.0 * n as f64; // one arrival + one completion each
         let t_legacy = time_per_iter(iters, || {
             let mut policy = engine.spatial_policy();
-            black_box(run_reference(
+            black_box(run_streamed_reference(
                 &cfg,
                 black_box(&trace),
                 &mut policy,
@@ -151,7 +151,7 @@ fn main() {
         // Exactness guard: the bench must never drift into racing two
         // different simulations.
         let mut policy = engine.spatial_policy();
-        let reference = run_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+        let reference = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
         let tiered = engine.run(&trace);
         assert_eq!(
             reference.completions, tiered.completions,
@@ -172,7 +172,7 @@ fn main() {
     let eq_cfg = bursty_cfg(n_eq);
     let spill_dir = std::env::temp_dir().join("planaria-kernel-bench");
     std::fs::create_dir_all(&spill_dir).expect("create spill dir");
-    let mem_digest = engine.run_streamed(eq_cfg.stream()).digest();
+    let mem_digest = engine.run(eq_cfg.stream()).digest();
     let mut policy = engine.spatial_policy();
     let (sink, summary) = run_streamed_sink(
         &cfg,

@@ -13,7 +13,7 @@
 //! `tests/incremental_equivalence.rs`).
 //!
 //! The bench also measures the streaming side of the tentpole with a
-//! counting global allocator: a 10^6-request `run_streamed` must keep its
+//! counting global allocator: a 10^6-request streamed `run` must keep its
 //! peak resident bytes far below the materialized trace. The counter adds
 //! two relaxed atomics per allocation — noise-free here precisely because
 //! the steady-state event loop does not allocate.
@@ -138,7 +138,7 @@ fn main() {
     let cfg = scale_cfg(n_stream);
     let trace_bytes = (n_stream * std::mem::size_of::<Request>()) as u64;
     let start = Instant::now();
-    let (peak_streamed, rs) = peak_during(|| inc.run_streamed(cfg.stream()));
+    let (peak_streamed, rs) = peak_during(|| inc.run(cfg.stream()));
     let t_streamed = start.elapsed().as_secs_f64();
     assert_eq!(rs.completions.len(), n_stream);
     let ev_streamed = 2.0 * n_stream as f64 / t_streamed;

@@ -6,9 +6,9 @@
 //!
 //! Emits `results/BENCH_telemetry.json` with ns/event figures so the
 //! "zero overhead when off" claim is a measured number, not a slogan;
-//! `fabric_null_overhead_pct` is the measured cost of the collector
-//! *threading* (NullCollector sinks through `run_fabric_with` vs the
-//! plain `run_fabric` path), which must sit within run-to-run noise.
+//! `fabric_{stats,recorded}_overhead_pct` are the measured costs of the
+//! flat-memory and recording fleet runs over `Fleet::run`, whose
+//! per-node collectors are `NullCollector`s.
 //!
 //! Runs under `cargo bench -p planaria-bench --bench telemetry`; plain
 //! `Instant`-based harness (wall-clock measurement infrastructure, exempt
@@ -17,10 +17,7 @@
 //! overwrite the JSON record.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{
-    run_cluster_fabric, run_cluster_recorded, run_cluster_stats, DispatchPolicy, FabricTuning,
-    PlanariaEngine,
-};
+use planaria_core::{DispatchPolicy, Fleet, PlanariaEngine};
 use planaria_model::units::Cycles;
 use planaria_model::SplitMix64;
 use planaria_prema::PremaEngine;
@@ -165,40 +162,20 @@ fn bench_fabric(record: &mut Vec<(String, f64)>, smoke: bool) {
     let (requests, iters): (usize, u32) = if smoke { (500, 2) } else { (5_000, 5) };
     let trace =
         TraceConfig::new(Scenario::C, QosLevel::Medium, 1_000.0, requests, 0x7e1e).generate();
-    let nodes = 4;
-    let tuning = FabricTuning::default();
+    let fleet = Fleet::new(vec![engine; 4]).expect("uniform fleet");
+    let policy = DispatchPolicy::LeastWork;
     let plain = bench("fabric/cluster_null_path", iters, || {
-        black_box(run_cluster_fabric(
-            &engine,
-            nodes,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &tuning,
-        ));
+        black_box(fleet.run(&trace, policy));
     });
     let stats = bench("fabric/cluster_stats_path", iters, || {
-        black_box(run_cluster_stats(
-            &engine,
-            nodes,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &tuning,
-        ));
+        black_box(fleet.run_stats(&trace, policy));
     });
     let recorded = bench("fabric/cluster_recorded_path", iters, || {
-        black_box(run_cluster_recorded(
-            &engine,
-            nodes,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &tuning,
-        ));
+        black_box(fleet.run_recorded(&trace, policy));
     });
     record.push(("fabric_null_s".into(), plain));
     record.push(("fabric_stats_s".into(), stats));
     record.push(("fabric_recorded_s".into(), recorded));
-    // run_fabric *is* run_fabric_with + NullCollectors, so this measures
-    // pure run-to-run noise; it is recorded to keep that claim auditable.
     record.push((
         "fabric_stats_overhead_pct".into(),
         (stats / plain - 1.0) * 100.0,

@@ -6,7 +6,7 @@
 //! asks "how many nodes"), while this extension asks "given the nodes,
 //! how should a front-end route?" — the natural follow-on question for a
 //! datacenter deployment. The trace streams through the flat-memory
-//! fabric ([`run_cluster_stats`]): completions are never materialized
+//! fabric ([`Fleet::run_stats`]): completions are never materialized
 //! (the 10^6-request Vec alone would dwarf the simulator's working set),
 //! and every reported number — SLA rate, mean/p99 latency, the backlog
 //! watermark — comes out of O(buckets) counters and streaming quantile
@@ -22,7 +22,7 @@
 //! node's outstanding work an order of magnitude lower.
 
 use planaria_bench::{ResultTable, Systems};
-use planaria_core::{run_cluster_stats, DispatchPolicy, FabricTuning};
+use planaria_core::{DispatchPolicy, Fleet};
 use planaria_telemetry::{Counter, Metric};
 use planaria_workload::{LatencyStats, QosLevel, Scenario, TraceConfig};
 
@@ -46,6 +46,7 @@ fn main() {
     let freq_hz = sys.planaria.library().config().freq_hz;
     let n = requests();
     let cfg = TraceConfig::new(Scenario::C, QosLevel::Medium, LAMBDA, n, 0xd15b);
+    let fleet = Fleet::new(vec![sys.planaria.clone(); NODES]).expect("uniform fleet");
     let mut table = ResultTable::new(
         format!(
             "Ext: dispatch policies, {NODES}-node cluster, {n} streamed requests at {LAMBDA} q/s"
@@ -65,13 +66,7 @@ fn main() {
     );
     for policy in DispatchPolicy::ALL {
         let start = std::time::Instant::now();
-        let (cs, stats) = run_cluster_stats(
-            &sys.planaria,
-            NODES,
-            cfg.stream(),
-            policy,
-            &FabricTuning::default(),
-        );
+        let (cs, stats) = fleet.run_stats(cfg.stream(), policy);
         eprintln!("[{policy:?}: {:.1}s]", start.elapsed().as_secs_f64());
         assert_eq!(cs.completed as usize, n, "{policy:?} lost requests");
         let lat = cs

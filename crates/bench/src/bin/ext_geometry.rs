@@ -32,12 +32,12 @@
 //! itself a design-space result the single-chip rows corroborate.
 //!
 //! Traces stream through the flat-memory stats path
-//! ([`GeoFleet::run_stats`]): completions are never materialized, and
+//! ([`Fleet::run_stats`]): completions are never materialized, and
 //! all percentiles come from streaming sketches.
 
-use planaria_arch::{named_sweep, AcceleratorConfig};
+use planaria_arch::{named_sweep, AcceleratorConfig, GeometryError};
 use planaria_bench::ResultTable;
-use planaria_core::{DispatchPolicy, FabricTuning, GeoFleet};
+use planaria_core::{DispatchPolicy, Fleet, PlanariaEngine};
 use planaria_energy::AreaPowerBreakdown;
 use planaria_telemetry::{Counter, Metric};
 use planaria_workload::{LatencyStats, QosLevel, Scenario, TraceConfig};
@@ -66,9 +66,14 @@ fn requests() -> usize {
     }
 }
 
+/// A Planaria fleet with one node per configuration.
+fn fleet_of(cfgs: &[AcceleratorConfig]) -> Result<Fleet<PlanariaEngine>, GeometryError> {
+    Fleet::new(cfgs.iter().copied().map(PlanariaEngine::new).collect())
+}
+
 /// Summed area proxy across a fleet's nodes (relative units calibrated
 /// to Fig. 19).
-fn fleet_area(fleet: &GeoFleet) -> f64 {
+fn fleet_area(fleet: &Fleet<PlanariaEngine>) -> f64 {
     fleet
         .configs()
         .iter()
@@ -81,7 +86,7 @@ fn run_point(
     table: &mut ResultTable,
     name: &str,
     traffic: &str,
-    fleet: &GeoFleet,
+    fleet: &Fleet<PlanariaEngine>,
     scenario: Scenario,
     qos: QosLevel,
     lambda: f64,
@@ -89,14 +94,11 @@ fn run_point(
 ) {
     let cfg = TraceConfig::new(scenario, qos, lambda, n, 0x9e0);
     let start = std::time::Instant::now();
-    let (cs, stats) = fleet.run_stats(
-        cfg.stream(),
-        DispatchPolicy::GeometryAware,
-        &FabricTuning::default(),
-    );
+    let (cs, stats) = fleet.run_stats(cfg.stream(), DispatchPolicy::GeometryAware);
     eprintln!("[{name}/{traffic}: {:.1}s]", start.elapsed().as_secs_f64());
     assert_eq!(cs.completed as usize, n, "{name} lost requests");
-    let freq_hz = fleet.configs()[0].freq_hz;
+    let cfgs = fleet.configs();
+    let freq_hz = cfgs[0].freq_hz;
     let lat = cs
         .metrics
         .sketch(Metric::LatencyCycles)
@@ -109,8 +111,11 @@ fn run_point(
     table.row(vec![
         name.to_string(),
         traffic.to_string(),
-        fleet.len().to_string(),
-        fleet.total_pes().to_string(),
+        cfgs.len().to_string(),
+        cfgs.iter()
+            .map(AcceleratorConfig::total_pes)
+            .sum::<u64>()
+            .to_string(),
         format!("{area:.2}"),
         format!("{events_per_s:.0}"),
         format!("{:.3}", lat.p99 * 1e3),
@@ -140,7 +145,7 @@ fn main() {
 
     // Sweep 1: single-chip shapes under one contended trace.
     for point in named_sweep() {
-        let fleet = GeoFleet::new(&[point.cfg]).expect("named sweep points are valid");
+        let fleet = fleet_of(&[point.cfg]).expect("named sweep points are valid");
         run_point(
             &mut table,
             point.name,
@@ -174,7 +179,7 @@ fn main() {
     ];
     for (traffic, scenario, qos, lambda) in mixes {
         for (name, cfgs) in &fleets {
-            let fleet = GeoFleet::new(cfgs).expect("fleet geometries are valid");
+            let fleet = fleet_of(cfgs).expect("fleet geometries are valid");
             run_point(&mut table, name, traffic, &fleet, scenario, qos, lambda, n);
         }
     }

@@ -9,14 +9,10 @@
 //! Each seed's trace is generated once per grid cell and reused by every
 //! probed node count — regeneration inside the probe loop was pure waste
 //! (the trace depends only on the cell and the seed, never on the node
-//! count). Under `PLANARIA_STREAM_TRACES=1` the probes instead feed the
-//! cluster through the lazy `TraceConfig::stream()` path; results are
-//! bit-identical either way and CI diffs the TSV under both.
+//! count).
 
-use planaria_bench::{
-    export_trace_if_requested, par_grid, stream_traces, trace_config, ResultTable, Systems,
-};
-use planaria_core::{min_nodes_for_sla, run_cluster, run_cluster_streamed, DispatchPolicy};
+use planaria_bench::{export_trace_if_requested, par_grid, trace, ResultTable, Systems};
+use planaria_core::{min_nodes_for_sla, DispatchPolicy, Fleet};
 use planaria_parallel::{effective_jobs, par_map};
 use planaria_workload::{meets_sla, Request};
 
@@ -35,30 +31,17 @@ fn main() {
     // cluster runs at each probed node count fan out too (they run inline
     // when nested under the grid's own workers).
     let cells = par_grid(|scenario, qos| {
-        let cfgs: Vec<_> = seeds
+        // One trace per seed for the whole node sweep.
+        let traces: Vec<Vec<Request>> = seeds
             .iter()
-            .map(|&s| trace_config(scenario, qos, LAMBDA, s))
+            .map(|&s| trace(scenario, qos, LAMBDA, s))
             .collect();
-        // Materialized path: one trace per seed for the whole node sweep.
-        let traces: Vec<Vec<Request>> = if stream_traces() {
-            Vec::new()
-        } else {
-            cfgs.iter().map(|cfg| cfg.generate()).collect()
-        };
         min_nodes_for_sla(
             |n| {
-                let indices: Vec<usize> = (0..cfgs.len()).collect();
+                let fleet = Fleet::new(vec![sys.planaria.clone(); n]).expect("uniform fleet");
+                let indices: Vec<usize> = (0..traces.len()).collect();
                 par_map(indices, effective_jobs(), |i| {
-                    let result = if stream_traces() {
-                        run_cluster_streamed(
-                            &sys.planaria,
-                            n,
-                            cfgs[i].stream(),
-                            DispatchPolicy::LeastWork,
-                        )
-                    } else {
-                        run_cluster(&sys.planaria, n, &traces[i])
-                    };
+                    let (result, _) = fleet.run(&traces[i], DispatchPolicy::LeastWork);
                     meets_sla(&result.completions)
                 })
                 .into_iter()

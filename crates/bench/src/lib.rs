@@ -130,16 +130,7 @@ pub fn trace(
     trace_config(scenario, qos, lambda, seed).generate()
 }
 
-/// Whether experiment binaries should feed the engines through the lazy
-/// `TraceConfig::stream()` path instead of materialized request Vecs
-/// (`PLANARIA_STREAM_TRACES=1`). Results are bit-identical either way —
-/// CI byte-diffs the figure TSVs under both settings.
-pub fn stream_traces() -> bool {
-    std::env::var("PLANARIA_STREAM_TRACES").is_ok_and(|v| v == "1")
-}
-
-/// Runs one workload cell on the Planaria engine, honoring
-/// [`stream_traces`].
+/// Runs one workload cell on the Planaria engine.
 pub fn run_planaria(
     sys: &Systems,
     scenario: Scenario,
@@ -147,16 +138,11 @@ pub fn run_planaria(
     lambda: f64,
     seed: u64,
 ) -> planaria_workload::SimResult {
-    let cfg = trace_config(scenario, qos, lambda, seed);
-    if stream_traces() {
-        sys.planaria.run_streamed(cfg.stream())
-    } else {
-        sys.planaria.run(&cfg.generate())
-    }
+    sys.planaria
+        .run(trace_config(scenario, qos, lambda, seed).stream())
 }
 
-/// Runs one workload cell on the PREMA baseline, honoring
-/// [`stream_traces`].
+/// Runs one workload cell on the PREMA baseline.
 pub fn run_prema(
     sys: &Systems,
     scenario: Scenario,
@@ -164,12 +150,8 @@ pub fn run_prema(
     lambda: f64,
     seed: u64,
 ) -> planaria_workload::SimResult {
-    let cfg = trace_config(scenario, qos, lambda, seed);
-    if stream_traces() {
-        sys.prema.run_streamed(cfg.stream())
-    } else {
-        sys.prema.run(&cfg.generate())
-    }
+    sys.prema
+        .run(trace_config(scenario, qos, lambda, seed).stream())
 }
 
 /// Maximum SLA-meeting arrival rate for Planaria.

@@ -20,8 +20,8 @@
 //!    deterministic in-order chunk mean, so emitted tables are
 //!    bit-identical to the nested version at any `PLANARIA_JOBS`.
 //!
-//! Work units honor `PLANARIA_STREAM_TRACES` via the same
-//! [`run_planaria`]/[`run_prema`] entry points the other figures use.
+//! Work units run through the same [`run_planaria`]/[`run_prema`] entry
+//! points the other figures use.
 
 use crate::{
     grid, planaria_throughput, prema_throughput, probe_rate, run_planaria, run_prema, Systems,

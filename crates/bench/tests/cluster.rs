@@ -10,7 +10,7 @@
 //! state: a single test function serializes the env mutations (and this
 //! file is its own process, so other test binaries are unaffected).
 
-use planaria_core::{run_cluster_fabric, DispatchPolicy, FabricTuning, PlanariaEngine};
+use planaria_core::{DispatchPolicy, Fleet, PlanariaEngine};
 use planaria_parallel::JOBS_ENV;
 use planaria_workload::{QosLevel, Scenario, SimResult, TraceConfig};
 
@@ -28,21 +28,10 @@ fn fabric_runs_are_bit_identical_across_job_counts() {
     // Enough load that all 5 nodes stay busy and the dispatcher's
     // feedback (for JSQ/P2C/QoS-aware) actually varies across rounds.
     let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 600.0, 600, 99).generate();
-    let nodes = 5;
+    let fleet = Fleet::new(vec![engine; 5]).expect("uniform fleet");
 
     for policy in DispatchPolicy::ALL {
-        let run = |jobs: &str| -> SimResult {
-            with_jobs(jobs, || {
-                run_cluster_fabric(
-                    &engine,
-                    nodes,
-                    trace.iter().copied(),
-                    policy,
-                    &FabricTuning::default(),
-                )
-                .0
-            })
-        };
+        let run = |jobs: &str| -> SimResult { with_jobs(jobs, || fleet.run(&trace, policy).0) };
         let serial = run("1");
         assert_eq!(
             serial.completions.len(),

@@ -9,7 +9,7 @@
 //! 3. **Sketch accuracy** — the streaming latency sketch's p99 matches
 //!    the materialized nearest-rank oracle within the documented
 //!    `≤ 1/32` relative bucket bound.
-//! 4. **Flat-path fidelity** — `run_cluster_stats` (no completion
+//! 4. **Flat-path fidelity** — `Fleet::run_stats` (no completion
 //!    vector) reports the same counts, QoS satisfaction, and sketch as
 //!    the materialized run.
 //!
@@ -17,10 +17,7 @@
 //! state: a single test function serializes the env mutations.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{
-    run_cluster_recorded, run_cluster_stats, run_cluster_with, DispatchPolicy, FabricTuning,
-    PlanariaEngine,
-};
+use planaria_core::{DispatchPolicy, Fleet, PlanariaEngine};
 use planaria_parallel::JOBS_ENV;
 use planaria_sim::SimClock;
 use planaria_telemetry::{cluster_chrome_trace, validate_chrome_trace, Counter, Metric};
@@ -41,17 +38,13 @@ fn observability_plane_is_transparent_valid_and_accurate() {
     let trace: Vec<Request> =
         TraceConfig::new(Scenario::C, QosLevel::Medium, 300.0, 60, 0xab5).generate();
     let nodes = 3;
+    let fleet = Fleet::new(vec![engine; nodes]).expect("uniform fleet");
     let policy = DispatchPolicy::JoinShortestQueue;
-    let tuning = FabricTuning::default();
 
     // 1. Bit-identity: plain vs recorded, jobs 1 vs 4.
-    let plain_digest = with_jobs("1", || {
-        run_cluster_with(&engine, nodes, &trace, policy).digest()
-    });
+    let plain_digest = with_jobs("1", || fleet.run(&trace, policy).0.digest());
     for jobs in ["1", "4"] {
-        let (r, _, _) = with_jobs(jobs, || {
-            run_cluster_recorded(&engine, nodes, trace.iter().copied(), policy, &tuning)
-        });
+        let (r, _, _) = with_jobs(jobs, || fleet.run_recorded(&trace, policy));
         assert_eq!(
             r.digest(),
             plain_digest,
@@ -60,9 +53,7 @@ fn observability_plane_is_transparent_valid_and_accurate() {
     }
 
     // 2. Trace validity: node processes and pod counter tracks present.
-    let (result, stats, rec) = with_jobs("2", || {
-        run_cluster_recorded(&engine, nodes, trace.iter().copied(), policy, &tuning)
-    });
+    let (result, stats, rec) = with_jobs("2", || fleet.run_recorded(&trace, policy));
     assert!(stats.rounds > 0);
     let json = cluster_chrome_trace(&rec);
     let tstats = validate_chrome_trace(&json).expect("merged cluster trace validates");
@@ -104,9 +95,7 @@ fn observability_plane_is_transparent_valid_and_accurate() {
     );
 
     // 4. Flat path: same counts/QoS/sketch without completion vectors.
-    let (cs, _) = with_jobs("2", || {
-        run_cluster_stats(&engine, nodes, trace.iter().copied(), policy, &tuning)
-    });
+    let (cs, _) = with_jobs("2", || fleet.run_stats(&trace, policy));
     assert_eq!(cs.completed, trace.len() as u64);
     assert!((cs.makespan - result.makespan).abs() < 1e-12);
     let qos_met = result.completions.iter().filter(|c| c.met_qos()).count() as u64;

@@ -1,11 +1,13 @@
-//! Geometry equivalence: chip shape is a runtime value, so the fabric
-//! must be a faithful wrapper at every shape — a single-node fabric at
-//! geometry G is bit-identical to the standalone engine at G, and a
-//! heterogeneous fleet is byte-deterministic at any `PLANARIA_JOBS`.
+//! Geometry equivalence: chip shape is a runtime value, so the fleet
+//! fabric must be a faithful wrapper at every shape — a one-node fleet
+//! is bit-identical to the standalone engine, Planaria at every geometry
+//! and PREMA alike — and a heterogeneous fleet is byte-deterministic at
+//! any `PLANARIA_JOBS`.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{DispatchPolicy, FabricTuning, GeoFleet, PlanariaEngine};
+use planaria_core::{DispatchPolicy, Fleet, FleetNode, PlanariaEngine};
 use planaria_parallel::JOBS_ENV;
+use planaria_prema::{MixedNode, PremaEngine};
 use planaria_workload::{QosLevel, Scenario, TraceConfig};
 
 /// Runs `f` with `PLANARIA_JOBS` pinned to `jobs`.
@@ -29,26 +31,28 @@ fn single_node_fabric_matches_standalone_engine_at_every_geometry() {
         .crossbar_derate()
         .build()
         .expect("valid geometry");
-    let shapes = [
-        AcceleratorConfig::with_granularity(16),
-        AcceleratorConfig::with_granularity(32),
-        AcceleratorConfig::with_granularity(64),
-        two_pods,
-        fine_two_pods,
+    let planaria = |cfg| MixedNode::Spatial(PlanariaEngine::new(cfg));
+    let nodes = [
+        planaria(AcceleratorConfig::with_granularity(16)),
+        planaria(AcceleratorConfig::with_granularity(32)),
+        planaria(AcceleratorConfig::with_granularity(64)),
+        planaria(two_pods),
+        planaria(fine_two_pods),
+        MixedNode::Temporal(PremaEngine::new_default()),
     ];
-    for cfg in shapes {
-        let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 120.0, 40, 3).generate();
-        let direct = PlanariaEngine::new(cfg).run(&trace);
-        let fleet = GeoFleet::new(&[cfg]).expect("valid single-node fleet");
-        let (fabric, _) = fleet.run(
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        );
+    let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 120.0, 40, 3).generate();
+    for node in nodes {
+        let direct = match &node {
+            MixedNode::Spatial(e) => e.run(&trace),
+            MixedNode::Temporal(e) => e.run(&trace),
+        };
+        let cfg = *node.library().config();
+        let fleet = Fleet::new(vec![node]).expect("valid one-node fleet");
+        let (fabric, _) = fleet.run(&trace, DispatchPolicy::LeastWork);
         assert_eq!(
             direct.digest(),
             fabric.digest(),
-            "fabric diverges from engine at granule {} / {} pods",
+            "one-node fleet diverges from the engine at granule {} / {} pods",
             cfg.subarray_dim,
             cfg.num_pods()
         );
@@ -59,21 +63,21 @@ fn single_node_fabric_matches_standalone_engine_at_every_geometry() {
 
 #[test]
 fn heterogeneous_fleet_is_byte_deterministic_across_job_counts() {
-    let fleet = GeoFleet::new(&[
-        AcceleratorConfig::latency_tuned(),
-        AcceleratorConfig::planaria(),
-        AcceleratorConfig::throughput_tuned(),
-        AcceleratorConfig::planaria(),
-    ])
+    let fleet = Fleet::new(
+        [
+            AcceleratorConfig::latency_tuned(),
+            AcceleratorConfig::planaria(),
+            AcceleratorConfig::throughput_tuned(),
+            AcceleratorConfig::planaria(),
+        ]
+        .map(PlanariaEngine::new)
+        .to_vec(),
+    )
     .expect("valid fleet");
     let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 400.0, 80, 11).generate();
     let run = |jobs: &str| {
         with_jobs(jobs, || {
-            let (r, stats) = fleet.run(
-                trace.iter().copied(),
-                DispatchPolicy::GeometryAware,
-                &FabricTuning::default(),
-            );
+            let (r, stats) = fleet.run(&trace, DispatchPolicy::GeometryAware);
             (
                 r.digest(),
                 r.total_energy,
@@ -93,11 +97,7 @@ fn heterogeneous_fleet_is_byte_deterministic_across_job_counts() {
     // counts too (it is what ext_geometry sweeps at scale).
     let stats_run = |jobs: &str| {
         with_jobs(jobs, || {
-            let (cs, _) = fleet.run_stats(
-                trace.iter().copied(),
-                DispatchPolicy::GeometryAware,
-                &FabricTuning::default(),
-            );
+            let (cs, _) = fleet.run_stats(&trace, DispatchPolicy::GeometryAware);
             (cs.completed, cs.total_energy, cs.makespan.to_bits())
         })
     };

@@ -33,11 +33,12 @@ use crate::symbols::is_bare_numeric;
 use std::collections::BTreeSet;
 
 /// Event-loop files guarded by L2-FLOW (same scope as L2-TIME): the two
-/// engines, their cluster dispatch layers, and the whole kernel crate
-/// (which includes the multi-node fabric).
-const TIME_SCOPE: [&str; 5] = [
+/// engines, their cluster dispatch layers and fleet runner, and the
+/// whole kernel crate (which includes the multi-node fabric).
+const TIME_SCOPE: [&str; 6] = [
     "crates/core/src/engine.rs",
     "crates/core/src/cluster.rs",
+    "crates/core/src/fleet.rs",
     "crates/prema/src/engine.rs",
     "crates/prema/src/cluster.rs",
     "crates/sim/src/",

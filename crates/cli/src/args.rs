@@ -64,6 +64,25 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
+    /// The `--lambda` arrival rate (queries/second), with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the value does not parse or is not finite
+    /// and positive: the trace generator rejects such a rate with a
+    /// panic (`nan`, zero, negatives) or puts every arrival at t = 0
+    /// (`inf`).
+    pub fn lambda(&self, default: f64) -> Result<f64, ArgError> {
+        let lambda: f64 = self.flag_or("lambda", default)?;
+        if lambda.is_finite() && lambda > 0.0 {
+            Ok(lambda)
+        } else {
+            Err(ArgError(format!(
+                "--lambda must be a finite positive rate, not {lambda}"
+            )))
+        }
+    }
+
     /// Flag parsed as `T`, with a default.
     ///
     /// # Errors
@@ -176,6 +195,16 @@ mod tests {
     fn bad_value_is_an_error() {
         let a = parse(&["--subarrays", "lots"]);
         assert!(a.flag_or("subarrays", 1u32).is_err());
+    }
+
+    #[test]
+    fn lambda_must_be_finite_and_positive() {
+        for bad in ["nan", "inf", "-inf", "0", "-1"] {
+            let err = parse(&["--lambda", bad]).lambda(60.0).unwrap_err();
+            assert!(err.0.contains("--lambda"), "{bad}: {err}");
+        }
+        assert_eq!(parse(&["--lambda", "120"]).lambda(60.0), Ok(120.0));
+        assert_eq!(parse(&[]).lambda(60.0), Ok(60.0));
     }
 
     #[test]

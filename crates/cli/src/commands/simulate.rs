@@ -27,13 +27,13 @@ fn reconfigurations(rec: &RecordingCollector) -> usize {
 pub fn simulate(args: &Args) -> Result<(), ArgError> {
     let scenario: Scenario = parse_scenario(args.flag("scenario").unwrap_or("C"))?;
     let qos: QosLevel = parse_qos(args.flag("qos").unwrap_or("M"))?;
-    let lambda: f64 = args.flag_or("lambda", 60.0)?;
+    let lambda = args.lambda(60.0)?;
     let requests: usize = args.flag_or("requests", 200)?;
     let seed: u64 = args.flag_or("seed", 1)?;
     let system = args.flag("system").unwrap_or("planaria");
     let timeline: u32 = args.flag_or("timeline", 0)?;
-    if lambda <= 0.0 || requests == 0 {
-        return Err(ArgError("--lambda and --requests must be positive".into()));
+    if requests == 0 {
+        return Err(ArgError("--requests must be positive".into()));
     }
 
     let trace = TraceConfig::new(scenario, qos, lambda, requests, seed).generate();

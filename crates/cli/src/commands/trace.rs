@@ -24,12 +24,12 @@ use planaria_workload::TraceConfig;
 pub fn trace(args: &Args) -> Result<(), ArgError> {
     let scenario = parse_scenario(args.flag("scenario").unwrap_or("A"))?;
     let qos = parse_qos(args.flag("qos").unwrap_or("S"))?;
-    let lambda: f64 = args.flag_or("lambda", 100.0)?;
+    let lambda = args.lambda(100.0)?;
     let requests: usize = args.flag_or("requests", 40)?;
     let seed: u64 = args.flag_or("seed", 1)?;
     let system = args.flag("system").unwrap_or("planaria");
-    if lambda <= 0.0 || requests == 0 {
-        return Err(ArgError("--lambda and --requests must be positive".into()));
+    if requests == 0 {
+        return Err(ArgError("--requests must be positive".into()));
     }
 
     let workload = TraceConfig::new(scenario, qos, lambda, requests, seed).generate();

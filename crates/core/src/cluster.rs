@@ -1,29 +1,17 @@
-//! Scaled-out serving: multiple Planaria nodes behind an online
-//! dispatcher (the Fig. 16 experiment).
-//!
-//! Each DNN task is mapped to a single chip (§VI-B1: "each DNN task is
-//! mapped to a single chip instead of being distributed across multiple
-//! nodes"). Requests stream through a [`ClusterDispatcher`] into the
-//! multi-node fabric ([`planaria_sim::run_fabric`]): one independent
-//! kernel plus one Algorithm 1 policy per node, advanced in
-//! epoch-synchronized rounds so the nodes fan out across cores while the
-//! result stays byte-identical at any worker count.
+//! Online dispatch for scaled-out serving (the Fig. 16 experiment): the
+//! [`DispatchPolicy`] menu and the [`ClusterDispatcher`] that routes a
+//! [`Fleet`](crate::Fleet)'s request stream across its nodes.
 //!
 //! Dispatch accounting lives in the [`Cycles`] domain: the LeastWork
 //! horizon per node is integer cycles on the fabric clock, and the work
 //! estimate is the compiled full-chip cycle count from the timing memo
 //! (`table(total).total_cycles()`), not a float-seconds latency requery.
 
-use crate::engine::PlanariaEngine;
 use planaria_compiler::CompiledLibrary;
-use planaria_model::units::{Cycles, Picojoules};
+use planaria_model::units::Cycles;
 use planaria_model::{DnnId, SplitMix64};
-use planaria_sim::{
-    run_fabric, run_fabric_summary, run_fabric_with, Dispatcher, FabricStats, FabricTuning,
-    NodeLoad, SimClock,
-};
-use planaria_telemetry::{ClusterRecording, MetricsReport, RecordingCollector, StatsCollector};
-use planaria_workload::{Request, SimResult};
+use planaria_sim::{Dispatcher, NodeLoad, SimClock};
+use planaria_workload::Request;
 
 /// Policy for spreading requests over the cluster's nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -282,213 +270,6 @@ impl Dispatcher for ClusterDispatcher {
     }
 }
 
-/// Splits a trace over `nodes` according to `policy` — the offline
-/// projection of the online dispatcher.
-///
-/// For the open-loop policies (LeastWork, RoundRobin, DnnAffinity) this
-/// is exactly the routing the fabric performs: their decisions depend
-/// only on the arrival stream and dispatcher-local state. The feedback
-/// policies are projected with an empty load snapshot (only the
-/// dispatcher's own routed counts feed back), so the split shows their
-/// no-load balancing behavior.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero.
-pub fn dispatch(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    trace: &[Request],
-    policy: DispatchPolicy,
-) -> Vec<Vec<Request>> {
-    let clock = SimClock::new(
-        trace.first().map_or(0.0, |r| r.arrival),
-        engine.library().config().freq_hz,
-    );
-    let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
-    // The projection is over identical nodes; stamp their (uniform)
-    // capacity so geometry-reading policies see real values.
-    let load0 = NodeLoad {
-        subarrays: engine.library().config().num_subarrays(),
-        pes: engine.library().config().total_pes(),
-        ..NodeLoad::default()
-    };
-    let mut loads = vec![load0; nodes];
-    let mut per_node: Vec<Vec<Request>> = vec![Vec::new(); nodes];
-    for r in trace {
-        let at = clock.cycles_from_seconds(r.arrival);
-        let target = d.route(r, at, &clock, &loads);
-        loads[target].routed += 1;
-        per_node[target].push(*r);
-    }
-    per_node
-}
-
-/// Runs a trace over `nodes` identical engines with least-outstanding-work
-/// dispatch; returns the merged result.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the trace is unsorted.
-pub fn run_cluster(engine: &PlanariaEngine, nodes: usize, trace: &[Request]) -> SimResult {
-    run_cluster_with(engine, nodes, trace, DispatchPolicy::LeastWork)
-}
-
-/// Runs a trace over `nodes` engines under an explicit dispatch policy.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the trace is unsorted.
-pub fn run_cluster_with(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    trace: &[Request],
-    policy: DispatchPolicy,
-) -> SimResult {
-    run_cluster_streamed(engine, nodes, trace.iter().copied(), policy)
-}
-
-/// [`run_cluster_with`] over a pull-based request source: the stream is
-/// routed online and never materialized, so a million-request
-/// [`TraceStream`](planaria_workload::TraceStream) serves a cluster with
-/// O(live tenants + one dispatch window) resident requests.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the source yields arrivals out of order.
-pub fn run_cluster_streamed<I: IntoIterator<Item = Request>>(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    requests: I,
-    policy: DispatchPolicy,
-) -> SimResult {
-    run_cluster_fabric(engine, nodes, requests, policy, &FabricTuning::default()).0
-}
-
-/// The full-control cluster entry point: explicit fabric tuning, and the
-/// fabric's aggregate event/round counters alongside the result.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the source yields arrivals out of order.
-pub fn run_cluster_fabric<I: IntoIterator<Item = Request>>(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    requests: I,
-    policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats) {
-    assert!(nodes > 0, "cluster needs at least one node");
-    let cfg = *engine.library().config();
-    let cfgs = vec![cfg; nodes];
-    let policies: Vec<_> = (0..nodes).map(|_| engine.spatial_policy()).collect();
-    let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
-    run_fabric(&cfgs, policies, requests, &mut d, tuning)
-}
-
-/// [`run_cluster_fabric`] with full telemetry: the fabric's dispatch
-/// decisions, round barriers and load gauges land in one recorder, each
-/// node's kernel events (arrivals, exec slices, completions, pod energy)
-/// in its own, and the whole thing comes back as a [`ClusterRecording`]
-/// whose node map is keyed by node id — deterministic merge order at any
-/// `PLANARIA_JOBS`.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the source yields arrivals out of order.
-pub fn run_cluster_recorded<I: IntoIterator<Item = Request>>(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    requests: I,
-    policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats, ClusterRecording) {
-    assert!(nodes > 0, "cluster needs at least one node");
-    let cfg = *engine.library().config();
-    let cfgs = vec![cfg; nodes];
-    let policies: Vec<_> = (0..nodes).map(|_| engine.spatial_policy()).collect();
-    let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
-    let mut fabric = RecordingCollector::new();
-    let sinks: Vec<RecordingCollector> = (0..nodes).map(|_| RecordingCollector::new()).collect();
-    let (result, stats, sinks) = run_fabric_with(
-        &cfgs,
-        policies,
-        requests,
-        &mut d,
-        tuning,
-        &mut fabric,
-        sinks,
-    );
-    let mut rec = ClusterRecording::new();
-    rec.fabric = fabric;
-    for (i, sink) in sinks.into_iter().enumerate() {
-        rec.nodes.insert(u32::try_from(i).unwrap_or(u32::MAX), sink);
-    }
-    (result, stats, rec)
-}
-
-/// Aggregate result of the flat-memory cluster path: counts, energy and
-/// percentile sketches without ever materializing a completion vector.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterStats {
-    /// Requests retired across all nodes.
-    pub completed: u64,
-    /// Dynamic plus static energy summed over nodes in node-id order.
-    pub total_energy: Picojoules,
-    /// Slowest node's makespan, seconds.
-    pub makespan: f64,
-    /// Fabric counters merged with every node's counters, histograms and
-    /// quantile sketches (latency percentiles live in
-    /// [`Metric::LatencyCycles`](planaria_telemetry::Metric::LatencyCycles)).
-    pub metrics: MetricsReport,
-}
-
-/// The O(live tenants)-memory cluster: identical scheduling to
-/// [`run_cluster_fabric`], but nodes keep only aggregate tallies plus
-/// streaming sketches, so a 10^6-request run reports p50/p99 latency and
-/// QoS satisfaction without a completion vector.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the source yields arrivals out of order.
-pub fn run_cluster_stats<I: IntoIterator<Item = Request>>(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    requests: I,
-    policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (ClusterStats, FabricStats) {
-    assert!(nodes > 0, "cluster needs at least one node");
-    let cfg = *engine.library().config();
-    let cfgs = vec![cfg; nodes];
-    let policies: Vec<_> = (0..nodes).map(|_| engine.spatial_policy()).collect();
-    let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
-    let mut fabric = StatsCollector::new();
-    let sinks: Vec<StatsCollector> = (0..nodes).map(|_| StatsCollector::new()).collect();
-    let (summary, stats, sinks) = run_fabric_summary(
-        &cfgs,
-        policies,
-        requests,
-        &mut d,
-        tuning,
-        &mut fabric,
-        sinks,
-    );
-    let mut metrics = fabric.report();
-    for sink in &sinks {
-        metrics.merge(&sink.report());
-    }
-    (
-        ClusterStats {
-            completed: summary.completed,
-            total_energy: summary.total_energy,
-            makespan: summary.makespan,
-            metrics,
-        },
-        stats,
-    )
-}
-
 /// The minimum number of nodes achieving the SLA on every probe seed
 /// (Fig. 16), up to `max_nodes`; `None` when even `max_nodes` fail.
 pub fn min_nodes_for_sla<F>(run: F, max_nodes: usize) -> Option<usize>
@@ -501,23 +282,44 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Fleet, PlanariaEngine};
     use planaria_arch::AcceleratorConfig;
-    use planaria_workload::{meets_sla, QosLevel, Scenario, TraceConfig};
+    use planaria_telemetry::{ClusterRecording, Event};
+    use planaria_workload::{QosLevel, Scenario, TraceConfig};
+
+    fn fleet(nodes: usize) -> Fleet<PlanariaEngine> {
+        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
+        Fleet::new(vec![e; nodes]).expect("valid fleet")
+    }
+
+    /// Each node's dispatched `(request id, network)` pairs, read from
+    /// the fabric's `Dispatch` records: the routing the run really did.
+    fn routes(rec: &ClusterRecording) -> Vec<Vec<(u64, DnnId)>> {
+        let mut per_node = vec![Vec::new(); rec.nodes.len()];
+        for te in rec.fabric.events() {
+            if let Event::Dispatch {
+                tenant, dnn, node, ..
+            } = te.event
+            {
+                per_node[node as usize].push((tenant, dnn));
+            }
+        }
+        per_node
+    }
 
     #[test]
     fn cluster_preserves_all_requests() {
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 300.0, 30, 5).generate();
-        let r = run_cluster(&e, 3, &trace);
+        let (r, _) = fleet(3).run(&trace, DispatchPolicy::LeastWork);
         assert_eq!(r.completions.len(), 30);
     }
 
     #[test]
     fn every_policy_preserves_all_requests() {
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 250.0, 40, 11).generate();
+        let fleet = fleet(4);
         for policy in DispatchPolicy::ALL {
-            let r = run_cluster_with(&e, 4, &trace, policy);
+            let (r, _) = fleet.run(&trace, policy);
             assert_eq!(r.completions.len(), 40, "{policy:?}");
             let ids: Vec<u64> = r.completions.iter().map(|c| c.request.id).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "{policy:?} sorted");
@@ -526,11 +328,10 @@ mod tests {
 
     #[test]
     fn more_nodes_help_under_overload() {
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         // Heavy overload of SSD-R requests.
         let trace = TraceConfig::new(Scenario::A, QosLevel::Soft, 120.0, 40, 5).generate();
-        let one = run_cluster(&e, 1, &trace);
-        let four = run_cluster(&e, 4, &trace);
+        let (one, _) = fleet(1).run(&trace, DispatchPolicy::LeastWork);
+        let (four, _) = fleet(4).run(&trace, DispatchPolicy::LeastWork);
         assert!(
             four.completions.iter().map(|c| c.latency()).sum::<f64>()
                 < one.completions.iter().map(|c| c.latency()).sum::<f64>()
@@ -545,24 +346,25 @@ mod tests {
 
     #[test]
     fn dispatch_policies_partition_the_trace() {
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
+        let fleet = fleet(3);
         let trace = TraceConfig::new(Scenario::C, QosLevel::Soft, 100.0, 45, 4).generate();
+        let routed = |policy| routes(&fleet.run_recorded(&trace, policy).2);
         for policy in DispatchPolicy::ALL {
-            let split = dispatch(&e, 3, &trace, policy);
-            assert_eq!(split.iter().map(Vec::len).sum::<usize>(), 45, "{policy:?}");
+            let mut ids: Vec<u64> = routed(policy).concat().iter().map(|&(id, _)| id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..45).collect::<Vec<u64>>(), "{policy:?}");
         }
         // Affinity really pins networks: every node sees a disjoint set.
-        let split = dispatch(&e, 3, &trace, DispatchPolicy::DnnAffinity);
+        let split = routed(DispatchPolicy::DnnAffinity);
         for (i, node) in split.iter().enumerate() {
             for (j, other) in split.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                for r in node {
+                for (_, dnn) in node {
                     assert!(
-                        !other.iter().any(|o| o.dnn == r.dnn),
-                        "network {} on two nodes",
-                        r.dnn
+                        !other.iter().any(|(_, o)| o == dnn),
+                        "network {dnn} on two nodes"
                     );
                 }
             }
@@ -571,39 +373,32 @@ mod tests {
 
     #[test]
     fn round_robin_balances_counts() {
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let trace = TraceConfig::new(Scenario::A, QosLevel::Soft, 50.0, 30, 8).generate();
-        let split = dispatch(&e, 3, &trace, DispatchPolicy::RoundRobin);
+        let split = routes(&fleet(3).run_recorded(&trace, DispatchPolicy::RoundRobin).2);
         assert!(split.iter().all(|n| n.len() == 10));
     }
 
     #[test]
     fn open_loop_dispatch_matches_fabric_routing() {
-        // The offline projection and the online fabric must route
-        // identically for the open-loop policies: per-node completion
-        // counts equal the offline split sizes.
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
+        // Every request completes on the node its dispatch record names:
+        // the recorded routing is the routing the nodes actually served.
+        let fleet = fleet(3);
         let trace = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 36, 6).generate();
         for policy in [
             DispatchPolicy::LeastWork,
             DispatchPolicy::RoundRobin,
             DispatchPolicy::DnnAffinity,
         ] {
-            let split = dispatch(&e, 3, &trace, policy);
-            let fabric = run_cluster_with(&e, 3, &trace, policy);
-            assert_eq!(
-                fabric.completions.len(),
-                split.iter().map(Vec::len).sum::<usize>(),
-                "{policy:?}"
-            );
-            // Every request completes on the node the projection picked:
-            // check via per-node id sets.
-            for (node, sub) in split.iter().enumerate() {
-                for r in sub {
+            let (r, _, rec) = fleet.run_recorded(&trace, policy);
+            assert_eq!(r.completions.len(), 36, "{policy:?}");
+            for (node, sub) in routes(&rec).iter().enumerate() {
+                let served = &rec.nodes[&(node as u32)];
+                for &(id, _) in sub {
                     assert!(
-                        fabric.completions.iter().any(|c| c.request.id == r.id),
-                        "{policy:?}: id {} (node {node}) lost",
-                        r.id
+                        served.events().iter().any(
+                            |te| matches!(te.event, Event::Completion { tenant, .. } if tenant == id)
+                        ),
+                        "{policy:?}: id {id} (node {node}) lost"
                     );
                 }
             }
@@ -611,28 +406,13 @@ mod tests {
     }
 
     #[test]
-    fn single_node_cluster_equals_engine() {
-        // Exact equality: one fabric node on the same clock origin must
-        // reproduce the engine bit-for-bit — completions, energy and
-        // makespan.
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
-        let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 15, 9).generate();
-        let direct = e.run(&trace);
-        let cluster = run_cluster(&e, 1, &trace);
-        assert_eq!(direct.completions, cluster.completions);
-        assert_eq!(direct.total_energy, cluster.total_energy);
-        assert_eq!(direct.makespan.to_bits(), cluster.makespan.to_bits());
-        assert!(meets_sla(&direct.completions) == meets_sla(&cluster.completions));
-    }
-
-    #[test]
     fn streamed_cluster_equals_materialized() {
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
+        let fleet = fleet(3);
         let cfg = TraceConfig::new(Scenario::C, QosLevel::Medium, 300.0, 50, 12);
         let trace = cfg.generate();
         for policy in DispatchPolicy::ALL {
-            let mat = run_cluster_with(&e, 3, &trace, policy);
-            let streamed = run_cluster_streamed(&e, 3, cfg.stream(), policy);
+            let (mat, _) = fleet.run(&trace, policy);
+            let (streamed, _) = fleet.run(cfg.stream(), policy);
             assert_eq!(mat.completions, streamed.completions, "{policy:?}");
             assert_eq!(mat.total_energy, streamed.total_energy, "{policy:?}");
         }
@@ -640,17 +420,11 @@ mod tests {
 
     #[test]
     fn recorded_cluster_matches_unrecorded_and_captures_per_node_events() {
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
-        let cfg = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 24, 6);
-        let trace = cfg.generate();
-        let plain = run_cluster_with(&e, 3, &trace, DispatchPolicy::JoinShortestQueue);
-        let (rec_result, stats, rec) = run_cluster_recorded(
-            &e,
-            3,
-            trace.iter().copied(),
-            DispatchPolicy::JoinShortestQueue,
-            &FabricTuning::default(),
-        );
+        let fleet = fleet(3);
+        let trace = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 24, 6).generate();
+        let (plain, _) = fleet.run(&trace, DispatchPolicy::JoinShortestQueue);
+        let (rec_result, stats, rec) =
+            fleet.run_recorded(&trace, DispatchPolicy::JoinShortestQueue);
         // Recording changes nothing about scheduling.
         assert_eq!(plain.completions, rec_result.completions);
         assert_eq!(plain.total_energy, rec_result.total_energy);
@@ -672,16 +446,10 @@ mod tests {
 
     #[test]
     fn stats_cluster_matches_materialized_percentiles() {
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
+        let fleet = fleet(2);
         let trace = TraceConfig::new(Scenario::C, QosLevel::Soft, 250.0, 40, 9).generate();
-        let mat = run_cluster_with(&e, 2, &trace, DispatchPolicy::LeastWork);
-        let (cs, _) = run_cluster_stats(
-            &e,
-            2,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        );
+        let (mat, _) = fleet.run(&trace, DispatchPolicy::LeastWork);
+        let (cs, _) = fleet.run_stats(&trace, DispatchPolicy::LeastWork);
         assert_eq!(cs.completed, 40);
         assert_eq!(mat.completions.len(), 40);
         assert!((cs.makespan - mat.makespan).abs() < 1e-12);
@@ -692,7 +460,7 @@ mod tests {
             .sketch(planaria_telemetry::Metric::LatencyCycles)
             .expect("latency sketch");
         assert_eq!(sketch.count(), 40);
-        let clock = SimClock::new(trace[0].arrival, e.library().config().freq_hz);
+        let clock = SimClock::new(trace[0].arrival, fleet.configs()[0].freq_hz);
         let mut lat: Vec<Cycles> = mat
             .completions
             .iter()
@@ -721,10 +489,9 @@ mod tests {
         // Hard QoS budgets are tight multiples of the compiled latency,
         // so QosAware must least-load at least some requests; with a
         // huge budget everything round-robins.
-        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let trace = TraceConfig::new(Scenario::A, QosLevel::Soft, 50.0, 30, 8).generate();
         let relaxed: Vec<Request> = trace.iter().map(|r| Request { qos: 1e3, ..*r }).collect();
-        let split = dispatch(&e, 3, &relaxed, DispatchPolicy::QosAware);
+        let split = routes(&fleet(3).run_recorded(&relaxed, DispatchPolicy::QosAware).2);
         // All relaxed → pure round-robin balance.
         assert!(split.iter().all(|n| n.len() == 10), "relaxed = round-robin");
     }

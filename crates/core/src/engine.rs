@@ -15,10 +15,11 @@ use crate::scheduler::{allocate_spatially_into, min_slack_cycles, AllocScratch, 
 use planaria_arch::{AcceleratorConfig, Allocation, Arrangement, Chip};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
 use planaria_model::units::Cycles;
-use planaria_sim::{subarray_mask, EnginePolicy, SimState};
+use planaria_sim::{run_streamed_sink, subarray_mask, EnginePolicy, SimState};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext, CONFIG_LOAD_CYCLES};
-use planaria_workload::{Request, SimResult};
+use planaria_workload::{Request, SimResult, VecSink};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// How the engine assigns the chip to queued tenants.
@@ -90,54 +91,38 @@ impl PlanariaEngine {
         self.library.config()
     }
 
-    /// Simulates one trace (must be sorted by arrival time).
+    /// Simulates a slice (`&trace`) or a lazily drawn stream
+    /// (`cfg.stream()`) of requests, bit-identically, keeping every
+    /// completion.
     ///
     /// # Panics
     ///
-    /// Panics if the trace is not sorted by arrival.
-    pub fn run(&self, trace: &[Request]) -> SimResult {
-        self.run_with_collector(trace, &mut NullCollector)
+    /// Panics if the requests are not sorted by arrival.
+    pub fn run<I>(&self, requests: I) -> SimResult
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Request>,
+    {
+        self.run_with_collector(requests, &mut NullCollector)
     }
 
-    /// Simulates one trace, streaming telemetry into `c`.
-    ///
-    /// The simulation itself never branches on the collector: with
-    /// [`NullCollector`] every hook inlines to a no-op and the results are
+    /// [`run`](Self::run), streaming telemetry into `c`. With
+    /// [`NullCollector`] every hook inlines to a no-op, so the results are
     /// bit-identical to [`run`](Self::run) (proven by a test below).
     ///
     /// # Panics
     ///
-    /// Panics if the trace is not sorted by arrival.
-    pub fn run_with_collector<C: Collector>(&self, trace: &[Request], c: &mut C) -> SimResult {
+    /// Panics if the requests are not sorted by arrival.
+    pub fn run_with_collector<C, I>(&self, requests: I, c: &mut C) -> SimResult
+    where
+        C: Collector,
+        I: IntoIterator,
+        I::Item: Borrow<Request>,
+    {
+        let requests = requests.into_iter().map(|r| *r.borrow());
         let mut policy = self.spatial_policy();
-        planaria_sim::run(self.cfg(), trace, &mut policy, c)
-    }
-
-    /// [`run`](Self::run) over a pull-based request source: requests are
-    /// drawn lazily (the kernel keeps one not-yet-due arrival outstanding),
-    /// so a million-request [`TraceStream`](planaria_workload::TraceStream)
-    /// is simulated with O(live tenants) resident request memory and
-    /// results bit-identical to the materialized path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields arrivals out of order.
-    pub fn run_streamed<I: IntoIterator<Item = Request>>(&self, requests: I) -> SimResult {
-        self.run_streamed_with_collector(requests, &mut NullCollector)
-    }
-
-    /// [`run_streamed`](Self::run_streamed) with a telemetry collector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields arrivals out of order.
-    pub fn run_streamed_with_collector<C: Collector, I: IntoIterator<Item = Request>>(
-        &self,
-        requests: I,
-        c: &mut C,
-    ) -> SimResult {
-        let mut policy = self.spatial_policy();
-        planaria_sim::run_streamed(self.cfg(), requests, &mut policy, c)
+        let (kept, s) = run_streamed_sink(self.cfg(), requests, &mut policy, c, VecSink::default());
+        SimResult::from_completions(kept.completions, s.static_energy, s.makespan)
     }
 
     /// A fresh kernel policy for one simulation run (or one cluster
@@ -610,7 +595,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_fine() {
-        let r = engine().run(&[]);
+        let r = engine().run(std::iter::empty::<Request>());
         assert!(r.completions.is_empty());
         assert_eq!(r.makespan, 0.0);
     }

@@ -10,7 +10,8 @@
 //! changes take effect at tile boundaries and pay the reconfiguration cost
 //! of §IV-C.
 //!
-//! [`cluster`] adds the scaled-out multi-node setting of Fig. 16.
+//! [`Fleet`] adds the scaled-out multi-node setting of Fig. 16: any
+//! [`FleetNode`]s behind one [`ClusterDispatcher`] ([`cluster`]).
 //!
 //! # Example
 //!
@@ -31,17 +32,13 @@ pub mod fleet;
 pub mod sched_state;
 pub mod scheduler;
 
-pub use cluster::{
-    dispatch, min_nodes_for_sla, run_cluster, run_cluster_fabric, run_cluster_recorded,
-    run_cluster_stats, run_cluster_streamed, run_cluster_with, ClusterDispatcher, ClusterStats,
-    DispatchPolicy,
-};
+pub use cluster::{min_nodes_for_sla, ClusterDispatcher, DispatchPolicy};
 pub use engine::{PlanariaEngine, SchedulingMode, SpatialPolicy};
-pub use fleet::GeoFleet;
+pub use fleet::{ClusterStats, Fleet, FleetNode};
 pub use planaria_compiler::CompiledLibrary;
 pub use planaria_model::units::{Bytes, Cycles, Picojoules};
 pub use planaria_model::SplitMix64;
-pub use planaria_sim::{FabricStats, FabricTuning, NodeLoad};
+pub use planaria_sim::{FabricStats, NodeLoad};
 pub use sched_state::{FloorEntry, SchedState, Seed};
 pub use scheduler::{
     allocate_spatially_into, min_slack_cycles, schedule_tasks_spatially, AllocScratch, SchedTask,

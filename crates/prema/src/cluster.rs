@@ -2,30 +2,47 @@
 //! nodes side by side behind one online dispatcher.
 //!
 //! The fabric is policy-generic — each node owns any [`EnginePolicy`] —
-//! so a mixed fleet is just a per-node choice between Planaria's spatial
-//! Algorithm 1 and PREMA's temporal token scheduler. Both chips run the
-//! paper's common budget (same frequency), so they share the fabric
-//! clock; per-node configurations still differ (16 fission subarrays vs
-//! one monolithic array).
+//! so a mixed fleet is a [`Fleet`](planaria_core::Fleet) of
+//! [`MixedNode`]s, each running Planaria's spatial Algorithm 1 or
+//! PREMA's temporal token scheduler. The dispatcher's work estimates
+//! come from each node's own library: a Planaria node advertises its
+//! fission chip's full-chip cycle counts, a PREMA node its monolithic
+//! chip's. Both chips run the paper's common budget (same frequency), so
+//! they share the fabric clock.
 
 use crate::engine::{PremaEngine, TemporalPolicy};
-use planaria_arch::AcceleratorConfig;
-use planaria_compiler::CompiledDnn;
-use planaria_core::{ClusterDispatcher, DispatchPolicy, PlanariaEngine, SpatialPolicy};
-use planaria_sim::{
-    run_fabric, run_fabric_with, EnginePolicy, FabricStats, FabricTuning, SimState,
-};
-use planaria_telemetry::{ClusterRecording, Collector, RecordingCollector};
-use planaria_workload::{Request, SimResult};
+use planaria_compiler::{CompiledDnn, CompiledLibrary};
+use planaria_core::{FleetNode, PlanariaEngine, SpatialPolicy};
+use planaria_sim::{EnginePolicy, SimState};
+use planaria_telemetry::Collector;
+use planaria_workload::Request;
 use std::sync::Arc;
 
-/// Which engine a heterogeneous cluster node runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeKind {
+/// One node of a mixed fleet.
+#[derive(Debug, Clone)]
+pub enum MixedNode {
     /// A Planaria node: dynamic fission, spatial Algorithm 1.
-    Spatial,
+    Spatial(PlanariaEngine),
     /// A PREMA node: monolithic chip, temporal token scheduling.
-    Temporal,
+    Temporal(PremaEngine),
+}
+
+impl FleetNode for MixedNode {
+    type Policy<'a> = MixedPolicy<'a>;
+
+    fn library(&self) -> &CompiledLibrary {
+        match self {
+            MixedNode::Spatial(e) => e.library(),
+            MixedNode::Temporal(e) => e.library(),
+        }
+    }
+
+    fn policy(&self) -> MixedPolicy<'_> {
+        match self {
+            MixedNode::Spatial(e) => MixedPolicy::Spatial(e.spatial_policy()),
+            MixedNode::Temporal(e) => MixedPolicy::Temporal(e.node_policy()),
+        }
+    }
 }
 
 /// A per-node policy that is either Planaria's or PREMA's, delegating
@@ -60,185 +77,38 @@ impl EnginePolicy for MixedPolicy<'_> {
     }
 }
 
-/// A dispatcher whose work estimates come from each node's own library:
-/// a Planaria node advertises its fission chip's full-chip cycle counts,
-/// a PREMA node its monolithic chip's — so LeastWork horizons and QoS
-/// tightness reflect the hardware actually serving each node.
-fn mixed_dispatcher(
-    spatial: &PlanariaEngine,
-    temporal: &PremaEngine,
-    layout: &[NodeKind],
-    policy: DispatchPolicy,
-) -> ClusterDispatcher {
-    let libraries: Vec<_> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => spatial.library(),
-            NodeKind::Temporal => temporal.library(),
-        })
-        .collect();
-    ClusterDispatcher::heterogeneous(&libraries, policy)
-}
-
-/// Runs a heterogeneous cluster laid out by `layout`: node `i` runs
-/// `spatial` or `temporal` according to `layout[i]`, behind the shared
-/// online dispatcher (work estimates come from the Planaria engine's
-/// timing memo).
-///
-/// # Panics
-///
-/// Panics if `layout` is empty, the two engines' clock frequencies
-/// differ, or the source yields arrivals out of order.
-pub fn run_mixed_cluster<I: IntoIterator<Item = Request>>(
-    spatial: &PlanariaEngine,
-    temporal: &PremaEngine,
-    layout: &[NodeKind],
-    requests: I,
-    policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats) {
-    assert!(!layout.is_empty(), "cluster needs at least one node");
-    let cfgs: Vec<AcceleratorConfig> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => *spatial.library().config(),
-            NodeKind::Temporal => *temporal.library().config(),
-        })
-        .collect();
-    let policies: Vec<MixedPolicy<'_>> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => MixedPolicy::Spatial(spatial.spatial_policy()),
-            NodeKind::Temporal => MixedPolicy::Temporal(temporal.node_policy()),
-        })
-        .collect();
-    let mut d = mixed_dispatcher(spatial, temporal, layout, policy);
-    run_fabric(&cfgs, policies, requests, &mut d, tuning)
-}
-
-/// [`run_mixed_cluster`] with full telemetry: dispatch decisions and
-/// load gauges in the fabric recorder, each node's kernel events in its
-/// own, merged node-id-deterministically into a [`ClusterRecording`] —
-/// so a heterogeneous fleet's Chrome trace shows Planaria fission nodes
-/// and PREMA monolithic nodes as separate processes.
-///
-/// # Panics
-///
-/// Panics if `layout` is empty, the two engines' clock frequencies
-/// differ, or the source yields arrivals out of order.
-pub fn run_mixed_cluster_recorded<I: IntoIterator<Item = Request>>(
-    spatial: &PlanariaEngine,
-    temporal: &PremaEngine,
-    layout: &[NodeKind],
-    requests: I,
-    policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats, ClusterRecording) {
-    assert!(!layout.is_empty(), "cluster needs at least one node");
-    let cfgs: Vec<AcceleratorConfig> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => *spatial.library().config(),
-            NodeKind::Temporal => *temporal.library().config(),
-        })
-        .collect();
-    let policies: Vec<MixedPolicy<'_>> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => MixedPolicy::Spatial(spatial.spatial_policy()),
-            NodeKind::Temporal => MixedPolicy::Temporal(temporal.node_policy()),
-        })
-        .collect();
-    let mut d = mixed_dispatcher(spatial, temporal, layout, policy);
-    let mut fabric = RecordingCollector::new();
-    let sinks: Vec<RecordingCollector> = layout.iter().map(|_| RecordingCollector::new()).collect();
-    let (result, stats, sinks) = run_fabric_with(
-        &cfgs,
-        policies,
-        requests,
-        &mut d,
-        tuning,
-        &mut fabric,
-        sinks,
-    );
-    let mut rec = ClusterRecording::new();
-    rec.fabric = fabric;
-    for (i, sink) in sinks.into_iter().enumerate() {
-        rec.nodes.insert(u32::try_from(i).unwrap_or(u32::MAX), sink);
-    }
-    (result, stats, rec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::Policy;
     use planaria_arch::AcceleratorConfig;
+    use planaria_core::{DispatchPolicy, Fleet};
     use planaria_workload::{QosLevel, Scenario, TraceConfig};
 
-    fn engines() -> (PlanariaEngine, PremaEngine) {
-        (
-            PlanariaEngine::new(AcceleratorConfig::planaria()),
-            PremaEngine::new(AcceleratorConfig::monolithic(), Policy::Prema),
-        )
-    }
-
-    #[test]
-    fn single_temporal_node_equals_prema_engine() {
-        let (planaria, prema) = engines();
-        let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 12, 3).generate();
-        let direct = prema.run(&trace);
-        let (mixed, _) = run_mixed_cluster(
-            &planaria,
-            &prema,
-            &[NodeKind::Temporal],
-            trace.iter().copied(),
-            DispatchPolicy::RoundRobin,
-            &FabricTuning::default(),
-        );
-        assert_eq!(direct.completions, mixed.completions);
-        assert_eq!(direct.total_energy, mixed.total_energy);
-        assert_eq!(direct.makespan.to_bits(), mixed.makespan.to_bits());
-    }
-
-    #[test]
-    fn single_spatial_node_equals_planaria_engine() {
-        let (planaria, prema) = engines();
-        let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 12, 3).generate();
-        let direct = planaria.run(&trace);
-        let (mixed, _) = run_mixed_cluster(
-            &planaria,
-            &prema,
-            &[NodeKind::Spatial],
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        );
-        assert_eq!(direct.completions, mixed.completions);
-        assert_eq!(direct.total_energy, mixed.total_energy);
+    /// A fleet laid out by `spatial`: `true` is a Planaria node, `false`
+    /// a PREMA node.
+    fn mixed(spatial: &[bool]) -> Fleet<MixedNode> {
+        let planaria = PlanariaEngine::new(AcceleratorConfig::planaria());
+        let prema = PremaEngine::new(AcceleratorConfig::monolithic(), Policy::Prema);
+        let nodes = spatial
+            .iter()
+            .map(|&s| {
+                if s {
+                    MixedNode::Spatial(planaria.clone())
+                } else {
+                    MixedNode::Temporal(prema.clone())
+                }
+            })
+            .collect();
+        Fleet::new(nodes).expect("valid mixed fleet")
     }
 
     #[test]
     fn recorded_mixed_fleet_matches_unrecorded_and_traces_validate() {
-        let (planaria, prema) = engines();
+        let fleet = mixed(&[true, false]);
         let trace = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 20, 5).generate();
-        let layout = [NodeKind::Spatial, NodeKind::Temporal];
-        let (plain, _) = run_mixed_cluster(
-            &planaria,
-            &prema,
-            &layout,
-            trace.iter().copied(),
-            DispatchPolicy::JoinShortestQueue,
-            &FabricTuning::default(),
-        );
-        let (rec_result, _, rec) = run_mixed_cluster_recorded(
-            &planaria,
-            &prema,
-            &layout,
-            trace.iter().copied(),
-            DispatchPolicy::JoinShortestQueue,
-            &FabricTuning::default(),
-        );
+        let (plain, _) = fleet.run(&trace, DispatchPolicy::JoinShortestQueue);
+        let (rec_result, _, rec) = fleet.run_recorded(&trace, DispatchPolicy::JoinShortestQueue);
         assert_eq!(plain.completions, rec_result.completions);
         assert_eq!(plain.total_energy, rec_result.total_energy);
         assert_eq!(rec.nodes.len(), 2);
@@ -249,23 +119,10 @@ mod tests {
 
     #[test]
     fn mixed_fleet_completes_everything_under_every_policy() {
-        let (planaria, prema) = engines();
+        let fleet = mixed(&[true, false, true, false]);
         let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 250.0, 30, 7).generate();
-        let layout = [
-            NodeKind::Spatial,
-            NodeKind::Temporal,
-            NodeKind::Spatial,
-            NodeKind::Temporal,
-        ];
         for policy in DispatchPolicy::ALL {
-            let (r, stats) = run_mixed_cluster(
-                &planaria,
-                &prema,
-                &layout,
-                trace.iter().copied(),
-                policy,
-                &FabricTuning::default(),
-            );
+            let (r, stats) = fleet.run(&trace, policy);
             assert_eq!(r.completions.len(), 30, "{policy:?}");
             assert!(stats.events > 0, "{policy:?}");
         }

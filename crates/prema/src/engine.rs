@@ -13,10 +13,11 @@
 use crate::policy::{pick_with_threshold, Policy, PolicyTask, TokenState};
 use planaria_arch::{AcceleratorConfig, Arrangement};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
-use planaria_sim::{full_mask, EnginePolicy, SimClock, SimState};
+use planaria_sim::{full_mask, run_streamed_sink, EnginePolicy, SimClock, SimState};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext};
-use planaria_workload::{Request, SimResult};
+use planaria_workload::{Request, SimResult, VecSink};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -71,54 +72,44 @@ impl PremaEngine {
         &self.library
     }
 
-    /// Simulates one trace (must be sorted by arrival time).
+    /// Simulates a slice (`&trace`) or a lazily drawn stream
+    /// (`cfg.stream()`) of requests, bit-identically, keeping every
+    /// completion.
     ///
     /// # Panics
     ///
-    /// Panics if the trace is not sorted by arrival.
-    pub fn run(&self, trace: &[Request]) -> SimResult {
-        self.run_with_collector(trace, &mut NullCollector)
+    /// Panics if the requests are not sorted by arrival.
+    pub fn run<I>(&self, requests: I) -> SimResult
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Request>,
+    {
+        self.run_with_collector(requests, &mut NullCollector)
     }
 
-    /// Simulates one trace, streaming telemetry into `c`.
-    ///
-    /// The simulation never branches on the collector: with
-    /// [`NullCollector`] every hook inlines to a no-op and the results are
+    /// [`run`](Self::run), streaming telemetry into `c`. With
+    /// [`NullCollector`] every hook inlines to a no-op, so the results are
     /// bit-identical to [`run`](Self::run).
     ///
     /// # Panics
     ///
-    /// Panics if the trace is not sorted by arrival.
-    pub fn run_with_collector<C: Collector>(&self, trace: &[Request], c: &mut C) -> SimResult {
-        let cfg = *self.library.config();
-        let mut policy = self.temporal_policy(&cfg);
-        planaria_sim::run(&cfg, trace, &mut policy, c)
-    }
-
-    /// [`run`](Self::run) over a pull-based request source: requests are
-    /// drawn lazily, so resident request memory is O(live tenants) and the
-    /// results are bit-identical to the materialized path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields arrivals out of order.
-    pub fn run_streamed<I: IntoIterator<Item = Request>>(&self, requests: I) -> SimResult {
-        self.run_streamed_with_collector(requests, &mut NullCollector)
-    }
-
-    /// [`run_streamed`](Self::run_streamed) with a telemetry collector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields arrivals out of order.
-    pub fn run_streamed_with_collector<C: Collector, I: IntoIterator<Item = Request>>(
-        &self,
-        requests: I,
-        c: &mut C,
-    ) -> SimResult {
-        let cfg = *self.library.config();
-        let mut policy = self.temporal_policy(&cfg);
-        planaria_sim::run_streamed(&cfg, requests, &mut policy, c)
+    /// Panics if the requests are not sorted by arrival.
+    pub fn run_with_collector<C, I>(&self, requests: I, c: &mut C) -> SimResult
+    where
+        C: Collector,
+        I: IntoIterator,
+        I::Item: Borrow<Request>,
+    {
+        let requests = requests.into_iter().map(|r| *r.borrow());
+        let mut policy = self.node_policy();
+        let (kept, s) = run_streamed_sink(
+            self.library.config(),
+            requests,
+            &mut policy,
+            c,
+            VecSink::default(),
+        );
+        SimResult::from_completions(kept.completions, s.static_energy, s.makespan)
     }
 
     /// A fresh kernel policy for one simulation run (or one cluster
@@ -126,10 +117,7 @@ impl PremaEngine {
     /// threshold and its own private token state. Heterogeneous cluster
     /// fabrics mix these with Planaria's spatial policy.
     pub fn node_policy(&self) -> TemporalPolicy<'_> {
-        self.temporal_policy(self.library.config())
-    }
-
-    fn temporal_policy(&self, cfg: &AcceleratorConfig) -> TemporalPolicy<'_> {
+        let cfg = self.library.config();
         let total = cfg.num_subarrays();
         TemporalPolicy {
             library: &self.library,

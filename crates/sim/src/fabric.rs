@@ -34,8 +34,9 @@ use crate::kernel::{EnginePolicy, NodeKernel, NodeSummary};
 use planaria_arch::AcceleratorConfig;
 use planaria_model::units::{Cycles, Picojoules};
 use planaria_parallel::{effective_jobs, par_map};
-use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
+use planaria_telemetry::{Collector, Counter, Event, Metric};
 use planaria_workload::{CompletionSink, DiscardSink, Request, SimResult, VecSink};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 /// Per-node load snapshot, refreshed at each round barrier.
@@ -128,12 +129,19 @@ struct Lane<P, N, S: CompletionSink> {
     sink: N,
 }
 
-/// Runs a multi-node cluster: `policies[i]` owns node `i` (configured by
-/// `cfgs[i]`), `dispatcher` routes the shared arrival stream online, and
-/// nodes advance in epoch-synchronized rounds fanned out via `par_map`.
+/// Runs a multi-node cluster keeping every completion: `policies[i]`
+/// owns node `i` (configured by `cfgs[i]`), `dispatcher` routes the
+/// requests (a slice or a stream alike) online, and nodes advance in
+/// epoch-synchronized rounds fanned out via `par_map`, all on one clock
+/// anchored at the first arrival.
 ///
-/// All nodes share one clock anchored at the stream's first arrival, so
-/// cross-node event timestamps are directly comparable.
+/// `fabric_c` records dispatch decisions, round barriers and load
+/// gauges; `node_sinks[i]` receives node `i`'s kernel events exactly as
+/// a single-node collector would and comes back in node-id order, so
+/// recording changes nothing and merges byte-deterministically at any
+/// `PLANARIA_JOBS`. Each node's result is assembled as a single-node
+/// run's ([`SimResult::from_completions`]), then merged: completions by
+/// request id, energy in node-id order, the slowest node's makespan.
 ///
 /// # Panics
 ///
@@ -141,45 +149,8 @@ struct Lane<P, N, S: CompletionSink> {
 /// nodes, zero `max_batch`, mixed clock frequencies), if the source
 /// yields arrivals out of order, or if the dispatcher routes out of
 /// range.
-pub fn run_fabric<P, D, I>(
-    cfgs: &[AcceleratorConfig],
-    policies: Vec<P>,
-    requests: I,
-    dispatcher: &mut D,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats)
-where
-    P: EnginePolicy + Send,
-    D: Dispatcher + ?Sized,
-    I: IntoIterator<Item = Request>,
-{
-    let n = policies.len();
-    let sinks: Vec<NullCollector> = (0..n).map(|_| NullCollector).collect();
-    let (result, stats, _) = run_fabric_with(
-        cfgs,
-        policies,
-        requests,
-        dispatcher,
-        tuning,
-        &mut NullCollector,
-        sinks,
-    );
-    (result, stats)
-}
-
-/// [`run_fabric`] with telemetry threaded through: `fabric_c` records
-/// the dispatcher's decisions, round barriers, and per-node load gauges;
-/// `node_sinks[i]` rides inside node `i`'s lane and receives that
-/// kernel's events (arrivals, slices, completions, pod energy), exactly
-/// as a single-node collector would.
-///
-/// Per-node sinks move to workers with their lanes during `par_map`
-/// rounds and are returned in node-id order, so recording changes
-/// nothing about scheduling and the merge is byte-deterministic at any
-/// `PLANARIA_JOBS` — running with `NullCollector`s is bit-identical to
-/// [`run_fabric`] by construction (it *is* `run_fabric`).
 // lint: telemetry threading adds two sinks to an already-wide entry
-// point; a builder would obscure the run_fabric delegation
+// point; run_fabric_summary mirrors it parameter for parameter
 #[allow(clippy::too_many_arguments)]
 pub fn run_fabric_with<P, D, I, C, N>(
     cfgs: &[AcceleratorConfig],
@@ -193,14 +164,15 @@ pub fn run_fabric_with<P, D, I, C, N>(
 where
     P: EnginePolicy + Send,
     D: Dispatcher + ?Sized,
-    I: IntoIterator<Item = Request>,
+    I: IntoIterator,
+    I::Item: Borrow<Request>,
     C: Collector,
     N: Collector + Send,
 {
     let (lanes, rounds) = drive_fabric(
         cfgs,
         policies,
-        requests,
+        requests.into_iter().map(|r| *r.borrow()),
         dispatcher,
         tuning,
         fabric_c,
@@ -208,9 +180,6 @@ where
         VecSink::default,
     );
 
-    // Merge per-node results: completions re-sorted by request id,
-    // energies summed, makespan = slowest node (each from its own first
-    // arrival, matching the serial cluster's per-node semantics).
     let mut stats = FabricStats { events: 0, rounds };
     let mut completions = Vec::new();
     let mut total_energy = Picojoules::ZERO;
@@ -219,7 +188,8 @@ where
     for lane in lanes {
         debug_assert!(lane.inbox.is_empty(), "undelivered requests in inbox");
         stats.events += lane.node.events_processed();
-        let r = lane.node.into_result();
+        let (kept, s) = lane.node.into_sink();
+        let r = SimResult::from_completions(kept.completions, s.static_energy, s.makespan);
         completions.extend(r.completions);
         total_energy += r.total_energy;
         makespan = makespan.max(r.makespan);
@@ -278,7 +248,7 @@ where
     for lane in lanes {
         debug_assert!(lane.inbox.is_empty(), "undelivered requests in inbox");
         stats.events += lane.node.events_processed();
-        let s: NodeSummary = lane.node.into_summary();
+        let s: NodeSummary = lane.node.into_sink().1;
         summary.completed += s.completed;
         summary.total_energy += s.total_energy;
         summary.makespan = summary.makespan.max(s.makespan);
@@ -465,12 +435,45 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{run, SimState};
+    use crate::kernel::{run_streamed_sink, SimState};
     use planaria_compiler::CompiledDnn;
     use planaria_model::DnnId;
     use planaria_telemetry::{Collector, NullCollector};
     use planaria_workload::Completion;
     use std::sync::Arc;
+
+    /// A standalone single-node run keeping every completion.
+    fn run(cfg: &AcceleratorConfig, trace: &[Request], policy: &mut WholeChipFifo) -> SimResult {
+        let (sink, s) = run_streamed_sink(
+            cfg,
+            trace.iter().copied(),
+            policy,
+            &mut NullCollector,
+            VecSink::default(),
+        );
+        SimResult::from_completions(sink.completions, s.static_energy, s.makespan)
+    }
+
+    /// A fabric run with telemetry off.
+    fn fabric(
+        cfgs: &[AcceleratorConfig],
+        policies: Vec<WholeChipFifo>,
+        requests: impl IntoIterator<Item = Request>,
+        dispatcher: &mut impl Dispatcher,
+        tuning: &FabricTuning,
+    ) -> (SimResult, FabricStats) {
+        let sinks = policies.iter().map(|_| NullCollector).collect();
+        let (r, stats, _) = run_fabric_with(
+            cfgs,
+            policies,
+            requests,
+            dispatcher,
+            tuning,
+            &mut NullCollector,
+            sinks,
+        );
+        (r, stats)
+    }
 
     /// The kernel test policy, duplicated here: oldest queued tenant
     /// gets the whole chip.
@@ -568,8 +571,8 @@ mod tests {
     fn single_node_fabric_equals_run() {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
         let trace = fabric_trace(12);
-        let serial = run(&cfg, &trace, &mut policy(), &mut NullCollector);
-        let (fab, stats) = run_fabric(
+        let serial = run(&cfg, &trace, &mut policy());
+        let (fab, stats) = fabric(
             &[cfg],
             vec![policy()],
             trace.iter().copied(),
@@ -598,7 +601,7 @@ mod tests {
                 max_batch: 7,
             },
         ] {
-            let (r, _) = run_fabric(
+            let (r, _) = fabric(
                 &[cfg, cfg, cfg],
                 vec![policy(), policy(), policy()],
                 trace.iter().copied(),
@@ -616,7 +619,7 @@ mod tests {
     fn feedback_dispatcher_sees_loads_and_completes_everything() {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
         let trace = fabric_trace(30);
-        let (r, stats) = run_fabric(
+        let (r, stats) = fabric(
             &[cfg, cfg, cfg],
             vec![policy(), policy(), policy()],
             trace.iter().copied(),
@@ -632,7 +635,7 @@ mod tests {
     #[test]
     fn empty_stream_yields_empty_result() {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
-        let (r, stats) = run_fabric(
+        let (r, stats) = fabric(
             &[cfg, cfg],
             vec![policy(), policy()],
             std::iter::empty(),
@@ -651,7 +654,7 @@ mod tests {
         // completion set per node, identical finish timestamps.
         let cfg = planaria_arch::AcceleratorConfig::planaria();
         let trace = fabric_trace(20);
-        let (fab, _) = run_fabric(
+        let (fab, _) = fabric(
             &[cfg, cfg],
             vec![policy(), policy()],
             trace.iter().copied(),
@@ -668,7 +671,7 @@ mod tests {
             // Standalone runs anchor their clock at the node's own first
             // arrival; re-anchor finishes on the shared fabric clock via
             // the absolute seconds they already carry.
-            let r = run(&cfg, &sub, &mut policy(), &mut NullCollector);
+            let r = run(&cfg, &sub, &mut policy());
             expected.extend(r.completions);
         }
         expected.sort_by_key(|c| c.request.id);
@@ -709,7 +712,7 @@ mod tests {
         let fine = planaria_arch::AcceleratorConfig::latency_tuned();
         assert_eq!(coarse.freq_hz.to_bits(), fine.freq_hz.to_bits());
         let trace = fabric_trace(10);
-        let (r, _) = run_fabric(
+        let (r, _) = fabric(
             &[coarse, fine],
             vec![policy_for(coarse), policy_for(fine)],
             trace.iter().copied(),
@@ -720,7 +723,7 @@ mod tests {
         // All ten landed on the fine-granule node: rerunning the same
         // sub-trace on a standalone fine-geometry node must agree on the
         // completion count (the coarse node never saw a request).
-        let serial = run(&fine, &trace, &mut policy_for(fine), &mut NullCollector);
+        let serial = run(&fine, &trace, &mut policy_for(fine));
         assert_eq!(serial.completions.len(), r.completions.len());
         assert_eq!(serial.total_energy, r.total_energy);
     }
@@ -730,7 +733,7 @@ mod tests {
     fn invalid_node_geometry_rejected() {
         let mut bad = planaria_arch::AcceleratorConfig::planaria();
         bad.subarray_dim = 48;
-        let _ = run_fabric(
+        let _ = fabric(
             &[bad],
             vec![policy()],
             std::iter::once(req(0, 0.0)),
@@ -745,7 +748,7 @@ mod tests {
         let a = planaria_arch::AcceleratorConfig::planaria();
         let mut b = a;
         b.freq_hz = a.freq_hz * 2.0;
-        let _ = run_fabric(
+        let _ = fabric(
             &[a, b],
             vec![policy(), policy()],
             std::iter::once(req(0, 0.0)),

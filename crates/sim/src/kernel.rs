@@ -10,7 +10,7 @@ use planaria_compiler::CompiledDnn;
 use planaria_energy::EnergyModel;
 use planaria_model::units::{Cycles, Picojoules};
 use planaria_telemetry::{Collector, Counter, Event, Metric};
-use planaria_workload::{Completion, CompletionSink, Request, SimResult, VecSink};
+use planaria_workload::{Completion, CompletionSink, Request};
 use std::sync::Arc;
 
 /// Widest placement mask (and thus pod count) a kernel can track.
@@ -109,25 +109,24 @@ fn event_is_valid(sim: &SimState, next_arrival: usize, kind: &EventKind) -> bool
 
 /// A resumable single-node discrete-event kernel.
 ///
-/// The loop that [`run_streamed`] used to own inline now lives behind a
-/// struct so a multi-node fabric can hold one kernel per node, feed each
-/// an inbox of dispatched requests, and advance them in bounded rounds
-/// (see [`crate::fabric`]). A `NodeKernel` driven once with no bound is
-/// exactly the old streamed loop — `run_streamed` is a thin wrapper —
-/// and driving it in bounded slices processes the *same* events at the
-/// *same* cycles in the *same* order, because events are pure wake-ups:
-/// a bound only decides how far this call walks the heap, never what is
-/// in it.
+/// The loop lives behind a struct so a multi-node fabric can hold one
+/// kernel per node, feed each an inbox of dispatched requests, and
+/// advance them in bounded rounds (see [`crate::fabric`]). A
+/// `NodeKernel` driven once with no bound is the single-node run
+/// ([`run_streamed_sink`]), and driving it in bounded slices processes
+/// the *same* events at the *same* cycles in the *same* order, because
+/// events are pure wake-ups: a bound only decides how far this call
+/// walks the heap, never what is in it.
 #[derive(Debug)]
-pub struct NodeKernel<S: CompletionSink = VecSink> {
+pub struct NodeKernel<S: CompletionSink> {
     sim: SimState,
     queue: EventQueue,
-    /// Where retirements go: an in-memory vector ([`VecSink`], the
-    /// default behind [`NodeKernel::into_result`]), a quantile sketch, a
+    /// Where retirements go: an in-memory vector
+    /// ([`VecSink`](planaria_workload::VecSink)), a quantile sketch, a
     /// disk spill, or nothing at all
     /// ([`DiscardSink`](planaria_workload::DiscardSink), the flat-memory
-    /// path behind [`NodeKernel::into_summary`]). A type parameter, so
-    /// the per-retirement call inlines with zero dispatch cost.
+    /// fabric's). A type parameter, so the per-retirement call inlines
+    /// with zero dispatch cost.
     sink: S,
     em: EnergyModel,
     /// The one not-yet-admitted arrival pulled from the source.
@@ -151,57 +150,25 @@ pub struct NodeKernel<S: CompletionSink = VecSink> {
     pod_emitted: [f64; MAX_PODS],
 }
 
-/// Aggregate view of a finished node when completions are not kept
-/// (see [`NodeKernel::into_summary`]).
+/// Aggregate view of a finished node ([`NodeKernel::into_sink`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NodeSummary {
     /// Requests retired.
     pub completed: u64,
-    /// Dynamic plus static energy over the node's busy span.
+    /// Dynamic plus static energy over the node's busy span, the dynamic
+    /// part summed in retirement order — equal to an id-ordered sum up
+    /// to float associativity, not bit for bit.
     pub total_energy: Picojoules,
-    /// The static (leakage) component of `total_energy` alone — exposed
-    /// so streamed exactness paths can recombine it with a dynamic sum
-    /// taken in a canonical order (the spill replay digests dynamic
-    /// energy in request-id order, exactly as
-    /// [`into_result`](NodeKernel::into_result) does).
+    /// The static (leakage) component of `total_energy` alone, accrued
+    /// only while the chip serves tenants — exposed so exactness paths
+    /// can recombine it with a dynamic sum taken in request-id order
+    /// ([`SimResult::from_completions`](planaria_workload::SimResult::from_completions),
+    /// or the spill replay's digest).
     pub static_energy: Picojoules,
-    /// Seconds from the node's first admitted arrival to its last event.
+    /// Seconds from the node's own first admitted arrival to its last
+    /// event (on a shared fabric clock a node that starts late is not
+    /// charged for the lead-in).
     pub makespan: f64,
-}
-
-impl NodeKernel<VecSink> {
-    /// A fresh kernel for one node on a (possibly shared) clock,
-    /// keeping every completion in memory (the [`VecSink`] default).
-    pub fn new(cfg: &AcceleratorConfig, clock: SimClock) -> Self {
-        Self::with_sink(cfg, clock, VecSink::default())
-    }
-
-    /// Finalizes the node into a [`SimResult`].
-    ///
-    /// Makespan is measured from this node's *own* first admitted
-    /// arrival (on a shared fabric clock a node that starts late is not
-    /// charged for the lead-in), matching the per-node semantics the
-    /// serial cluster had. Static energy accrues while the chip serves
-    /// tenants — idle gaps between requests belong to whatever the node
-    /// does next.
-    pub fn into_result(self) -> SimResult {
-        debug_assert!(self.is_idle(), "node finalized with work outstanding");
-        let mut completions = self.sink.completions;
-        completions.sort_by_key(|c| c.request.id);
-        let dynamic: Picojoules = completions.iter().map(|c| c.energy).sum();
-        let active = self
-            .sim
-            .now
-            .saturating_sub(self.origin.unwrap_or(Cycles::ZERO));
-        SimResult {
-            completions,
-            total_energy: dynamic
-                + self
-                    .em
-                    .static_energy(self.sim.clock.span_seconds(self.busy)),
-            makespan: self.sim.clock.span_seconds(active),
-        }
-    }
 }
 
 impl<S: CompletionSink> NodeKernel<S> {
@@ -225,11 +192,6 @@ impl<S: CompletionSink> NodeKernel<S> {
             pod_pj: [0.0; MAX_PODS],
             pod_emitted: [0.0; MAX_PODS],
         }
-    }
-
-    /// Requests retired so far.
-    pub fn completed_count(&self) -> u64 {
-        self.completed
     }
 
     /// Current simulation time of this node, cycles since the clock
@@ -597,17 +559,6 @@ impl<S: CompletionSink> NodeKernel<S> {
         }
     }
 
-    /// Finalizes the node into aggregate tallies only — the counterpart
-    /// of [`into_result`](NodeKernel::into_result) for sink-driven runs
-    /// where no completion vector exists. Dynamic energy is summed in
-    /// retirement order (vs. request-id order in `into_result`), so the
-    /// two paths agree to float associativity, not bit-for-bit; exactness
-    /// paths recombine `static_energy` with their own canonical-order
-    /// dynamic sum instead.
-    pub fn into_summary(self) -> NodeSummary {
-        self.into_sink().1
-    }
-
     /// Finalizes the node, handing back the sink alongside the aggregate
     /// tallies — how spill and sketch runs recover what they recorded.
     pub fn into_sink(self) -> (S, NodeSummary) {
@@ -635,77 +586,19 @@ impl<S: CompletionSink> NodeKernel<S> {
     }
 }
 
-/// Runs the discrete-event loop over `trace` with `policy`, streaming
-/// telemetry into `c`.
+/// Runs one node's event loop over a request stream with `policy`,
+/// streaming telemetry into `c` and retirements into `sink`.
 ///
-/// Seconds appear only at the boundary: arrivals and deadlines are
-/// converted to cycles on admission, and [`Completion::finish`] /
-/// [`SimResult::makespan`] / static energy are converted back once at
-/// the end.
-///
-/// # Panics
-///
-/// Panics if the trace is not sorted by arrival time.
-pub fn run<P: EnginePolicy, C: Collector>(
-    cfg: &AcceleratorConfig,
-    trace: &[Request],
-    policy: &mut P,
-    c: &mut C,
-) -> SimResult {
-    assert!(
-        trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "trace must be sorted by arrival time"
-    );
-    run_streamed(cfg, trace.iter().copied(), policy, c)
-}
-
-/// [`run`] over a pull-based request source instead of a materialized
-/// slice: requests are drawn lazily, one at a time, so resident request
-/// memory is O(live tenants) — a million-request
+/// Requests are drawn lazily — the kernel keeps one not-yet-due arrival
+/// outstanding — so a million-request
 /// [`TraceStream`](planaria_workload::TraceStream) never exists as a
-/// `Vec`. The kernel keeps exactly one not-yet-due arrival outstanding
-/// (the `pending` cursor); everything else about the loop — admission,
-/// advancement, retirement, rescheduling — is byte-identical to the
-/// slice path, and `run(&v)` is definitionally
-/// `run_streamed(v.iter().copied())`.
-///
-/// # Panics
-///
-/// Panics if the source yields arrivals out of order (checked
-/// incrementally as requests are pulled).
-pub fn run_streamed<P: EnginePolicy, C: Collector, I: IntoIterator<Item = Request>>(
-    cfg: &AcceleratorConfig,
-    requests: I,
-    policy: &mut P,
-    c: &mut C,
-) -> SimResult {
-    let mut source = requests.into_iter();
-    // The first request is pulled eagerly to anchor the clock origin; it
-    // re-enters the kernel through the source closure below.
-    let mut head: Option<Request> = source.next();
-    let clock = SimClock::new(head.map_or(0.0, |r| r.arrival), cfg.freq_hz);
-    c.set_meta(clock.meta(cfg.num_subarrays()));
-
-    let mut node = NodeKernel::new(cfg, clock);
-    node.advance(
-        None,
-        &mut || head.take().or_else(|| source.next()),
-        policy,
-        c,
-    );
-    node.into_result()
-}
-
-/// [`run_streamed`] retiring into an arbitrary [`CompletionSink`]
-/// instead of an in-memory vector: the fully flat-memory exactness path.
-/// With a [`SpillSink`](planaria_workload::SpillSink) a 10⁷-request run
-/// holds O(live tenants + one spill buffer) regardless of trace length,
-/// and the returned sink replays every completion in request-id order;
-/// with a [`SketchSink`](planaria_workload::SketchSink) it yields
-/// fixed-memory latency percentiles. Scheduling is identical to
-/// [`run_streamed`] — the sink only decides what is *remembered* — and
-/// the returned [`NodeSummary`] carries the aggregate tallies plus the
-/// split-out static energy the digest replay needs.
+/// `Vec`. The sink only decides what is *remembered*: a
+/// [`VecSink`](planaria_workload::VecSink) keeps every completion (the
+/// engines' `run`), a [`SpillSink`](planaria_workload::SpillSink)
+/// replays them in id order from disk at O(live tenants), a
+/// [`SketchSink`](planaria_workload::SketchSink) keeps fixed-memory
+/// percentiles. The [`NodeSummary`] carries the split-out static energy
+/// an id-ordered result needs.
 ///
 /// # Panics
 ///
@@ -742,6 +635,19 @@ mod tests {
     use super::*;
     use planaria_model::DnnId;
     use planaria_telemetry::{NullCollector, RecordingCollector};
+    use planaria_workload::{SimResult, VecSink};
+
+    /// One run keeping every completion, assembled as the engines do.
+    fn run<C: Collector>(
+        cfg: &AcceleratorConfig,
+        trace: &[Request],
+        policy: &mut WholeChipFifo,
+        c: &mut C,
+    ) -> SimResult {
+        let (sink, s) =
+            run_streamed_sink(cfg, trace.iter().copied(), policy, c, VecSink::default());
+        SimResult::from_completions(sink.completions, s.static_energy, s.makespan)
+    }
 
     /// A minimal policy: the oldest queued tenant gets the whole chip.
     struct WholeChipFifo {

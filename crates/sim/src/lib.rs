@@ -19,12 +19,25 @@
 //!   the kernel never do float time arithmetic; conversion happens once
 //!   at the trace/`SimResult` boundary (enforced by the `planaria-checks`
 //!   time-domain lint, which allowlists exactly `clock.rs`).
-//! - [`run`]: the event loop. Engines plug in as [`EnginePolicy`]
-//!   implementations that keep only their scheduling decision logic.
-//! - [`NodeKernel`] + [`run_fabric`]: the loop reified as a resumable
-//!   per-node kernel, and the epoch-synchronized multi-node drive that
-//!   fans a cluster of them out across cores behind an online
-//!   [`Dispatcher`] — bit-deterministic at any worker count.
+//! - [`NodeKernel`]: the event loop as a resumable per-node kernel.
+//!   Engines plug in as [`EnginePolicy`] implementations that keep only
+//!   their scheduling decision logic.
+//!
+//! Three public functions run it:
+//!
+//! - [`run_streamed_sink`]: one node over a request stream, retiring
+//!   into any [`CompletionSink`](planaria_workload::CompletionSink). The
+//!   engines' `run` is this function with a
+//!   [`VecSink`](planaria_workload::VecSink).
+//! - [`run_fabric_with`]: the epoch-synchronized multi-node drive that
+//!   fans a cluster of kernels out across cores behind an online
+//!   [`Dispatcher`], keeping every completion — bit-deterministic at
+//!   any worker count. `planaria_core::Fleet` runs on it.
+//! - [`run_fabric_summary`]: the same fabric at flat memory, keeping
+//!   aggregate tallies only.
+//!
+//! [`oracle::run_streamed_reference`] re-runs one node on the
+//! pre-overhaul containers; it is the kernel's exactness oracle.
 //!
 //! Completion detection is exact — a tenant is done when its integer
 //! work counter reaches the table total and its overhead is burned; no
@@ -46,11 +59,9 @@ mod tenant;
 
 pub use clock::SimClock;
 pub use fabric::{
-    run_fabric, run_fabric_summary, run_fabric_with, Dispatcher, FabricStats, FabricSummary,
-    FabricTuning, NodeLoad,
+    run_fabric_summary, run_fabric_with, Dispatcher, FabricStats, FabricSummary, FabricTuning,
+    NodeLoad,
 };
-pub use kernel::{
-    run, run_streamed, run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState,
-};
+pub use kernel::{run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState};
 pub use queue::{EventKind, EventQueue};
 pub use tenant::{full_mask, subarray_mask, TenantState};

@@ -17,15 +17,17 @@
 //!   [`SimState`] slab index is maintained alongside it, because real
 //!   policies call [`SimState::index_of`]).
 //!
-//! [`run_reference`] / [`run_streamed_reference`] mirror
-//! [`run`](crate::run) / [`run_streamed`](crate::run_streamed); the
+//! [`run_streamed_reference`] mirrors
+//! [`run_streamed_sink`](crate::run_streamed_sink) with a
+//! [`VecSink`](planaria_workload::VecSink), and takes the same request
+//! parameter as the engines' `run` (a slice or a stream). The
 //! equivalence suite (`tests/kernel_equivalence.rs` at the workspace
-//! root) pins `run == run_reference` result-byte-for-byte across
-//! workloads, and `benches/kernel.rs` races the two for
-//! `results/BENCH_kernel.json`. Both sides drive the same production
-//! policy, so the comparison isolates the kernel's containers; this
-//! module is the kernel layer's one oracle (the scheduler's is
-//! `planaria-core`'s full-rescan mode).
+//! root) pins engine `run == run_streamed_reference`
+//! result-byte-for-byte across workloads, and `benches/kernel.rs` races
+//! the two for `results/BENCH_kernel.json`. Both sides drive the same
+//! production policy, so the comparison isolates the kernel's
+//! containers; this is the kernel layer's one oracle entry point (the
+//! scheduler's oracle is `planaria-core`'s full-rescan mode).
 //!
 //! Telemetry caveat: the oracle forwards the collector to the policy but
 //! emits no kernel-side events of its own, so comparisons run with
@@ -39,9 +41,10 @@ use crate::queue::EventKind;
 use crate::tenant::TenantState;
 use planaria_arch::AcceleratorConfig;
 use planaria_energy::EnergyModel;
-use planaria_model::units::{Cycles, Picojoules};
+use planaria_model::units::Cycles;
 use planaria_telemetry::Collector;
 use planaria_workload::{Completion, Request, SimResult};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -74,39 +77,27 @@ impl LegacyQueue {
     }
 }
 
-/// [`run`](crate::run) re-executed on the pre-overhaul containers:
-/// identical loop, plain heap, `BTreeMap` index. The result is the
-/// oracle the hot path is compared against.
-///
-/// # Panics
-///
-/// Panics if the trace is not sorted by arrival time.
-pub fn run_reference<P: EnginePolicy, C: Collector>(
-    cfg: &AcceleratorConfig,
-    trace: &[Request],
-    policy: &mut P,
-    c: &mut C,
-) -> SimResult {
-    assert!(
-        trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "trace must be sorted by arrival time"
-    );
-    run_streamed_reference(cfg, trace.iter().copied(), policy, c)
-}
-
-/// [`run_streamed`](crate::run_streamed) on the pre-overhaul containers
-/// (see [`run_reference`]).
+/// One node's run re-executed on the pre-overhaul containers:
+/// identical loop, plain heap, `BTreeMap` index. `requests` is a slice
+/// or a stream alike. The result is the oracle the hot path is compared
+/// against.
 ///
 /// # Panics
 ///
 /// Panics if the source yields arrivals out of order.
-pub fn run_streamed_reference<P: EnginePolicy, C: Collector, I: IntoIterator<Item = Request>>(
+pub fn run_streamed_reference<P, C, I>(
     cfg: &AcceleratorConfig,
     requests: I,
     policy: &mut P,
     c: &mut C,
-) -> SimResult {
-    let mut source = requests.into_iter();
+) -> SimResult
+where
+    P: EnginePolicy,
+    C: Collector,
+    I: IntoIterator,
+    I::Item: Borrow<Request>,
+{
+    let mut source = requests.into_iter().map(|r| *r.borrow());
     let mut head: Option<Request> = source.next();
     let clock = SimClock::new(head.map_or(0.0, |r| r.arrival), cfg.freq_hz);
     let mut src = move || head.take().or_else(|| source.next());
@@ -264,12 +255,10 @@ pub fn run_streamed_reference<P: EnginePolicy, C: Collector, I: IntoIterator<Ite
         pending.is_none() && sim.tenants.is_empty(),
         "oracle finalized with work outstanding"
     );
-    completions.sort_by_key(|c| c.request.id);
-    let dynamic: Picojoules = completions.iter().map(|c| c.energy).sum();
     let active = sim.now.saturating_sub(origin.unwrap_or(Cycles::ZERO));
-    SimResult {
+    SimResult::from_completions(
         completions,
-        total_energy: dynamic + em.static_energy(clock.span_seconds(busy)),
-        makespan: clock.span_seconds(active),
-    }
+        em.static_energy(clock.span_seconds(busy)),
+        clock.span_seconds(active),
+    )
 }

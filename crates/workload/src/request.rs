@@ -141,6 +141,25 @@ impl DigestBuilder {
 }
 
 impl SimResult {
+    /// Assembles one node's result from its completions in any order:
+    /// sorts them by request id, sums their dynamic energy in that order
+    /// and adds the node's static energy. Every simulation path that
+    /// keeps completions finishes through here, so their energy sums
+    /// agree bit for bit.
+    pub fn from_completions(
+        mut completions: Vec<Completion>,
+        static_energy: Picojoules,
+        makespan: f64,
+    ) -> Self {
+        completions.sort_by_key(|c| c.request.id);
+        let dynamic: Picojoules = completions.iter().map(|c| c.energy).sum();
+        Self {
+            completions,
+            total_energy: dynamic + static_energy,
+            makespan,
+        }
+    }
+
     /// Order-sensitive FNV-1a digest over the bit-exact content of the
     /// result: every completion's id, network, arrival, priority, QoS
     /// bound, finish time and energy, plus the aggregate energy and
@@ -384,6 +403,31 @@ mod tests {
             b.completion(c);
         }
         assert_eq!(b.finish(r.total_energy, r.makespan), r.digest());
+    }
+
+    #[test]
+    fn from_completions_sorts_by_id_and_sums_in_id_order() {
+        // Energies whose float sum depends on the order: only the
+        // id-ordered sum reproduces the expected total bit for bit.
+        let energies = [1e16, 1.0, -1e16, 1.0];
+        let mk = |id: u64| Completion {
+            request: Request {
+                id,
+                ..req(0.0, 1.0)
+            },
+            finish: 0.5,
+            energy: Picojoules::new(energies[id as usize]),
+        };
+        let r = SimResult::from_completions(
+            [3, 1, 0, 2].into_iter().map(mk).collect(),
+            Picojoules::new(0.25),
+            0.5,
+        );
+        let ids: Vec<u64> = r.completions.iter().map(|c| c.request.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        let id_order: Picojoules = energies.iter().map(|&e| Picojoules::new(e)).sum();
+        assert_eq!(r.total_energy, id_order + Picojoules::new(0.25));
+        assert_eq!(r.makespan, 0.5);
     }
 
     #[test]

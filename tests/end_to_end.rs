@@ -2,7 +2,7 @@
 //! through compilation, scheduling, and multi-tenant simulation.
 
 use planaria::arch::AcceleratorConfig;
-use planaria::core::{run_cluster, PlanariaEngine};
+use planaria::core::{DispatchPolicy, Fleet, PlanariaEngine};
 use planaria::model::DnnId;
 use planaria::prema::{Policy, PremaEngine};
 use planaria::workload::{meets_sla, violation_rate, QosLevel, Request, Scenario, TraceConfig};
@@ -72,8 +72,11 @@ fn offered_load_monotonically_degrades_latency() {
 fn cluster_scaling_reduces_violations() {
     let e = planaria_engine();
     let trace = TraceConfig::new(Scenario::C, QosLevel::Hard, 150.0, 120, 21).generate();
-    let v1 = violation_rate(&run_cluster(e, 1, &trace).completions);
-    let v4 = violation_rate(&run_cluster(e, 4, &trace).completions);
+    let violations = |nodes| {
+        let fleet = Fleet::new(vec![e.clone(); nodes]).expect("uniform fleet");
+        violation_rate(&fleet.run(&trace, DispatchPolicy::LeastWork).0.completions)
+    };
+    let (v1, v4) = (violations(1), violations(4));
     assert!(v4 <= v1, "4 nodes ({v4}) should beat 1 node ({v1})");
 }
 

@@ -101,7 +101,7 @@ fn streamed_path_is_bit_identical_to_materialized() {
     for cfg in random_cases(&mut rng, 3) {
         let trace = cfg.generate();
         let materialized = engine.run(&trace);
-        let streamed = engine.run_streamed(cfg.stream());
+        let streamed = engine.run(cfg.stream());
         assert_eq!(
             materialized.completions, streamed.completions,
             "{cfg:?}: planaria streamed completions diverged"
@@ -109,7 +109,7 @@ fn streamed_path_is_bit_identical_to_materialized() {
         assert_eq!(materialized.total_energy, streamed.total_energy, "{cfg:?}");
         assert_eq!(materialized.makespan, streamed.makespan, "{cfg:?}");
         let pm = prema.run(&trace);
-        let ps = prema.run_streamed(cfg.stream());
+        let ps = prema.run(cfg.stream());
         assert_eq!(
             pm.completions, ps.completions,
             "{cfg:?}: prema streamed completions diverged"
@@ -128,7 +128,7 @@ fn incremental_streamed_matches_full_rescan_materialized() {
     let slow = PlanariaEngine::with_library(library.clone()).with_incremental(false);
     let cfg =
         TraceConfig::new(Scenario::C, QosLevel::Medium, 250.0, 600, 0xabcd).with_burstiness(4.0);
-    let a = fast.run_streamed(cfg.stream());
+    let a = fast.run(cfg.stream());
     let b = slow.run(&cfg.generate());
     assert_eq!(a.completions, b.completions);
     assert_eq!(a.total_energy, b.total_energy);

@@ -13,7 +13,7 @@
 
 use planaria_core::PlanariaEngine;
 use planaria_prema::{Policy, PremaEngine};
-use planaria_sim::oracle::{run_reference, run_streamed_reference};
+use planaria_sim::oracle::run_streamed_reference;
 use planaria_telemetry::NullCollector;
 use planaria_workload::{QosLevel, Scenario, TraceConfig};
 
@@ -34,7 +34,7 @@ fn planaria_policy_matches_reference_across_the_grid() {
                 let trace = TraceConfig::new(scenario, qos, lambda, 160, 0xBEEF).generate();
                 let hot = engine.run(&trace);
                 let mut policy = engine.spatial_policy();
-                let oracle = run_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+                let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
                 assert_identical(&hot, &oracle, &format!("{scenario}/{qos}/{lambda}"));
             }
         }
@@ -53,7 +53,7 @@ fn prema_policy_matches_reference_across_the_grid() {
             let trace = TraceConfig::new(scenario, qos, 120.0, 160, 0xFACE).generate();
             let hot = engine.run(&trace);
             let mut policy = engine.node_policy();
-            let oracle = run_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+            let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
             assert_identical(&hot, &oracle, &format!("prema {scenario}/{qos}"));
         }
     }
@@ -68,7 +68,7 @@ fn streamed_path_matches_streamed_reference_on_a_bursty_trace() {
     let cfg = *engine.library().config();
     let trace_cfg =
         TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 5_000, 0x5ca1e).with_burstiness(6.0);
-    let hot = engine.run_streamed(trace_cfg.stream());
+    let hot = engine.run(trace_cfg.stream());
     let mut policy = engine.spatial_policy();
     let oracle = run_streamed_reference(&cfg, trace_cfg.stream(), &mut policy, &mut NullCollector);
     assert_identical(&hot, &oracle, "bursty streamed");

@@ -114,7 +114,7 @@ fn steady_state_allocs_are_constant_per_request_and_streams_stay_lean() {
         let trace = cfg.generate();
         engine.run(&trace)
     });
-    let (peak_streamed, rs) = peak_during(|| engine.run_streamed(cfg.stream()));
+    let (peak_streamed, rs) = peak_during(|| engine.run(cfg.stream()));
     assert_eq!(rm.completions.len(), n);
     assert_eq!(rs.completions, rm.completions);
     assert!(
@@ -138,7 +138,7 @@ fn million_request_streamed_run_is_o_tenants_resident() {
     let n = 1_000_000usize;
     let cfg = trace_cfg(n);
     let trace_bytes = (n * std::mem::size_of::<Request>()) as u64;
-    let (peak, r) = peak_during(|| engine.run_streamed(cfg.stream()));
+    let (peak, r) = peak_during(|| engine.run(cfg.stream()));
     assert_eq!(r.completions.len(), n);
     // The unavoidable output: one `Completion` per request (the results
     // vector, with doubling-growth headroom). Everything else — tenants,
