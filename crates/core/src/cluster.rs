@@ -285,7 +285,7 @@ mod tests {
     use crate::{Fleet, PlanariaEngine};
     use planaria_arch::AcceleratorConfig;
     use planaria_telemetry::{ClusterRecording, Event};
-    use planaria_workload::{QosLevel, Scenario, TraceConfig};
+    use planaria_workload::{meets_sla, QosLevel, Scenario, TraceConfig};
 
     fn fleet(nodes: usize) -> Fleet<PlanariaEngine> {
         let e = PlanariaEngine::new(AcceleratorConfig::planaria());
@@ -403,6 +403,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn single_node_cluster_equals_engine() {
+        // Exact equality: one fabric node on the same clock origin must
+        // reproduce the engine bit-for-bit — completions, energy and
+        // makespan.
+        let e = PlanariaEngine::new(AcceleratorConfig::planaria());
+        let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 15, 9).generate();
+        let direct = e.run(&trace);
+        let (cluster, _) = fleet(1).run(&trace, DispatchPolicy::LeastWork);
+        assert_eq!(direct.completions, cluster.completions);
+        assert_eq!(direct.total_energy, cluster.total_energy);
+        assert_eq!(direct.makespan.to_bits(), cluster.makespan.to_bits());
+        assert!(meets_sla(&direct.completions) == meets_sla(&cluster.completions));
     }
 
     #[test]

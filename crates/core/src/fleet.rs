@@ -278,4 +278,15 @@ mod tests {
         assert_eq!(cs.total_energy, mat.total_energy);
         assert_eq!(cs.makespan.to_bits(), mat.makespan.to_bits());
     }
+
+    #[test]
+    fn single_node_fleet_equals_engine() {
+        let fleet = fleet_of(&[AcceleratorConfig::latency_tuned()]).expect("valid");
+        let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 15, 9).generate();
+        let direct = PlanariaEngine::new(AcceleratorConfig::latency_tuned()).run(&trace);
+        let (fleet_r, _) = fleet.run(&trace, DispatchPolicy::LeastWork);
+        assert_eq!(direct.completions, fleet_r.completions);
+        assert_eq!(direct.total_energy, fleet_r.total_energy);
+        assert_eq!(direct.makespan.to_bits(), fleet_r.makespan.to_bits());
+    }
 }

@@ -104,6 +104,27 @@ mod tests {
     }
 
     #[test]
+    fn single_temporal_node_equals_prema_engine() {
+        let prema = PremaEngine::new(AcceleratorConfig::monolithic(), Policy::Prema);
+        let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 12, 3).generate();
+        let direct = prema.run(&trace);
+        let (mixed, _) = mixed(&[false]).run(&trace, DispatchPolicy::RoundRobin);
+        assert_eq!(direct.completions, mixed.completions);
+        assert_eq!(direct.total_energy, mixed.total_energy);
+        assert_eq!(direct.makespan.to_bits(), mixed.makespan.to_bits());
+    }
+
+    #[test]
+    fn single_spatial_node_equals_planaria_engine() {
+        let planaria = PlanariaEngine::new(AcceleratorConfig::planaria());
+        let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 12, 3).generate();
+        let direct = planaria.run(&trace);
+        let (mixed, _) = mixed(&[true]).run(&trace, DispatchPolicy::LeastWork);
+        assert_eq!(direct.completions, mixed.completions);
+        assert_eq!(direct.total_energy, mixed.total_energy);
+    }
+
+    #[test]
     fn recorded_mixed_fleet_matches_unrecorded_and_traces_validate() {
         let fleet = mixed(&[true, false]);
         let trace = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 20, 5).generate();
