@@ -1,18 +1,19 @@
-//! Kernel hot-path race: the pre-overhaul reference kernel (one plain
-//! `BinaryHeap` + `BTreeMap` tenant index, kept alive in
-//! `planaria_sim::oracle`) vs the tiered-queue + slab hot path, at
-//! 10^4 / 10^5 / 10^6 bursty requests.
+//! Kernel hot-path race: the oracle kernel (`planaria_sim::oracle`: no
+//! queue compaction, a `BTreeMap` tenant index, an unconditional retire
+//! scan) vs the production kernel, at 10^4 / 10^5 / 10^6 bursty
+//! requests.
 //!
-//! Both lanes drive the production `spatial_policy()`, so the baseline
-//! lane differs from the tiered lane only in the kernel's containers:
-//! the reported speedup measures the container overhaul alone, not the
+//! Both lanes drive the production `spatial_policy()` and the same
+//! binary-heap event queue, so the oracle lane differs from the kernel
+//! lane only where the kernel optimises: the reported speedup measures
+//! compaction, the slab index and the gated retire scan, not the
 //! scheduler.
 //!
 //! The workload is the scale bench's bursty QoS-Hard Scenario-C trace:
 //! bursts keep a deep backlog of queued tenants, every scheduling event
 //! re-estimates completion times, and each re-estimate strands a stale
-//! entry in the event queue. The legacy heap carries those corpses to
-//! the top before discarding them; the tiered queue counts them in its
+//! entry in the event queue. The oracle carries those corpses to the top
+//! of the heap before discarding them; the kernel counts them in its
 //! stale ledger and compacts, so resident size tracks the *live* event
 //! population. Both paths are result-exact (asserted below on every
 //! size; pinned precisely by `tests/kernel_equivalence.rs`).
@@ -131,12 +132,12 @@ fn main() {
     let mut record: Vec<(String, f64)> = Vec::new();
     println!(
         "{:<10} {:>15} {:>15} {:>9}",
-        "requests", "legacy ev/s", "tiered ev/s", "speedup"
+        "requests", "oracle ev/s", "kernel ev/s", "speedup"
     );
     for &(n, iters) in sizes {
         let trace = bursty_cfg(n).generate();
         let events = 2.0 * n as f64; // one arrival + one completion each
-        let t_legacy = time_per_iter(iters, || {
+        let t_oracle = time_per_iter(iters, || {
             let mut policy = engine.spatial_policy();
             black_box(run_streamed_reference(
                 &cfg,
@@ -145,24 +146,24 @@ fn main() {
                 &mut NullCollector,
             ));
         });
-        let t_tiered = time_per_iter(iters, || {
+        let t_kernel = time_per_iter(iters, || {
             black_box(engine.run(black_box(&trace)));
         });
         // Exactness guard: the bench must never drift into racing two
         // different simulations.
         let mut policy = engine.spatial_policy();
         let reference = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
-        let tiered = engine.run(&trace);
+        let kernel = engine.run(&trace);
         assert_eq!(
-            reference.completions, tiered.completions,
-            "tiered kernel diverged from the reference at n={n}"
+            reference.completions, kernel.completions,
+            "kernel diverged from the reference at n={n}"
         );
-        assert_eq!(reference.digest(), tiered.digest(), "n={n}");
-        let (ev_legacy, ev_tiered) = (events / t_legacy, events / t_tiered);
-        let speedup = t_legacy / t_tiered;
-        println!("{n:<10} {ev_legacy:>15.1} {ev_tiered:>15.1} {speedup:>8.2}x");
-        record.push((format!("legacy_events_per_s_{n}"), ev_legacy));
-        record.push((format!("tiered_events_per_s_{n}"), ev_tiered));
+        assert_eq!(reference.digest(), kernel.digest(), "n={n}");
+        let (ev_oracle, ev_kernel) = (events / t_oracle, events / t_kernel);
+        let speedup = t_oracle / t_kernel;
+        println!("{n:<10} {ev_oracle:>15.1} {ev_kernel:>15.1} {speedup:>8.2}x");
+        record.push((format!("oracle_events_per_s_{n}"), ev_oracle));
+        record.push((format!("kernel_events_per_s_{n}"), ev_kernel));
         record.push((format!("speedup_{n}"), speedup));
     }
 

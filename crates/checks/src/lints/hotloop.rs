@@ -20,14 +20,14 @@
 //! Scope: the kernel event loop, the multi-node fabric round loop, both
 //! engine policies, the scheduler memo (`crates/core/src/sched_state.rs`),
 //! the streaming quantile sketch (`crates/telemetry/src/sketch.rs`,
-//! which records inside the kernel's retire path), and the hot-path
-//! overhaul's own containers — the tiered event queue
+//! which records inside the kernel's retire path), and the kernel's own
+//! containers — the binary-heap event queue
 //! (`crates/sim/src/queue.rs`), the slab tenant index
 //! (`crates/sim/src/slab.rs`) and the completion sinks
 //! (`crates/workload/src/sink.rs`), whose `push`/`probe`/`record` run
 //! once per event or retirement. Their sanctioned allocation points —
-//! queue compaction and the spill sink's run-file flush, both amortized
-//! O(1) per event — are carried in the allowlist, not exempted here.
+//! the spill sink's construction and run-file flush, amortized O(1) per
+//! event — are carried in the allowlist, not exempted here.
 //! The materializing scheduler wrappers in `crates/core/src/scheduler.rs`
 //! stay out of scope on purpose — they are the convenience API; the
 //! engines call the `*_into` variants.
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn overhaul_containers_are_in_scope() {
-        // The tiered queue, the slab index and the completion sinks run
+        // The event queue, the slab index and the completion sinks run
         // per event/retirement: allocation idioms fire there too, with
         // the sanctioned setup points carried in the allowlist.
         for rel in [

@@ -85,7 +85,7 @@ fn real_workspace_is_lint_clean_under_checked_in_allowlist() {
     let allow =
         Allowlist::load(&root.join("crates/checks/allowlist.txt")).expect("allowlist loads");
     // The cap tracks the L2-HOT scope: it grew from 7 to 10 files when
-    // the tiered queue, slab index and completion sinks joined the
+    // the event queue, slab index and completion sinks joined the
     // per-event path, bringing their sanctioned setup points with them.
     assert!(
         allow.len() < 16,

@@ -97,7 +97,8 @@ impl PlanariaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival.
+    /// Panics if the requests are not sorted by arrival, or if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first.
     pub fn run<I>(&self, requests: I) -> SimResult
     where
         I: IntoIterator,
@@ -112,7 +113,8 @@ impl PlanariaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival.
+    /// Panics if the requests are not sorted by arrival, or if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first.
     pub fn run_with_collector<C, I>(&self, requests: I, c: &mut C) -> SimResult
     where
         C: Collector,

@@ -102,7 +102,8 @@ impl<N: FleetNode> Fleet<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival.
+    /// Panics if the requests are not sorted by arrival, or if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first.
     pub fn run<I>(&self, requests: I, policy: DispatchPolicy) -> (SimResult, FabricStats)
     where
         I: IntoIterator,
@@ -120,7 +121,8 @@ impl<N: FleetNode> Fleet<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival.
+    /// Panics if the requests are not sorted by arrival, or if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first.
     pub fn run_recorded<I>(
         &self,
         requests: I,
@@ -148,7 +150,8 @@ impl<N: FleetNode> Fleet<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival.
+    /// Panics if the requests are not sorted by arrival, or if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first.
     pub fn run_stats<I>(&self, requests: I, policy: DispatchPolicy) -> (ClusterStats, FabricStats)
     where
         I: IntoIterator,

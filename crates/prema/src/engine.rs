@@ -78,7 +78,8 @@ impl PremaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival.
+    /// Panics if the requests are not sorted by arrival, or if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first.
     pub fn run<I>(&self, requests: I) -> SimResult
     where
         I: IntoIterator,
@@ -93,7 +94,8 @@ impl PremaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival.
+    /// Panics if the requests are not sorted by arrival, or if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first.
     pub fn run_with_collector<C, I>(&self, requests: I, c: &mut C) -> SimResult
     where
         C: Collector,

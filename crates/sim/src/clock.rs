@@ -9,6 +9,7 @@
 use planaria_arch::AcceleratorConfig;
 use planaria_model::units::Cycles;
 use planaria_telemetry::SimMeta;
+use planaria_workload::Request;
 
 /// Converts between absolute trace seconds and kernel cycles.
 ///
@@ -61,6 +62,22 @@ impl SimClock {
                 .max(0.0)
                 .round() as u64,
         )
+    }
+
+    /// The cycle `request` arrives at, checked where requests enter a run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrival is not finite, or lies 2^63 or more cycles
+    /// past the origin (scheduler slack is a signed `i64` cycle count).
+    pub fn check_arrival(&self, request: &Request) -> Cycles {
+        let Request { id, arrival, .. } = *request;
+        let at = self.cycles_from_seconds(arrival);
+        assert!(
+            arrival.is_finite() && at.get() < 1 << 63,
+            "request {id} arrives at {arrival} s, outside the clock's range"
+        );
+        at
     }
 
     /// A duration in seconds → cycles (rounded; negatives clamp to 0).
@@ -122,6 +139,24 @@ mod tests {
         assert_eq!(m.total_subarrays, 16);
         assert_eq!(m.freq_hz, c.freq_hz());
         assert_eq!(c.origin_seconds(), 0.0);
+    }
+
+    #[test]
+    fn check_arrival_accepts_cycles_below_two_to_the_63() {
+        let c = SimClock::new(0.0, 1.0);
+        let at = |arrival| Request {
+            id: 0,
+            dnn: planaria_model::DnnId::TinyYolo,
+            arrival,
+            priority: 1,
+            qos: 1.0,
+        };
+        let last = 2f64.powi(63) - 1024.0; // the largest f64 below 2^63
+        assert_eq!(c.check_arrival(&at(last)).get(), last as u64);
+        for bad in [2f64.powi(63), f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let rejected = std::panic::catch_unwind(|| c.check_arrival(&at(bad)));
+            assert!(rejected.is_err(), "{bad} s accepted");
+        }
     }
 
     #[test]

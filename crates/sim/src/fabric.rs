@@ -147,7 +147,8 @@ struct Lane<P, N, S: CompletionSink> {
 ///
 /// Panics if the shapes disagree (`cfgs.len() != policies.len()`, zero
 /// nodes, zero `max_batch`, mixed clock frequencies), if the source
-/// yields arrivals out of order, or if the dispatcher routes out of
+/// yields arrivals out of order or an arrival the clock cannot represent
+/// ([`SimClock::check_arrival`]), or if the dispatcher routes out of
 /// range.
 // lint: telemetry threading adds two sinks to an already-wide entry
 // point; run_fabric_summary mirrors it parameter for parameter
@@ -212,6 +213,10 @@ where
 /// bumps aggregate tallies, so a 10^6-request run is O(live tenants)
 /// resident while percentiles still come out of the sinks' quantile
 /// sketches. Returns per-node summaries merged in node-id order.
+///
+/// # Panics
+///
+/// Panics where [`run_fabric_with`] does.
 // lint: mirrors run_fabric_with's signature exactly (same sinks, same
 // dispatcher) so the two paths stay interchangeable
 #[allow(clippy::too_many_arguments)]
@@ -348,7 +353,7 @@ where
                 "trace must be sorted by arrival time"
             );
             last_arrival = r.arrival;
-            let at = clock.cycles_from_seconds(r.arrival);
+            let at = clock.check_arrival(&r);
             if batched == tuning.max_batch || w_end.is_some_and(|e| at >= e) {
                 break;
             }
@@ -726,6 +731,34 @@ mod tests {
         let serial = run(&fine, &trace, &mut policy_for(fine));
         assert_eq!(serial.completions.len(), r.completions.len());
         assert_eq!(serial.total_energy, r.total_energy);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 2 arrives at inf s")]
+    fn infinite_arrival_rejected() {
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let trace = [req(0, 0.0), req(1, 1e-4), req(2, f64::INFINITY)];
+        let _ = fabric(
+            &[cfg],
+            vec![policy()],
+            trace,
+            &mut Jsq,
+            &FabricTuning::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the clock's range")]
+    fn arrival_past_the_cycle_range_rejected() {
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let trace = [req(0, 0.0), req(1, 1e-4), req(2, 3e10)];
+        let _ = fabric(
+            &[cfg],
+            vec![policy()],
+            trace,
+            &mut Jsq,
+            &FabricTuning::default(),
+        );
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl<S: CompletionSink> NodeKernel<S> {
     pub fn with_sink(cfg: &AcceleratorConfig, clock: SimClock, sink: S) -> Self {
         Self {
             sim: SimState::new_for(*cfg, clock),
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
             sink,
             em: EnergyModel::for_config(cfg),
             pending: None,
@@ -222,7 +222,7 @@ impl<S: CompletionSink> NodeKernel<S> {
         self.events
     }
 
-    /// Pulls the next request from the source, enforcing arrival order.
+    /// Pulls the next request from the source, checking its arrival.
     fn pull<F: FnMut() -> Option<Request>>(&mut self, src: &mut F) {
         self.pending = src();
         if let Some(next) = &self.pending {
@@ -230,6 +230,7 @@ impl<S: CompletionSink> NodeKernel<S> {
                 next.arrival >= self.last_arrival,
                 "trace must be sorted by arrival time"
             );
+            self.sim.clock.check_arrival(next);
             self.last_arrival = next.arrival;
         }
     }
@@ -595,14 +596,14 @@ impl<S: CompletionSink> NodeKernel<S> {
 /// `Vec`. The sink only decides what is *remembered*: a
 /// [`VecSink`](planaria_workload::VecSink) keeps every completion (the
 /// engines' `run`), a [`SpillSink`](planaria_workload::SpillSink)
-/// replays them in id order from disk at O(live tenants), a
-/// [`SketchSink`](planaria_workload::SketchSink) keeps fixed-memory
-/// percentiles. The [`NodeSummary`] carries the split-out static energy
-/// an id-ordered result needs.
+/// replays them in id order from disk at O(live tenants). The
+/// [`NodeSummary`] carries the split-out static energy an id-ordered
+/// result needs.
 ///
 /// # Panics
 ///
-/// Panics if the source yields arrivals out of order.
+/// Panics if the source yields arrivals out of order, or an arrival the
+/// clock cannot represent ([`SimClock::check_arrival`]).
 pub fn run_streamed_sink<
     P: EnginePolicy,
     C: Collector,
@@ -736,6 +737,23 @@ mod tests {
     fn unsorted_trace_rejected() {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
         let trace = vec![req(0, 1.0), req(1, 0.0)];
+        let _ = run(&cfg, &trace, &mut policy(), &mut NullCollector);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 2 arrives at inf s")]
+    fn infinite_arrival_rejected() {
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let trace = vec![req(0, 0.0), req(1, 1e-4), req(2, f64::INFINITY)];
+        let _ = run(&cfg, &trace, &mut policy(), &mut NullCollector);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the clock's range")]
+    fn arrival_past_the_cycle_range_rejected() {
+        // 3e10 s is ~2.1e19 cycles at 700 MHz: past 2^63 and past u64.
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let trace = vec![req(0, 0.0), req(1, 1e-4), req(2, 3e10)];
         let _ = run(&cfg, &trace, &mut policy(), &mut NullCollector);
     }
 

@@ -8,10 +8,9 @@
 //! the loop out once and owns time as integer
 //! [`Cycles`](planaria_model::units::Cycles) end-to-end:
 //!
-//! - [`EventQueue`]: a binary-heap event queue keyed
-//!   `(Cycles, EventKind, seq)` so pop order is a total order —
-//!   independent of insertion order for distinct events, FIFO for
-//!   identical ones.
+//! - The event queue: one binary heap keyed `(Cycles, EventKind, seq)`
+//!   so pop order is a total order — independent of insertion order for
+//!   distinct events, FIFO for identical ones.
 //! - [`TenantState`]: the shared per-request record (work accounting in
 //!   exact cycles, reconfiguration overhead owed, accrued energy,
 //!   queue/slice timestamps, placement mask).
@@ -36,8 +35,9 @@
 //! - [`run_fabric_summary`]: the same fabric at flat memory, keeping
 //!   aggregate tallies only.
 //!
-//! [`oracle::run_streamed_reference`] re-runs one node on the
-//! pre-overhaul containers; it is the kernel's exactness oracle.
+//! [`oracle::run_streamed_reference`] re-runs one node without the
+//! kernel's optimisations (queue compaction, the slab index, the gated
+//! retire scan); it is the kernel's exactness oracle.
 //!
 //! Completion detection is exact — a tenant is done when its integer
 //! work counter reaches the table total and its overhead is burned; no
@@ -63,5 +63,4 @@ pub use fabric::{
     NodeLoad,
 };
 pub use kernel::{run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState};
-pub use queue::{EventKind, EventQueue};
 pub use tenant::{full_mask, subarray_mask, TenantState};

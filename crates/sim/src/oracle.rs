@@ -1,21 +1,18 @@
-//! The pre-overhaul reference kernel: one plain `BinaryHeap` event queue
-//! plus a `BTreeMap` tenant index, retained verbatim as the exactness
-//! oracle and the performance baseline.
+//! The reference kernel: the production event loop minus its
+//! optimisations, retained as the exactness oracle and the performance
+//! baseline.
 //!
-//! The tiered-queue/slab hot path in [`crate::kernel`] claims byte
-//! identity with the structure it replaced. That claim is only testable
-//! if the replaced structure still exists, so this module keeps the old
-//! loop alive — same event semantics (pop → advance → admit → retire →
-//! reschedule → refresh), same total event key, same float operation
-//! order — but with the original containers:
+//! It keeps the kernel's event semantics (pop → advance → admit →
+//! retire → reschedule → refresh), its `EventQueue` and total event key,
+//! and its float operation order, but not what the kernel optimises:
 //!
-//! * the event queue is a single `BinaryHeap<Reverse<(Cycles, EventKind,
-//!   seq)>>` with no tiers, no stale ledger, no compaction — superseded
-//!   entries just sit in the heap until they pop;
-//! * completion-entry validity is answered by a `BTreeMap<u64, usize>`
-//!   probe, the exact tree walk the slab replaced (the kernel-visible
-//!   [`SimState`] slab index is maintained alongside it, because real
-//!   policies call [`SimState::index_of`]).
+//! * the queue is never compacted — superseded entries sit in the heap
+//!   until they pop;
+//! * completion validity is a `BTreeMap<u64, usize>` probe, not a
+//!   `TenantSlab` lookup (the [`SimState`] slab is kept in sync anyway,
+//!   because real policies call [`SimState::index_of`]);
+//! * the retire scan runs after every event, not only on cycles that
+//!   consumed a valid completion.
 //!
 //! [`run_streamed_reference`] mirrors
 //! [`run_streamed_sink`](crate::run_streamed_sink) with a
@@ -25,9 +22,9 @@
 //! root) pins engine `run == run_streamed_reference`
 //! result-byte-for-byte across workloads, and `benches/kernel.rs` races
 //! the two for `results/BENCH_kernel.json`. Both sides drive the same
-//! production policy, so the comparison isolates the kernel's
-//! containers; this is the kernel layer's one oracle entry point (the
-//! scheduler's oracle is `planaria-core`'s full-rescan mode).
+//! production policy, so the comparison isolates the kernel; this is the
+//! kernel layer's one oracle entry point (the scheduler's oracle is
+//! `planaria-core`'s full-rescan mode).
 //!
 //! Telemetry caveat: the oracle forwards the collector to the policy but
 //! emits no kernel-side events of its own, so comparisons run with
@@ -37,7 +34,7 @@
 
 use crate::clock::SimClock;
 use crate::kernel::{EnginePolicy, SimState};
-use crate::queue::EventKind;
+use crate::queue::{EventKind, EventQueue};
 use crate::tenant::TenantState;
 use planaria_arch::AcceleratorConfig;
 use planaria_energy::EnergyModel;
@@ -45,46 +42,17 @@ use planaria_model::units::Cycles;
 use planaria_telemetry::Collector;
 use planaria_workload::{Completion, Request, SimResult};
 use std::borrow::Borrow;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
-/// The original event queue: one binary heap over the total key, FIFO
-/// sequence tiebreak, stale entries retained until popped.
-struct LegacyQueue {
-    heap: BinaryHeap<Reverse<(Cycles, EventKind, u64)>>,
-    seq: u64,
-}
-
-impl LegacyQueue {
-    fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    fn push(&mut self, at: Cycles, kind: EventKind) {
-        self.heap.push(Reverse((at, kind, self.seq)));
-        self.seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(Cycles, EventKind)> {
-        self.heap.pop().map(|Reverse((at, kind, _))| (at, kind))
-    }
-
-    fn next_at(&self) -> Option<Cycles> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
-    }
-}
-
-/// One node's run re-executed on the pre-overhaul containers:
-/// identical loop, plain heap, `BTreeMap` index. `requests` is a slice
-/// or a stream alike. The result is the oracle the hot path is compared
+/// One node's run re-executed on the reference loop: no compaction,
+/// `BTreeMap` index, unconditional retire scan. `requests` is a slice or
+/// a stream alike. The result is the oracle the kernel is compared
 /// against.
 ///
 /// # Panics
 ///
-/// Panics if the source yields arrivals out of order.
+/// Panics if the source yields arrivals out of order, or an arrival the
+/// clock cannot represent ([`SimClock::check_arrival`]).
 pub fn run_streamed_reference<P, C, I>(
     cfg: &AcceleratorConfig,
     requests: I,
@@ -100,10 +68,23 @@ where
     let mut source = requests.into_iter().map(|r| *r.borrow());
     let mut head: Option<Request> = source.next();
     let clock = SimClock::new(head.map_or(0.0, |r| r.arrival), cfg.freq_hz);
-    let mut src = move || head.take().or_else(|| source.next());
+    // Pulls the next request, checking its arrival as the kernel's pull does.
+    let mut last_arrival = f64::NEG_INFINITY;
+    let mut pull = move || {
+        let next = head.take().or_else(|| source.next());
+        if let Some(r) = &next {
+            assert!(
+                r.arrival >= last_arrival,
+                "trace must be sorted by arrival time"
+            );
+            clock.check_arrival(r);
+            last_arrival = r.arrival;
+        }
+        next
+    };
 
     let mut sim = SimState::new_for(*cfg, clock);
-    let mut queue = LegacyQueue::new();
+    let mut queue = EventQueue::default();
     // The baseline's hot lookup: request id → tenant position through a
     // tree walk. `sim.index` (the slab) is kept in sync purely because
     // policies read it through `SimState::index_of`; every *kernel-side*
@@ -112,8 +93,7 @@ where
     let em = EnergyModel::for_config(cfg);
 
     let mut completions: Vec<Completion> = Vec::new();
-    let mut pending: Option<Request> = src();
-    let mut last_arrival = pending.map_or(f64::NEG_INFINITY, |r| r.arrival);
+    let mut pending: Option<Request> = pull();
     let mut next_arrival = 0usize;
     let mut arrival_queued = false;
     let mut busy = Cycles::ZERO;
@@ -197,14 +177,7 @@ where
             ));
             next_arrival += 1;
             arrival_queued = false;
-            pending = src();
-            if let Some(next) = &pending {
-                assert!(
-                    next.arrival >= last_arrival,
-                    "trace must be sorted by arrival time"
-                );
-                last_arrival = next.arrival;
-            }
+            pending = pull();
         }
 
         let mut i = 0;

@@ -1,39 +1,10 @@
-//! The kernel's event queue: a tiered (ladder) structure with a totally
-//! ordered key and stale-entry compaction.
+//! The kernel's event queue: one binary min-heap over a totally ordered
+//! key, with a stale-entry ledger and compaction.
 //!
-//! The first kernel used one `BinaryHeap` keyed `(Cycles, EventKind,
-//! seq)`. Correct — the key is a total order, so pop order never depends
-//! on heap layout — but two costs grew with scale. Every push and pop
-//! paid `O(log n)` on a heap whose `n` counted *every completion
-//! estimate ever pushed and not yet popped*, because superseded
-//! estimates are invalidated by epoch bumps rather than removed; under
-//! bursty traffic the stale fraction dominates and the heap is far
-//! larger than the live event set. This module replaces the single heap
-//! with two tiers and makes the stale population a first-class,
-//! compactable quantity:
-//!
-//! * **Near tier** — a ring of [`NUM_BUCKETS`] buckets, each
-//!   [`BUCKET_WIDTH`] cycles wide, covering the window
-//!   `[window_start, window_start + SPAN)`. A push lands in its bucket
-//!   in `O(log bucket)` where buckets are small; pops drain the cursor
-//!   bucket in full-key order.
-//! * **Far tier** — a min-heap for events at or past the window end.
-//!   Entries migrate into the ring exactly once, as the window slides
-//!   over them.
-//!
-//! # Pop-order equivalence
-//!
-//! Pop order is *identical* to the plain heap's, provably: buckets
-//! partition the cycle axis into consecutive ranges drained in range
-//! order, the within-bucket heaps order by the same full
-//! `(Cycles, EventKind, seq)` key, and the far tier only holds events
-//! later than every near event. The one wrinkle — a push whose cycle
-//! precedes the current window (the kernel never does this, but the
-//! structure stays safe) — clamps into the cursor bucket, whose heap
-//! still pops it by full key before everything later. The equivalence is
-//! pinned bit-for-bit by a SplitMix64 property test against a
-//! `BinaryHeap` model under interleaved push/invalidate/pop
-//! (`crates/sim/tests/tiered_queue.rs`).
+//! Entries are keyed `(Cycles, EventKind, seq)`. The key is a total
+//! order — the push sequence number breaks ties even between identical
+//! events, FIFO — so pop order never depends on the heap's layout or on
+//! insertion order.
 //!
 //! # Stale accounting and compaction
 //!
@@ -67,7 +38,7 @@ use std::collections::BinaryHeap;
 /// and the payload fields break remaining ties so distinct events always
 /// compare unequal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// `trace[index]` becomes visible to the scheduler.
     Arrival {
         /// Index into the run's request trace.
@@ -85,199 +56,51 @@ pub enum EventKind {
     },
 }
 
-/// One queue entry: the totally ordered key. The trailing sequence
-/// number makes the key a total order even for byte-identical duplicate
-/// events (FIFO among exact duplicates), so pop order never depends on
-/// any container's internal layout.
-type Entry = (Cycles, EventKind, u64);
-
-/// log2 of the bucket width: 2^16 = 65 536 cycles (~94 µs at the paper's
-/// 700 MHz clock) per near-tier bucket.
-const BUCKET_SHIFT: u32 = 16;
-
-/// Cycles covered by one near-tier bucket.
-const BUCKET_WIDTH: u64 = 1 << BUCKET_SHIFT;
-
-/// log2 of the near-tier bucket count.
-const BUCKET_BITS: u32 = 8;
-
-/// Number of near-tier buckets (power of two, ring-indexed). The window
-/// spans `NUM_BUCKETS * BUCKET_WIDTH` ≈ 16.8M cycles (~24 ms at
-/// 700 MHz), so millisecond-scale completion estimates land in the near
-/// tier with an O(log bucket) push.
-const NUM_BUCKETS: usize = 1 << BUCKET_BITS;
-
-/// Ring index mask.
-const BUCKET_MASK: usize = NUM_BUCKETS - 1;
-
-/// Cycles covered by the whole near-tier window.
-const SPAN: u64 = BUCKET_WIDTH << BUCKET_BITS;
-
 /// Queues smaller than this never compact: the sweep costs more than
 /// the stale entries do.
 const COMPACT_MIN_LEN: usize = 256;
 
-/// Tiered min-queue of `(Cycles, EventKind, seq)`.
-///
-/// Drop-in replacement for the old binary-heap queue: identical pop
-/// order (see the module docs), plus stale-entry accounting and
-/// compaction so the resident size tracks the *live* event population.
-#[derive(Debug, Clone)]
-pub struct EventQueue {
-    /// Near-tier ring: bucket `(cursor + k) & BUCKET_MASK` covers cycles
-    /// `[window_start + k*BUCKET_WIDTH, window_start + (k+1)*BUCKET_WIDTH)`.
-    near: Vec<BinaryHeap<Reverse<Entry>>>,
-    /// Entries across all near buckets.
-    near_len: usize,
-    /// Cycle at which the cursor bucket's range begins (aligned to
-    /// `BUCKET_WIDTH`).
-    window_start: u64,
-    /// Ring index of the bucket holding `window_start`.
-    cursor: usize,
-    /// Far tier: events at or past `window_start + SPAN`.
-    far: BinaryHeap<Reverse<Entry>>,
+/// Min-queue of `(Cycles, EventKind, seq)` with a stale-entry ledger.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<Reverse<(Cycles, EventKind, u64)>>,
     /// In-queue entries the kernel has declared superseded.
     stale: usize,
     /// Next push sequence number.
     seq: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        // One-time construction: the bucket ring is allocated once per
-        // queue and reused for the whole run (`resize_with`, not a
-        // per-event idiom).
-        let mut near: Vec<BinaryHeap<Reverse<Entry>>> = Vec::default();
-        near.resize_with(NUM_BUCKETS, BinaryHeap::new);
-        Self {
-            near,
-            near_len: 0,
-            window_start: 0,
-            cursor: 0,
-            far: BinaryHeap::new(),
-            stale: 0,
-            seq: 0,
-        }
-    }
-}
-
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Schedules `kind` at cycle `at`.
-    pub fn push(&mut self, at: Cycles, kind: EventKind) {
-        let seq = self.seq;
+    pub(crate) fn push(&mut self, at: Cycles, kind: EventKind) {
+        self.heap.push(Reverse((at, kind, self.seq)));
         self.seq += 1;
-        let entry = Reverse((at, kind, seq));
-        if self.near_len == 0 && self.far.is_empty() {
-            // Empty queue: re-anchor the window at the pushed entry so
-            // it lands in the ring directly instead of bouncing through
-            // the far tier.
-            self.window_start = at.get() & !(BUCKET_WIDTH - 1);
-            self.cursor = 0;
-        }
-        let offset = at.get().saturating_sub(self.window_start);
-        if offset >= SPAN {
-            self.far.push(entry);
-        } else {
-            let idx = (self.cursor + (offset >> BUCKET_SHIFT) as usize) & BUCKET_MASK;
-            self.near[idx].push(entry);
-            self.near_len += 1;
-        }
-    }
-
-    /// Advances the cursor to the first non-empty bucket, migrating far
-    /// entries as the window slides, or re-anchors the window at the far
-    /// tier's minimum when the whole ring is empty. After this, either
-    /// the cursor bucket is non-empty or the queue is empty.
-    fn normalize(&mut self) {
-        loop {
-            if self.near_len == 0 {
-                let Some(Reverse((fmin, _, _))) = self.far.peek() else {
-                    return;
-                };
-                // Ring drained: jump the window straight to the far
-                // tier's earliest entry (skipping idle gaps in O(1))
-                // and pull everything inside the new window across.
-                self.window_start = fmin.get() & !(BUCKET_WIDTH - 1);
-                self.cursor = 0;
-                self.migrate_far();
-                continue;
-            }
-            if self.near[self.cursor].is_empty() {
-                // Slide the window one bucket: the vacated bucket now
-                // addresses the range just past the old window end, so
-                // far entries inside the new window migrate in.
-                self.cursor = (self.cursor + 1) & BUCKET_MASK;
-                self.window_start += BUCKET_WIDTH;
-                self.migrate_far();
-                continue;
-            }
-            return;
-        }
-    }
-
-    /// Moves every far-tier entry inside the current window into its
-    /// near bucket. Each entry migrates at most once per lifetime.
-    fn migrate_far(&mut self) {
-        let end = self.window_start.saturating_add(SPAN);
-        while let Some(Reverse((at, _, _))) = self.far.peek() {
-            if at.get() >= end {
-                break;
-            }
-            // lint: pop follows a successful peek on the same heap
-            let Reverse(e) = self.far.pop().expect("peeked entry exists");
-            let offset = e.0.get().saturating_sub(self.window_start);
-            let idx = (self.cursor + (offset >> BUCKET_SHIFT) as usize) & BUCKET_MASK;
-            self.near[idx].push(Reverse(e));
-            self.near_len += 1;
-        }
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Cycles, EventKind)> {
-        self.normalize();
-        let Reverse((at, kind, _)) = self.near[self.cursor].pop()?;
-        self.near_len -= 1;
-        Some((at, kind))
+    pub(crate) fn pop(&mut self) -> Option<(Cycles, EventKind)> {
+        self.heap.pop().map(|Reverse((at, kind, _))| (at, kind))
     }
 
     /// The cycle of the earliest pending event, without removing it.
     ///
     /// Used by the kernel's same-cycle coalescing: once it has decided to
     /// wake at cycle `t`, every remaining event at `t` is drained in the
-    /// same pass so the policy resches exactly once per distinct
-    /// timestamp. (Takes `&mut self` because peeking normalizes the
-    /// window cursor; the queue's contents are untouched.)
-    pub fn next_at(&mut self) -> Option<Cycles> {
-        self.normalize();
-        self.near[self.cursor].peek().map(|Reverse((at, _, _))| *at)
+    /// same pass so the policy reschedules exactly once per distinct
+    /// timestamp.
+    pub(crate) fn next_at(&self) -> Option<Cycles> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
     /// Number of pending entries (including stale ones).
-    pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
-    }
-
-    /// Whether no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of in-queue entries the kernel has declared superseded
-    /// (debug/compaction accessor; see the module docs for the exact
-    /// bookkeeping contract).
-    pub fn stale_len(&self) -> usize {
-        self.stale
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
     }
 
     /// Records that one in-queue entry just became superseded (the
     /// kernel bumped an epoch, or retired a tenant, while the entry is
     /// still queued).
-    pub fn note_stale(&mut self) {
+    pub(crate) fn note_stale(&mut self) {
         self.stale += 1;
         debug_assert!(
             self.stale <= self.len(),
@@ -289,7 +112,7 @@ impl EventQueue {
 
     /// Records that one superseded entry just left the queue (skipped by
     /// the pop path or drained by same-cycle coalescing).
-    pub fn note_stale_consumed(&mut self) {
+    pub(crate) fn note_stale_consumed(&mut self) {
         debug_assert!(self.stale > 0, "stale count underflow");
         self.stale = self.stale.saturating_sub(1);
     }
@@ -299,12 +122,12 @@ impl EventQueue {
     /// sweep to pay for itself.
     ///
     /// [`compact`]: EventQueue::compact
-    pub fn should_compact(&self) -> bool {
+    pub(crate) fn should_compact(&self) -> bool {
         self.len() >= COMPACT_MIN_LEN && self.stale * 2 > self.len()
     }
 
-    /// Drops every entry `keep` rejects, in one sweep over both tiers,
-    /// and resets the stale count.
+    /// Drops every entry `keep` rejects, in one sweep, and resets the
+    /// stale count.
     ///
     /// Sound whenever `keep` rejects exactly the entries the pop path
     /// would skip *and* rejection is permanent (true for the kernel:
@@ -312,18 +135,13 @@ impl EventQueue {
     /// only advances) — then removal cannot change the sequence of valid
     /// pops. The caller's stale accounting must agree with the predicate;
     /// this is debug-asserted.
-    pub fn compact<F: FnMut(&EventKind) -> bool>(&mut self, mut keep: F) {
+    pub(crate) fn compact<F: FnMut(&EventKind) -> bool>(&mut self, mut keep: F) {
         let before = self.len();
-        for bucket in &mut self.near {
-            bucket.retain(|Reverse((_, kind, _))| keep(kind));
-        }
-        self.near_len = self.near.iter().map(BinaryHeap::len).sum();
-        self.far.retain(|Reverse((_, kind, _))| keep(kind));
+        self.heap.retain(|Reverse((_, kind, _))| keep(kind));
         let removed = before - self.len();
         debug_assert_eq!(
             removed, self.stale,
-            "compaction removed {removed} entries but {} were stale-accounted",
-            self.stale
+            "compaction disagrees with the stale ledger"
         );
         self.stale = 0;
     }
@@ -332,10 +150,11 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use planaria_model::SplitMix64;
 
     #[test]
     fn pops_in_time_order_with_arrivals_first() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(
             Cycles::new(5),
             EventKind::Completion {
@@ -363,13 +182,13 @@ mod tests {
                 }
             ))
         );
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn same_cycle_completions_order_by_tenant_then_epoch() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for (tenant, epoch) in [(9u64, 1u64), (3, 7), (3, 2)] {
             q.push(Cycles::new(4), EventKind::Completion { tenant, epoch });
         }
@@ -395,7 +214,7 @@ mod tests {
 
     #[test]
     fn next_at_peeks_without_removing() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         assert_eq!(q.next_at(), None);
         q.push(Cycles::new(9), EventKind::Arrival { index: 1 });
         q.push(Cycles::new(4), EventKind::Arrival { index: 0 });
@@ -407,7 +226,7 @@ mod tests {
 
     #[test]
     fn len_counts_pending_entries() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         assert_eq!(q.len(), 0);
         q.push(Cycles::ZERO, EventKind::Arrival { index: 0 });
         q.push(Cycles::ZERO, EventKind::Arrival { index: 0 });
@@ -417,68 +236,87 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_tiers_in_order() {
-        // Entries far beyond the near window must migrate across as the
-        // window slides and still pop in global key order.
-        let mut q = EventQueue::new();
-        let far = SPAN * 3 + 17;
-        let farther = SPAN * 7 + 1;
-        q.push(Cycles::new(farther), EventKind::Arrival { index: 3 });
-        q.push(Cycles::new(far), EventKind::Arrival { index: 2 });
-        q.push(Cycles::new(1), EventKind::Arrival { index: 0 });
-        q.push(Cycles::new(SPAN - 1), EventKind::Arrival { index: 1 });
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(
-            order,
-            vec![
-                (Cycles::new(1), EventKind::Arrival { index: 0 }),
-                (Cycles::new(SPAN - 1), EventKind::Arrival { index: 1 }),
-                (Cycles::new(far), EventKind::Arrival { index: 2 }),
-                (Cycles::new(farther), EventKind::Arrival { index: 3 }),
-            ]
-        );
+    fn duplicate_keys_pop_fifo() {
+        // Identical cycles and tenants come out in push order: the
+        // sequence number, not the heap layout, breaks the tie.
+        let mut q = EventQueue::default();
+        let far = Cycles::new(1 << 30);
+        for epoch in 0..3 {
+            q.push(far, EventKind::Completion { tenant: 1, epoch });
+        }
+        for epoch in 0..3 {
+            assert_eq!(
+                q.pop(),
+                Some((far, EventKind::Completion { tenant: 1, epoch }))
+            );
+        }
     }
 
+    /// The heap yields a total event order that is independent of
+    /// insertion order: `(cycle, kind, seq)` keys sort by time first,
+    /// arrivals before completions at the same cycle, and payload
+    /// tie-breaks make equal-time events deterministic.
     #[test]
-    fn idle_gap_jump_is_constant_time_and_exact() {
-        // A multi-second idle gap (billions of cycles) must re-anchor the
-        // window in one jump, not one bucket at a time.
-        let mut q = EventQueue::new();
-        q.push(Cycles::new(10), EventKind::Arrival { index: 0 });
-        assert_eq!(
-            q.pop(),
-            Some((Cycles::new(10), EventKind::Arrival { index: 0 }))
-        );
-        let distant = 3_000_000_000_u64;
-        q.push(Cycles::new(distant), EventKind::Arrival { index: 1 });
-        q.push(
-            Cycles::new(distant + 5),
-            EventKind::Completion {
-                tenant: 1,
-                epoch: 0,
-            },
-        );
-        assert_eq!(q.next_at(), Some(Cycles::new(distant)));
-        assert_eq!(
-            q.pop(),
-            Some((Cycles::new(distant), EventKind::Arrival { index: 1 }))
-        );
-        assert_eq!(
-            q.pop(),
-            Some((
-                Cycles::new(distant + 5),
-                EventKind::Completion {
-                    tenant: 1,
-                    epoch: 0
+    fn event_queue_order_is_insertion_independent() {
+        let mut rng = SplitMix64::new(0xeeee_5eed);
+        for case in 0..64 {
+            let n = rng.next_range(2, 64) as usize;
+            let mut events: Vec<(Cycles, EventKind)> = (0..n)
+                .map(|_| {
+                    let at = Cycles::new(rng.next_below(50));
+                    let kind = if rng.next_bool(0.3) {
+                        EventKind::Arrival {
+                            index: rng.next_below(8) as usize,
+                        }
+                    } else {
+                        EventKind::Completion {
+                            tenant: rng.next_below(8),
+                            epoch: rng.next_below(4),
+                        }
+                    };
+                    (at, kind)
+                })
+                .collect();
+            let drain = |evs: &[(Cycles, EventKind)]| {
+                let mut q = EventQueue::default();
+                for &(at, kind) in evs {
+                    q.push(at, kind);
                 }
-            ))
-        );
-        assert!(q.pop().is_none());
+                std::iter::from_fn(|| q.pop()).collect::<Vec<_>>()
+            };
+            let reference = drain(&events);
+            // Times never decrease; arrivals precede completions at a cycle.
+            for w in reference.windows(2) {
+                assert!(w[0].0 <= w[1].0, "case {case}: time went backwards");
+                if w[0].0 == w[1].0 {
+                    let rank = |k: &EventKind| match k {
+                        EventKind::Arrival { .. } => 0,
+                        EventKind::Completion { .. } => 1,
+                    };
+                    assert!(
+                        rank(&w[0].1) <= rank(&w[1].1),
+                        "case {case}: completion popped before same-cycle arrival"
+                    );
+                }
+            }
+            // Fisher–Yates shuffles: every permutation drains identically.
+            for _ in 0..4 {
+                for i in (1..events.len()).rev() {
+                    let j = rng.next_below(i as u64 + 1) as usize;
+                    events.swap(i, j);
+                }
+                assert_eq!(
+                    drain(&events),
+                    reference,
+                    "case {case}: drain order depends on insertion order"
+                );
+            }
+        }
     }
 
     #[test]
     fn stale_accounting_and_compaction() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         // 300 entries for tenants 0..300, epoch 0; then supersede the
         // first 200 (epoch bumped to 1 elsewhere — here we just account).
         for t in 0..300u64 {
@@ -494,14 +332,14 @@ mod tests {
             q.note_stale();
         }
         assert_eq!(q.len(), 300);
-        assert_eq!(q.stale_len(), 200);
+        assert_eq!(q.stale, 200);
         assert!(q.should_compact());
         q.compact(|kind| match kind {
             EventKind::Completion { tenant, .. } => *tenant >= 200,
             EventKind::Arrival { .. } => true,
         });
         assert_eq!(q.len(), 100);
-        assert_eq!(q.stale_len(), 0);
+        assert_eq!(q.stale, 0);
         assert!(!q.should_compact());
         // Survivors still pop in exact key order.
         let mut prev = None;
@@ -519,7 +357,7 @@ mod tests {
 
     #[test]
     fn small_queues_do_not_compact() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for t in 0..10u64 {
             q.push(
                 Cycles::new(t),
@@ -535,37 +373,212 @@ mod tests {
     }
 
     #[test]
-    fn push_into_current_bucket_mid_drain_keeps_order() {
-        // The kernel pushes fresh completion estimates after popping an
-        // event; an estimate landing in the partially drained cursor
-        // bucket must still order correctly.
-        let mut q = EventQueue::new();
-        q.push(Cycles::new(100), EventKind::Arrival { index: 0 });
-        q.push(Cycles::new(300), EventKind::Arrival { index: 1 });
-        assert_eq!(
-            q.pop(),
-            Some((Cycles::new(100), EventKind::Arrival { index: 0 }))
-        );
-        q.push(
-            Cycles::new(200),
-            EventKind::Completion {
-                tenant: 7,
-                epoch: 0,
-            },
-        );
-        assert_eq!(
-            q.pop(),
-            Some((
-                Cycles::new(200),
-                EventKind::Completion {
-                    tenant: 7,
-                    epoch: 0
+    fn compaction_trips_only_past_the_threshold_and_drops_exactly_the_stale() {
+        let mut q = EventQueue::default();
+        // 512 completion entries, half of which will be superseded.
+        for tenant in 0..512u64 {
+            q.push(
+                Cycles::new(1_000 + tenant),
+                EventKind::Completion { tenant, epoch: 0 },
+            );
+        }
+        assert_eq!(q.len(), 512);
+        assert_eq!(q.stale, 0);
+        assert!(!q.should_compact(), "nothing stale yet");
+
+        // Mark the odd tenants superseded. The threshold is strictly more
+        // than half the queue, so exactly half must not trip it.
+        for _ in 0..256 {
+            q.note_stale();
+        }
+        assert_eq!(q.stale, 256);
+        assert!(!q.should_compact(), "stale*2 == len is below the trigger");
+        // A superseded arrival joins the stale population: 257 dead of 513
+        // entries, strictly past half.
+        q.push(Cycles::new(9_999), EventKind::Arrival { index: 1 });
+        q.note_stale();
+        assert!(q.should_compact());
+
+        // Compact with "even tenants live, the arrival superseded" (256
+        // completions survive; 257 entries removed == the stale count).
+        q.compact(|kind| match kind {
+            EventKind::Arrival { .. } => false,
+            EventKind::Completion { tenant, .. } => tenant % 2 == 0,
+        });
+        assert_eq!(q.len(), 256);
+        assert_eq!(q.stale, 0);
+        assert!(!q.should_compact());
+
+        // Survivors still pop in key order.
+        let mut last = Cycles::ZERO;
+        let mut popped = 0;
+        while let Some((at, kind)) = q.pop() {
+            assert!(at >= last);
+            last = at;
+            if let EventKind::Completion { tenant, .. } = kind {
+                assert_eq!(tenant % 2, 0, "a stale entry survived compaction");
+            } else {
+                panic!("the superseded arrival survived compaction");
+            }
+            popped += 1;
+        }
+        assert_eq!(popped, 256);
+    }
+
+    /// Whether `kind` is current under the per-tenant estimate `epoch`s
+    /// (arrivals never go stale here).
+    fn current(epoch: &[u64], kind: &EventKind) -> bool {
+        match *kind {
+            EventKind::Arrival { .. } => true,
+            EventKind::Completion { tenant, epoch: e } => epoch[tenant as usize] == e,
+        }
+    }
+
+    /// The kernel's side of the ledger protocol, replayed against a model
+    /// heap that keeps superseded entries and skips them on pop, and
+    /// models compaction as a plain `retain`.
+    struct Model {
+        heap: BinaryHeap<Reverse<(Cycles, EventKind, u64)>>,
+        seq: u64,
+        /// Current estimate epoch per tenant; older entries are stale.
+        epoch: Vec<u64>,
+        /// Whether the tenant's current-epoch entry is still queued.
+        queued: Vec<bool>,
+    }
+
+    impl Model {
+        fn stale(&self) -> usize {
+            let epoch = &self.epoch;
+            self.heap
+                .iter()
+                .filter(|e| !current(epoch, &e.0 .1))
+                .count()
+        }
+
+        /// Supersedes `tenant`'s estimate, telling the queue when the old
+        /// entry is still queued (the kernel's epoch bump).
+        fn supersede(&mut self, q: &mut EventQueue, tenant: usize) {
+            if self.queued[tenant] {
+                q.note_stale();
+                self.queued[tenant] = false;
+            }
+            self.epoch[tenant] += 1;
+        }
+
+        fn push(&mut self, q: &mut EventQueue, at: Cycles, kind: EventKind) {
+            q.push(at, kind);
+            self.heap.push(Reverse((at, kind, self.seq)));
+            self.seq += 1;
+        }
+
+        /// Re-estimates `tenant`: its old entry goes stale and a fresh
+        /// one is pushed under the bumped epoch.
+        fn reestimate(&mut self, q: &mut EventQueue, tenant: usize, at: Cycles) {
+            self.supersede(q, tenant);
+            let epoch = self.epoch[tenant];
+            let kind = EventKind::Completion {
+                tenant: tenant as u64,
+                epoch,
+            };
+            self.push(q, at, kind);
+            self.queued[tenant] = true;
+        }
+
+        /// The queue's next valid entry — with the kernel's ledger call
+        /// for every superseded entry skipped on the way — and the
+        /// model's.
+        fn pop(&mut self, q: &mut EventQueue) -> [Option<(Cycles, EventKind)>; 2] {
+            let got = loop {
+                match q.pop() {
+                    Some((_, kind)) if !current(&self.epoch, &kind) => q.note_stale_consumed(),
+                    next => break next,
                 }
-            ))
-        );
-        assert_eq!(
-            q.pop(),
-            Some((Cycles::new(300), EventKind::Arrival { index: 1 }))
-        );
+            };
+            let want = loop {
+                match self.heap.pop() {
+                    Some(Reverse((_, kind, _))) if !current(&self.epoch, &kind) => {}
+                    next => break next.map(|Reverse((at, kind, _))| (at, kind)),
+                }
+            };
+            if let Some((_, EventKind::Completion { tenant, .. })) = want {
+                self.queued[tenant as usize] = false;
+            }
+            [got, want]
+        }
+
+        /// Compacts the queue with the model's validity predicate and
+        /// sweeps the model the same way.
+        fn compact(&mut self, q: &mut EventQueue) {
+            let epoch = &self.epoch;
+            q.compact(|kind| current(epoch, kind));
+            self.heap.retain(|e| current(epoch, &e.0 .1));
+        }
+    }
+
+    #[test]
+    fn compaction_matches_a_model_heap_over_splitmix_interleavings() {
+        const TENANTS: usize = 64;
+        let mut threshold_compactions = 0;
+        for seed in 0..8u64 {
+            let mut rng = SplitMix64::new(0xC0A1 ^ seed);
+            let mut q = EventQueue::default();
+            let mut m = Model {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                epoch: vec![0; TENANTS],
+                queued: vec![false; TENANTS],
+            };
+            let mut now = 0u64;
+            for step in 0..4_000 {
+                let tenant = rng.next_below(TENANTS as u64) as usize;
+                let at = Cycles::new(
+                    now + match rng.next_below(4) {
+                        0 => 0,
+                        1 => rng.next_below(1 << 16),
+                        2 => rng.next_below(1 << 24),
+                        _ => rng.next_below(1 << 34),
+                    },
+                );
+                match rng.next_below(200) {
+                    0..=19 => {
+                        let [got, want] = m.pop(&mut q);
+                        assert_eq!(got, want, "seed {seed} step {step}: pop diverged");
+                        if let Some((t, _)) = got {
+                            now = t.get();
+                        }
+                    }
+                    20..=149 => m.reestimate(&mut q, tenant, at),
+                    // Descheduled or retired: stale with no replacement.
+                    150..=188 => m.supersede(&mut q, tenant),
+                    189..=198 => {
+                        let kind = EventKind::Arrival {
+                            index: rng.next_below(8) as usize,
+                        };
+                        m.push(&mut q, at, kind);
+                    }
+                    _ => m.compact(&mut q),
+                }
+                if q.should_compact() {
+                    threshold_compactions += 1;
+                    m.compact(&mut q);
+                }
+                assert_eq!(q.stale, m.stale(), "seed {seed} step {step}: ledger");
+                assert_eq!(q.len(), m.heap.len(), "seed {seed} step {step}: length");
+                assert_eq!(
+                    q.next_at(),
+                    m.heap.peek().map(|e| e.0 .0),
+                    "seed {seed} step {step}: head"
+                );
+            }
+            loop {
+                let [got, want] = m.pop(&mut q);
+                assert_eq!(got, want, "seed {seed}: drain diverged");
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert_eq!((q.len(), q.stale), (0, 0), "seed {seed}: residue");
+        }
+        assert!(threshold_compactions > 0, "the threshold never tripped");
     }
 }

@@ -1,14 +1,14 @@
-//! Exactness oracle: the tiered-queue/slab hot path must reproduce the
-//! pre-overhaul reference kernel (`planaria_sim::oracle`) byte for byte.
+//! Exactness oracle: the production kernel must reproduce the reference
+//! kernel (`planaria_sim::oracle`) byte for byte.
 //!
-//! The reference keeps the replaced containers alive — one plain
-//! `BinaryHeap` event queue, a `BTreeMap` tenant index, no stale ledger,
-//! no compaction — driving the same event loop. Both lanes run each
-//! engine's production policy, so a comparison isolates the kernel: the
-//! scheduler has its own oracle (the full-rescan mode pinned by
-//! `incremental_equivalence`). Both engines' policies are run through
-//! both kernels across the scenario/QoS grid, at rates that keep the node
-//! saturated (deep backlogs are where the tiers, the slab window and
+//! The reference drives the same event loop and the same binary-heap
+//! event queue without the kernel's optimisations — a `BTreeMap` tenant
+//! index, no stale ledger, no compaction, an unconditional retire scan.
+//! Both lanes run each engine's production policy, so a comparison
+//! isolates the kernel: the scheduler has its own oracle (the full-rescan
+//! mode pinned by `incremental_equivalence`). Both engines' policies are
+//! run through both kernels across the scenario/QoS grid, at rates that
+//! keep the node saturated (deep backlogs are where the slab window and
 //! compaction actually engage), and every result must digest identically.
 
 use planaria_core::PlanariaEngine;

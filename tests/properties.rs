@@ -203,71 +203,3 @@ fn conv_geometry() {
         assert_eq!(g.n, out_ch, "case {case}");
     }
 }
-
-/// The discrete-event kernel's heap yields a total event order that is
-/// independent of insertion order: `(cycle, kind, seq)` keys sort by time
-/// first, arrivals before completions at the same cycle, and payload
-/// tie-breaks make equal-time events deterministic.
-#[test]
-fn event_queue_order_is_insertion_independent() {
-    use planaria::sim::{EventKind, EventQueue};
-    use planaria::Cycles;
-    let mut rng = SplitMix64::new(0xeeee_5eed);
-    for case in 0..CASES {
-        let n = rng.next_range(2, 64) as usize;
-        let mut events: Vec<(Cycles, EventKind)> = (0..n)
-            .map(|_| {
-                let at = Cycles::new(rng.next_below(50));
-                let kind = if rng.next_bool(0.3) {
-                    EventKind::Arrival {
-                        index: rng.next_below(8) as usize,
-                    }
-                } else {
-                    EventKind::Completion {
-                        tenant: rng.next_below(8),
-                        epoch: rng.next_below(4),
-                    }
-                };
-                (at, kind)
-            })
-            .collect();
-        let drain = |evs: &[(Cycles, EventKind)]| {
-            let mut q = EventQueue::new();
-            for &(at, kind) in evs {
-                q.push(at, kind);
-            }
-            let mut out = Vec::new();
-            while let Some(e) = q.pop() {
-                out.push(e);
-            }
-            out
-        };
-        let reference = drain(&events);
-        // Times never decrease; arrivals precede completions at a cycle.
-        for w in reference.windows(2) {
-            assert!(w[0].0 <= w[1].0, "case {case}: time went backwards");
-            if w[0].0 == w[1].0 {
-                let rank = |k: &EventKind| match k {
-                    EventKind::Arrival { .. } => 0,
-                    EventKind::Completion { .. } => 1,
-                };
-                assert!(
-                    rank(&w[0].1) <= rank(&w[1].1),
-                    "case {case}: completion popped before same-cycle arrival"
-                );
-            }
-        }
-        // Fisher–Yates shuffles: every permutation drains identically.
-        for _ in 0..4 {
-            for i in (1..events.len()).rev() {
-                let j = rng.next_below(i as u64 + 1) as usize;
-                events.swap(i, j);
-            }
-            assert_eq!(
-                drain(&events),
-                reference,
-                "case {case}: drain order depends on insertion order"
-            );
-        }
-    }
-}
