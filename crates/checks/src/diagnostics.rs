@@ -19,7 +19,8 @@ pub enum Lint {
     FloatFlow,
     /// L3: unjustified `unwrap`/`expect`/`#[allow]`.
     Hygiene,
-    /// L4: nondeterministic state captured by a `par_map` closure.
+    /// L4: nondeterministic state captured by a `par_map` or
+    /// `par_for_each_mut` closure.
     Parallelism,
 }
 
@@ -138,15 +139,16 @@ impl Lint {
                 "L4 parallel determinism (closure analysis)\n\
                  \n\
                  Closures passed to par_map/par_map_auto must be pure\n\
-                 functions of their item: the index-ordered join is only\n\
-                 bit-deterministic if workers share no mutable state. Flagged\n\
-                 inside the closure body: `&mut` captures of outer state,\n\
-                 interior mutability (Cell/RefCell/Mutex/RwLock/UnsafeCell/\n\
-                 atomics), `static mut` access, and order-sensitive\n\
-                 accumulation through shared state (.lock()/.borrow_mut()/\n\
-                 .fetch_*) in reduction position. Move per-item state into\n\
-                 the closure or reduce over the ordered result vector after\n\
-                 the join."
+                 functions of their item, and closures passed to\n\
+                 par_for_each_mut may mutate only the item they are given:\n\
+                 the fan-out is only bit-deterministic if workers share no\n\
+                 mutable state. Flagged inside the closure body: `&mut`\n\
+                 captures of outer state, interior mutability (Cell/RefCell/\n\
+                 Mutex/RwLock/UnsafeCell/atomics), `static mut` access, and\n\
+                 order-sensitive accumulation through shared state\n\
+                 (.lock()/.borrow_mut()/.fetch_*) in reduction position. Move\n\
+                 per-item state into the closure or reduce over the ordered\n\
+                 result vector after the join."
             }
         }
     }

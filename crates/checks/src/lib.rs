@@ -18,8 +18,9 @@
 //!   in the per-event path.
 //! * **L3 hygiene** — `unwrap()`/`expect(...)`/`#[allow(...)]` require a
 //!   `// lint: <reason>` justification in library code.
-//! * **L4 parallel determinism** — closures passed to `par_map` must not
-//!   capture `&mut` state, interior mutability, or `static mut`.
+//! * **L4 parallel determinism** — closures passed to `par_map` or
+//!   `par_for_each_mut` must not capture `&mut` state, interior
+//!   mutability, or `static mut`.
 //!
 //! **Interprocedural lints** (over the workspace call graph):
 //!

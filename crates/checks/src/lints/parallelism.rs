@@ -1,13 +1,15 @@
 //! L4 parallel-determinism: closures handed to `par_map`/`par_map_auto`
-//! must be pure functions of their item.
+//! must be pure functions of their item, and closures handed to
+//! `par_for_each_mut` may mutate only the item they are given.
 //!
-//! `planaria_parallel::par_map` joins worker results in index order, so
-//! the *output vector* is deterministic — but only if workers share no
-//! mutable state. A closure that mutates captured state (directly via
-//! `&mut`, or through interior mutability) reintroduces scheduling order
-//! into the results, which is exactly what ROADMAP item 2's cluster
-//! fan-out cannot tolerate. This pass finds every `par_map` call site,
-//! isolates the closure argument, and flags:
+//! `planaria_parallel::par_map` joins worker results in index order, and
+//! `par_for_each_mut` hands each slice item to exactly one worker, so the
+//! outcome is deterministic — but only if workers share no mutable state.
+//! A closure that mutates captured state (directly via `&mut`, or through
+//! interior mutability) reintroduces scheduling order into the results,
+//! which is exactly what the cluster fabric's per-round fan-out cannot
+//! tolerate. This pass finds every call site of the three fan-out
+//! functions, isolates the closure argument, and flags:
 //!
 //! * `&mut x` where `x` is not closure-local (a shared-state capture);
 //! * interior-mutability types (`Cell`, `RefCell`, `Mutex`, `RwLock`,
@@ -25,6 +27,9 @@ use crate::source::SourceFile;
 use crate::symbols::{split_commas, ty_head, FileSymbols};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+
+/// The fan-out functions whose closure argument this pass checks.
+const SITES: [&str; 3] = ["par_map", "par_map_auto", "par_for_each_mut"];
 
 /// Interior-mutability type names that make a closure order-sensitive.
 const INTERIOR: [&str; 5] = ["Cell", "RefCell", "Mutex", "RwLock", "UnsafeCell"];
@@ -65,10 +70,11 @@ fn closure_locals(
     locals
 }
 
-/// Lints one closure body range.
+/// Lints one closure body range; `site` names the fan-out function.
 fn check_body(
     file: &SourceFile,
     tokens: &[Token],
+    site: &str,
     body: (usize, usize),
     locals: &BTreeSet<String>,
     outer: &BTreeMap<String, String>,
@@ -92,7 +98,7 @@ fn check_body(
                         tokens[i + 2].line,
                         v,
                         format!(
-                            "`par_map` closure takes `&mut {v}` to captured state; workers \
+                            "`{site}` closure takes `&mut {v}` to captured state; workers \
                              would share a mutable value, making results depend on \
                              scheduling order — move the state into the closure or reduce \
                              over the ordered result vector after the join"
@@ -108,9 +114,10 @@ fn check_body(
             diags.push(diag(
                 t.line,
                 "static_mut",
-                "`static mut` inside a `par_map` closure is shared mutable state \
-                 across workers; results become scheduling-dependent"
-                    .to_string(),
+                format!(
+                    "`static mut` inside a `{site}` closure is shared mutable state \
+                     across workers; results become scheduling-dependent"
+                ),
             ));
             i += 2;
             continue;
@@ -124,7 +131,7 @@ fn check_body(
                     t.line,
                     id,
                     format!(
-                        "`{id}` inside a `par_map` closure is interior mutability shared \
+                        "`{id}` inside a `{site}` closure is interior mutability shared \
                          across workers; the join is only bit-deterministic for pure \
                          closures — accumulate over the ordered results instead"
                     ),
@@ -137,7 +144,7 @@ fn check_body(
                             t.line,
                             id,
                             format!(
-                                "`par_map` closure captures `{id}: {ty}`; `{head}` is \
+                                "`{site}` closure captures `{id}: {ty}`; `{head}` is \
                                  interior mutability shared across workers — accumulate \
                                  over the ordered result vector after the join instead"
                             ),
@@ -156,7 +163,7 @@ fn check_body(
                         tokens[i + 1].line,
                         m,
                         format!(
-                            "`.{m}()` inside a `par_map` closure accumulates through shared \
+                            "`.{m}()` inside a `{site}` closure accumulates through shared \
                              state in worker-completion order; fold over the ordered result \
                              vector after the join instead"
                         ),
@@ -179,14 +186,16 @@ pub fn check(file: &SourceFile, tokens: &[Token], syms: &FileSymbols) -> Vec<Dia
     let mut i = 0;
     while i < tokens.len() {
         let t = &tokens[i];
-        let is_site = (t.is_ident("par_map") || t.is_ident("par_map_auto"))
-            && tokens.get(i + 1).is_some_and(|n| n.is_p("("))
-            && !t.in_test
-            && !(i > 0 && tokens[i - 1].is_ident("fn"));
-        if !is_site {
+        let site = t.ident().filter(|id| {
+            SITES.contains(id)
+                && tokens.get(i + 1).is_some_and(|n| n.is_p("("))
+                && !t.in_test
+                && !(i > 0 && tokens[i - 1].is_ident("fn"))
+        });
+        let Some(site) = site else {
             i += 1;
             continue;
-        }
+        };
         let close = matching_close(tokens, i + 1);
         // The closure is the last argument containing a top-level `|`.
         let mut closure = None;
@@ -223,7 +232,7 @@ pub fn check(file: &SourceFile, tokens: &[Token], syms: &FileSymbols) -> Vec<Dia
                 .iter()
                 .find(|f| f.body.is_some_and(|(lo, hi)| lo <= i && i <= hi))
                 .map_or(&EMPTY, |f| &f.locals);
-            check_body(file, tokens, body, &locals, outer, &mut diags);
+            check_body(file, tokens, site, body, &locals, outer, &mut diags);
         }
         i = close.max(i + 1);
     }
@@ -251,6 +260,17 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].ident, "total");
         assert_eq!(d[0].lint.code(), "L4");
+    }
+
+    #[test]
+    fn for_each_mut_capture_is_flagged_but_its_item_is_not() {
+        let d = run(
+            "fn f(lanes: &mut [Lane], total: &mut u64) {\n    par_for_each_mut(lanes, 4, |l| {\n        advance(&mut l.node, &mut total);\n    });\n}\n",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].ident, "total");
+        assert_eq!(d[0].lint.code(), "L4");
+        assert!(d[0].message.contains("`par_for_each_mut` closure"), "{d:?}");
     }
 
     #[test]

@@ -37,7 +37,7 @@ Runs the workspace's domain-invariant lints:
   L2-HOT            per-event allocation idioms in the per-event path
   L2-FLOW           float-seconds taint reaching the event loop via helpers (call graph)
   L3 hygiene        unjustified unwrap()/expect()/#[allow(...)]
-  L4 parallelism    par_map closures capturing shared mutable state
+  L4 parallelism    par_map/par_for_each_mut closures capturing shared mutable state
 
 Options:
   --jobs N          per-file fan-out width (default: PLANARIA_JOBS or cores);

@@ -4,8 +4,9 @@
 //! list of nodes plus a [`ClusterDispatcher`]. Requests stream through
 //! the dispatcher into the multi-node fabric
 //! ([`planaria_sim::run_fabric_with`]): one kernel plus one policy per
-//! node, advanced in epoch-synchronized rounds that fan out across cores
-//! while the result stays byte-identical at any worker count.
+//! node, advanced in place in epoch-synchronized rounds that fan out
+//! across cores only for full batches and the final drain, while the
+//! result stays byte-identical at any worker count.
 //!
 //! A node is any [`FleetNode`]: [`PlanariaEngine`]s make uniform
 //! clusters (Fig. 16) and mixed-geometry fleets (coarse- and

@@ -4,18 +4,19 @@
 //! One streamed arrival source feeds a serial [`Dispatcher`]; each node
 //! owns an independent [`NodeKernel`] plus its own policy, and every
 //! round the fabric (1) routes a window of arrivals into per-node
-//! inboxes, (2) fans the nodes out via `par_map` to advance each one up
-//! to a shared bound, and (3) refreshes the [`NodeLoad`] snapshot the
-//! dispatcher reads next round.
+//! inboxes, (2) advances each node in place up to a shared bound — on
+//! worker threads only when the round routed a full batch or drains the
+//! fleet, inline otherwise — and (3) refreshes the [`NodeLoad`] snapshot
+//! the dispatcher reads next round.
 //!
 //! # Determinism
 //!
 //! Nodes interact only through dispatched arrivals, and the dispatcher
 //! runs serially between rounds, so the per-node event sequences are
 //! fixed before any node advances — a conservative ("lookahead")
-//! parallelization. `par_map` moves each node to a worker and joins
-//! results in index order; no shared mutable state exists during a
-//! round, so the result is byte-identical at any worker count.
+//! parallelization. `par_for_each_mut` hands each node to one worker; no
+//! shared mutable state exists during a round, so the result is
+//! byte-identical at any worker count.
 //!
 //! # Lookahead soundness
 //!
@@ -33,7 +34,7 @@ use crate::clock::SimClock;
 use crate::kernel::{EnginePolicy, NodeKernel, NodeSummary};
 use planaria_arch::AcceleratorConfig;
 use planaria_model::units::{Cycles, Picojoules};
-use planaria_parallel::{effective_jobs, par_map};
+use planaria_parallel::{effective_jobs, par_for_each_mut};
 use planaria_telemetry::{Collector, Counter, Event, Metric};
 use planaria_workload::{CompletionSink, DiscardSink, Request, SimResult, VecSink};
 use std::borrow::Borrow;
@@ -132,8 +133,8 @@ struct Lane<P, N, S: CompletionSink> {
 /// Runs a multi-node cluster keeping every completion: `policies[i]`
 /// owns node `i` (configured by `cfgs[i]`), `dispatcher` routes the
 /// requests (a slice or a stream alike) online, and nodes advance in
-/// epoch-synchronized rounds fanned out via `par_map`, all on one clock
-/// anchored at the first arrival.
+/// epoch-synchronized rounds (fanned out only for full batches and the
+/// final drain), all on one clock anchored at the first arrival.
 ///
 /// `fabric_c` records dispatch decisions, round barriers and load
 /// gauges; `node_sinks[i]` receives node `i`'s kernel events exactly as
@@ -332,6 +333,7 @@ where
         .collect();
     let mut last_arrival = f64::NEG_INFINITY;
     let mut rounds: u64 = 0;
+    let jobs = effective_jobs();
 
     while let Some(r0) = pending {
         // Open a routing window at the next undelivered arrival.
@@ -387,14 +389,11 @@ where
             let next_at = clock.cycles_from_seconds(next.arrival);
             w_end.map_or(next_at, |e| e.min(next_at))
         });
-        lanes = par_map(lanes, effective_jobs(), move |mut lane| {
-            lane.node.advance(
-                bound,
-                &mut || lane.inbox.pop_front(),
-                &mut lane.policy,
-                &mut lane.sink,
-            );
-            lane
+        // A windowed round is too little work to pay for a thread hand-off.
+        let fan_out = batched == tuning.max_batch || bound.is_none();
+        par_for_each_mut(&mut lanes, if fan_out { jobs } else { 1 }, |l| {
+            let mut next = || l.inbox.pop_front();
+            l.node.advance(bound, &mut next, &mut l.policy, &mut l.sink);
         });
         rounds += 1;
         for (load, lane) in loads.iter_mut().zip(&lanes) {
