@@ -4,8 +4,9 @@
 //! The million-request scale path made the steady-state scheduling event
 //! allocation-free: the kernel and both engine policies own reusable
 //! scratch buffers (columnar views, keep masks, placement slots, the
-//! persistent chip map, the id-keyed floor memo) that are `clear()`ed
-//! per event, never reallocated. This lint keeps it that way by banning
+//! persistent chip map) that are `clear()`ed per event, never
+//! reallocated, and the estimate memo is a plain field of each tenant
+//! record. This lint keeps it that way by banning
 //! the materializing idioms inside the event-loop files:
 //!
 //! * `collect` / `to_vec` / `with_capacity` — per-event `Vec`
@@ -18,8 +19,9 @@
 //!   a deep copy per event; borrow or reuse scratch instead.
 //!
 //! Scope: the kernel event loop, the multi-node fabric round loop, both
-//! engine policies, the scheduler memo (`crates/core/src/sched_state.rs`),
-//! the streaming quantile sketch (`crates/telemetry/src/sketch.rs`,
+//! engine policies, the estimate memo's seed classification
+//! (`crates/core/src/sched_state.rs`, run per tenant per event), the
+//! streaming quantile sketch (`crates/telemetry/src/sketch.rs`,
 //! which records inside the kernel's retire path), and the kernel's own
 //! containers — the binary-heap event queue
 //! (`crates/sim/src/queue.rs`), the slab tenant index
@@ -236,6 +238,7 @@ mod tests {
 
     #[test]
     fn to_vec_and_with_capacity_are_flagged() {
+        // The memo's seed classification runs once per tenant per event.
         let d = run(
             "crates/core/src/sched_state.rs",
             "fn f() { let a = estimates.to_vec();\nlet b = Vec::with_capacity(n); }\n",

@@ -10,12 +10,12 @@
 //! incurs. No float-seconds arithmetic happens here; seconds exist only
 //! at the [`SimResult`] boundary inside the kernel.
 
-use crate::sched_state::{SchedState, Seed};
+use crate::sched_state::{seed, Seed};
 use crate::scheduler::{allocate_spatially_into, min_slack_cycles, AllocScratch, SchedTask};
 use planaria_arch::{AcceleratorConfig, Allocation, Arrangement, Chip};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
 use planaria_model::units::Cycles;
-use planaria_sim::{run_streamed_sink, subarray_mask, EnginePolicy, SimState};
+use planaria_sim::{run_streamed_sink, subarray_mask, EnginePolicy, FloorEntry, SimState};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext, CONFIG_LOAD_CYCLES};
 use planaria_workload::{Request, SimResult, VecSink};
@@ -73,7 +73,8 @@ impl PlanariaEngine {
 
     /// Toggles incremental Algorithm 1 (default **on**). With `false`, every
     /// scheduling event rescans `ESTIMATERESOURCES` from 1 for every tenant
-    /// — the paper's scan verbatim, and the scheduler's one oracle: the
+    /// and never reads or writes the estimate memo — the paper's scan
+    /// verbatim, and the scheduler's one oracle: the
     /// `incremental_equivalence` property test and the `scale` bench race
     /// against it. Both settings produce bit-identical results; the knob
     /// only trades scheduler work.
@@ -138,11 +139,7 @@ impl PlanariaEngine {
             // Derived once per policy, not per event: the urgency clamp
             // is 1 µs of this chip's clock.
             min_slack: min_slack_cycles(self.cfg().freq_hz),
-            state: if self.incremental {
-                SchedState::new()
-            } else {
-                SchedState::full_rescan()
-            },
+            incremental: self.incremental,
             chip: Chip::new(*self.cfg()),
             s: Scratch::default(),
         }
@@ -153,35 +150,44 @@ impl PlanariaEngine {
 /// plus ring placement and reconfiguration accounting.
 ///
 /// Everything the per-event path needs lives here and is reused across
-/// events: the id-keyed floor memo ([`SchedState`]), the physical chip
-/// map, and the columnar scratch buffers — so a steady-state scheduling
-/// event performs no heap allocation beyond the `Allocation` segments of
-/// tenants whose placement actually changed.
+/// events: the physical chip map and the columnar scratch buffers — so a
+/// steady-state scheduling event performs no heap allocation beyond the
+/// `Allocation` segments of tenants whose placement actually changed.
+/// Each tenant's estimate memo lives on its own record
+/// (`TenantState::memo`).
+///
+/// An event costs one estimate per live tenant, and placement and apply
+/// work only for the tenants that hold subarrays or are granted some:
+/// the rest of a deep backlog stays queued untouched.
 pub struct SpatialPolicy<'a> {
     library: &'a CompiledLibrary,
     mode: SchedulingMode,
     /// Unfit-path urgency clamp: 1 µs of this chip's clock, in cycles.
     min_slack: i64,
-    /// Persistent per-tenant estimate memo, keyed by request id — immune
-    /// to the kernel's `swap_remove` retirement reordering. The
-    /// full-rescan oracle holds a [`SchedState::full_rescan`] memo that
-    /// never remembers, so every tenant scans from 1.
-    state: SchedState,
+    /// Seed each estimate scan from the tenant's memo ([`seed`]). Off,
+    /// this is the full-rescan oracle: every tenant scans from 1 and no
+    /// memo is read or written.
+    incremental: bool,
     /// Persistent chip map, `reset()` per event instead of reallocated.
     chip: Chip,
     /// Reusable per-event working memory.
     s: Scratch,
 }
 
-/// Columnar scratch reused across scheduling events. Buffers grow to the
-/// live-tenant high-water mark once and are only `clear()`ed afterwards.
+/// Columnar scratch reused across scheduling events. Buffers grow to their
+/// high-water mark once and are only `clear()`ed afterwards.
 #[derive(Debug, Default)]
 struct Scratch {
     priorities: Vec<u32>,
     slacks: Vec<i64>,
     estimates: Vec<u32>,
     fit: Vec<Cycles>,
+    /// This event's grant per live tenant.
     alloc: Vec<u32>,
+    /// `(tenant index, grant)` of every tenant that holds subarrays or is
+    /// granted some, in ascending index order. `keep`, `migrated`,
+    /// `placements` and `order` are indexed by position in this list.
+    movers: Vec<(usize, u32)>,
     keep: Vec<bool>,
     migrated: Vec<bool>,
     placements: Vec<Option<Allocation>>,
@@ -209,48 +215,58 @@ impl EnginePolicy for SpatialPolicy<'_> {
         let now = sim.now;
         let cfg = *sim.config();
         let s = &mut self.s;
-        let state = &mut self.state;
         let chip = &mut self.chip;
         s.alloc.clear();
         match self.mode {
             SchedulingMode::Spatial => {
                 // Estimate phase: columnar views plus `ESTIMATERESOURCES`,
-                // seeded from the id-keyed memo. Clean entries inside the
-                // slack band answer with zero table lookups; clean-but-
-                // tight entries scan from their proven floor; dirty ones
-                // (progress, table switch, new tenant) scan from 1 — as
-                // does every tenant under the full-rescan memo.
+                // seeded from the tenant's memo. Clean memos inside the
+                // slack band, or saturated at the whole chip, answer with
+                // zero table lookups; other clean memos scan from their
+                // proven floor; the rest scan from 1, or from the whole
+                // chip past the deadline. The oracle scans every tenant
+                // from 1 and leaves the memo alone.
                 s.priorities.clear();
                 s.slacks.clear();
                 s.estimates.clear();
                 s.fit.clear();
-                for t in &sim.tenants {
+                for t in &mut sim.tenants {
                     let slack = slack_cycles(t.deadline_cycle, now);
-                    let (est, fit) =
-                        match state.seed(t.request.id, t.work_done, t.work_total, slack) {
-                            // Exact hits skip the view and the refresh: the
-                            // queued-majority fastpath never pays the
-                            // `fraction_done` division, and the stored entry is
-                            // bit-identical to what `record` would rewrite.
-                            Seed::Exact(floor, fit) => (floor, fit),
-                            Seed::Floor(floor) => {
-                                let view = SchedTask {
-                                    priority: t.request.priority,
-                                    slack,
-                                    done: t.fraction_done(),
-                                    compiled: &t.compiled,
-                                };
-                                let (est, fit) = view.estimate_resources_with_fit(floor, total);
-                                state.record(t.request.id, est, t.work_done, t.work_total, fit);
-                                (est, fit)
+                    let seeded = if self.incremental {
+                        seed(t.memo.as_ref(), t.work_done, t.work_total, slack, total)
+                    } else {
+                        Seed::Floor(1)
+                    };
+                    let (est, fit) = match seeded {
+                        // Exact hits skip the view and the refresh: the
+                        // queued-majority fastpath never pays the
+                        // `fraction_done` division, and the memo already
+                        // holds what a refresh would write.
+                        Seed::Exact(floor, fit) => (floor, fit),
+                        Seed::Floor(floor) => {
+                            let view = SchedTask {
+                                priority: t.request.priority,
+                                slack,
+                                done: t.fraction_done(),
+                                compiled: &t.compiled,
+                            };
+                            let (est, fit) = view.estimate_resources_with_fit(floor, total);
+                            if self.incremental {
+                                t.memo = Some(FloorEntry {
+                                    floor: est,
+                                    done: t.work_done,
+                                    total: t.work_total,
+                                    fit,
+                                });
                             }
-                        };
+                            (est, fit)
+                        }
+                    };
                     s.priorities.push(t.request.priority);
                     s.slacks.push(slack);
                     s.estimates.push(est);
                     s.fit.push(fit);
                 }
-                state.prune(sim.tenants.len(), |id| sim.index_of(id).is_some());
                 allocate_spatially_into(
                     &s.priorities,
                     &s.slacks,
@@ -277,6 +293,23 @@ impl EnginePolicy for SpatialPolicy<'_> {
         }
         let tenants = &mut sim.tenants;
 
+        // Only tenants that hold subarrays or are granted some can change.
+        // Every other tenant was queued and stays queued: it gets no
+        // claim, no placement, no table switch and no telemetry event, and
+        // its mask is already 0. Ascending index order keeps `Chip::place`
+        // and the recorded events in the sequence a walk over every tenant
+        // produces.
+        s.movers.clear();
+        s.movers.extend(
+            tenants
+                .iter()
+                .zip(&s.alloc)
+                .enumerate()
+                .filter(|(_, (t, &a))| t.alloc > 0 || a > 0)
+                .map(|(i, (_, &a))| (i, a)),
+        );
+        let movers = s.movers.len();
+
         // Physical placement on the ring. Tenants keeping their allocation
         // keep their segment; changed tenants are re-placed into the free
         // gaps. If fragmentation blocks a contiguous fit, the chip is
@@ -285,8 +318,9 @@ impl EnginePolicy for SpatialPolicy<'_> {
         // must be re-streamed into different physical subarrays).
         chip.reset();
         s.keep.clear();
-        s.keep.resize(tenants.len(), false);
-        for (i, (t, &a)) in tenants.iter().zip(&s.alloc).enumerate() {
+        s.keep.resize(movers, false);
+        for (k, &(i, a)) in s.movers.iter().enumerate() {
+            let t = &tenants[i];
             let kept_count = a == t.alloc || (t.alloc > 0 && a == t.alloc + 1);
             if kept_count && t.alloc > 0 {
                 if let Some(p) = &t.placement {
@@ -297,7 +331,7 @@ impl EnginePolicy for SpatialPolicy<'_> {
                         // Re-claim the exact segment.
                         let claimed = chip.claim(t.request.id, p);
                         debug_assert!(claimed);
-                        s.keep[i] = true;
+                        s.keep[k] = true;
                     }
                 }
             }
@@ -305,19 +339,18 @@ impl EnginePolicy for SpatialPolicy<'_> {
         // Kept tenants keep their `Allocation` in place (no clone); only
         // re-placed tenants get a fresh segment here.
         s.placements.clear();
-        s.placements.resize(tenants.len(), None);
+        s.placements.resize(movers, None);
         s.order.clear();
-        // Zero-allocation tenants (the queued backlog — the majority on a
-        // saturated node) never place; dropping them before the sort
-        // leaves the relative order of the placed set untouched (stable
-        // sort) while shrinking it from O(live) to O(chip).
+        // Ungranted movers never place; dropping them before the stable
+        // sort leaves the relative order of the placed set untouched.
         s.order
-            .extend((0..tenants.len()).filter(|&i| !s.keep[i] && s.alloc[i] != 0));
-        s.order.sort_by_key(|&i| std::cmp::Reverse(s.alloc[i]));
+            .extend((0..movers).filter(|&k| !s.keep[k] && s.movers[k].1 != 0));
+        s.order.sort_by_key(|&k| std::cmp::Reverse(s.movers[k].1));
         let mut defrag_needed = false;
-        for &i in &s.order {
-            match chip.place(tenants[i].request.id, s.alloc[i]) {
-                Some(p) => s.placements[i] = Some(p),
+        for &k in &s.order {
+            let (i, a) = s.movers[k];
+            match chip.place(tenants[i].request.id, a) {
+                Some(p) => s.placements[k] = Some(p),
                 None => {
                     defrag_needed = true;
                     break;
@@ -325,60 +358,62 @@ impl EnginePolicy for SpatialPolicy<'_> {
             }
         }
         s.migrated.clear();
-        s.migrated.resize(tenants.len(), false);
+        s.migrated.resize(movers, false);
         if defrag_needed {
             // Global defragmentation: lay everyone out afresh, largest
             // first (a multiset summing to <= total always packs a ring).
             chip.reset();
             s.order.clear();
-            s.order.extend(0..tenants.len());
-            s.order.sort_by_key(|&i| std::cmp::Reverse(s.alloc[i]));
+            s.order.extend(0..movers);
+            s.order.sort_by_key(|&k| std::cmp::Reverse(s.movers[k].1));
             s.placements.fill(None);
-            for &i in &s.order {
-                if s.alloc[i] == 0 {
+            for &k in &s.order {
+                let (i, a) = s.movers[k];
+                if a == 0 {
                     continue;
                 }
                 let p = chip
-                    .place(tenants[i].request.id, s.alloc[i])
+                    .place(tenants[i].request.id, a)
                     // lint: every tenant was released above and Σalloc ≤ chip
                     // capacity, so a contiguous placement always exists
                     .expect("defragmented ring always packs");
-                if s.keep[i] {
+                if s.keep[k] {
                     if tenants[i]
                         .placement
                         .as_ref()
                         .is_some_and(|old| old.subarrays() != p.subarrays())
                     {
-                        s.migrated[i] = true;
-                        s.keep[i] = false;
-                        s.placements[i] = Some(p);
+                        s.migrated[k] = true;
+                        s.keep[k] = false;
+                        s.placements[k] = Some(p);
                     }
                     // Unmoved kept tenant: the fresh segment equals the old
                     // one; keep the existing `Allocation` in place.
                 } else {
-                    s.placements[i] = Some(p);
+                    s.placements[k] = Some(p);
                 }
             }
         }
 
         let telemetry_on = c.is_enabled();
-        for (i, (t, &a)) in tenants.iter_mut().zip(&s.alloc).enumerate() {
+        for (k, &(i, a)) in s.movers.iter().enumerate() {
+            let t = &mut tenants[i];
             let old_mask = t.mask;
-            if !s.keep[i] {
-                t.placement = s.placements[i].take();
+            if !s.keep[k] {
+                t.placement = s.placements[k].take();
             }
             if telemetry_on {
                 // The mask is telemetry-only; skip the bit scan entirely
                 // on the NullCollector hot path (it is never read there).
                 t.mask = subarray_mask(t.placement.as_ref());
             }
-            if a == t.alloc && !s.migrated[i] {
+            if a == t.alloc && !s.migrated[k] {
                 continue;
             }
             // Hysteresis: growing a running tenant by a single subarray is
             // not worth a drain + checkpoint + refill cycle; keep the old
             // allocation (this only releases capacity, never over-commits).
-            if t.alloc > 0 && a == t.alloc + 1 && !s.migrated[i] {
+            if t.alloc > 0 && a == t.alloc + 1 && !s.migrated[k] {
                 continue;
             }
             if telemetry_on {

@@ -1,294 +1,251 @@
-//! Persistent per-tenant scheduler state: the id-keyed dirty-set floor
-//! memoization behind incremental Algorithm 1.
+//! Seeding incremental Algorithm 1 from a tenant's estimate memo.
 //!
 //! Every scheduling event re-runs `ESTIMATERESOURCES` over all live
 //! tenants. The scan is monotone — with a tenant's work counters frozen
 //! (`done`/`total` unchanged) and slack only shrinking, the minimal
 //! fitting subarray count can only grow — so the previous event's result
 //! is a *proven floor* for the next (see
-//! [`SchedTask::estimate_resources_from`]). The engine used to memoize
-//! those floors positionally, aligned with `sim.tenants`; any
-//! `swap_remove` retirement reordered the list and silently degraded the
-//! moved tenants back to floor 1 (correct, but a full O(total) rescan per
-//! victim per event). This module keys the memo by **request id** instead,
-//! so floors survive arbitrary reordering, and extends each entry with the
-//! predicted cycles *at* the floor (`fit`), enabling a band fastpath:
+//! [`SchedTask::estimate_resources_from`]). The Planaria policy keeps
+//! that result, with the predicted cycles *at* the floor (`fit`), on the
+//! tenant record itself (`TenantState::memo`, a [`FloorEntry`]), so the
+//! memo moves with the tenant through `swap_remove` retirement and costs
+//! no lookup. [`seed`] classifies it:
 //!
-//! * entry clean (`done`/`total` unchanged) and `fit <= slack` — the
+//! * memo clean (`done`/`total` unchanged) and `fit <= slack` — the
 //!   memoized `(floor, fit)` **is** the answer: floor still fits, and
 //!   minimality is inherited from the wider earlier slack. Zero table
 //!   lookups.
-//! * entry clean but `fit > slack` — scan upward from `floor` (the sound
-//!   lower bound).
-//! * entry dirty (the tenant progressed, switched tables, or is new) —
-//!   scan from 1, exactly like a fresh rescan.
+//! * memo clean and `floor` is the whole chip — also the answer, at any
+//!   slack: a scan from the whole chip has one iteration, which returns
+//!   `(total, predict(total))` whether or not the count fits, and clean
+//!   counters mean `predict(total)` is still `fit`.
+//! * memo clean otherwise — scan upward from `floor` (the sound lower
+//!   bound).
+//! * no clean memo (the tenant progressed, switched tables, or is new)
+//!   and a negative slack — scan from the whole chip: no cycle count
+//!   fits a negative slack ([`fits_slack`]), so a scan from 1 fails at
+//!   every count and returns the same `(total, predict(total))`.
+//! * no clean memo otherwise — scan from 1, exactly like a fresh rescan.
 //!
-//! All three cases return the same estimate a full rescan would (the
-//! soundness argument is in DESIGN.md §5f and pinned by the
-//! `incremental_equivalence` property test), so the incremental scheduler
-//! is result-exact, not approximate.
-//!
-//! [`SchedState::full_rescan`] is the scheduler's oracle: a memo that
-//! never records, so every `seed` misses and every tenant scans from 1 —
-//! the paper's `ESTIMATERESOURCES` verbatim, selected by
-//! `PlanariaEngine::with_incremental(false)`.
-//!
-//! # Storage
-//!
-//! Request ids are assigned monotonically, so the id-keyed map is stored
-//! as a dense ring window `[base, base + window.len())` of `Option`
-//! slots: `seed` and `record` are O(1) array probes — critical, because
-//! they run once per tenant per scheduling event, and a tree lookup
-//! there costs as much as the short table scan it memoizes away.
-//! Resident size is O(live id span): `prune` retires dead entries and
-//! advances `base` to the oldest live id once the dead outnumber the
-//! live by a fixed slack, so single retirements cost nothing and the
-//! sweep is amortized. Lookups below `base` (long-retired ids) simply
-//! miss, which is always sound — a miss means a fresh scan from 1.
+//! Every case returns the pair a scan from 1 returns (DESIGN.md §5f;
+//! pinned by the `incremental_equivalence` property test), so the
+//! incremental scheduler is result-exact, not approximate. The
+//! full-rescan oracle (`PlanariaEngine::with_incremental(false)`) never
+//! calls [`seed`] and never writes the memo: every tenant scans from 1,
+//! the paper's `ESTIMATERESOURCES` verbatim.
 //!
 //! [`SchedTask::estimate_resources_from`]: crate::scheduler::SchedTask::estimate_resources_from
 
+use crate::scheduler::fits_slack;
 use planaria_model::units::Cycles;
-use std::collections::VecDeque;
-
-/// One memoized `ESTIMATERESOURCES` result for one request id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FloorEntry {
-    /// The estimate returned at the last event the entry was refreshed.
-    pub floor: u32,
-    /// `work_done` observed then (clean only while unchanged).
-    pub done: Cycles,
-    /// `work_total` observed then (clean only while unchanged).
-    pub total: Cycles,
-    /// `predict_cycles(floor)` then — reusable verbatim while clean.
-    pub fit: Cycles,
-}
+pub use planaria_sim::FloorEntry;
 
 /// How to seed a tenant's `ESTIMATERESOURCES` scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Seed {
-    /// Band fastpath: the memoized estimate is exact as-is; no scan, no
-    /// table lookups. Carries `(floor, fit)`.
+    /// The memoized estimate is exact as-is; no scan, no table lookups.
+    /// Carries `(floor, fit)`.
     Exact(u32, Cycles),
-    /// Scan upward from this proven floor (1 when no clean memo exists).
+    /// Scan upward from this proven floor.
     Floor(u32),
 }
 
-/// Entries are pruned once they outnumber live tenants by this much; the
-/// slack amortizes the O(entries) sweep over many retirements.
-const PRUNE_SLACK: usize = 64;
-
-/// The persistent id-keyed floor memo (one per [`SpatialPolicy`] run).
-///
-/// Stored as a dense ring window over the monotone id space (see the
-/// module docs): slot `i` of `window` holds the entry for request id
-/// `base + i`.
-///
-/// [`SpatialPolicy`]: crate::engine::PlanariaEngine
-#[derive(Debug, Clone, Default)]
-pub struct SchedState {
-    /// Request id of `window[0]`.
-    base: u64,
-    /// One slot per id in `[base, base + window.len())`; `None` = absent.
-    window: VecDeque<Option<FloorEntry>>,
-    /// Number of `Some` slots (live + not-yet-pruned retired entries).
-    occupied: usize,
-    /// Full-rescan mode: `record` is a no-op, so the window stays empty.
-    rescan: bool,
-}
-
-impl SchedState {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The full-rescan oracle: a memo that never records. Every `seed`
-    /// answers `Floor(1)` and `prune` has nothing to sweep.
-    pub fn full_rescan() -> Self {
-        Self {
-            rescan: true,
-            ..Self::default()
-        }
-    }
-
-    /// Number of memoized entries (live + not-yet-pruned retired).
-    pub fn len(&self) -> usize {
-        self.occupied
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.occupied == 0
-    }
-
-    /// The memoized entry for a request id, if any (test/diagnostic hook).
-    pub fn entry(&self, id: u64) -> Option<&FloorEntry> {
-        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
-        self.window.get(idx)?.as_ref()
-    }
-
-    /// Classifies tenant `id` against its memo: [`Seed::Exact`] when the
-    /// entry is clean and its fit still meets `slack`, [`Seed::Floor`]
-    /// with the proven floor when clean but tight, and `Floor(1)` when
-    /// dirty or absent. One O(1) window probe.
-    pub fn seed(&self, id: u64, done: Cycles, total: Cycles, slack: i64) -> Seed {
-        match self.entry(id) {
-            Some(e) if e.done == done && e.total == total => {
-                if e.fit.get() as i64 <= slack {
-                    Seed::Exact(e.floor, e.fit)
-                } else {
-                    Seed::Floor(e.floor)
-                }
-            }
-            _ => Seed::Floor(1),
-        }
-    }
-
-    /// Refreshes the memo for `id` after this event's estimate. Existing
-    /// slots are overwritten in place; a new id extends the window by its
-    /// distance past the current end (amortized O(1) under monotone id
-    /// admission). Ids older than the window base are long retired and
-    /// dropped on the floor — a later `seed` for them misses, which is
-    /// sound (miss = fresh scan from 1).
-    pub fn record(&mut self, id: u64, floor: u32, done: Cycles, total: Cycles, fit: Cycles) {
-        if self.rescan {
-            return;
-        }
-        let Some(off) = id.checked_sub(self.base) else {
-            return;
-        };
-        let Ok(idx) = usize::try_from(off) else {
-            return;
-        };
-        while self.window.len() <= idx {
-            self.window.push_back(None);
-        }
-        let slot = &mut self.window[idx];
-        if slot.is_none() {
-            self.occupied += 1;
-        }
-        *slot = Some(FloorEntry {
-            floor,
-            done,
-            total,
-            fit,
-        });
-    }
-
-    /// Drops entries for retired requests once they outnumber the live set
-    /// by [`PRUNE_SLACK`] — amortized cleanup so single retirements cost
-    /// nothing. Dead interior slots become holes; the window then shrinks
-    /// from both ends, advancing `base` to the oldest live id. `is_live`
-    /// answers whether a request id is still resident.
-    pub fn prune<F: Fn(u64) -> bool>(&mut self, live: usize, is_live: F) {
-        if self.occupied <= live + PRUNE_SLACK {
-            return;
-        }
-        for (i, slot) in self.window.iter_mut().enumerate() {
-            if slot.is_some() && !is_live(self.base + i as u64) {
-                *slot = None;
-                self.occupied -= 1;
+/// Classifies a tenant's memo (see the module docs) for a tenant with
+/// work counters `done`/`total` and signed `slack`, on a chip of
+/// `subarrays`.
+pub fn seed(
+    memo: Option<&FloorEntry>,
+    done: Cycles,
+    total: Cycles,
+    slack: i64,
+    subarrays: u32,
+) -> Seed {
+    match memo {
+        Some(m) if m.done == done && m.total == total => {
+            if m.floor == subarrays || fits_slack(m.fit, slack) {
+                Seed::Exact(m.floor, m.fit)
+            } else {
+                Seed::Floor(m.floor)
             }
         }
-        while matches!(self.window.front(), Some(None)) {
-            self.window.pop_front();
-            self.base += 1;
-        }
-        while matches!(self.window.back(), Some(None)) {
-            self.window.pop_back();
-        }
+        _ if slack < 0 => Seed::Floor(subarrays),
+        _ => Seed::Floor(1),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PlanariaEngine;
+    use crate::scheduler::SchedTask;
+    use planaria_arch::AcceleratorConfig;
+    use planaria_compiler::{compile, CompiledDnn};
+    use planaria_model::DnnId;
+    use planaria_sim::{run_streamed_sink, EnginePolicy, SimState};
+    use planaria_telemetry::{Collector, NullCollector};
+    use planaria_workload::{DiscardSink, QosLevel, Request, Scenario, TraceConfig};
+    use std::sync::Arc;
 
     fn cy(v: u64) -> Cycles {
         Cycles::new(v)
     }
 
+    fn memo(floor: u32, done: u64, total: u64, fit: u64) -> FloorEntry {
+        FloorEntry {
+            floor,
+            done: cy(done),
+            total: cy(total),
+            fit: cy(fit),
+        }
+    }
+
     #[test]
     fn seed_without_memo_scans_from_one() {
-        let s = SchedState::new();
-        assert_eq!(s.seed(7, cy(0), cy(100), 50), Seed::Floor(1));
+        assert_eq!(seed(None, cy(0), cy(100), 50, 16), Seed::Floor(1));
+    }
+
+    /// Counts the memos the wrapped policy leaves on live tenants.
+    struct MemoWatch<P> {
+        inner: P,
+        memos: usize,
+    }
+
+    impl<P: EnginePolicy> EnginePolicy for MemoWatch<P> {
+        fn compiled_for(&mut self, request: &Request) -> Arc<CompiledDnn> {
+            self.inner.compiled_for(request)
+        }
+
+        fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
+            self.inner.reschedule(sim, c);
+            self.memos += sim.tenants.iter().filter(|t| t.memo.is_some()).count();
+        }
     }
 
     #[test]
     fn full_rescan_memo_never_remembers() {
-        let mut s = SchedState::full_rescan();
-        s.record(7, 4, cy(10), cy(100), cy(40));
-        assert!(s.is_empty());
-        assert_eq!(s.seed(7, cy(10), cy(100), 1000), Seed::Floor(1));
+        let cfg = AcceleratorConfig::planaria();
+        let trace = TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 120, 3)
+            .with_burstiness(6.0)
+            .generate();
+        let memos = |incremental: bool| {
+            let engine = PlanariaEngine::new(cfg).with_incremental(incremental);
+            let mut watch = MemoWatch {
+                inner: engine.spatial_policy(),
+                memos: 0,
+            };
+            run_streamed_sink(
+                &cfg,
+                trace.iter().copied(),
+                &mut watch,
+                &mut NullCollector,
+                DiscardSink,
+            );
+            watch.memos
+        };
+        assert_eq!(memos(false), 0, "the oracle wrote a memo");
+        assert!(memos(true) > 0, "the incremental policy memoized nothing");
     }
 
     #[test]
     fn clean_entry_with_fitting_slack_is_exact() {
-        let mut s = SchedState::new();
-        s.record(7, 4, cy(10), cy(100), cy(40));
-        assert_eq!(s.seed(7, cy(10), cy(100), 40), Seed::Exact(4, cy(40)));
-        assert_eq!(s.seed(7, cy(10), cy(100), 1000), Seed::Exact(4, cy(40)));
+        let m = memo(4, 10, 100, 40);
+        assert_eq!(
+            seed(Some(&m), cy(10), cy(100), 40, 16),
+            Seed::Exact(4, cy(40))
+        );
+        assert_eq!(
+            seed(Some(&m), cy(10), cy(100), 1000, 16),
+            Seed::Exact(4, cy(40))
+        );
     }
 
     #[test]
     fn clean_entry_with_tight_slack_degrades_to_floor() {
-        let mut s = SchedState::new();
-        s.record(7, 4, cy(10), cy(100), cy(40));
-        assert_eq!(s.seed(7, cy(10), cy(100), 39), Seed::Floor(4));
+        let m = memo(4, 10, 100, 40);
+        assert_eq!(seed(Some(&m), cy(10), cy(100), 39, 16), Seed::Floor(4));
     }
 
     #[test]
     fn dirty_work_counters_invalidate() {
-        let mut s = SchedState::new();
-        s.record(7, 4, cy(10), cy(100), cy(40));
+        let m = memo(4, 10, 100, 40);
         // Progress dirties the entry ...
-        assert_eq!(s.seed(7, cy(20), cy(100), 1000), Seed::Floor(1));
+        assert_eq!(seed(Some(&m), cy(20), cy(100), 1000, 16), Seed::Floor(1));
         // ... and so does a table switch (total changed).
-        assert_eq!(s.seed(7, cy(10), cy(90), 1000), Seed::Floor(1));
+        assert_eq!(seed(Some(&m), cy(10), cy(90), 1000, 16), Seed::Floor(1));
     }
 
     #[test]
-    fn floors_survive_swap_remove_reorder() {
-        // Regression for the position-based `HintEntry` hazard: retiring a
-        // tenant `swap_remove`s the live list, moving the last tenant into
-        // the vacated slot. The positional memo then mismatched ids and
-        // silently reset the moved tenant's floor to 1. Id-keyed entries
-        // are order-independent: after tenant 0 retires, tenants 1 and 2
-        // keep their exact floors no matter where they now sit.
-        let mut s = SchedState::new();
-        s.record(0, 2, cy(5), cy(50), cy(30));
-        s.record(1, 6, cy(0), cy(80), cy(70));
-        s.record(2, 3, cy(9), cy(40), cy(20));
-        // Tenant 0 completes; 2 is swapped into its position. Lookups are
-        // by id, so position never enters the contract.
-        assert_eq!(s.seed(2, cy(9), cy(40), 25), Seed::Exact(3, cy(20)));
-        assert_eq!(s.seed(1, cy(0), cy(80), 70), Seed::Exact(6, cy(70)));
-        // The retired id is eventually pruned; survivors stay.
-        for id in 100..200 {
-            s.record(id, 1, cy(0), cy(1), cy(1));
+    fn whole_chip_memo_is_exact_at_any_slack() {
+        let m = memo(16, 10, 100, 400);
+        for slack in [i64::MIN, -1, 0, 399, 400, i64::MAX] {
+            assert_eq!(
+                seed(Some(&m), cy(10), cy(100), slack, 16),
+                Seed::Exact(16, cy(400)),
+                "slack {slack}"
+            );
         }
-        let live = [1u64, 2];
-        s.prune(2, |id| live.contains(&id));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.seed(1, cy(0), cy(80), 70), Seed::Exact(6, cy(70)));
-        assert_eq!(s.seed(0, cy(5), cy(50), 1000), Seed::Floor(1));
     }
 
     #[test]
-    fn prune_is_amortized() {
-        let mut s = SchedState::new();
-        for id in 0..10 {
-            s.record(id, 1, cy(0), cy(1), cy(1));
+    fn negative_slack_without_clean_memo_scans_from_the_whole_chip() {
+        assert_eq!(seed(None, cy(0), cy(100), -1, 16), Seed::Floor(16));
+        let dirty = memo(2, 10, 100, 40);
+        assert_eq!(seed(Some(&dirty), cy(11), cy(100), -1, 64), Seed::Floor(64));
+        // Zero slack is not negative: a zero-cycle prediction fits it.
+        assert_eq!(seed(None, cy(0), cy(100), 0, 16), Seed::Floor(1));
+    }
+
+    /// A task of `net` at `done` with `slack` on a compiled chip.
+    fn task(c: &CompiledDnn, done: f64, slack: i64) -> SchedTask<'_> {
+        SchedTask {
+            priority: 5,
+            slack,
+            done,
+            compiled: c,
         }
-        // Below the slack: nothing dropped even with zero live tenants.
-        s.prune(0, |_| false);
-        assert_eq!(s.len(), 10);
-        // Past the slack: retired entries go.
-        for id in 10..80 {
-            s.record(id, 1, cy(0), cy(1), cy(1));
+    }
+
+    #[test]
+    fn both_seed_rules_equal_a_scan_from_one_on_compiled_tables() {
+        let cfg = AcceleratorConfig::planaria();
+        let chip = cfg.num_subarrays();
+        for net in [DnnId::ResNet50, DnnId::TinyYolo, DnnId::SsdResNet34] {
+            let c = compile(&cfg, &net.build());
+            let full = c.table(chip).total_cycles().get() as i64;
+            for done in [0.0, 0.4] {
+                // Negative slack, no memo: the seed scans from the whole
+                // chip and lands on the scan-from-1 pair.
+                for slack in [-1, -full, i64::MIN] {
+                    let t = task(&c, done, slack);
+                    let Seed::Floor(floor) = seed(None, cy(0), cy(1), slack, chip) else {
+                        panic!("no memo is never exact");
+                    };
+                    assert_eq!(
+                        t.estimate_resources_with_fit(floor, chip),
+                        t.estimate_resources_with_fit(1, chip),
+                        "{net:?} done {done} slack {slack}"
+                    );
+                }
+                // A memo saturated at the whole chip, recorded at a slack
+                // nothing fits, answers every later (smaller) slack.
+                let recorded = full / 2;
+                let (floor, fit) = task(&c, done, recorded).estimate_resources_with_fit(1, chip);
+                assert_eq!(floor, chip, "{net:?}: half the full-chip time cannot fit");
+                let m = FloorEntry {
+                    floor,
+                    done: cy(7),
+                    total: cy(9),
+                    fit,
+                };
+                for slack in [recorded, recorded / 2, 0, -1, -full] {
+                    assert_eq!(
+                        seed(Some(&m), cy(7), cy(9), slack, chip),
+                        Seed::Exact(chip, fit)
+                    );
+                    let (est, at) = task(&c, done, slack).estimate_resources_with_fit(1, chip);
+                    assert_eq!((est, at), (chip, fit), "{net:?} done {done} slack {slack}");
+                }
+            }
         }
-        s.prune(4, |id| id < 4);
-        assert_eq!(s.len(), 4);
     }
 }

@@ -70,10 +70,10 @@ impl SchedTask<'_> {
     /// returns the predicted remaining cycles *at* the returned estimate —
     /// the quantity `ALLOCATEFITTASKS` divides by. Returning it here lets
     /// the fit path reuse the scan's last table lookup instead of
-    /// re-querying, and lets the engines memoize it per tenant (the
-    /// [`SchedState`](crate::sched_state::SchedState) band fastpath): when
-    /// a memoized `(estimate, fit)` still satisfies `fit <= slack`, the
-    /// whole estimate phase is O(1) with **zero** table lookups.
+    /// re-querying, and lets the engine memoize it on the tenant record
+    /// (the [`seed`](crate::sched_state::seed) fastpath): while a memoized
+    /// `(estimate, fit)` still satisfies `fit <= slack`, the tenant's
+    /// estimate costs **zero** table lookups.
     ///
     /// When no subarray count fits the slack, the estimate is `total` and
     /// the fit is `predict_cycles(total)` — exactly what the fit path
@@ -82,12 +82,21 @@ impl SchedTask<'_> {
         let mut last = Cycles::ZERO;
         for s in floor.clamp(1, total)..=total {
             last = self.predict_cycles(s);
-            if last.get() as i64 <= self.slack {
+            if fits_slack(last, self.slack) {
                 return (s, last);
             }
         }
         (total, last)
     }
+}
+
+/// Whether a prediction of `cycles` meets `slack`: the scheduler's one
+/// comparison between table cycles and signed slack. A count of 2^63
+/// cycles or more exceeds every `i64` slack, so it never fits (an
+/// `as i64` cast would wrap it negative and fit any slack), and nothing
+/// fits a negative slack.
+pub fn fits_slack(cycles: Cycles, slack: i64) -> bool {
+    i64::try_from(cycles.get()).is_ok_and(|c| c <= slack)
 }
 
 /// Minimum slack used by the unfit-path urgency score: 1 µs expressed in
@@ -139,13 +148,14 @@ pub fn schedule_tasks_spatially(tasks: &[SchedTask<'_>], total: u32, min_slack: 
 /// Reusable working memory for [`allocate_spatially_into`]. Owned by the
 /// caller (the engines keep one per policy), so repeated scheduling events
 /// reuse the same buffers instead of allocating fresh `Vec`s: once the
-/// buffers have grown to the live-tenant high-water mark, allocation runs
-/// with zero heap traffic.
+/// buffers have grown to their high-water mark, allocation runs with zero
+/// heap traffic. Nothing in it carries over from one call to the next.
 #[derive(Debug, Clone, Default)]
 pub struct AllocScratch {
     scores: Vec<f64>,
     fractional: Vec<(usize, f64)>,
-    order: Vec<usize>,
+    /// The unfit path's packing prefix: `(score, index)`, best first.
+    prefix: Vec<(f64, usize)>,
 }
 
 /// The allocation phase of Algorithm 1 over plain columnar inputs, writing
@@ -245,17 +255,19 @@ fn allocate_fit_into(
 /// the chip; the last packed task may receive a partial grant, everyone
 /// else waits.
 ///
-/// The urgency scores are evaluated once into scratch and the sort
-/// compares the precomputed values. The pre-overhaul code evaluated the
-/// score closure inside the comparator — two fresh divisions per
-/// comparison, roughly `2·n·log n` score evaluations per event where `n`
-/// evaluations suffice. A saturated node takes this path on almost every
-/// event (a deep backlog keeps `Σ estimates > total`), which made the
-/// comparator the hottest arithmetic in the whole per-event path. The
-/// comparator sees bit-identical `f64` values either way and the sort is
-/// stable, so the packing order — and therefore every allocation — is
-/// unchanged; the test module keeps the comparator-sort body as the
-/// oracle of the `unfit_path_matches_reference_*` property test.
+/// The pack grants subarrays in `(score desc, index asc)` order until the
+/// chip is used up, so only its *packing prefix* — the fewest best-ranked
+/// tasks whose estimates reach `total` — receives anything, and because
+/// every estimate is at least 1 that prefix holds at most `total` tasks.
+/// One pass selects it without ranking the backlog behind it:
+/// `scratch.prefix` holds the prefix of the tasks seen so far, sorted by
+/// the same key. A task enters only while the prefix falls short of
+/// `total` or when it beats the prefix's last entry, and after an insert
+/// the tail is dropped while the rest still reaches `total`. The key is a
+/// strict total order (scores are finite: priority ≥ 1, slack clamped ≥
+/// `min_slack` ≥ 1, estimate ≥ 1; ties fall to the distinct indices), so
+/// the selected prefix is the sorted pack's and every grant is equal; the
+/// test module keeps the comparator sort as the oracle.
 fn allocate_unfit_into(
     priorities: &[u32],
     slacks: &[i64],
@@ -265,65 +277,32 @@ fn allocate_unfit_into(
     alloc: &mut Vec<u32>,
     scratch: &mut AllocScratch,
 ) {
-    scratch.scores.clear();
-    scratch.scores.extend((0..estimates.len()).map(|i| {
+    let prefix = &mut scratch.prefix;
+    prefix.clear();
+    // Σ estimates over `prefix`.
+    let mut held = 0u32;
+    for (i, &estimate) in estimates.iter().enumerate() {
         // Tasks already past their deadline get the most urgent score.
         let slack = slacks[i].max(min_slack) as f64;
-        f64::from(priorities[i]) / (slack * f64::from(estimates[i]))
-    }));
-    // The reference's *stable* descending sort over `0..n` is exactly a
-    // sort by the total key `(score desc, index asc)` — the index
-    // tiebreak encodes stability, and because that key is a *strict*
-    // total order (scores are finite: priority ≥ 1, slack clamped ≥
-    // `min_slack` ≥ 1, estimate ≥ 1; ties fall to the distinct indices),
-    // the sorted permutation is unique no matter what order the sort
-    // starts from. That licenses a warm start: `scratch.order` still
-    // holds the *previous* event's sorted permutation, and urgency ranks
-    // drift slowly between events (all slacks shrink by the same `dt`;
-    // crossings are rare), so after a cheap fix-up for the changed tenant
-    // count it is nearly sorted already. An adaptive insertion sort then
-    // finishes in ~`n` comparisons on the steady state instead of the
-    // ~`n·log n` branch-missing comparisons a from-scratch sort pays —
-    // and this sort runs on essentially every event of a saturated node.
-    //
-    // The fix-up keeps the invariant "`order` is a permutation of
-    // `0..n`": entries `>= n` (tenants retired since the last unfit
-    // event) are dropped, missing high indices (tenants admitted since)
-    // are appended. A `swap_remove` retirement relabels the moved tenant,
-    // which displaces at most one entry per retirement — exactly the
-    // near-sorted case insertion sort absorbs in O(displacement).
-    let n = estimates.len();
-    if scratch.order.len() > n {
-        scratch.order.retain(|&i| i < n);
-    } else {
-        scratch.order.extend(scratch.order.len()..n);
-    }
-    let scores = &scratch.scores;
-    // `a` packs before `b`: strictly greater urgency, or equal urgency
-    // and earlier index (the stability tiebreak). NaN is unreachable
-    // (finite scores), so `partial_cmp`'s `None` falls into the index
-    // arm harmlessly.
-    let before = |a: usize, b: usize| match scores[a].partial_cmp(&scores[b]) {
-        Some(std::cmp::Ordering::Greater) => true,
-        Some(std::cmp::Ordering::Less) => false,
-        _ => a < b,
-    };
-    let ord = &mut scratch.order;
-    for i in 1..n {
-        let v = ord[i];
-        let mut j = i;
-        while j > 0 && before(v, ord[j - 1]) {
-            ord[j] = ord[j - 1];
-            j -= 1;
+        let score = f64::from(priorities[i]) / (slack * f64::from(estimate));
+        // `i` is the highest index yet, so it loses every score tie.
+        if held >= total && prefix.last().is_none_or(|&(last, _)| score <= last) {
+            continue;
         }
-        ord[j] = v;
+        let at = prefix.partition_point(|&(s, _)| s >= score);
+        prefix.insert(at, (score, i));
+        held += estimate;
+        while let Some(&(_, last)) = prefix.last() {
+            if held - estimates[last] < total {
+                break;
+            }
+            held -= estimates[last];
+            prefix.pop();
+        }
     }
     alloc.resize(estimates.len(), 0);
     let mut remaining = total;
-    for &i in scratch.order.iter() {
-        if remaining == 0 {
-            break;
-        }
+    for &(_, i) in prefix.iter() {
         let grant = estimates[i].min(remaining);
         alloc[i] = grant;
         remaining -= grant;
@@ -498,8 +477,8 @@ mod tests {
     }
 
     /// The pre-overhaul `ALLOCATEUNFITTASKS`, kept as the oracle for the
-    /// warm-started insertion sort: the score closure runs inside a stable
-    /// comparator sort over a fresh `0..n`.
+    /// packing-prefix selection: the score closure runs inside a stable
+    /// comparator sort of every task.
     fn allocate_unfit_by_comparator(
         priorities: &[u32],
         slacks: &[i64],
@@ -531,18 +510,18 @@ mod tests {
 
     #[test]
     fn unfit_path_matches_reference_arithmetic_over_random_queues() {
-        // The hot allocator precomputes the urgency scores the reference
-        // evaluates inside its comparator; the two must produce the same
-        // allocation vector bit-for-bit on any queue shape — including
-        // score ties (equal priority/slack/estimate triples), which the
-        // stable sort must break identically. One scratch serves every
-        // round, so each sort warm-starts from the previous round's
-        // permutation across growing and shrinking queues.
+        // The prefix selection must grant exactly what the comparator sort
+        // packs, bit for bit, on any queue shape — including score ties
+        // (equal priority/slack/estimate triples), which the stable sort
+        // breaks by index. Chips of 1 to 128 subarrays make packing
+        // prefixes from one task to well past 16; one scratch serves every
+        // round, so a stale prefix from the previous round would show.
         let mut rng = planaria_model::SplitMix64::new(0xA110C);
         let mut scratch = AllocScratch::default();
         let mut hot = Vec::new();
-        for round in 0..500 {
-            let n = 1 + rng.next_below(40) as usize;
+        for round in 0..800 {
+            let total = [1, 16, 64, 128][rng.next_below(4) as usize];
+            let n = 1 + rng.next_below(300) as usize;
             let mut priorities = Vec::with_capacity(n);
             let mut slacks = Vec::with_capacity(n);
             let mut estimates = Vec::with_capacity(n);
@@ -551,9 +530,13 @@ mod tests {
                 priorities.push(1 + rng.next_below(4) as u32);
                 // Spans negative (past-deadline) through positive slack.
                 slacks.push(rng.next_below(8) as i64 * 1_000 - 2_000);
-                estimates.push(1 + rng.next_below(4) as u32);
+                // Small asks, or the whole chip (a hopeless deadline).
+                estimates.push(if rng.next_bool(0.25) {
+                    total
+                } else {
+                    (1 + rng.next_below(4) as u32).min(total)
+                });
             }
-            let total = 1 + rng.next_below(16) as u32;
             hot.clear();
             allocate_unfit_into(
                 &priorities,
@@ -573,6 +556,16 @@ mod tests {
             );
             assert_eq!(hot, old, "round {round}: n={n} total={total}");
         }
+    }
+
+    #[test]
+    fn cycle_counts_past_i64_never_fit() {
+        let huge = Cycles::new(1 << 63);
+        assert!(!fits_slack(huge, i64::MAX));
+        assert!(!fits_slack(Cycles::new(u64::MAX), i64::MAX));
+        assert!(fits_slack(Cycles::new(i64::MAX as u64), i64::MAX));
+        assert!(fits_slack(Cycles::ZERO, 0));
+        assert!(!fits_slack(Cycles::ZERO, -1));
     }
 
     #[test]

@@ -150,9 +150,13 @@ pub struct TemporalPolicy<'a> {
     /// The whole-chip placement bitmask every runner owns.
     mask: u128,
     total: u32,
-    /// Request id of the current occupant, if any.
+    /// Admission number ([`TenantState::admission`]) of the current
+    /// occupant, if any.
+    ///
+    /// [`TenantState::admission`]: planaria_sim::TenantState::admission
     running: Option<u64>,
-    /// Token bookkeeping per request id (outlives queue reordering).
+    /// Token bookkeeping per admission number (outlives queue
+    /// reordering).
     tokens: BTreeMap<u64, TokenState>,
     /// Reusable per-event policy view buffer (grows to the live-tenant
     /// high-water mark once; steady-state events allocate nothing).
@@ -173,25 +177,26 @@ impl EnginePolicy for TemporalPolicy<'_> {
     fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
         let now = sim.now;
         // The kernel retired the runner: the chip is free again.
-        if let Some(id) = self.running {
-            if sim.index_of(id).is_none() {
+        if let Some(key) = self.running {
+            if sim.index_of_admission(key).is_none() {
                 self.running = None;
             }
         }
         // Bound the token map: drop entries for long-retired requests
-        // (amortized; the membership probe is the kernel's id index, so
+        // (amortized; the membership probe is the kernel's tenant index, so
         // the sweep allocates nothing).
         if self.tokens.len() > sim.tenants.len() + 64 {
-            self.tokens.retain(|id, _| sim.index_of(*id).is_some());
+            self.tokens
+                .retain(|key, _| sim.index_of_admission(*key).is_some());
         }
         // Accrue tokens for waiting tenants; the runner does not collect.
         for t in &sim.tenants {
-            let id = t.request.id;
-            let entry = self.tokens.entry(id).or_insert(TokenState {
+            let key = t.admission();
+            let entry = self.tokens.entry(key).or_insert(TokenState {
                 tokens: 0,
                 last_update: now,
             });
-            if Some(id) == self.running {
+            if Some(key) == self.running {
                 entry.last_update = now;
             } else {
                 entry.accrue(t.request.priority, now);
@@ -204,15 +209,15 @@ impl EnginePolicy for TemporalPolicy<'_> {
         for (i, t) in sim.tenants.iter().enumerate() {
             self.views.push(PolicyTask {
                 index: i,
-                tokens: self.tokens[&t.request.id].tokens,
+                tokens: self.tokens[&t.admission()].tokens,
                 arrival: t.arrival_cycle,
                 remaining: t.remaining(),
             });
         }
         let chosen_idx = pick_with_threshold(self.policy, &self.views, self.threshold);
-        let chosen_id = chosen_idx.map(|i| sim.tenants[i].request.id);
-        if chosen_id != self.running {
-            let running_idx = self.running.and_then(|id| sim.index_of(id));
+        let chosen = chosen_idx.map(|i| sim.tenants[i].admission());
+        if chosen != self.running {
+            let running_idx = self.running.and_then(|key| sim.index_of_admission(key));
             if let Some(cur) = running_idx {
                 // The incumbent loses the accelerator mid-flight.
                 if c.is_enabled() {
@@ -292,7 +297,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
                 t.alloc = self.total;
                 t.mask = self.mask;
             }
-            self.running = chosen_id;
+            self.running = chosen;
         }
         if c.is_enabled() {
             c.add(Counter::SchedulingEvents, 1);

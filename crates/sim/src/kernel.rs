@@ -51,6 +51,7 @@ pub struct SimState {
     /// `swap_remove` retirement — policies must not reorder this list
     /// (stable tie-breaks depend on it).
     pub tenants: Vec<TenantState>,
+    /// Admission number → position in `tenants`.
     pub(crate) index: TenantSlab,
 }
 
@@ -82,10 +83,12 @@ impl SimState {
         self.cfg.num_subarrays()
     }
 
-    /// Index of the live tenant serving request `id`, if any. One O(1)
-    /// slab probe (hot: runs once per popped completion entry).
-    pub fn index_of(&self, id: u64) -> Option<usize> {
-        self.index.get(id)
+    /// Position in `tenants` of the live tenant with admission number
+    /// `admission` ([`TenantState::admission`]; not a request id), if
+    /// any. One O(1) slab probe (hot: runs once per popped completion
+    /// entry).
+    pub fn index_of_admission(&self, admission: u64) -> Option<usize> {
+        self.index.get(admission)
     }
 }
 
@@ -98,11 +101,11 @@ impl SimState {
 ///
 /// A free function (not a method) so callers can borrow `sim` while
 /// holding `&mut` on the queue.
-fn event_is_valid(sim: &SimState, next_arrival: usize, kind: &EventKind) -> bool {
+fn event_is_valid(sim: &SimState, next_arrival: u64, kind: &EventKind) -> bool {
     match kind {
         EventKind::Arrival { index } => *index == next_arrival,
         EventKind::Completion { tenant, epoch } => sim
-            .index_of(*tenant)
+            .index_of_admission(*tenant)
             .is_some_and(|i| sim.tenants[i].epoch == *epoch),
     }
 }
@@ -132,7 +135,9 @@ pub struct NodeKernel<S: CompletionSink> {
     /// The one not-yet-admitted arrival pulled from the source.
     pending: Option<Request>,
     last_arrival: f64,
-    next_arrival: usize,
+    /// The admission counter: arrivals admitted so far, which is also
+    /// the admission number `pending` will get.
+    next_arrival: u64,
     /// Whether an arrival event for `pending` is already in the heap
     /// (avoids re-pushing a duplicate wake-up on every event).
     arrival_queued: bool,
@@ -392,8 +397,11 @@ impl<S: CompletionSink> NodeKernel<S> {
                 }
                 let compiled = policy.compiled_for(&req);
                 let deadline = self.sim.clock.cycles_from_seconds(req.deadline());
-                self.sim.index.insert(req.id, self.sim.tenants.len());
+                self.sim
+                    .index
+                    .insert(self.next_arrival, self.sim.tenants.len());
                 self.sim.tenants.push(TenantState::new(
+                    self.next_arrival,
                     req,
                     compiled,
                     policy.admit_subarrays(),
@@ -424,9 +432,9 @@ impl<S: CompletionSink> NodeKernel<S> {
             while maybe_done && i < self.sim.tenants.len() {
                 if self.sim.tenants[i].is_done() {
                     let t = self.sim.tenants.swap_remove(i);
-                    self.sim.index.remove(t.request.id);
+                    self.sim.index.remove(t.admission());
                     if let Some(moved) = self.sim.tenants.get(i) {
-                        self.sim.index.insert(moved.request.id, i);
+                        self.sim.index.insert(moved.admission(), i);
                     }
                     // A retiring tenant whose current-epoch completion
                     // entry has not matured yet (estimate strictly in the
@@ -499,10 +507,11 @@ impl<S: CompletionSink> NodeKernel<S> {
                 }
             }
 
-            // Not an equality: duplicate request ids are tolerated (the
-            // loop is positional), and duplicates share one index slot.
-            debug_assert!(
-                self.sim.index.len() <= self.sim.tenants.len(),
+            // One slot per live tenant: admission numbers never repeat,
+            // whatever the trace's request ids do.
+            debug_assert_eq!(
+                self.sim.index.len(),
+                self.sim.tenants.len(),
                 "tenant slab out of sync with the live list"
             );
 
@@ -536,7 +545,7 @@ impl<S: CompletionSink> NodeKernel<S> {
                         self.queue.push(
                             at,
                             EventKind::Completion {
-                                tenant: t.request.id,
+                                tenant: t.admission(),
                                 epoch: t.epoch,
                             },
                         );

@@ -63,4 +63,4 @@ pub use fabric::{
     NodeLoad,
 };
 pub use kernel::{run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState};
-pub use tenant::{full_mask, subarray_mask, TenantState};
+pub use tenant::{full_mask, subarray_mask, FloorEntry, TenantState};

@@ -10,7 +10,7 @@
 //!   until they pop;
 //! * completion validity is a `BTreeMap<u64, usize>` probe, not a
 //!   `TenantSlab` lookup (the [`SimState`] slab is kept in sync anyway,
-//!   because real policies call [`SimState::index_of`]);
+//!   because real policies call [`SimState::index_of_admission`]);
 //! * the retire scan runs after every event, not only on cycles that
 //!   consumed a valid completion.
 //!
@@ -85,16 +85,16 @@ where
 
     let mut sim = SimState::new_for(*cfg, clock);
     let mut queue = EventQueue::default();
-    // The baseline's hot lookup: request id → tenant position through a
-    // tree walk. `sim.index` (the slab) is kept in sync purely because
-    // policies read it through `SimState::index_of`; every *kernel-side*
-    // probe below goes through this map.
+    // The baseline's hot lookup: admission number → tenant position
+    // through a tree walk. `sim.index` (the slab) is kept in sync purely
+    // because policies read it through `SimState::index_of_admission`;
+    // every *kernel-side* probe below goes through this map.
     let mut index: BTreeMap<u64, usize> = BTreeMap::new();
     let em = EnergyModel::for_config(cfg);
 
     let mut completions: Vec<Completion> = Vec::new();
     let mut pending: Option<Request> = pull();
-    let mut next_arrival = 0usize;
+    let mut next_arrival = 0u64;
     let mut arrival_queued = false;
     let mut busy = Cycles::ZERO;
     let mut origin: Option<Cycles> = None;
@@ -165,9 +165,10 @@ where
             }
             let compiled = policy.compiled_for(&req);
             let deadline = clock.cycles_from_seconds(req.deadline());
-            index.insert(req.id, sim.tenants.len());
-            sim.index.insert(req.id, sim.tenants.len());
+            index.insert(next_arrival, sim.tenants.len());
+            sim.index.insert(next_arrival, sim.tenants.len());
             sim.tenants.push(TenantState::new(
+                next_arrival,
                 req,
                 compiled,
                 policy.admit_subarrays(),
@@ -184,11 +185,11 @@ where
         while i < sim.tenants.len() {
             if sim.tenants[i].is_done() {
                 let t = sim.tenants.swap_remove(i);
-                index.remove(&t.request.id);
-                sim.index.remove(t.request.id);
+                index.remove(&t.admission());
+                sim.index.remove(t.admission());
                 if let Some(moved) = sim.tenants.get(i) {
-                    index.insert(moved.request.id, i);
-                    sim.index.insert(moved.request.id, i);
+                    index.insert(moved.admission(), i);
+                    sim.index.insert(moved.admission(), i);
                 }
                 completions.push(Completion {
                     request: t.request,
@@ -215,7 +216,7 @@ where
                     queue.push(
                         at,
                         EventKind::Completion {
-                            tenant: t.request.id,
+                            tenant: t.admission(),
                             epoch: t.epoch,
                         },
                     );

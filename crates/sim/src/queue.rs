@@ -39,17 +39,17 @@ use std::collections::BinaryHeap;
 /// compare unequal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum EventKind {
-    /// `trace[index]` becomes visible to the scheduler.
+    /// The node's `index`-th arrival becomes visible to the scheduler.
     Arrival {
-        /// Index into the run's request trace.
-        index: usize,
+        /// The admission number the arrival will get.
+        index: u64,
     },
     /// A tenant's completion estimate matured. Valid only while the
     /// tenant is live *and* its epoch still matches — superseded
     /// estimates are left in the queue and skipped on pop (or removed
     /// wholesale by [`EventQueue::compact`]).
     Completion {
-        /// Request id of the tenant.
+        /// Admission number of the tenant (not its request id).
         tenant: u64,
         /// Estimate generation this entry belongs to.
         epoch: u64,
@@ -266,7 +266,7 @@ mod tests {
                     let at = Cycles::new(rng.next_below(50));
                     let kind = if rng.next_bool(0.3) {
                         EventKind::Arrival {
-                            index: rng.next_below(8) as usize,
+                            index: rng.next_below(8),
                         }
                     } else {
                         EventKind::Completion {
@@ -552,7 +552,7 @@ mod tests {
                     150..=188 => m.supersede(&mut q, tenant),
                     189..=198 => {
                         let kind = EventKind::Arrival {
-                            index: rng.next_below(8) as usize,
+                            index: rng.next_below(8),
                         };
                         m.push(&mut q, at, kind);
                     }

@@ -1,33 +1,38 @@
-//! Dense ring-indexed tenant index: request id → position in
+//! Dense ring-indexed tenant index: admission number → position in
 //! `SimState::tenants`, O(1) per probe.
 //!
 //! The kernel used a `BTreeMap<u64, usize>` here, paying a tree walk on
 //! every admission, every retirement, every swap-remove re-point, and —
 //! hottest of all — every completion-event validity check
-//! (`index_of` runs once per popped heap entry, stale or not). Request
-//! ids are assigned monotonically by the trace, so the same trick
-//! `SchedState` uses for the floor memo (`crates/core/src/sched_state.rs`)
-//! applies verbatim: store the map as a dense window of `Option` slots
-//! over the id space `[base, base + window.len())`. Every operation is
-//! an array probe at `id - base`; the window grows at the back under
-//! monotone admission and shrinks from both ends as retirements open
-//! holes, so resident size is O(live id span), exactly like the tenant
-//! list it indexes.
+//! (`index_of_admission` runs once per popped heap entry, stale or not).
+//! The keys are the node's admission numbers
+//! ([`TenantState::admission`](crate::TenantState::admission)), which are
+//! dense and increasing by construction, so the map is stored as a dense
+//! window of `Option` slots over `[base, base + window.len())`. Every
+//! operation is an array probe at `key - base`; the window grows at the
+//! back as tenants are admitted and shrinks from both ends as
+//! retirements open holes, so resident size is O(live admission span),
+//! at most the number of tenants admitted while the oldest live one
+//! waited.
 //!
-//! Lookups below `base` (long-retired ids) and past the window end miss
-//! cleanly — the same answer the `BTreeMap` gave for an absent key — so
-//! the swap from the tree is behaviorally invisible; the fabric digest
+//! Request ids would not do as keys: the trace chooses them, so they can
+//! repeat, run backwards or skip ahead. Keyed by them, this window
+//! panicked on an id below its base and kept one slot per skipped id.
+//!
+//! Lookups below `base` (long-retired tenants) and past the window end
+//! miss cleanly — the same answer the `BTreeMap` gave for an absent key —
+//! so the swap from the tree is behaviorally invisible; the fabric digest
 //! suites pin that.
 
 use std::collections::VecDeque;
 
-/// Id-keyed index of live tenants, stored as a dense ring window over
-/// the monotone request-id space.
+/// Admission-keyed index of live tenants, stored as a dense ring window
+/// over the monotone admission numbers.
 #[derive(Debug, Clone, Default)]
 pub struct TenantSlab {
-    /// Request id addressed by `window[0]`.
+    /// Admission number addressed by `window[0]`.
     base: u64,
-    /// One slot per id in `[base, base + window.len())`; `None` = not
+    /// One slot per key in `[base, base + window.len())`; `None` = not
     /// live.
     window: VecDeque<Option<usize>>,
     /// Number of `Some` slots.
@@ -50,31 +55,31 @@ impl TenantSlab {
         self.occupied == 0
     }
 
-    /// The tenant-list position for request `id`, if live. One window
-    /// probe; ids outside the window miss cleanly.
-    pub fn get(&self, id: u64) -> Option<usize> {
-        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
+    /// The tenant-list position for admission number `key`, if live. One
+    /// window probe; keys outside the window miss cleanly.
+    pub fn get(&self, key: u64) -> Option<usize> {
+        let idx = usize::try_from(key.checked_sub(self.base)?).ok()?;
         *self.window.get(idx)?
     }
 
-    /// Points `id` at tenant-list position `pos`: fresh admissions extend
-    /// the window at the back (ids are monotone, so the extension is
-    /// amortized O(1)); re-points after a `swap_remove` overwrite the
+    /// Points `key` at tenant-list position `pos`: fresh admissions
+    /// extend the window at the back (keys are monotone, so the extension
+    /// is amortized O(1)); re-points after a `swap_remove` overwrite the
     /// existing slot in place.
-    pub fn insert(&mut self, id: u64, pos: usize) {
+    pub fn insert(&mut self, key: u64, pos: usize) {
         if self.window.is_empty() {
             // First insert after the window fully drained: re-anchor the
-            // base so an id gap (e.g. a long-idle node) costs no slots.
-            self.base = id;
+            // base at the new key.
+            self.base = key;
         }
-        let off = id
+        let off = key
             .checked_sub(self.base)
-            // lint: a monotone-id contract violation is a kernel bug, not a
+            // lint: a monotone-key contract violation is a kernel bug, not a
             // recoverable condition — fail loudly, don't corrupt the index
-            .expect("tenant ids are monotone: an id below the window base was never live here");
-        // lint: a live id span wider than usize means >4 GiB of slots; OOM
-        // is unavoidable at that point and a clear panic beats an abort
-        let idx = usize::try_from(off).expect("live id span exceeds the address space");
+            .expect("admission numbers are monotone: a key below the window base was never live");
+        // lint: a live admission span wider than usize means >4 GiB of
+        // slots; OOM is unavoidable then and a clear panic beats an abort
+        let idx = usize::try_from(off).expect("live admission span exceeds the address space");
         while self.window.len() <= idx {
             self.window.push_back(None);
         }
@@ -85,12 +90,12 @@ impl TenantSlab {
         *slot = Some(pos);
     }
 
-    /// Unindexes request `id`, returning its last position. The window
-    /// then sheds dead slots from both ends — front shrinkage advances
-    /// `base` past ids that can never return — keeping residency at
-    /// O(live id span) without any amortized sweep.
-    pub fn remove(&mut self, id: u64) -> Option<usize> {
-        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
+    /// Unindexes admission number `key`, returning its last position. The
+    /// window then sheds dead slots from both ends — front shrinkage
+    /// advances `base` past keys that can never return — keeping
+    /// residency at O(live admission span) without any amortized sweep.
+    pub fn remove(&mut self, key: u64) -> Option<usize> {
+        let idx = usize::try_from(key.checked_sub(self.base)?).ok()?;
         let slot = self.window.get_mut(idx)?;
         let prev = slot.take();
         if prev.is_some() {

@@ -43,6 +43,25 @@ pub fn full_mask(n: u32) -> u128 {
     }
 }
 
+/// The Planaria policy's `ESTIMATERESOURCES` memo for one tenant: the
+/// last scan's answer and the work counters it was taken at.
+///
+/// While `done` and `total` still equal the tenant's counters (the memo
+/// is *clean*), every table prediction is unchanged, so `floor` is a
+/// proven lower bound for the next scan and `fit` is still the predicted
+/// remaining cycles at `floor`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FloorEntry {
+    /// The estimate the last scan returned.
+    pub floor: u32,
+    /// `work_done` when the scan ran.
+    pub done: Cycles,
+    /// `work_total` when the scan ran.
+    pub total: Cycles,
+    /// Predicted remaining cycles at `floor` when the scan ran.
+    pub fit: Cycles,
+}
+
 /// One live request inside the kernel: work accounting in exact integer
 /// cycles plus the bookkeeping both engines share.
 ///
@@ -81,6 +100,13 @@ pub struct TenantState {
     pub queued_since: Cycles,
     /// When the current execution slice began (telemetry only).
     pub slice_start: Cycles,
+    /// The Planaria policy's estimate memo, `None` until its first scan.
+    /// It lives on the record, so it moves with the tenant through
+    /// `swap_remove` retirement and dies with it. PREMA ignores it.
+    pub memo: Option<FloorEntry>,
+    /// The node's admission counter at admission (see
+    /// [`admission`](Self::admission)).
+    admission: u64,
     /// Completion-estimate generation (kernel internal).
     pub(crate) epoch: u64,
     /// The completion cycle currently in the heap, if any.
@@ -88,10 +114,11 @@ pub struct TenantState {
 }
 
 impl TenantState {
-    /// A freshly admitted tenant at time `now`, seeded with the table
-    /// for `admit_subarrays` granules (any table is exact here — zero
-    /// completed work rescales to zero).
+    /// A freshly admitted tenant at time `now`, the node's `admission`-th,
+    /// seeded with the table for `admit_subarrays` granules (any table is
+    /// exact here — zero completed work rescales to zero).
     pub(crate) fn new(
+        admission: u64,
         request: Request,
         compiled: Arc<CompiledDnn>,
         admit_subarrays: u32,
@@ -118,9 +145,18 @@ impl TenantState {
             energy: Picojoules::ZERO,
             queued_since: now,
             slice_start: now,
+            memo: None,
+            admission,
             epoch: 0,
             scheduled_completion: None,
         }
+    }
+
+    /// How many tenants this node admitted before this one. Unlike the
+    /// request id, which the trace chooses, it is dense and increasing,
+    /// so the kernel and the policies key live tenants by it.
+    pub fn admission(&self) -> u64 {
+        self.admission
     }
 
     /// Completed work fraction ∈ [0, 1].
@@ -236,6 +272,7 @@ mod tests {
             &planaria_model::DnnId::TinyYolo.build(),
         ));
         let mut t = TenantState::new(
+            0,
             Request {
                 id: 0,
                 dnn: planaria_model::DnnId::TinyYolo,

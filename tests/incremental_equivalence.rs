@@ -1,8 +1,14 @@
-//! Incremental Algorithm 1 is *result-exact*: the id-keyed dirty-set
-//! scheduler (`SchedState` floors + band fastpath) must produce
-//! bit-identical results to a full `ESTIMATERESOURCES` rescan from 1 at
-//! every scheduling event — and the streamed trace path must be
-//! bit-identical to the materialized one.
+//! Incremental Algorithm 1 is *result-exact*: the scheduler that seeds
+//! each estimate from the memo on the tenant record (proven floors, the
+//! band fastpath and both whole-chip seed rules), selects the unfit
+//! packing prefix, and places only the tenants that hold or receive
+//! subarrays must produce bit-identical results to a full
+//! `ESTIMATERESOURCES` rescan from 1 at every scheduling event — and the
+//! streamed trace path must be bit-identical to the materialized one.
+//!
+//! Every case runs on the 16-subarray paper chip and on `granule16`
+//! (64 subarrays), where packing prefixes grow past 16 tasks and the
+//! whole-chip seed rules meet estimates four times larger.
 //!
 //! The comparison is the strongest observable the engines expose: the
 //! complete `RecordingCollector` stream (every arrival, allocation change,
@@ -15,6 +21,7 @@ use planaria::arch::AcceleratorConfig;
 use planaria::core::{CompiledLibrary, PlanariaEngine, SchedulingMode};
 use planaria::model::SplitMix64;
 use planaria::telemetry::RecordingCollector;
+use planaria::workload::Request;
 use planaria::workload::{QosLevel, Scenario, TraceConfig};
 
 fn scenarios() -> [Scenario; 3] {
@@ -46,49 +53,97 @@ fn random_cases(rng: &mut SplitMix64, n: usize) -> Vec<TraceConfig> {
         .collect()
 }
 
+/// The chips every case runs on: the paper's 16 subarrays and
+/// `granule16`'s 64.
+fn chips() -> [AcceleratorConfig; 2] {
+    [
+        AcceleratorConfig::planaria(),
+        AcceleratorConfig::with_granularity(16),
+    ]
+}
+
+/// Races the incremental scheduler against the full-rescan oracle on
+/// one trace, comparing results and the complete recorded stream.
+fn assert_lanes_agree(
+    library: &CompiledLibrary,
+    mode: SchedulingMode,
+    trace: &[Request],
+    what: &str,
+) {
+    let incremental = PlanariaEngine::with_library(library.clone())
+        .with_mode(mode)
+        .with_incremental(true);
+    let oracle = PlanariaEngine::with_library(library.clone())
+        .with_mode(mode)
+        .with_incremental(false);
+    let what = format!(
+        "{} subarrays, {mode:?}, {what}",
+        library.config().num_subarrays()
+    );
+    let mut t_inc = RecordingCollector::new();
+    let mut t_full = RecordingCollector::new();
+    let r_inc = incremental.run_with_collector(trace, &mut t_inc);
+    let r_full = oracle.run_with_collector(trace, &mut t_full);
+    assert_eq!(
+        r_inc.completions, r_full.completions,
+        "{what}: completions diverged"
+    );
+    assert_eq!(
+        r_inc.total_energy, r_full.total_energy,
+        "{what}: energy diverged"
+    );
+    assert_eq!(r_inc.makespan, r_full.makespan, "{what}: makespan diverged");
+    assert_eq!(
+        t_inc.events().len(),
+        t_full.events().len(),
+        "{what}: event counts diverged"
+    );
+    for (i, (a, b)) in t_inc.events().iter().zip(t_full.events()).enumerate() {
+        assert_eq!(a, b, "{what}: event #{i} diverged");
+    }
+    assert_eq!(
+        t_inc.report(),
+        t_full.report(),
+        "{what}: counters or histograms diverged"
+    );
+}
+
 #[test]
 fn incremental_matches_full_rescan_oracle_at_every_event() {
-    let library = CompiledLibrary::new(AcceleratorConfig::planaria());
     let mut rng = SplitMix64::new(0x14c0_5eed_face_0001);
-    for mode in [SchedulingMode::Spatial, SchedulingMode::ExclusiveFifo] {
-        let incremental = PlanariaEngine::with_library(library.clone())
-            .with_mode(mode)
-            .with_incremental(true);
-        let oracle = PlanariaEngine::with_library(library.clone())
-            .with_mode(mode)
-            .with_incremental(false);
-        for cfg in random_cases(&mut rng, 4) {
-            let trace = cfg.generate();
-            let mut t_inc = RecordingCollector::new();
-            let mut t_full = RecordingCollector::new();
-            let r_inc = incremental.run_with_collector(&trace, &mut t_inc);
-            let r_full = oracle.run_with_collector(&trace, &mut t_full);
-            assert_eq!(
-                r_inc.completions, r_full.completions,
-                "{mode:?} {cfg:?}: completions diverged"
-            );
-            assert_eq!(
-                r_inc.total_energy, r_full.total_energy,
-                "{mode:?} {cfg:?}: energy diverged"
-            );
-            assert_eq!(
-                r_inc.makespan, r_full.makespan,
-                "{mode:?} {cfg:?}: makespan diverged"
-            );
-            assert_eq!(
-                t_inc.events().len(),
-                t_full.events().len(),
-                "{mode:?} {cfg:?}: event counts diverged"
-            );
-            for (i, (a, b)) in t_inc.events().iter().zip(t_full.events()).enumerate() {
-                assert_eq!(a, b, "{mode:?} {cfg:?}: event #{i} diverged");
-            }
-            assert_eq!(
-                t_inc.report(),
-                t_full.report(),
-                "{mode:?} {cfg:?}: counters or histograms diverged"
-            );
+    let cases: Vec<(SchedulingMode, TraceConfig)> =
+        [SchedulingMode::Spatial, SchedulingMode::ExclusiveFifo]
+            .into_iter()
+            .flat_map(|mode| {
+                random_cases(&mut rng, 4)
+                    .into_iter()
+                    .map(move |cfg| (mode, cfg))
+            })
+            .collect();
+    for chip in chips() {
+        let library = CompiledLibrary::new(chip);
+        for (mode, cfg) in &cases {
+            assert_lanes_agree(&library, *mode, &cfg.generate(), &format!("{cfg:?}"));
         }
+    }
+}
+
+#[test]
+fn incremental_matches_full_rescan_oracle_on_a_deep_backlog() {
+    // Bursty QoS-Hard Workload-C at λ = 500: most tenants wait past their
+    // deadline, so the whole-chip seed rules and the packing prefix carry
+    // most events.
+    let cfg =
+        TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 1_200, 0xdee9).with_burstiness(6.0);
+    let trace = cfg.generate();
+    for chip in chips() {
+        let library = CompiledLibrary::new(chip);
+        assert_lanes_agree(
+            &library,
+            SchedulingMode::Spatial,
+            &trace,
+            &format!("{cfg:?}"),
+        );
     }
 }
 
