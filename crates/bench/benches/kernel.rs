@@ -1,21 +1,21 @@
-//! Kernel hot-path race: the oracle kernel (`planaria_sim::oracle`: no
-//! queue compaction, a `BTreeMap` tenant index, an unconditional retire
-//! scan) vs the production kernel, at 10^4 / 10^5 / 10^6 bursty
-//! requests.
+//! Kernel hot-path race: the oracle kernel (`planaria_sim::oracle`: a
+//! binary heap of completion estimates invalidated lazily by per-tenant
+//! epochs, an unconditional retire scan) vs the production kernel (wake
+//! at the earlier of the pending arrival and the minimum `now +
+//! remaining` over running tenants, retire scan only when a completion
+//! is due), at 10^4 / 10^5 / 10^6 bursty requests.
 //!
-//! Both lanes drive the production `spatial_policy()` and the same
-//! binary-heap event queue, so the oracle lane differs from the kernel
-//! lane only where the kernel optimises: the reported speedup measures
-//! compaction, the slab index and the gated retire scan, not the
-//! scheduler.
+//! Both lanes drive the production `spatial_policy()`, so they differ
+//! only in how they find the next wake-up and when they scan for
+//! retirements: the reported speedup races the kernel's one minimum
+//! against the oracle's heap, not the scheduler.
 //!
 //! The workload is the scale bench's bursty QoS-Hard Scenario-C trace:
-//! bursts keep a deep backlog of queued tenants, every scheduling event
-//! re-estimates completion times, and each re-estimate strands a stale
-//! entry in the event queue. The oracle carries those corpses to the top
-//! of the heap before discarding them; the kernel counts them in its
-//! stale ledger and compacts, so resident size tracks the *live* event
-//! population. Both paths are result-exact (asserted below on every
+//! bursts keep a deep backlog of queued tenants and every scheduling
+//! event re-estimates completion times. Each re-estimate pushes a fresh
+//! heap entry in the oracle and strands the old one until it pops; the
+//! kernel folds the same estimates into the minimum it takes in its
+//! refresh pass. Both paths are result-exact (asserted below on every
 //! size; pinned precisely by `tests/kernel_equivalence.rs`).
 //!
 //! The bench also drives the flat-memory exactness path end-to-end:
@@ -80,7 +80,7 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// The scale bench's bursty high-churn trace (see `benches/scale.rs`):
-/// deep backlogs maximize queue pressure and stale-entry churn.
+/// deep backlogs maximize re-estimation churn.
 fn bursty_cfg(requests: usize) -> TraceConfig {
     TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, requests, 0x5ca1e).with_burstiness(6.0)
 }

@@ -24,7 +24,7 @@ use crate::lints::find_word;
 use crate::source::SourceFile;
 
 /// Crates where container iteration order can leak into results.
-const ORDER_SCOPE: [&str; 5] = [
+pub(super) const ORDER_SCOPE: [&str; 5] = [
     "crates/compiler/src/",
     "crates/workload/src/",
     "crates/prema/src/",
@@ -36,7 +36,7 @@ const ORDER_SCOPE: [&str; 5] = [
 /// `crates/workload/src/` joined when trace generation went streaming:
 /// `TraceStream` draws lazily from `SplitMix64`, and any OS entropy there
 /// would silently break `generate() == stream().collect()`.
-const CLOCK_SCOPE: [&str; 7] = [
+pub(super) const CLOCK_SCOPE: [&str; 7] = [
     "crates/timing/src/",
     "crates/energy/src/",
     "crates/funcsim/src/",
@@ -50,7 +50,7 @@ const CLOCK_SCOPE: [&str; 7] = [
 /// and clock scopes): fan-out must go through `planaria-parallel` so joins
 /// stay index-ordered. `crates/parallel/` and `crates/bench/` are outside
 /// this scope by construction.
-const THREAD_SCOPE: [&str; 8] = [
+pub(super) const THREAD_SCOPE: [&str; 8] = [
     "crates/compiler/src/",
     "crates/workload/src/",
     "crates/prema/src/",
@@ -65,7 +65,7 @@ const THREAD_SCOPE: [&str; 8] = [
 /// sanctioned side channel there. The CLI (`crates/cli`) and the
 /// experiment harness (`crates/bench`) are presentation layers and stay
 /// out of scope, as does `crates/checks` itself.
-const PRINT_SCOPE: [&str; 12] = [
+pub(super) const PRINT_SCOPE: [&str; 12] = [
     "crates/sim/src/",
     "crates/model/src/",
     "crates/arch/src/",

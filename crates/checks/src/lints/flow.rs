@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 /// Event-loop files guarded by L2-FLOW (same scope as L2-TIME): the two
 /// engines, their cluster dispatch layers and fleet runner, and the
 /// whole kernel crate (which includes the multi-node fabric).
-const TIME_SCOPE: [&str; 6] = [
+pub(super) const TIME_SCOPE: [&str; 6] = [
     "crates/core/src/engine.rs",
     "crates/core/src/cluster.rs",
     "crates/core/src/fleet.rs",
@@ -45,10 +45,10 @@ const TIME_SCOPE: [&str; 6] = [
 ];
 
 /// The one sanctioned float↔cycle boundary.
-const CLOCK: &str = "crates/sim/src/clock.rs";
+pub(super) const CLOCK: &str = "crates/sim/src/clock.rs";
 
 /// Crates whose public APIs are guarded by L1/L1-FLOW.
-const UNIT_SCOPE: [&str; 7] = [
+pub(super) const UNIT_SCOPE: [&str; 7] = [
     "crates/timing/src/",
     "crates/energy/src/",
     "crates/compiler/src/",

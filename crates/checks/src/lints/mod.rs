@@ -36,3 +36,33 @@ pub(crate) fn find_word(text: &str, word: &str) -> Option<usize> {
     }
     None
 }
+
+#[cfg(test)]
+mod tests {
+    use super::{determinism, flow, hotloop, timedomain, units};
+    use std::path::Path;
+
+    #[test]
+    fn every_scope_path_exists_in_the_workspace() {
+        // A scope entry naming a moved or deleted file silently lints
+        // nothing, so every listed path must resolve.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let scopes: [(&str, &[&str]); 10] = [
+            ("timedomain::TIME_SCOPE", &timedomain::TIME_SCOPE),
+            ("units::SCOPE", &units::SCOPE),
+            ("determinism::ORDER_SCOPE", &determinism::ORDER_SCOPE),
+            ("determinism::CLOCK_SCOPE", &determinism::CLOCK_SCOPE),
+            ("determinism::THREAD_SCOPE", &determinism::THREAD_SCOPE),
+            ("determinism::PRINT_SCOPE", &determinism::PRINT_SCOPE),
+            ("flow::TIME_SCOPE", &flow::TIME_SCOPE),
+            ("flow::CLOCK", &[flow::CLOCK]),
+            ("flow::UNIT_SCOPE", &flow::UNIT_SCOPE),
+            ("hotloop::HOT_SCOPE", &hotloop::HOT_SCOPE),
+        ];
+        for (name, paths) in scopes {
+            for rel in paths {
+                assert!(root.join(rel).exists(), "{name} lists missing path {rel}");
+            }
+        }
+    }
+}

@@ -30,7 +30,7 @@ use crate::source::SourceFile;
 /// whole kernel crate — which includes the multi-node fabric — and the
 /// streaming quantile sketch, whose cycle-valued buckets must stay
 /// integer end-to-end.
-const TIME_SCOPE: [&str; 8] = [
+pub(super) const TIME_SCOPE: [&str; 8] = [
     "crates/arch/src/geometry.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/cluster.rs",

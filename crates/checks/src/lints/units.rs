@@ -14,7 +14,7 @@ use crate::source::SourceFile;
 /// and `prema` joined the scope when their result structs
 /// (`Completion::energy`, `SimResult::total_energy`) moved from bare
 /// `f64` joules to the `Picojoules` newtype.
-const SCOPE: [&str; 7] = [
+pub(super) const SCOPE: [&str; 7] = [
     "crates/timing/src/",
     "crates/energy/src/",
     "crates/compiler/src/",

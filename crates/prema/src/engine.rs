@@ -10,7 +10,7 @@
 //! so retirement, busy-time and completion logic are shared with
 //! Planaria verbatim.
 
-use crate::policy::{pick_with_threshold, Policy, PolicyTask, TokenState};
+use crate::policy::{pick_with_threshold, Policy, PolicyTask};
 use planaria_arch::{AcceleratorConfig, Arrangement};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
 use planaria_sim::{full_mask, run_streamed_sink, EnginePolicy, SimClock, SimState};
@@ -18,7 +18,6 @@ use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext};
 use planaria_workload::{Request, SimResult, VecSink};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A single node running the PREMA baseline.
@@ -116,8 +115,9 @@ impl PremaEngine {
 
     /// A fresh kernel policy for one simulation run (or one cluster
     /// node): token-based temporal multiplexing with this engine's
-    /// threshold and its own private token state. Heterogeneous cluster
-    /// fabrics mix these with Planaria's spatial policy.
+    /// threshold (tokens live on the kernel's tenant records).
+    /// Heterogeneous cluster fabrics mix these with Planaria's spatial
+    /// policy.
     pub fn node_policy(&self) -> TemporalPolicy<'_> {
         let cfg = self.library.config();
         let total = cfg.num_subarrays();
@@ -131,8 +131,6 @@ impl PremaEngine {
             mono: Arrangement::monolithic(total),
             mask: full_mask(total),
             total,
-            running: None,
-            tokens: BTreeMap::new(),
             views: Vec::new(),
         }
     }
@@ -140,6 +138,13 @@ impl PremaEngine {
 
 /// The PREMA scheduling policy plugged into the kernel: token-based
 /// temporal multiplexing of the whole chip.
+///
+/// The runner is the one tenant holding subarrays (`alloc = total`;
+/// everyone else has `alloc = 0`), and each tenant's tokens live on its
+/// record ([`TenantState::tokens`]), so the policy keeps no state across
+/// events beyond its scratch buffer.
+///
+/// [`TenantState::tokens`]: planaria_sim::TenantState::tokens
 pub struct TemporalPolicy<'a> {
     library: &'a CompiledLibrary,
     policy: Policy,
@@ -150,14 +155,6 @@ pub struct TemporalPolicy<'a> {
     /// The whole-chip placement bitmask every runner owns.
     mask: u128,
     total: u32,
-    /// Admission number ([`TenantState::admission`]) of the current
-    /// occupant, if any.
-    ///
-    /// [`TenantState::admission`]: planaria_sim::TenantState::admission
-    running: Option<u64>,
-    /// Token bookkeeping per admission number (outlives queue
-    /// reordering).
-    tokens: BTreeMap<u64, TokenState>,
     /// Reusable per-event policy view buffer (grows to the live-tenant
     /// high-water mark once; steady-state events allocate nothing).
     views: Vec<PolicyTask>,
@@ -176,48 +173,30 @@ impl EnginePolicy for TemporalPolicy<'_> {
 
     fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
         let now = sim.now;
-        // The kernel retired the runner: the chip is free again.
-        if let Some(key) = self.running {
-            if sim.index_of_admission(key).is_none() {
-                self.running = None;
-            }
-        }
-        // Bound the token map: drop entries for long-retired requests
-        // (amortized; the membership probe is the kernel's tenant index, so
-        // the sweep allocates nothing).
-        if self.tokens.len() > sim.tenants.len() + 64 {
-            self.tokens
-                .retain(|key, _| sim.index_of_admission(*key).is_some());
-        }
-        // Accrue tokens for waiting tenants; the runner does not collect.
-        for t in &sim.tenants {
-            let key = t.admission();
-            let entry = self.tokens.entry(key).or_insert(TokenState {
-                tokens: 0,
-                last_update: now,
-            });
-            if Some(key) == self.running {
-                entry.last_update = now;
-            } else {
-                entry.accrue(t.request.priority, now);
-            }
-        }
-
-        // Policy decision (a scheduling event fired). The view buffer is
-        // owned scratch: cleared, not reallocated, per event.
+        // Find the runner (the kernel retires a finished one, freeing the
+        // chip) and accrue tokens for waiting tenants; the runner does
+        // not collect. The view buffer is owned scratch: cleared, not
+        // reallocated, per event.
+        let mut running_idx = None;
         self.views.clear();
-        for (i, t) in sim.tenants.iter().enumerate() {
+        for (i, t) in sim.tenants.iter_mut().enumerate() {
+            if t.alloc > 0 {
+                running_idx = Some(i);
+                t.tokens.last_update = now;
+            } else {
+                t.tokens.accrue(t.request.priority, now);
+            }
             self.views.push(PolicyTask {
                 index: i,
-                tokens: self.tokens[&t.admission()].tokens,
+                tokens: t.tokens.tokens,
                 arrival: t.arrival_cycle,
                 remaining: t.remaining(),
             });
         }
+
+        // Policy decision (a scheduling event fired).
         let chosen_idx = pick_with_threshold(self.policy, &self.views, self.threshold);
-        let chosen = chosen_idx.map(|i| sim.tenants[i].admission());
-        if chosen != self.running {
-            let running_idx = self.running.and_then(|key| sim.index_of_admission(key));
+        if chosen_idx != running_idx {
             if let Some(cur) = running_idx {
                 // The incumbent loses the accelerator mid-flight.
                 if c.is_enabled() {
@@ -297,15 +276,14 @@ impl EnginePolicy for TemporalPolicy<'_> {
                 t.alloc = self.total;
                 t.mask = self.mask;
             }
-            self.running = chosen;
         }
         if c.is_enabled() {
             c.add(Counter::SchedulingEvents, 1);
-            let waiting = sim.tenants.len() - usize::from(self.running.is_some());
+            let waiting = sim.tenants.len() - usize::from(chosen_idx.is_some());
             c.sample(Metric::QueueDepth, waiting as f64);
             c.sample(
                 Metric::OccupancyPct,
-                if self.running.is_some() { 100.0 } else { 0.0 },
+                if chosen_idx.is_some() { 100.0 } else { 0.0 },
             );
         }
     }

@@ -10,26 +10,8 @@
 //! seconds-based policy).
 
 use planaria_model::units::Cycles;
-
-/// Per-task token bookkeeping for PREMA's policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TokenState {
-    /// Accumulated tokens (priority-weighted waiting cycles).
-    pub tokens: u64,
-    /// Last cycle tokens were accrued at.
-    pub last_update: Cycles,
-}
-
-impl TokenState {
-    /// Accrues `priority × waited-cycles` tokens up to `now`.
-    pub fn accrue(&mut self, priority: u32, now: Cycles) {
-        let waited = now.saturating_sub(self.last_update);
-        self.tokens = self
-            .tokens
-            .saturating_add(u64::from(priority).saturating_mul(waited.get()));
-        self.last_update = now;
-    }
-}
+/// Per-task token bookkeeping, kept on each tenant's record.
+pub use planaria_sim::TokenState;
 
 /// Temporal scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,15 +61,10 @@ pub fn pick_with_threshold(policy: Policy, tasks: &[PolicyTask], threshold: u64)
             // set, shortest predicted job first; with nobody starved the
             // policy degenerates to throughput-maximizing SJF over the
             // whole queue.
-            let starved: Vec<&PolicyTask> =
-                tasks.iter().filter(|t| t.tokens >= threshold).collect();
-            let candidates: Vec<&PolicyTask> = if starved.is_empty() {
-                tasks.iter().collect()
-            } else {
-                starved
-            };
-            candidates
+            let any_starved = tasks.iter().any(|t| t.tokens >= threshold);
+            tasks
                 .iter()
+                .filter(|t| !any_starved || t.tokens >= threshold)
                 .min_by_key(|t| t.remaining)
                 .map(|t| t.index)
         }

@@ -1,9 +1,7 @@
-//! The discrete-event loop: pop event → advance → admit → retire →
-//! reschedule → refresh completion estimates.
+//! The discrete-event loop: wake → advance → admit → retire →
+//! reschedule → refresh the next completion.
 
 use crate::clock::SimClock;
-use crate::queue::{EventKind, EventQueue};
-use crate::slab::TenantSlab;
 use crate::tenant::TenantState;
 use planaria_arch::AcceleratorConfig;
 use planaria_compiler::CompiledDnn;
@@ -51,8 +49,6 @@ pub struct SimState {
     /// `swap_remove` retirement — policies must not reorder this list
     /// (stable tie-breaks depend on it).
     pub tenants: Vec<TenantState>,
-    /// Admission number → position in `tenants`.
-    pub(crate) index: TenantSlab,
 }
 
 impl SimState {
@@ -64,7 +60,6 @@ impl SimState {
             clock,
             now: Cycles::ZERO,
             tenants: Vec::new(),
-            index: TenantSlab::new(),
         }
     }
 
@@ -82,32 +77,6 @@ impl SimState {
     pub fn total_subarrays(&self) -> u32 {
         self.cfg.num_subarrays()
     }
-
-    /// Position in `tenants` of the live tenant with admission number
-    /// `admission` ([`TenantState::admission`]; not a request id), if
-    /// any. One O(1) slab probe (hot: runs once per popped completion
-    /// entry).
-    pub fn index_of_admission(&self, admission: u64) -> Option<usize> {
-        self.index.get(admission)
-    }
-}
-
-/// Whether a popped queue entry is still live: the hoisted stale-epoch
-/// check. This is the *single* validity predicate — the pop path, the
-/// same-cycle coalescing drain, and [`EventQueue::compact`] all consult
-/// it, so a superseded completion can never reach the policy callback
-/// path through any of the three, and compaction removes exactly the
-/// entries the pop path would have skipped.
-///
-/// A free function (not a method) so callers can borrow `sim` while
-/// holding `&mut` on the queue.
-fn event_is_valid(sim: &SimState, next_arrival: u64, kind: &EventKind) -> bool {
-    match kind {
-        EventKind::Arrival { index } => *index == next_arrival,
-        EventKind::Completion { tenant, epoch } => sim
-            .index_of_admission(*tenant)
-            .is_some_and(|i| sim.tenants[i].epoch == *epoch),
-    }
 }
 
 /// A resumable single-node discrete-event kernel.
@@ -119,11 +88,10 @@ fn event_is_valid(sim: &SimState, next_arrival: u64, kind: &EventKind) -> bool {
 /// ([`run_streamed_sink`]), and driving it in bounded slices processes
 /// the *same* events at the *same* cycles in the *same* order, because
 /// events are pure wake-ups: a bound only decides how far this call
-/// walks the heap, never what is in it.
+/// walks, never when the node wakes.
 #[derive(Debug)]
 pub struct NodeKernel<S: CompletionSink> {
     sim: SimState,
-    queue: EventQueue,
     /// Where retirements go: an in-memory vector
     /// ([`VecSink`](planaria_workload::VecSink)), a quantile sketch, a
     /// disk spill, or nothing at all
@@ -132,15 +100,16 @@ pub struct NodeKernel<S: CompletionSink> {
     /// with zero dispatch cost.
     sink: S,
     em: EnergyModel,
-    /// The one not-yet-admitted arrival pulled from the source.
-    pending: Option<Request>,
+    /// The one not-yet-admitted arrival pulled from the source, with its
+    /// arrival cycle.
+    pending: Option<(Request, Cycles)>,
     last_arrival: f64,
     /// The admission counter: arrivals admitted so far, which is also
     /// the admission number `pending` will get.
     next_arrival: u64,
-    /// Whether an arrival event for `pending` is already in the heap
-    /// (avoids re-pushing a duplicate wake-up on every event).
-    arrival_queued: bool,
+    /// The earliest `now + remaining` over tenants holding subarrays,
+    /// taken in the last refresh pass (`None` while nobody runs).
+    next_completion: Option<Cycles>,
     busy: Cycles,
     /// Cycle of the first admitted arrival: this node's makespan origin.
     origin: Option<Cycles>,
@@ -182,13 +151,12 @@ impl<S: CompletionSink> NodeKernel<S> {
     pub fn with_sink(cfg: &AcceleratorConfig, clock: SimClock, sink: S) -> Self {
         Self {
             sim: SimState::new_for(*cfg, clock),
-            queue: EventQueue::default(),
             sink,
             em: EnergyModel::for_config(cfg),
             pending: None,
             last_arrival: f64::NEG_INFINITY,
             next_arrival: 0,
-            arrival_queued: false,
+            next_completion: None,
             busy: Cycles::ZERO,
             origin: None,
             events: 0,
@@ -229,80 +197,54 @@ impl<S: CompletionSink> NodeKernel<S> {
 
     /// Pulls the next request from the source, checking its arrival.
     fn pull<F: FnMut() -> Option<Request>>(&mut self, src: &mut F) {
-        self.pending = src();
-        if let Some(next) = &self.pending {
+        self.pending = src().map(|next| {
             assert!(
                 next.arrival >= self.last_arrival,
                 "trace must be sorted by arrival time"
             );
-            self.sim.clock.check_arrival(next);
+            let at = self.sim.clock.check_arrival(&next);
             self.last_arrival = next.arrival;
-        }
+            (next, at)
+        });
     }
 
-    /// Pops the next *valid* event strictly before `bound`: stale heap
-    /// entries — superseded completion estimates (epoch mismatch),
-    /// estimates for retired tenants, already-admitted arrivals — are
-    /// skipped.
+    /// The next wake-up strictly before `bound`: the earlier of the
+    /// pending arrival's cycle and `next_completion`, or `None` when
+    /// neither exists or the earlier one lands at or past `bound`.
     ///
-    /// Same-cycle coalescing: once a valid event fixes the wake-up cycle,
-    /// every remaining heap entry at that cycle is drained in the same
-    /// pass. Events are pure wake-ups — admission is driven by the trace
+    /// Events are pure wake-ups — admission is driven by the trace
     /// cursor and retirement by the exact `is_done` scan — so when *k*
-    /// arrivals and completions land on one `Cycles` timestamp the kernel
-    /// advances once, admits/retires them all, and invokes `reschedule`
-    /// once. The `(Cycles, EventKind, seq)` heap order is unchanged: the
-    /// first valid entry at the cycle still decides the wake-up exactly
-    /// as before, and the drained entries carry no payload the loop body
-    /// would have read.
+    /// arrivals and completions land on one cycle the kernel advances
+    /// once, admits/retires them all, and invokes `reschedule` once.
+    /// Nothing is consumed here, so a bounded walk followed by another
+    /// call is indistinguishable from one unbounded walk.
     ///
-    /// Entries at or after `bound` stay in the heap untouched, so a
-    /// bounded walk followed by another call is indistinguishable from
-    /// one unbounded walk.
-    ///
-    /// The returned flag reports whether any *valid* completion entry —
-    /// the wake-up itself or a same-cycle coalesced drain — was consumed
-    /// at this cycle. That flag is the retirement gate's evidence: a
-    /// tenant holding subarrays reaches `is_done` exactly when `now`
-    /// hits its `scheduled_completion` (the estimate-refresh invariant
-    /// keeps `scheduled_completion = now + remaining` whenever
-    /// `alloc > 0`, and `advance` burns cycle-for-cycle), and that cycle
-    /// always carries the tenant's current-epoch — hence valid — queue
-    /// entry. So no valid completion at this cycle means no running
-    /// tenant can have finished here.
-    fn next_event_before(&mut self, bound: Option<Cycles>) -> Option<(Cycles, bool)> {
-        loop {
-            let head = self.queue.next_at()?;
-            if bound.is_some_and(|b| head >= b) {
-                return None;
-            }
-            let (at, kind) = self.queue.pop()?;
-            if event_is_valid(&self.sim, self.next_arrival, &kind) {
-                let mut completion_due = matches!(kind, EventKind::Completion { .. });
-                while self.queue.next_at() == Some(at) {
-                    if let Some((_, drained)) = self.queue.pop() {
-                        if event_is_valid(&self.sim, self.next_arrival, &drained) {
-                            completion_due |= matches!(drained, EventKind::Completion { .. });
-                        } else {
-                            self.queue.note_stale_consumed();
-                        }
-                    }
-                }
-                return Some((at, completion_due));
-            }
-            // A superseded entry left the queue: balance the stale
-            // ledger so `should_compact` tracks the live population.
-            self.queue.note_stale_consumed();
+    /// The returned flag reports whether a completion is due at this
+    /// cycle: the retirement gate's evidence. A tenant holding subarrays
+    /// reaches `is_done` exactly at `now + remaining` as of the last
+    /// refresh (`advance` burns cycle-for-cycle, and tenants change only
+    /// inside a pass), and the earliest such cycle is `next_completion`.
+    /// So a wake-up before it cannot have finished any running tenant.
+    fn next_wake_before(&self, bound: Option<Cycles>) -> Option<(Cycles, bool)> {
+        let at = self
+            .pending
+            .map(|(_, at)| at)
+            .into_iter()
+            .chain(self.next_completion)
+            .min()?;
+        if bound.is_some_and(|b| at >= b) {
+            return None;
         }
+        Some((at, self.next_completion == Some(at)))
     }
 
-    /// Advances the node until the event heap is exhausted (or, with a
-    /// bound, until the next event would land at or past `bound`),
+    /// Advances the node until nothing is left to wake for (or, with a
+    /// bound, until the next wake-up would land at or past `bound`),
     /// drawing arrivals lazily from `src`.
     ///
-    /// The loop body is the kernel contract: pop event → advance work →
+    /// The loop body is the kernel contract: wake → advance work →
     /// admit due arrivals → retire finished tenants → `reschedule` →
-    /// refresh completion estimates.
+    /// refresh the next completion.
     pub fn advance<P: EnginePolicy, C: Collector, F: FnMut() -> Option<Request>>(
         &mut self,
         bound: Option<Cycles>,
@@ -313,21 +255,10 @@ impl<S: CompletionSink> NodeKernel<S> {
         if self.pending.is_none() {
             self.pull(src);
         }
-        if !self.arrival_queued {
-            if let Some(r) = &self.pending {
-                self.queue.push(
-                    self.sim.clock.cycles_from_seconds(r.arrival),
-                    EventKind::Arrival {
-                        index: self.next_arrival,
-                    },
-                );
-                self.arrival_queued = true;
-            }
-        }
 
         let track_pods = c.is_enabled();
         let per_pod = self.sim.cfg.subarrays_per_pod.max(1);
-        while let Some((t_next, completion_due)) = self.next_event_before(bound) {
+        while let Some((t_next, completion_due)) = self.next_wake_before(bound) {
             self.events += 1;
             // Advance every allocated tenant to the event time. The chip
             // is busy whenever anyone holds subarrays. With telemetry on,
@@ -366,20 +297,10 @@ impl<S: CompletionSink> NodeKernel<S> {
             self.sim.now = t_next;
 
             // Admit every arrival due now; keep exactly one future
-            // arrival event outstanding.
+            // arrival pending.
             let mut maybe_done = completion_due;
-            while let Some(req) = self.pending {
-                let at = self.sim.clock.cycles_from_seconds(req.arrival);
+            while let Some((req, at)) = self.pending {
                 if at > self.sim.now {
-                    if !self.arrival_queued {
-                        self.queue.push(
-                            at,
-                            EventKind::Arrival {
-                                index: self.next_arrival,
-                            },
-                        );
-                        self.arrival_queued = true;
-                    }
                     break;
                 }
                 if self.origin.is_none() {
@@ -397,9 +318,6 @@ impl<S: CompletionSink> NodeKernel<S> {
                 }
                 let compiled = policy.compiled_for(&req);
                 let deadline = self.sim.clock.cycles_from_seconds(req.deadline());
-                self.sim
-                    .index
-                    .insert(self.next_arrival, self.sim.tenants.len());
                 self.sim.tenants.push(TenantState::new(
                     self.next_arrival,
                     req,
@@ -410,42 +328,27 @@ impl<S: CompletionSink> NodeKernel<S> {
                     self.sim.now,
                 ));
                 // A degenerate zero-work request is done the moment it is
-                // admitted, without ever owning a completion entry — the
-                // one way `is_done` can flip outside a completion cycle.
+                // admitted, without ever holding subarrays — the one way
+                // `is_done` can flip outside a completion cycle.
                 maybe_done |= self.sim.tenants.last().is_some_and(TenantState::is_done);
                 self.next_arrival += 1;
-                self.arrival_queued = false;
                 self.pull(src);
             }
 
             // Retire finished tenants (ascending swap_remove scan,
             // preserving the admission-order prefix that stable
             // scheduling relies on). The scan runs only when this cycle
-            // could have finished someone: a valid completion entry was
-            // consumed (see `next_event_before`) or a zero-work admit
-            // arrived done. On pure-arrival cycles — half of a saturated
-            // node's events — the O(live) sweep is provably a no-op and
-            // is skipped; the oracle kernel runs it unconditionally and
-            // the equivalence suite pins the results byte-for-byte.
+            // could have finished someone: a completion was due (see
+            // `next_wake_before`) or a zero-work admit arrived done. On
+            // pure-arrival cycles — half of a saturated node's events —
+            // the O(live) sweep is provably a no-op and is skipped; the
+            // oracle kernel runs it unconditionally and the equivalence
+            // suite pins the results byte-for-byte.
             let mut retired_any = false;
             let mut i = 0;
             while maybe_done && i < self.sim.tenants.len() {
                 if self.sim.tenants[i].is_done() {
                     let t = self.sim.tenants.swap_remove(i);
-                    self.sim.index.remove(t.admission());
-                    if let Some(moved) = self.sim.tenants.get(i) {
-                        self.sim.index.insert(moved.admission(), i);
-                    }
-                    // A retiring tenant whose current-epoch completion
-                    // entry has not matured yet (estimate strictly in the
-                    // future) leaves that entry permanently dead in the
-                    // queue. With the estimate-refresh invariant this
-                    // cannot happen — a tenant finishes exactly when its
-                    // estimate matures — but the guard keeps the stale
-                    // ledger exact under any policy behavior.
-                    if t.scheduled_completion.is_some_and(|sc| sc > self.sim.now) {
-                        self.queue.note_stale();
-                    }
                     retired_any = true;
                     let latency = self.sim.now.saturating_sub(t.arrival_cycle);
                     if c.is_enabled() {
@@ -507,65 +410,20 @@ impl<S: CompletionSink> NodeKernel<S> {
                 }
             }
 
-            // One slot per live tenant: admission numbers never repeat,
-            // whatever the trace's request ids do.
-            debug_assert_eq!(
-                self.sim.index.len(),
-                self.sim.tenants.len(),
-                "tenant slab out of sync with the live list"
-            );
-
             // A scheduling event fired: let the policy reassign the chip.
             policy.reschedule(&mut self.sim, c);
 
-            // Refresh completion estimates. `now + remaining` is
-            // invariant under plain advancement, so an estimate changes
-            // only when the policy touched the tenant; superseded heap
-            // entries are invalidated by the epoch bump rather than
-            // removed.
-            for t in &mut self.sim.tenants {
-                let target = if t.alloc > 0 {
-                    Some(self.sim.now + t.remaining())
-                } else {
-                    None
-                };
-                if target != t.scheduled_completion {
-                    // The epoch bump supersedes the tenant's previous
-                    // entry. It is still physically queued exactly when
-                    // the old estimate lies strictly in the future (an
-                    // estimate at `now` was consumed as this event's
-                    // wake-up or coalesced drain), so only then does the
-                    // stale ledger grow.
-                    if t.scheduled_completion.is_some_and(|sc| sc > self.sim.now) {
-                        self.queue.note_stale();
-                    }
-                    t.scheduled_completion = target;
-                    t.epoch = t.epoch.wrapping_add(1);
-                    if let Some(at) = target {
-                        self.queue.push(
-                            at,
-                            EventKind::Completion {
-                                tenant: t.admission(),
-                                epoch: t.epoch,
-                            },
-                        );
-                    }
-                }
-            }
-
-            // Compact once the superseded population dominates the
-            // queue: one sweep drops every dead entry, so resident size
-            // tracks live events instead of every estimate ever pushed.
-            // Removal is invisible to pop order — the predicate is the
-            // same hoisted validity check the pop path applies, and
-            // invalidity is permanent (epochs only grow, retired ids
-            // never return, the arrival cursor only advances).
-            if self.queue.should_compact() {
-                let sim = &self.sim;
-                let next_arrival = self.next_arrival;
-                self.queue
-                    .compact(|kind| event_is_valid(sim, next_arrival, kind));
-            }
+            // Refresh the next completion. `now + remaining` is invariant
+            // under plain advancement, so the minimum taken here stays
+            // exact until the next wake-up.
+            let now = self.sim.now;
+            self.next_completion = self
+                .sim
+                .tenants
+                .iter()
+                .filter(|t| t.alloc > 0)
+                .map(|t| now + t.remaining())
+                .min();
         }
     }
 
@@ -573,10 +431,6 @@ impl<S: CompletionSink> NodeKernel<S> {
     /// tallies — how spill and sketch runs recover what they recorded.
     pub fn into_sink(self) -> (S, NodeSummary) {
         debug_assert!(self.is_idle(), "node finalized with work outstanding");
-        debug_assert!(
-            self.sim.index.is_empty(),
-            "tenant index out of sync with the live list"
-        );
         let active = self
             .sim
             .now

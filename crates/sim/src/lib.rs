@@ -8,9 +8,10 @@
 //! the loop out once and owns time as integer
 //! [`Cycles`](planaria_model::units::Cycles) end-to-end:
 //!
-//! - The event queue: one binary heap keyed `(Cycles, EventKind, seq)`
-//!   so pop order is a total order — independent of insertion order for
-//!   distinct events, FIFO for identical ones.
+//! - The wake-up rule: a node wakes at the earlier of its one pending
+//!   arrival and the first finish among tenants holding subarrays. No
+//!   event queue is kept; both cycles are exact integers, so the order
+//!   of events is total.
 //! - [`TenantState`]: the shared per-request record (work accounting in
 //!   exact cycles, reconfiguration overhead owed, accrued energy,
 //!   queue/slice timestamps, placement mask).
@@ -35,16 +36,18 @@
 //! - [`run_fabric_summary`]: the same fabric at flat memory, keeping
 //!   aggregate tallies only.
 //!
-//! [`oracle::run_streamed_reference`] re-runs one node without the
-//! kernel's optimisations (queue compaction, the slab index, the gated
-//! retire scan); it is the kernel's exactness oracle.
+//! [`oracle::run_streamed_reference`] re-runs one node on the algorithm
+//! the kernel replaced (a lazily invalidated binary heap of completion
+//! estimates, an unconditional retire scan); it is the kernel's
+//! exactness oracle.
 //!
 //! Completion detection is exact — a tenant is done when its integer
 //! work counter reaches the table total and its overhead is burned; no
-//! `DONE_EPS`-style float tolerance. Completion heap entries are
-//! invalidated by per-tenant epochs instead of being removed, so a
-//! scheduling decision costs O(log T) heap pushes rather than an
-//! O(T) min-scan per event.
+//! `DONE_EPS`-style float tolerance. The kernel already visits every
+//! live tenant twice per event (to advance work and to refresh after
+//! the policy decides), so the next completion is one `min` in the
+//! refresh pass: a heap of estimates would add O(log T) pushes per
+//! changed tenant on top of that O(T) walk, and save nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,8 +56,6 @@ mod clock;
 mod fabric;
 mod kernel;
 pub mod oracle;
-mod queue;
-mod slab;
 mod tenant;
 
 pub use clock::SimClock;
@@ -63,4 +64,4 @@ pub use fabric::{
     NodeLoad,
 };
 pub use kernel::{run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState};
-pub use tenant::{full_mask, subarray_mask, FloorEntry, TenantState};
+pub use tenant::{full_mask, subarray_mask, FloorEntry, TenantState, TokenState};

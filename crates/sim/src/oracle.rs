@@ -1,18 +1,24 @@
-//! The reference kernel: the production event loop minus its
-//! optimisations, retained as the exactness oracle and the performance
-//! baseline.
+//! The reference kernel: the production event loop's semantics on the
+//! algorithm the kernel replaced, retained as the exactness oracle and
+//! the performance baseline.
 //!
-//! It keeps the kernel's event semantics (pop → advance → admit →
-//! retire → reschedule → refresh), its `EventQueue` and total event key,
-//! and its float operation order, but not what the kernel optimises:
+//! It keeps the kernel's event semantics (wake → advance → admit →
+//! retire → reschedule → refresh) and its float operation order, but
+//! finds wake-ups a different way:
 //!
-//! * the queue is never compacted — superseded entries sit in the heap
-//!   until they pop;
-//! * completion validity is a `BTreeMap<u64, usize>` probe, not a
-//!   `TenantSlab` lookup (the [`SimState`] slab is kept in sync anyway,
-//!   because real policies call [`SimState::index_of_admission`]);
-//! * the retire scan runs after every event, not only on cycles that
-//!   consumed a valid completion.
+//! * a private binary heap of `(cycle, wake)` entries: one arrival
+//!   entry per admission number, and one completion entry per change of
+//!   a tenant's estimate;
+//! * superseded estimates are invalidated lazily by per-tenant epochs,
+//!   kept in the oracle's own admission-keyed `BTreeMap`, and skipped
+//!   when they pop; the heap is never compacted;
+//! * the retire scan runs after every event, not only on cycles where a
+//!   completion was due.
+//!
+//! The production kernel instead wakes at the earlier of the pending
+//! arrival and the minimum `now + remaining` over running tenants, so
+//! the two lanes agree only if that minimum is exactly the heap's next
+//! valid entry.
 //!
 //! [`run_streamed_reference`] mirrors
 //! [`run_streamed_sink`](crate::run_streamed_sink) with a
@@ -34,7 +40,6 @@
 
 use crate::clock::SimClock;
 use crate::kernel::{EnginePolicy, SimState};
-use crate::queue::{EventKind, EventQueue};
 use crate::tenant::TenantState;
 use planaria_arch::AcceleratorConfig;
 use planaria_energy::EnergyModel;
@@ -42,12 +47,41 @@ use planaria_model::units::Cycles;
 use planaria_telemetry::Collector;
 use planaria_workload::{Completion, Request, SimResult};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
-/// One node's run re-executed on the reference loop: no compaction,
-/// `BTreeMap` index, unconditional retire scan. `requests` is a slice or
-/// a stream alike. The result is the oracle the kernel is compared
-/// against.
+/// What can wake the oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Wake {
+    /// The node's `index`-th arrival becomes visible to the scheduler.
+    Arrival {
+        /// The admission number the arrival will get.
+        index: u64,
+    },
+    /// A tenant's completion estimate matured. Valid only while the
+    /// tenant is live and `epoch` is still its current one.
+    Completion {
+        /// Admission number of the tenant (not its request id).
+        tenant: u64,
+        /// Estimate generation this entry belongs to.
+        epoch: u64,
+    },
+}
+
+/// The last completion estimate the oracle pushed for one live tenant.
+#[derive(Debug, Clone, Copy, Default)]
+struct Estimate {
+    /// Generation, bumped whenever `at` changes.
+    epoch: u64,
+    /// The pushed completion cycle; `None` while the tenant holds no
+    /// subarrays.
+    at: Option<Cycles>,
+}
+
+/// One node's run re-executed on the reference loop: lazily invalidated
+/// heap, `BTreeMap` estimates, unconditional retire scan. `requests` is
+/// a slice or a stream alike. The result is the oracle the kernel is
+/// compared against.
 ///
 /// # Panics
 ///
@@ -84,47 +118,44 @@ where
     };
 
     let mut sim = SimState::new_for(*cfg, clock);
-    let mut queue = EventQueue::default();
-    // The baseline's hot lookup: admission number → tenant position
-    // through a tree walk. `sim.index` (the slab) is kept in sync purely
-    // because policies read it through `SimState::index_of_admission`;
-    // every *kernel-side* probe below goes through this map.
-    let mut index: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut queue: BinaryHeap<Reverse<(Cycles, Wake)>> = BinaryHeap::new();
+    let mut estimates: BTreeMap<u64, Estimate> = BTreeMap::new();
     let em = EnergyModel::for_config(cfg);
 
     let mut completions: Vec<Completion> = Vec::new();
     let mut pending: Option<Request> = pull();
     let mut next_arrival = 0u64;
-    let mut arrival_queued = false;
+    // Whether the pending arrival's wake-up is already in the heap.
+    let mut arrival_pushed = false;
     let mut busy = Cycles::ZERO;
     let mut origin: Option<Cycles> = None;
 
     if let Some(r) = &pending {
-        queue.push(
+        queue.push(Reverse((
             clock.cycles_from_seconds(r.arrival),
-            EventKind::Arrival {
+            Wake::Arrival {
                 index: next_arrival,
             },
-        );
-        arrival_queued = true;
+        )));
+        arrival_pushed = true;
     }
 
     loop {
-        // Pop the next valid event; skip stale heap entries. Same-cycle
-        // coalescing exactly as the hot kernel does it.
+        // Pop the next valid entry, skipping superseded ones, then drain
+        // every other entry at the same cycle: events are pure wake-ups.
         let t_next = loop {
-            let Some((at, kind)) = queue.pop() else {
+            let Some(Reverse((at, wake))) = queue.pop() else {
                 break None;
             };
-            let valid = match kind {
-                EventKind::Arrival { index } => index == next_arrival,
-                EventKind::Completion { tenant, epoch } => index
-                    .get(&tenant)
-                    .is_some_and(|&i| sim.tenants[i].epoch == epoch),
+            let valid = match wake {
+                Wake::Arrival { index } => index == next_arrival,
+                Wake::Completion { tenant, epoch } => {
+                    estimates.get(&tenant).is_some_and(|e| e.epoch == epoch)
+                }
             };
             if valid {
-                while queue.next_at() == Some(at) {
-                    let _ = queue.pop();
+                while queue.peek().is_some_and(|Reverse((next, _))| *next == at) {
+                    queue.pop();
                 }
                 break Some(at);
             }
@@ -149,14 +180,14 @@ where
         while let Some(req) = pending {
             let at = clock.cycles_from_seconds(req.arrival);
             if at > sim.now {
-                if !arrival_queued {
-                    queue.push(
+                if !arrival_pushed {
+                    queue.push(Reverse((
                         at,
-                        EventKind::Arrival {
+                        Wake::Arrival {
                             index: next_arrival,
                         },
-                    );
-                    arrival_queued = true;
+                    )));
+                    arrival_pushed = true;
                 }
                 break;
             }
@@ -165,8 +196,6 @@ where
             }
             let compiled = policy.compiled_for(&req);
             let deadline = clock.cycles_from_seconds(req.deadline());
-            index.insert(next_arrival, sim.tenants.len());
-            sim.index.insert(next_arrival, sim.tenants.len());
             sim.tenants.push(TenantState::new(
                 next_arrival,
                 req,
@@ -177,7 +206,7 @@ where
                 sim.now,
             ));
             next_arrival += 1;
-            arrival_queued = false;
+            arrival_pushed = false;
             pending = pull();
         }
 
@@ -185,12 +214,7 @@ where
         while i < sim.tenants.len() {
             if sim.tenants[i].is_done() {
                 let t = sim.tenants.swap_remove(i);
-                index.remove(&t.admission());
-                sim.index.remove(t.admission());
-                if let Some(moved) = sim.tenants.get(i) {
-                    index.insert(moved.admission(), i);
-                    sim.index.insert(moved.admission(), i);
-                }
+                estimates.remove(&t.admission());
                 completions.push(Completion {
                     request: t.request,
                     finish: clock.to_seconds(sim.now),
@@ -203,23 +227,26 @@ where
 
         policy.reschedule(&mut sim, c);
 
-        for t in &mut sim.tenants {
+        // Push a fresh completion entry for every tenant whose estimate
+        // moved; the epoch bump supersedes its previous entry.
+        for t in &sim.tenants {
             let target = if t.alloc > 0 {
                 Some(sim.now + t.remaining())
             } else {
                 None
             };
-            if target != t.scheduled_completion {
-                t.scheduled_completion = target;
-                t.epoch = t.epoch.wrapping_add(1);
+            let e = estimates.entry(t.admission()).or_default();
+            if target != e.at {
+                e.at = target;
+                e.epoch = e.epoch.wrapping_add(1);
                 if let Some(at) = target {
-                    queue.push(
+                    queue.push(Reverse((
                         at,
-                        EventKind::Completion {
+                        Wake::Completion {
                             tenant: t.admission(),
-                            epoch: t.epoch,
+                            epoch: e.epoch,
                         },
-                    );
+                    )));
                 }
             }
         }

@@ -62,6 +62,26 @@ pub struct FloorEntry {
     pub fit: Cycles,
 }
 
+/// The PREMA policy's token bookkeeping for one tenant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TokenState {
+    /// Accumulated tokens (priority-weighted waiting cycles).
+    pub tokens: u64,
+    /// Last cycle tokens were accrued at.
+    pub last_update: Cycles,
+}
+
+impl TokenState {
+    /// Accrues `priority × waited-cycles` tokens up to `now`.
+    pub fn accrue(&mut self, priority: u32, now: Cycles) {
+        let waited = now.saturating_sub(self.last_update);
+        self.tokens = self
+            .tokens
+            .saturating_add(u64::from(priority).saturating_mul(waited.get()));
+        self.last_update = now;
+    }
+}
+
 /// One live request inside the kernel: work accounting in exact integer
 /// cycles plus the bookkeeping both engines share.
 ///
@@ -104,13 +124,13 @@ pub struct TenantState {
     /// It lives on the record, so it moves with the tenant through
     /// `swap_remove` retirement and dies with it. PREMA ignores it.
     pub memo: Option<FloorEntry>,
+    /// The PREMA policy's tokens, starting from zero at admission. Like
+    /// `memo`, they move with the tenant and die with it. Planaria
+    /// ignores them.
+    pub tokens: TokenState,
     /// The node's admission counter at admission (see
     /// [`admission`](Self::admission)).
     admission: u64,
-    /// Completion-estimate generation (kernel internal).
-    pub(crate) epoch: u64,
-    /// The completion cycle currently in the heap, if any.
-    pub(crate) scheduled_completion: Option<Cycles>,
 }
 
 impl TenantState {
@@ -146,16 +166,18 @@ impl TenantState {
             queued_since: now,
             slice_start: now,
             memo: None,
+            tokens: TokenState {
+                tokens: 0,
+                last_update: now,
+            },
             admission,
-            epoch: 0,
-            scheduled_completion: None,
         }
     }
 
     /// How many tenants this node admitted before this one. Unlike the
     /// request id, which the trace chooses, it is dense and increasing,
-    /// so the kernel and the policies key live tenants by it.
-    pub fn admission(&self) -> u64 {
+    /// so the oracle kernel keys its completion estimates by it.
+    pub(crate) fn admission(&self) -> u64 {
         self.admission
     }
 

@@ -1,21 +1,27 @@
 //! Exactness oracle: the production kernel must reproduce the reference
 //! kernel (`planaria_sim::oracle`) byte for byte.
 //!
-//! The reference drives the same event loop and the same binary-heap
-//! event queue without the kernel's optimisations — a `BTreeMap` tenant
-//! index, no stale ledger, no compaction, an unconditional retire scan.
-//! Both lanes run each engine's production policy, so a comparison
-//! isolates the kernel: the scheduler has its own oracle (the full-rescan
-//! mode pinned by `incremental_equivalence`). Both engines' policies are
-//! run through both kernels across the scenario/QoS grid, at rates that
-//! keep the node saturated (deep backlogs are where the slab window and
-//! compaction actually engage), and every result must digest identically.
+//! The two find wake-ups by different algorithms. The kernel wakes at the
+//! earlier of the pending arrival and the minimum `now + remaining` over
+//! tenants holding subarrays; the reference pops a binary heap of
+//! completion estimates, invalidated lazily by per-tenant epochs, and
+//! runs its retire scan after every event. Both lanes run each engine's
+//! production policy, so a comparison isolates the kernel: the scheduler
+//! has its own oracle (the full-rescan mode pinned by
+//! `incremental_equivalence`). Both engines' policies are run through
+//! both kernels across the scenario/QoS grid, at rates that keep the node
+//! saturated (deep backlogs re-estimate every running tenant at every
+//! event), on adversarial traces (same-instant bursts, hopeless
+//! deadlines, convoys, out-of-order and repeated ids) and on a
+//! finer-grained chip, and every result must digest identically.
 
+use planaria_arch::AcceleratorConfig;
 use planaria_core::PlanariaEngine;
+use planaria_model::DnnId;
 use planaria_prema::{Policy, PremaEngine};
 use planaria_sim::oracle::run_streamed_reference;
 use planaria_telemetry::NullCollector;
-use planaria_workload::{QosLevel, Scenario, TraceConfig};
+use planaria_workload::{QosLevel, Request, Scenario, TraceConfig};
 
 fn assert_identical(a: &planaria_workload::SimResult, b: &planaria_workload::SimResult, tag: &str) {
     assert_eq!(a.completions, b.completions, "{tag}: completions diverged");
@@ -62,8 +68,8 @@ fn prema_policy_matches_reference_across_the_grid() {
 #[test]
 fn streamed_path_matches_streamed_reference_on_a_bursty_trace() {
     // The bursty high-churn regime from the scale/kernel benches: deep
-    // backlogs, constant re-estimation, heavy stale churn — the regime
-    // compaction was built for.
+    // backlogs and constant re-estimation, so the heap lane carries many
+    // superseded estimates past the kernel's one minimum.
     let engine = PlanariaEngine::new(planaria_arch::AcceleratorConfig::planaria());
     let cfg = *engine.library().config();
     let trace_cfg =
@@ -72,4 +78,96 @@ fn streamed_path_matches_streamed_reference_on_a_bursty_trace() {
     let mut policy = engine.spatial_policy();
     let oracle = run_streamed_reference(&cfg, trace_cfg.stream(), &mut policy, &mut NullCollector);
     assert_identical(&hot, &oracle, "bursty streamed");
+
+    // PREMA on the same trace: one runner, preempted as tokens build up
+    // across a deep queue.
+    let prema = PremaEngine::new_default();
+    let cfg = *prema.library().config();
+    let hot = prema.run(trace_cfg.stream());
+    let mut policy = prema.node_policy();
+    let oracle = run_streamed_reference(&cfg, trace_cfg.stream(), &mut policy, &mut NullCollector);
+    assert_identical(&hot, &oracle, "prema bursty streamed");
+}
+
+fn req(id: u64, dnn: DnnId, arrival: f64, priority: u32, qos: f64) -> Request {
+    Request {
+        id,
+        dnn,
+        arrival,
+        priority,
+        qos,
+    }
+}
+
+/// The adversarial traces of `tests/robustness.rs` and
+/// `tests/request_ids.rs`, by name.
+fn stress_traces() -> Vec<(String, Vec<Request>)> {
+    let mut traces = vec![
+        (
+            "same-instant burst of twenty".to_string(),
+            (0..20)
+                .map(|i| {
+                    let dnn = DnnId::ALL[(i % 9) as usize];
+                    req(i, dnn, 0.5, (i % 11 + 1) as u32, 0.05)
+                })
+                .collect(),
+        ),
+        (
+            "hopeless deadlines".to_string(),
+            (0..8)
+                .map(|i| req(i, DnnId::SsdResNet34, 0.001 * i as f64, 5, 1e-9))
+                .collect(),
+        ),
+        (
+            "out-of-order ids".to_string(),
+            vec![
+                req(1, DnnId::ResNet50, 0.0, 5, 1.0),
+                req(0, DnnId::TinyYolo, 1e-4, 5, 1.0),
+            ],
+        ),
+    ];
+    let mut convoy: Vec<Request> = (0..10)
+        .map(|i| req(i, DnnId::YoloV3, 0.0001 * i as f64, 3, 10.0))
+        .collect();
+    convoy.push(req(10, DnnId::MobileNetV1, 0.005, 11, 0.025));
+    convoy.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+    traces.push(("convoy with an interloper".to_string(), convoy));
+    for seed in [0, 2, 3, 5, 14, 23] {
+        for div in [2, 3, 5] {
+            let mut trace = TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 400, seed)
+                .with_burstiness(6.0)
+                .generate();
+            for r in &mut trace {
+                r.id /= div;
+            }
+            traces.push((format!("bursty seed {seed}, ids / {div}"), trace));
+        }
+    }
+    traces
+}
+
+#[test]
+fn stress_traces_match_reference_on_three_chips() {
+    // Planaria on the paper chip and on 64 finer subarrays, PREMA on
+    // the monolithic chip.
+    let spatial = [
+        PlanariaEngine::new(AcceleratorConfig::planaria()),
+        PlanariaEngine::new(AcceleratorConfig::with_granularity(16)),
+    ];
+    let prema = PremaEngine::new_default();
+    for (name, trace) in stress_traces() {
+        for engine in &spatial {
+            let cfg = *engine.library().config();
+            let hot = engine.run(&trace);
+            let mut policy = engine.spatial_policy();
+            let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+            let tag = format!("{name} on {} subarrays", cfg.num_subarrays());
+            assert_identical(&hot, &oracle, &tag);
+        }
+        let cfg = *prema.library().config();
+        let hot = prema.run(&trace);
+        let mut policy = prema.node_policy();
+        let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+        assert_identical(&hot, &oracle, &format!("prema {name}"));
+    }
 }
