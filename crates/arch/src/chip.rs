@@ -27,10 +27,13 @@ impl fmt::Display for SubarrayId {
     }
 }
 
-/// A contiguous (mod ring size) set of subarrays owned by one tenant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A contiguous (mod ring size) segment of subarrays owned by one
+/// tenant: `len` subarrays from `start` around a ring of `total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Allocation {
-    ids: Vec<SubarrayId>,
+    start: u32,
+    len: u32,
+    total: u32,
 }
 
 impl Allocation {
@@ -42,31 +45,53 @@ impl Allocation {
     /// Panics if `count` is zero or exceeds `total`.
     pub fn contiguous(start: u32, count: u32, total: u32) -> Self {
         assert!(count > 0 && count <= total, "invalid allocation size");
-        let ids = (0..count)
-            .map(|i| SubarrayId((start + i) % total))
-            .collect();
-        Self { ids }
+        Self {
+            start: start % total,
+            len: count,
+            total,
+        }
     }
 
-    /// The subarrays owned.
-    pub fn subarrays(&self) -> &[SubarrayId] {
-        &self.ids
+    /// The subarrays owned, from `start` around the ring.
+    pub fn subarrays(&self) -> impl Iterator<Item = SubarrayId> {
+        let Self { start, len, total } = *self;
+        (0..len).map(move |i| SubarrayId((start + i) % total))
     }
 
     /// Number of subarrays owned.
     pub fn len(&self) -> u32 {
-        self.ids.len() as u32
+        self.len
     }
 
     /// Whether the allocation is empty (never true for constructed values).
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
+    }
+
+    /// Placement bitmask: bit *i* set ⇔ subarray *i* owned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring has more than 128 subarrays: a larger chip needs
+    /// a wider mask type, not silently aliased bits.
+    pub fn mask(&self) -> u128 {
+        assert!(
+            self.total <= 128,
+            "a ring of {} subarrays does not fit a u128 placement mask",
+            self.total
+        );
+        let run = low_bits(self.len);
+        if self.start == 0 {
+            run
+        } else {
+            ((run << self.start) | (run >> (self.total - self.start))) & low_bits(self.total)
+        }
     }
 
     /// Number of distinct Fission Pods spanned — each spanned pod
     /// contributes one DRAM channel to this tenant.
     pub fn pods_spanned(&self, cfg: &AcceleratorConfig) -> u32 {
-        let mut pods: Vec<u32> = self.ids.iter().map(|id| id.pod(cfg)).collect();
+        let mut pods: Vec<u32> = self.subarrays().map(|id| id.pod(cfg)).collect();
         pods.sort_unstable();
         pods.dedup();
         pods.len() as u32
@@ -78,20 +103,36 @@ impl Allocation {
     }
 }
 
-/// Runtime placement state of the chip: which tenant owns each subarray.
+/// The low `n` bits set (`n` ≤ 128).
+fn low_bits(n: u32) -> u128 {
+    u128::MAX.checked_shr(128 - n).unwrap_or(0)
+}
+
+/// Runtime placement state of the chip: a used-subarray bitmask.
 #[derive(Debug, Clone)]
 pub struct Chip {
     cfg: AcceleratorConfig,
-    owner: Vec<Option<u64>>,
+    total: u32,
+    used: u128,
 }
 
 impl Chip {
     /// Creates an idle chip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chip has more than 128 subarrays, the ceiling
+    /// [`GeometryBuilder`](crate::GeometryBuilder) already enforces.
     pub fn new(cfg: AcceleratorConfig) -> Self {
-        let n = cfg.num_subarrays() as usize;
+        let total = cfg.num_subarrays();
+        assert!(
+            total <= 128,
+            "chip of {total} subarrays does not fit a u128 placement mask"
+        );
         Self {
             cfg,
-            owner: vec![None; n],
+            total,
+            used: 0,
         }
     }
 
@@ -102,76 +143,72 @@ impl Chip {
 
     /// Total subarrays.
     pub fn total(&self) -> u32 {
-        self.owner.len() as u32
+        self.total
     }
 
     /// Subarrays not owned by any tenant.
     pub fn free(&self) -> u32 {
-        self.owner.iter().filter(|o| o.is_none()).count() as u32
+        self.total - self.used.count_ones()
+    }
+
+    /// Whether subarray `id` is free.
+    pub fn is_free(&self, id: SubarrayId) -> bool {
+        id.0 < self.total && self.used & (1u128 << id.0) == 0
     }
 
     /// Places a tenant on `count` subarrays, choosing the first contiguous
-    /// free segment (with wrap-around). Returns the allocation, or `None`
-    /// if no contiguous segment of that size is free.
-    pub fn place(&mut self, tenant: u64, count: u32) -> Option<Allocation> {
-        let total = self.total();
+    /// free segment (with wrap-around) in ascending order of its start.
+    /// Returns the allocation, or `None` if no contiguous segment of that
+    /// size is free.
+    ///
+    /// Bit *i* of `runs` marks a free run of `len` subarrays starting at
+    /// *i*. Two runs of `len` starting `k ≤ len` apart form one run of
+    /// `len + k`, so `len` doubles per step until it reaches `count`, and
+    /// the lowest set bit is the first fit.
+    pub fn place(&mut self, count: u32) -> Option<Allocation> {
+        let total = self.total;
         if count == 0 || count > total {
             return None;
         }
-        'starts: for start in 0..total {
-            for i in 0..count {
-                if self.owner[((start + i) % total) as usize].is_some() {
-                    continue 'starts;
-                }
-            }
-            let alloc = Allocation::contiguous(start, count, total);
-            for id in alloc.subarrays() {
-                self.owner[id.0 as usize] = Some(tenant);
-            }
-            return Some(alloc);
+        let full = low_bits(total);
+        let mut runs = !self.used & full;
+        let mut len = 1;
+        while len < count && runs != 0 {
+            let k = len.min(count - len);
+            runs &= ((runs >> k) | (runs << (total - k))) & full;
+            len += k;
         }
-        None
+        if runs == 0 {
+            return None;
+        }
+        let alloc = Allocation::contiguous(runs.trailing_zeros(), count, total);
+        self.used |= alloc.mask();
+        Some(alloc)
     }
 
-    /// Claims a specific pre-computed allocation for `tenant` if every one
-    /// of its subarrays is free; returns whether the claim succeeded.
-    /// Used by the runtime to keep stable tenants on their segments across
-    /// scheduling events.
-    pub fn claim(&mut self, tenant: u64, alloc: &Allocation) -> bool {
-        if alloc
-            .subarrays()
-            .iter()
-            .any(|id| self.owner_of(*id).is_some())
-        {
+    /// Claims a specific pre-computed allocation if every one of its
+    /// subarrays is free; returns whether the claim succeeded. Used by the
+    /// runtime to keep stable tenants on their segments across scheduling
+    /// events.
+    pub fn claim(&mut self, alloc: &Allocation) -> bool {
+        let mask = alloc.mask();
+        if self.used & mask != 0 {
             return false;
         }
-        for id in alloc.subarrays() {
-            self.owner[id.0 as usize] = Some(tenant);
-        }
+        self.used |= mask;
         true
     }
 
-    /// Releases every subarray owned by `tenant`; returns how many were
-    /// freed.
-    pub fn release(&mut self, tenant: u64) -> u32 {
-        let mut n = 0;
-        for o in &mut self.owner {
-            if *o == Some(tenant) {
-                *o = None;
-                n += 1;
-            }
-        }
-        n
+    /// Releases the subarrays of `alloc`; returns how many were owned.
+    pub fn release(&mut self, alloc: &Allocation) -> u32 {
+        let owned = self.used & alloc.mask();
+        self.used &= !owned;
+        owned.count_ones()
     }
 
     /// Clears all placements.
     pub fn reset(&mut self) {
-        self.owner.fill(None);
-    }
-
-    /// The tenant owning a subarray, if any.
-    pub fn owner_of(&self, id: SubarrayId) -> Option<u64> {
-        self.owner.get(id.0 as usize).copied().flatten()
+        self.used = 0;
     }
 }
 
@@ -186,8 +223,9 @@ mod tests {
     #[test]
     fn contiguous_allocation_wraps() {
         let a = Allocation::contiguous(14, 4, 16);
-        let ids: Vec<u32> = a.subarrays().iter().map(|s| s.0).collect();
+        let ids: Vec<u32> = a.subarrays().map(|s| s.0).collect();
         assert_eq!(ids, vec![14, 15, 0, 1]);
+        assert_eq!(a.mask(), 0b1100_0000_0000_0011);
     }
 
     #[test]
@@ -202,11 +240,11 @@ mod tests {
     #[test]
     fn place_and_release_roundtrip() {
         let mut c = chip();
-        let a = c.place(7, 6).unwrap();
+        let a = c.place(6).unwrap();
         assert_eq!(a.len(), 6);
         assert_eq!(c.free(), 10);
-        assert_eq!(c.owner_of(a.subarrays()[0]), Some(7));
-        assert_eq!(c.release(7), 6);
+        assert!(!c.is_free(a.subarrays().next().unwrap()));
+        assert_eq!(c.release(&a), 6);
         assert_eq!(c.free(), 16);
     }
 
@@ -214,41 +252,87 @@ mod tests {
     fn placement_fails_when_fragmented_beyond_repair() {
         let mut c = chip();
         // Occupy every other pair to fragment the ring.
-        for (t, start) in [(1u64, 0u32), (2, 4), (3, 8), (4, 12)] {
+        for start in [0u32, 4, 8, 12] {
             for i in 0..2 {
                 let id = SubarrayId(start + i);
-                assert!(c.owner_of(id).is_none());
+                assert!(c.is_free(id));
             }
-            c.place(t, 2).unwrap();
+            c.place(2).unwrap();
         }
         // 8 free remain but max contiguous run...
         // place() fills 0..2, 2..4, 4..6, 6..8 in order, so the free space is
         // actually 8..16 contiguous; ask for more than that.
-        assert!(c.place(9, 9).is_none());
-        assert!(c.place(9, 8).is_some());
+        assert!(c.place(9).is_none());
+        assert!(c.place(8).is_some());
         assert_eq!(c.free(), 0);
     }
 
     #[test]
     fn zero_or_oversized_requests_rejected() {
         let mut c = chip();
-        assert!(c.place(1, 0).is_none());
-        assert!(c.place(1, 17).is_none());
+        assert!(c.place(0).is_none());
+        assert!(c.place(17).is_none());
     }
 
     #[test]
     fn claim_succeeds_only_on_free_segments() {
         let mut c = chip();
         let seg = Allocation::contiguous(2, 4, 16);
-        assert!(c.claim(7, &seg));
-        assert_eq!(c.owner_of(SubarrayId(3)), Some(7));
+        assert!(c.claim(&seg));
+        assert!(!c.is_free(SubarrayId(3)));
         // Overlapping claim fails and must not partially take ownership.
         let overlap = Allocation::contiguous(5, 3, 16);
-        assert!(!c.claim(8, &overlap));
-        assert_eq!(c.owner_of(SubarrayId(6)), None);
+        assert!(!c.claim(&overlap));
+        assert!(c.is_free(SubarrayId(6)));
         // Disjoint claim works, including wrap-around.
         let wrap = Allocation::contiguous(14, 4, 16);
-        assert!(c.claim(9, &wrap));
+        assert!(c.claim(&wrap));
         assert_eq!(c.free(), 16 - 4 - 4);
+    }
+
+    /// The first free segment found by trying every start in ascending
+    /// order: the placement rule `Chip::place` computes arithmetically.
+    fn ascending_first_fit(used: u128, count: u32, total: u32) -> Option<u32> {
+        (0..total).find(|start| (0..count).all(|i| used & (1u128 << ((start + i) % total)) == 0))
+    }
+
+    #[test]
+    fn first_fit_matches_the_ascending_scan_on_every_occupancy() {
+        let cfg = AcceleratorConfig::planaria();
+        assert_eq!(cfg.num_subarrays(), 16);
+        for used in 0..1u128 << 16 {
+            for count in 1..=16 {
+                let mut c = Chip::new(cfg);
+                c.used = used;
+                let placed = c.place(count);
+                let want = ascending_first_fit(used, count, 16);
+                assert_eq!(
+                    placed.map(|a| a.subarrays().next().unwrap().0),
+                    want,
+                    "occupancy {used:#06x}, count {count}"
+                );
+                if let Some(a) = placed {
+                    assert_eq!(a.len(), count);
+                    assert_eq!(c.used, used | a.mask());
+                    assert_eq!(used & a.mask(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_match_ids_on_wide_rings() {
+        for total in [4u32, 64, 127, 128] {
+            for start in [0, 1, total / 2, total - 1] {
+                for len in [1, 2, total / 2, total - 1, total] {
+                    if len == 0 {
+                        continue;
+                    }
+                    let a = Allocation::contiguous(start, len, total);
+                    let bits = a.subarrays().fold(0u128, |m, id| m | 1u128 << id.0);
+                    assert_eq!(a.mask(), bits, "total {total} start {start} len {len}");
+                }
+            }
+        }
     }
 }

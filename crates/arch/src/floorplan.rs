@@ -76,11 +76,10 @@ impl Floorplan {
     /// two subarrays of an allocation (lower is better — shorter forwarding
     /// wires and fewer ring pipeline stages crossed).
     pub fn diameter(&self, alloc: &Allocation) -> u32 {
-        let ids = alloc.subarrays();
         let mut worst = 0;
-        for (i, a) in ids.iter().enumerate() {
-            for b in &ids[i + 1..] {
-                worst = worst.max(self.manhattan(*a, *b));
+        for (i, a) in alloc.subarrays().enumerate() {
+            for b in alloc.subarrays().skip(i + 1) {
+                worst = worst.max(self.manhattan(a, b));
             }
         }
         worst

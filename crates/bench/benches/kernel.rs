@@ -18,6 +18,10 @@
 //! refresh pass. Both paths are result-exact (asserted below on every
 //! size; pinned precisely by `tests/kernel_equivalence.rs`).
 //!
+//! The lanes run interleaved, one iteration each in turn (after one
+//! warmup each), and each reports the median of its iterations, so the
+//! ratio repeats on a shared host.
+//!
 //! The bench also drives the flat-memory exactness path end-to-end:
 //! a streamed run through `SpillSink` (on-disk sorted runs, k-way merge
 //! replay) must digest bit-identically to the in-memory result, and the
@@ -28,6 +32,7 @@
 //! small sizes only (CI smoke) and does not overwrite the JSON record.
 
 use planaria_arch::AcceleratorConfig;
+use planaria_bench::race;
 use planaria_compiler::CompiledLibrary;
 use planaria_core::PlanariaEngine;
 use planaria_model::units::Picojoules;
@@ -85,16 +90,6 @@ fn bursty_cfg(requests: usize) -> TraceConfig {
     TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, requests, 0x5ca1e).with_burstiness(6.0)
 }
 
-/// Runs `f` `iters` times and returns mean seconds per iteration.
-fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    f(); // warmup (also warms the compiled tables)
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / f64::from(iters)
-}
-
 /// Replays a finished spill sink into a streaming digest, recombining
 /// the id-order dynamic energy sum with the kernel's static component —
 /// the same float association `SimResult::digest` sees.
@@ -124,9 +119,9 @@ fn main() {
     let cfg = *engine.library().config();
 
     let sizes: &[(usize, u32)] = if smoke {
-        &[(2_000, 2)]
+        &[(2_000, 5)]
     } else {
-        &[(10_000, 4), (100_000, 2), (1_000_000, 1)]
+        &[(10_000, 7), (100_000, 5), (1_000_000, 3)]
     };
 
     let mut record: Vec<(String, f64)> = Vec::new();
@@ -137,18 +132,21 @@ fn main() {
     for &(n, iters) in sizes {
         let trace = bursty_cfg(n).generate();
         let events = 2.0 * n as f64; // one arrival + one completion each
-        let t_oracle = time_per_iter(iters, || {
-            let mut policy = engine.spatial_policy();
-            black_box(run_streamed_reference(
-                &cfg,
-                black_box(&trace),
-                &mut policy,
-                &mut NullCollector,
-            ));
-        });
-        let t_kernel = time_per_iter(iters, || {
-            black_box(engine.run(black_box(&trace)));
-        });
+        let (t_oracle, t_kernel) = race(
+            iters,
+            || {
+                let mut policy = engine.spatial_policy();
+                black_box(run_streamed_reference(
+                    &cfg,
+                    black_box(&trace),
+                    &mut policy,
+                    &mut NullCollector,
+                ));
+            },
+            || {
+                black_box(engine.run(black_box(&trace)));
+            },
+        );
         // Exactness guard: the bench must never drift into racing two
         // different simulations.
         let mut policy = engine.spatial_policy();

@@ -18,6 +18,14 @@
 //! exactness test cannot see a memo that silently stops hitting, but
 //! this ratio against the in-run baseline can.
 //!
+//! An overload lane races the incremental scheduler against itself: the
+//! same trace shape at λ = 1000, about 1.5 times what one node serves,
+//! at n and 4n requests. The backlog then grows for the whole trace and
+//! nearly all of it waits past its deadline. Parked tenants stay out of
+//! every per-event pass, so time grows linearly (about 4× at 4n); if an
+//! event walked the backlog again it would grow with the square (about
+//! 16×). The bench fails above [`MAX_OVERLOAD_GROWTH`].
+//!
 //! The bench also measures the streaming side of the tentpole with a
 //! counting global allocator: a 10^6-request streamed `run` must keep its
 //! peak resident bytes far below the materialized trace. The counter adds
@@ -28,6 +36,7 @@
 //! small size only (CI smoke) and does not overwrite the JSON record.
 
 use planaria_arch::AcceleratorConfig;
+use planaria_bench::race;
 use planaria_compiler::CompiledLibrary;
 use planaria_core::PlanariaEngine;
 use planaria_workload::{QosLevel, Request, Scenario, TraceConfig};
@@ -90,32 +99,14 @@ fn scale_cfg(requests: usize) -> TraceConfig {
 /// 1×.
 const MIN_SPEEDUP: f64 = 1.5;
 
-/// Seconds of one call to `f`.
-fn time_once(f: &mut impl FnMut()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64()
+/// The overload lane's trace: the same shape at λ = 1000.
+fn overload_cfg(requests: usize) -> TraceConfig {
+    TraceConfig::new(Scenario::C, QosLevel::Hard, 1000.0, requests, 5).with_burstiness(6.0)
 }
 
-/// Median of a non-empty sample.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Runs `a` and `b` `iters` times each, alternating, after one warmup
-/// call each (which also warms the compiled tables), and returns the
-/// median seconds per call of each lane.
-fn race(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    a();
-    b();
-    let (mut ta, mut tb) = (Vec::new(), Vec::new());
-    for _ in 0..iters {
-        ta.push(time_once(&mut a));
-        tb.push(time_once(&mut b));
-    }
-    (median(ta), median(tb))
-}
+/// The most the overload lane's time may grow from n to 4n requests:
+/// linear reads about 4, quadratic about 16.
+const MAX_OVERLOAD_GROWTH: f64 = 8.0;
 
 fn main() {
     let smoke = std::env::var("PLANARIA_BENCH_SMOKE").is_ok_and(|v| v == "1");
@@ -167,6 +158,33 @@ fn main() {
         record.push((format!("incremental_events_per_s_{n}"), ev_inc));
         record.push((format!("speedup_{n}"), speedup));
     }
+
+    // Overload scaling: the incremental lane against itself at n and 4n.
+    let (n, iters) = if smoke { (2_500, 7) } else { (10_000, 5) };
+    let (small, large) = (overload_cfg(n).generate(), overload_cfg(4 * n).generate());
+    let (t_n, t_4n) = race(
+        iters,
+        || {
+            black_box(inc.run(black_box(&small)));
+        },
+        || {
+            black_box(inc.run(black_box(&large)));
+        },
+    );
+    let growth = t_4n / t_n;
+    println!(
+        "overload λ=1000: {n} requests {t_n:.4} s, {} requests {t_4n:.4} s, growth {growth:.2}x",
+        4 * n
+    );
+    assert!(
+        growth <= MAX_OVERLOAD_GROWTH,
+        "overload time grew {growth:.2}x from {n} to {} requests (at most \
+         {MAX_OVERLOAD_GROWTH}x): does a scheduling event walk the backlog again?",
+        4 * n
+    );
+    record.push((format!("overload_seconds_{n}"), t_n));
+    record.push((format!("overload_seconds_{}", 4 * n), t_4n));
+    record.push((format!("overload_growth_{n}_to_{}", 4 * n), growth));
 
     // Streaming residency at the largest size: the trace is consumed
     // lazily, so peak live bytes must sit far below the materialized

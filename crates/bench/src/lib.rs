@@ -36,6 +36,7 @@ use planaria_workload::{QosLevel, Scenario, TraceConfig};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Requests per workload instance (long enough that sustained overload is
 /// visible against the QoS bounds).
@@ -255,6 +256,33 @@ impl ResultTable {
             println!("[written {}]", path.display());
         }
     }
+}
+
+/// Median of a non-empty sample.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Runs `a` and `b` `iters` times each, alternating, after one warmup
+/// call each (which also warms the compiled tables), and returns the
+/// median seconds per call of each lane. Interleaving exposes both lanes
+/// to the same drift of a shared host, so their ratio repeats where two
+/// back-to-back timings would not.
+pub fn race(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    fn time_once(f: &mut impl FnMut()) -> f64 {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    }
+    a();
+    b();
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for _ in 0..iters {
+        ta.push(time_once(&mut a));
+        tb.push(time_once(&mut b));
+    }
+    (median(ta), median(tb))
 }
 
 /// The workspace `results/` directory.

@@ -151,14 +151,16 @@ impl PlanariaEngine {
 ///
 /// Everything the per-event path needs lives here and is reused across
 /// events: the physical chip map and the columnar scratch buffers — so a
-/// steady-state scheduling event performs no heap allocation beyond the
-/// `Allocation` segments of tenants whose placement actually changed.
-/// Each tenant's estimate memo lives on its own record
-/// (`TenantState::memo`).
+/// steady-state scheduling event performs no heap allocation. Each
+/// tenant's estimate memo lives on its own record (`TenantState::memo`).
 ///
-/// An event costs one estimate per live tenant, and placement and apply
-/// work only for the tenants that hold subarrays or are granted some:
-/// the rest of a deep backlog stays queued untouched.
+/// An event costs one estimate per awake tenant, and placement and apply
+/// work only for the tenants that hold subarrays or are granted some.
+/// The incremental scheduler parks every queued tenant past its
+/// deadline ([`SimState::park`]): its estimate is the whole chip and its
+/// unfit-path rank depends on its priority alone, so only the best
+/// parked tenant can be granted, and it alone joins the next event's
+/// columns. The rest of a deep backlog stays parked untouched.
 pub struct SpatialPolicy<'a> {
     library: &'a CompiledLibrary,
     mode: SchedulingMode,
@@ -182,7 +184,10 @@ struct Scratch {
     slacks: Vec<i64>,
     estimates: Vec<u32>,
     fit: Vec<Cycles>,
-    /// This event's grant per live tenant.
+    /// Column → tenant position, ascending: the awake tenants plus the
+    /// best parked one.
+    cols: Vec<usize>,
+    /// This event's grant per column.
     alloc: Vec<u32>,
     /// `(tenant index, grant)` of every tenant that holds subarrays or is
     /// granted some, in ascending index order. `keep`, `migrated`,
@@ -208,7 +213,7 @@ impl EnginePolicy for SpatialPolicy<'_> {
     }
 
     fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
-        if sim.tenants.is_empty() {
+        if sim.tenants().is_empty() {
             return;
         }
         let total = sim.total_subarrays();
@@ -216,7 +221,23 @@ impl EnginePolicy for SpatialPolicy<'_> {
         let cfg = *sim.config();
         let s = &mut self.s;
         let chip = &mut self.chip;
+        // The columns: every awake tenant, plus the best parked one at
+        // its position. A parked tenant scores `priority / (min_slack ×
+        // total)`, so in the unfit pack's (score desc, position asc)
+        // order the best parked tenant comes first among them, and its
+        // whole-chip estimate ends the packing prefix there: the others
+        // would get nothing. With another column beside it both column
+        // sets need more than the chip, and alone it gets the chip
+        // either way.
+        s.cols.clear();
+        s.cols.extend_from_slice(sim.awake());
+        let mut asleep = sim.best_parked().map(|p| {
+            let k = s.cols.partition_point(|&i| i < p);
+            s.cols.insert(k, p);
+            k
+        });
         s.alloc.clear();
+        let tenants = sim.tenants_mut();
         match self.mode {
             SchedulingMode::Spatial => {
                 // Estimate phase: columnar views plus `ESTIMATERESOURCES`,
@@ -225,12 +246,14 @@ impl EnginePolicy for SpatialPolicy<'_> {
                 // zero table lookups; other clean memos scan from their
                 // proven floor; the rest scan from 1, or from the whole
                 // chip past the deadline. The oracle scans every tenant
-                // from 1 and leaves the memo alone.
+                // from 1 and leaves the memo alone. A parked tenant's memo
+                // is clean at the whole chip, so it answers exactly.
                 s.priorities.clear();
                 s.slacks.clear();
                 s.estimates.clear();
                 s.fit.clear();
-                for t in &mut sim.tenants {
+                for &i in &s.cols {
+                    let t = &mut tenants[i];
                     let slack = slack_cycles(t.deadline_cycle, now);
                     let seeded = if self.incremental {
                         seed(t.memo.as_ref(), t.work_done, t.work_total, slack, total)
@@ -279,34 +302,34 @@ impl EnginePolicy for SpatialPolicy<'_> {
                 );
             }
             SchedulingMode::ExclusiveFifo => {
-                s.alloc.resize(sim.tenants.len(), 0);
-                let oldest = sim
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, t)| t.arrival_cycle)
-                    .map(|(i, _)| i);
-                if let Some(i) = oldest {
-                    s.alloc[i] = total;
+                s.alloc.resize(s.cols.len(), 0);
+                let oldest = (0..s.cols.len()).min_by_key(|&k| tenants[s.cols[k]].arrival_cycle);
+                if let Some(k) = oldest {
+                    s.alloc[k] = total;
                 }
             }
         }
-        let tenants = &mut sim.tenants;
+        // A granted parked tenant wakes before apply changes it, so the
+        // kernel's parked sum drops exactly the value it added.
+        if let Some(k) = asleep.filter(|&k| s.alloc[k] > 0) {
+            sim.wake(s.cols[k]);
+            asleep = None;
+        }
+        let tenants = sim.tenants_mut();
 
         // Only tenants that hold subarrays or are granted some can change.
         // Every other tenant was queued and stays queued: it gets no
         // claim, no placement, no table switch and no telemetry event, and
-        // its mask is already 0. Ascending index order keeps `Chip::place`
-        // and the recorded events in the sequence a walk over every tenant
-        // produces.
+        // its mask is already 0. Ascending position order keeps
+        // `Chip::place` and the recorded events in the sequence a walk
+        // over every tenant produces.
         s.movers.clear();
         s.movers.extend(
-            tenants
+            s.cols
                 .iter()
                 .zip(&s.alloc)
-                .enumerate()
-                .filter(|(_, (t, &a))| t.alloc > 0 || a > 0)
-                .map(|(i, (_, &a))| (i, a)),
+                .filter(|(&i, &a)| tenants[i].alloc > 0 || a > 0)
+                .map(|(&i, &a)| (i, a)),
         );
         let movers = s.movers.len();
 
@@ -325,19 +348,16 @@ impl EnginePolicy for SpatialPolicy<'_> {
             if kept_count && t.alloc > 0 {
                 if let Some(p) = &t.placement {
                     if p.len() == t.alloc {
-                        for id in p.subarrays() {
-                            debug_assert!(chip.owner_of(*id).is_none());
-                        }
                         // Re-claim the exact segment.
-                        let claimed = chip.claim(t.request.id, p);
+                        let claimed = chip.claim(p);
                         debug_assert!(claimed);
                         s.keep[k] = true;
                     }
                 }
             }
         }
-        // Kept tenants keep their `Allocation` in place (no clone); only
-        // re-placed tenants get a fresh segment here.
+        // Kept tenants keep their segment; only re-placed tenants get a
+        // fresh one here.
         s.placements.clear();
         s.placements.resize(movers, None);
         s.order.clear();
@@ -348,8 +368,7 @@ impl EnginePolicy for SpatialPolicy<'_> {
         s.order.sort_by_key(|&k| std::cmp::Reverse(s.movers[k].1));
         let mut defrag_needed = false;
         for &k in &s.order {
-            let (i, a) = s.movers[k];
-            match chip.place(tenants[i].request.id, a) {
+            match chip.place(s.movers[k].1) {
                 Some(p) => s.placements[k] = Some(p),
                 None => {
                     defrag_needed = true;
@@ -373,22 +392,18 @@ impl EnginePolicy for SpatialPolicy<'_> {
                     continue;
                 }
                 let p = chip
-                    .place(tenants[i].request.id, a)
+                    .place(a)
                     // lint: every tenant was released above and Σalloc ≤ chip
                     // capacity, so a contiguous placement always exists
                     .expect("defragmented ring always packs");
                 if s.keep[k] {
-                    if tenants[i]
-                        .placement
-                        .as_ref()
-                        .is_some_and(|old| old.subarrays() != p.subarrays())
-                    {
+                    if tenants[i].placement.is_some_and(|old| old != p) {
                         s.migrated[k] = true;
                         s.keep[k] = false;
                         s.placements[k] = Some(p);
                     }
                     // Unmoved kept tenant: the fresh segment equals the old
-                    // one; keep the existing `Allocation` in place.
+                    // one.
                 } else {
                     s.placements[k] = Some(p);
                 }
@@ -403,8 +418,8 @@ impl EnginePolicy for SpatialPolicy<'_> {
                 t.placement = s.placements[k].take();
             }
             if telemetry_on {
-                // The mask is telemetry-only; skip the bit scan entirely
-                // on the NullCollector hot path (it is never read there).
+                // The mask is telemetry-only; skip it on the NullCollector
+                // hot path (it is never read there).
                 t.mask = subarray_mask(t.placement.as_ref());
             }
             if a == t.alloc && !s.migrated[k] {
@@ -519,10 +534,32 @@ impl EnginePolicy for SpatialPolicy<'_> {
                 t.switch_table(work_total, table_energy);
             }
         }
+        // Park every queued tenant past its deadline. The estimate phase
+        // left its memo clean at the whole chip (both seed rules answer a
+        // negative slack there), and apply does not touch a queued
+        // tenant's work counters — a tenant preempted just now only owes
+        // more overhead. The full-rescan oracle writes no memo, so it
+        // never parks.
+        if self.incremental && self.mode == SchedulingMode::Spatial {
+            for (k, &i) in s.cols.iter().enumerate() {
+                let t = &sim.tenants()[i];
+                if asleep != Some(k) && s.slacks[k] < 0 && t.alloc == 0 {
+                    debug_assert_eq!(
+                        t.memo.map(|m| (m.floor, m.done, m.total)),
+                        Some((total, t.work_done, t.work_total))
+                    );
+                    sim.park(i);
+                }
+            }
+        }
         if telemetry_on {
             c.add(Counter::SchedulingEvents, 1);
-            let queued = tenants.iter().filter(|t| t.alloc == 0).count();
-            let used: u32 = tenants.iter().map(|t| t.alloc).sum();
+            let (mut queued, mut used) = (sim.parked_len(), 0u32);
+            for &i in sim.awake() {
+                let a = sim.tenants()[i].alloc;
+                queued += usize::from(a == 0);
+                used += a;
+            }
             c.sample(Metric::QueueDepth, queued as f64);
             c.sample(
                 Metric::OccupancyPct,

@@ -1,7 +1,7 @@
 //! Seeding incremental Algorithm 1 from a tenant's estimate memo.
 //!
-//! Every scheduling event re-runs `ESTIMATERESOURCES` over all live
-//! tenants. The scan is monotone — with a tenant's work counters frozen
+//! Every scheduling event re-runs `ESTIMATERESOURCES` over every awake
+//! tenant (parked tenants are covered below). The scan is monotone — with a tenant's work counters frozen
 //! (`done`/`total` unchanged) and slack only shrinking, the minimal
 //! fitting subarray count can only grow — so the previous event's result
 //! is a *proven floor* for the next (see
@@ -33,6 +33,18 @@
 //! full-rescan oracle (`PlanariaEngine::with_incremental(false)`) never
 //! calls [`seed`] and never writes the memo: every tenant scans from 1,
 //! the paper's `ESTIMATERESOURCES` verbatim.
+//!
+//! **Parking.** After each event the incremental policy parks every
+//! queued tenant with a negative slack (`SimState::park`). Both rules
+//! that answer a negative slack leave its memo clean at the whole chip,
+//! and a parked tenant stays that way until it is granted subarrays: its
+//! work is frozen and its slack only falls, so its estimate is the whole
+//! chip and its unfit-path score `priority / (min_slack × total)`. The
+//! pack therefore reaches the best parked tenant (highest priority,
+//! lowest position) before any other, and its whole-chip estimate ends
+//! the packing prefix there. So each event estimates the awake tenants
+//! plus that one parked tenant, and the other parked tenants are never
+//! walked. The oracle writes no memo, so it never parks.
 //!
 //! [`SchedTask::estimate_resources_from`]: crate::scheduler::SchedTask::estimate_resources_from
 
@@ -104,10 +116,12 @@ mod tests {
         assert_eq!(seed(None, cy(0), cy(100), 50, 16), Seed::Floor(1));
     }
 
-    /// Counts the memos the wrapped policy leaves on live tenants.
+    /// Counts the memos the wrapped policy leaves on live tenants, and
+    /// the most tenants it keeps parked at once.
     struct MemoWatch<P> {
         inner: P,
         memos: usize,
+        parked: usize,
     }
 
     impl<P: EnginePolicy> EnginePolicy for MemoWatch<P> {
@@ -117,33 +131,44 @@ mod tests {
 
         fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
             self.inner.reschedule(sim, c);
-            self.memos += sim.tenants.iter().filter(|t| t.memo.is_some()).count();
+            self.memos += sim.tenants().iter().filter(|t| t.memo.is_some()).count();
+            self.parked = self.parked.max(sim.parked_len());
         }
+    }
+
+    /// `(memos, most parked)` over a bursty QoS-Hard run whose backlog
+    /// waits past its deadlines.
+    fn watch(incremental: bool) -> (usize, usize) {
+        let cfg = AcceleratorConfig::planaria();
+        let trace = TraceConfig::new(Scenario::C, QosLevel::Hard, 2000.0, 300, 3)
+            .with_burstiness(6.0)
+            .generate();
+        let engine = PlanariaEngine::new(cfg).with_incremental(incremental);
+        let mut watch = MemoWatch {
+            inner: engine.spatial_policy(),
+            memos: 0,
+            parked: 0,
+        };
+        run_streamed_sink(
+            &cfg,
+            trace.iter().copied(),
+            &mut watch,
+            &mut NullCollector,
+            DiscardSink,
+        );
+        (watch.memos, watch.parked)
     }
 
     #[test]
     fn full_rescan_memo_never_remembers() {
-        let cfg = AcceleratorConfig::planaria();
-        let trace = TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 120, 3)
-            .with_burstiness(6.0)
-            .generate();
-        let memos = |incremental: bool| {
-            let engine = PlanariaEngine::new(cfg).with_incremental(incremental);
-            let mut watch = MemoWatch {
-                inner: engine.spatial_policy(),
-                memos: 0,
-            };
-            run_streamed_sink(
-                &cfg,
-                trace.iter().copied(),
-                &mut watch,
-                &mut NullCollector,
-                DiscardSink,
-            );
-            watch.memos
-        };
-        assert_eq!(memos(false), 0, "the oracle wrote a memo");
-        assert!(memos(true) > 0, "the incremental policy memoized nothing");
+        assert_eq!(watch(false).0, 0, "the oracle wrote a memo");
+        assert!(watch(true).0 > 0, "the incremental policy memoized nothing");
+    }
+
+    #[test]
+    fn full_rescan_never_parks() {
+        assert_eq!(watch(false).1, 0, "the oracle parked a tenant");
+        assert!(watch(true).1 > 0, "the incremental policy parked nothing");
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
         // reallocated, per event.
         let mut running_idx = None;
         self.views.clear();
-        for (i, t) in sim.tenants.iter_mut().enumerate() {
+        for (i, t) in sim.tenants_mut().iter_mut().enumerate() {
             if t.alloc > 0 {
                 running_idx = Some(i);
                 t.tokens.last_update = now;
@@ -200,7 +200,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
             if let Some(cur) = running_idx {
                 // The incumbent loses the accelerator mid-flight.
                 if c.is_enabled() {
-                    let t = &sim.tenants[cur];
+                    let t = &sim.tenants()[cur];
                     c.record(
                         now,
                         Event::ExecSlice {
@@ -221,7 +221,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
                         },
                     );
                 }
-                let t = &mut sim.tenants[cur];
+                let t = &mut sim.tenants_mut()[cur];
                 t.queued_since = now;
                 t.alloc = 0;
                 t.mask = 0;
@@ -231,7 +231,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
                 // restore the incoming job's weights/pipeline.
                 if let Some(cur) = running_idx {
                     let cost = {
-                        let t = &sim.tenants[cur];
+                        let t = &sim.tenants()[cur];
                         let pos = t.compiled.table(self.total).position(t.fraction_done());
                         reconfiguration_cycles(&self.ctx, self.mono, self.mono, pos.tile_bytes)
                     };
@@ -239,17 +239,17 @@ impl EnginePolicy for TemporalPolicy<'_> {
                         c.record(
                             now,
                             Event::Preemption {
-                                preempted: sim.tenants[cur].request.id,
-                                incoming: sim.tenants[next].request.id,
+                                preempted: sim.tenants()[cur].request.id,
+                                incoming: sim.tenants()[next].request.id,
                                 overhead: cost.total(),
                             },
                         );
                         c.add(Counter::Preemptions, 1);
                         c.sample(Metric::ReconfigCycles, cost.total().as_f64());
                     }
-                    sim.tenants[next].overhead += cost.total();
+                    sim.tenants_mut()[next].overhead += cost.total();
                 }
-                let t = &mut sim.tenants[next];
+                let t = &mut sim.tenants_mut()[next];
                 if c.is_enabled() {
                     let wait = now.saturating_sub(t.queued_since);
                     c.record(
@@ -279,7 +279,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
         }
         if c.is_enabled() {
             c.add(Counter::SchedulingEvents, 1);
-            let waiting = sim.tenants.len() - usize::from(chosen_idx.is_some());
+            let waiting = sim.tenants().len() - usize::from(chosen_idx.is_some());
             c.sample(Metric::QueueDepth, waiting as f64);
             c.sample(
                 Metric::OccupancyPct,

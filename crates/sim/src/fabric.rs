@@ -492,11 +492,11 @@ mod tests {
 
         fn reschedule<C: Collector>(&mut self, sim: &mut SimState, _c: &mut C) {
             let total = sim.total_subarrays();
-            if sim.tenants.iter().any(|t| t.alloc > 0) {
+            if sim.tenants().iter().any(|t| t.alloc > 0) {
                 return;
             }
             let Some(i) = sim
-                .tenants
+                .tenants()
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, t)| t.arrival_cycle)
@@ -504,14 +504,15 @@ mod tests {
             else {
                 return;
             };
-            let t = &mut sim.tenants[i];
+            let now = sim.now;
+            let t = &mut sim.tenants_mut()[i];
             t.alloc = total;
             let (wt, en) = {
                 let table = t.compiled.table(total);
                 (table.total_cycles(), table.total_energy())
             };
             t.switch_table(wt, en);
-            t.slice_start = sim.now;
+            t.slice_start = now;
         }
     }
 

@@ -9,6 +9,8 @@ use planaria_energy::EnergyModel;
 use planaria_model::units::{Cycles, Picojoules};
 use planaria_telemetry::{Collector, Counter, Event, Metric};
 use planaria_workload::{Completion, CompletionSink, Request};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Widest placement mask (and thus pod count) a kernel can track.
@@ -39,6 +41,13 @@ pub trait EnginePolicy {
 }
 
 /// Kernel-owned simulation state visible to policies.
+///
+/// A policy may *park* a queued tenant whose next decisions it can
+/// answer without looking at it ([`park`](Self::park)). The kernel's
+/// advance, retire and refresh passes walk only the awake tenants, so
+/// a parked tenant must stay unchanged — no subarrays, no work, no
+/// overhead — until the policy wakes it ([`wake`](Self::wake)). A
+/// policy that never parks sees every tenant walked.
 #[derive(Debug)]
 pub struct SimState {
     cfg: AcceleratorConfig,
@@ -46,9 +55,19 @@ pub struct SimState {
     /// Current simulation time, cycles since the run origin.
     pub now: Cycles,
     /// Live tenants (running or queued), in admission order modulo
-    /// `swap_remove` retirement — policies must not reorder this list
-    /// (stable tie-breaks depend on it).
-    pub tenants: Vec<TenantState>,
+    /// `swap_remove` retirement. A tenant's position is every stable
+    /// tie-break and the key of `awake` and `parked`, so only the kernel
+    /// adds or removes tenants.
+    tenants: Vec<TenantState>,
+    /// Ascending positions of the tenants not parked.
+    awake: Vec<usize>,
+    /// Parked tenants keyed (priority desc, position asc), so the first
+    /// entry is the best parked tenant.
+    parked: BTreeSet<(Reverse<u32>, usize)>,
+    /// Σ `remaining()` over parked tenants, frozen while they stay parked.
+    parked_remaining: Cycles,
+    /// Scratch: positions of the awake tenants found done this event.
+    done: Vec<usize>,
 }
 
 impl SimState {
@@ -60,6 +79,10 @@ impl SimState {
             clock,
             now: Cycles::ZERO,
             tenants: Vec::new(),
+            awake: Vec::new(),
+            parked: BTreeSet::new(),
+            parked_remaining: Cycles::ZERO,
+            done: Vec::new(),
         }
     }
 
@@ -76,6 +99,118 @@ impl SimState {
     /// Total subarrays on the chip.
     pub fn total_subarrays(&self) -> u32 {
         self.cfg.num_subarrays()
+    }
+
+    /// Live tenants by position.
+    pub fn tenants(&self) -> &[TenantState] {
+        &self.tenants
+    }
+
+    /// Live tenants by position, mutably. Wake a parked tenant before
+    /// changing it.
+    pub fn tenants_mut(&mut self) -> &mut [TenantState] {
+        &mut self.tenants
+    }
+
+    /// Ascending positions of the tenants that are not parked.
+    pub fn awake(&self) -> &[usize] {
+        &self.awake
+    }
+
+    /// Position of the parked tenant with the highest priority, the
+    /// lowest position among equals.
+    pub fn best_parked(&self) -> Option<usize> {
+        self.parked.first().map(|&(_, i)| i)
+    }
+
+    /// Parked tenants.
+    pub fn parked_len(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// Parks the awake tenant at position `i`: the kernel stops walking
+    /// it until [`wake`](Self::wake).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tenant is not awake, or holds subarrays.
+    pub fn park(&mut self, i: usize) {
+        let at = self
+            .awake
+            .binary_search(&i)
+            // lint: parking a tenant that is not awake is a policy bug
+            .expect("only an awake tenant parks");
+        let t = &self.tenants[i];
+        assert_eq!(t.alloc, 0, "a tenant holding subarrays cannot park");
+        self.awake.remove(at);
+        self.parked.insert((Reverse(t.request.priority), i));
+        self.parked_remaining += t.remaining();
+    }
+
+    /// Wakes the parked tenant at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tenant is not parked.
+    pub fn wake(&mut self, i: usize) {
+        let t = &self.tenants[i];
+        let was_parked = self.parked.remove(&(Reverse(t.request.priority), i));
+        assert!(was_parked, "only a parked tenant wakes");
+        self.parked_remaining -= t.remaining();
+        let at = self.awake.binary_search(&i).unwrap_err();
+        self.awake.insert(at, i);
+    }
+
+    /// Admits a tenant at the last position, awake.
+    pub(crate) fn admit(&mut self, t: TenantState) {
+        self.awake.push(self.tenants.len());
+        self.tenants.push(t);
+    }
+
+    /// Removes the done tenant at position `i` by `swap_remove`, re-keying
+    /// the tenant that moves from the last position into `i`. A done
+    /// tenant is awake: a parked one holds no subarrays and its work is
+    /// frozen.
+    pub(crate) fn retire(&mut self, i: usize) -> TenantState {
+        let last = self.tenants.len() - 1;
+        if self.awake.last() == Some(&last) {
+            // The moved tenant takes over `i`'s entry (none moves when
+            // `i` is the last position).
+            debug_assert!(self.awake.binary_search(&i).is_ok());
+            self.awake.pop();
+        } else {
+            let at = self
+                .awake
+                .binary_search(&i)
+                // lint: only a done tenant retires, and a done tenant is awake
+                .expect("a retiring tenant is awake");
+            self.awake.remove(at);
+            let key = Reverse(self.tenants[last].request.priority);
+            self.parked.remove(&(key, last));
+            self.parked.insert((key, i));
+        }
+        self.tenants.swap_remove(i)
+    }
+
+    /// Retires every done tenant, handing each to `f` in the order of an
+    /// ascending `swap_remove` scan over all tenants.
+    ///
+    /// Only awake tenants can be done: a parked one holds no subarrays
+    /// and its work is frozen. A retirement moves only the last tenant,
+    /// into the slot being scanned, so visiting the done positions in
+    /// ascending order and re-checking each slot until it holds an
+    /// unfinished tenant retires the same tenants in the same order.
+    pub(crate) fn retire_done(&mut self, mut f: impl FnMut(TenantState)) {
+        self.done.clear();
+        let tenants = &self.tenants;
+        self.done
+            .extend(self.awake.iter().copied().filter(|&i| tenants[i].is_done()));
+        for k in 0..self.done.len() {
+            let i = self.done[k];
+            while i < self.tenants.len() && self.tenants[i].is_done() {
+                f(self.retire(i));
+            }
+        }
     }
 }
 
@@ -179,9 +314,16 @@ impl<S: CompletionSink> NodeKernel<S> {
     }
 
     /// Total work left across live tenants, in cycles — the load signal
-    /// feedback dispatchers read at epoch barriers.
+    /// feedback dispatchers read at epoch barriers. Parked tenants count
+    /// through their frozen sum.
     pub fn outstanding_cycles(&self) -> Cycles {
-        self.sim.tenants.iter().map(TenantState::remaining).sum()
+        let sim = &self.sim;
+        sim.parked_remaining
+            + sim
+                .awake
+                .iter()
+                .map(|&i| sim.tenants[i].remaining())
+                .sum::<Cycles>()
     }
 
     /// Whether the node holds no pending arrival and no live tenants.
@@ -260,16 +402,18 @@ impl<S: CompletionSink> NodeKernel<S> {
         let per_pod = self.sim.cfg.subarrays_per_pod.max(1);
         while let Some((t_next, completion_due)) = self.next_wake_before(bound) {
             self.events += 1;
-            // Advance every allocated tenant to the event time. The chip
-            // is busy whenever anyone holds subarrays. With telemetry on,
-            // each tenant's dynamic-energy delta is attributed evenly
+            // Advance every allocated tenant to the event time, in
+            // ascending position order (parked tenants hold nothing). The
+            // chip is busy whenever anyone holds subarrays. With telemetry
+            // on, each tenant's dynamic-energy delta is attributed evenly
             // across the subarrays it holds, accumulated per pod.
             // `advance(0)` is a no-op for every tenant (and contributes
             // no busy span), so a zero-width step skips the scan whole.
             let dt = t_next.saturating_sub(self.sim.now);
             if !dt.is_zero() {
                 let mut any_allocated = false;
-                for t in &mut self.sim.tenants {
+                for &i in &self.sim.awake {
+                    let t = &mut self.sim.tenants[i];
                     if t.alloc > 0 {
                         any_allocated = true;
                         if track_pods {
@@ -318,7 +462,7 @@ impl<S: CompletionSink> NodeKernel<S> {
                 }
                 let compiled = policy.compiled_for(&req);
                 let deadline = self.sim.clock.cycles_from_seconds(req.deadline());
-                self.sim.tenants.push(TenantState::new(
+                self.sim.admit(TenantState::new(
                     self.next_arrival,
                     req,
                     compiled,
@@ -335,37 +479,37 @@ impl<S: CompletionSink> NodeKernel<S> {
                 self.pull(src);
             }
 
-            // Retire finished tenants (ascending swap_remove scan,
-            // preserving the admission-order prefix that stable
-            // scheduling relies on). The scan runs only when this cycle
-            // could have finished someone: a completion was due (see
-            // `next_wake_before`) or a zero-work admit arrived done. On
-            // pure-arrival cycles — half of a saturated node's events —
-            // the O(live) sweep is provably a no-op and is skipped; the
-            // oracle kernel runs it unconditionally and the equivalence
-            // suite pins the results byte-for-byte.
+            // Retire finished tenants in the order of an ascending
+            // swap_remove scan, preserving the admission-order prefix that
+            // stable scheduling relies on (`SimState::retire_done`). The
+            // scan runs only when this cycle could have finished someone:
+            // a completion was due (see `next_wake_before`) or a zero-work
+            // admit arrived done. On pure-arrival cycles — half of a
+            // saturated node's events — it is provably a no-op and is
+            // skipped; the oracle kernel scans every tenant after every
+            // event and the equivalence suite pins the results
+            // byte-for-byte.
             let mut retired_any = false;
-            let mut i = 0;
-            while maybe_done && i < self.sim.tenants.len() {
-                if self.sim.tenants[i].is_done() {
-                    let t = self.sim.tenants.swap_remove(i);
+            if maybe_done {
+                let (now, clock) = (self.sim.now, self.sim.clock);
+                self.sim.retire_done(|t| {
                     retired_any = true;
-                    let latency = self.sim.now.saturating_sub(t.arrival_cycle);
+                    let latency = now.saturating_sub(t.arrival_cycle);
                     if c.is_enabled() {
                         if t.alloc > 0 {
                             c.record(
-                                self.sim.now,
+                                now,
                                 Event::ExecSlice {
                                     tenant: t.request.id,
                                     subarrays: t.alloc,
                                     mask: t.mask,
                                     start: t.slice_start,
-                                    duration: self.sim.now.saturating_sub(t.slice_start),
+                                    duration: now.saturating_sub(t.slice_start),
                                 },
                             );
                         }
                         c.record(
-                            self.sim.now,
+                            now,
                             Event::Completion {
                                 tenant: t.request.id,
                                 latency,
@@ -373,7 +517,7 @@ impl<S: CompletionSink> NodeKernel<S> {
                         );
                         c.add(Counter::Completions, 1);
                         c.observe(Metric::LatencyCycles, latency.get());
-                        if self.sim.now <= t.deadline_cycle {
+                        if now <= t.deadline_cycle {
                             c.add(Counter::QosMet, 1);
                         }
                     }
@@ -382,14 +526,12 @@ impl<S: CompletionSink> NodeKernel<S> {
                     self.sink.record(
                         Completion {
                             request: t.request,
-                            finish: self.sim.clock.to_seconds(self.sim.now),
+                            finish: clock.to_seconds(now),
                             energy: t.energy,
                         },
                         latency,
                     );
-                } else {
-                    i += 1;
-                }
+                });
             }
             // Export pod energy counters only when a completion closed
             // this event and a pod's cumulative total actually moved.
@@ -416,13 +558,13 @@ impl<S: CompletionSink> NodeKernel<S> {
             // Refresh the next completion. `now + remaining` is invariant
             // under plain advancement, so the minimum taken here stays
             // exact until the next wake-up.
-            let now = self.sim.now;
-            self.next_completion = self
-                .sim
-                .tenants
+            let sim = &self.sim;
+            self.next_completion = sim
+                .awake
                 .iter()
+                .map(|&i| &sim.tenants[i])
                 .filter(|t| t.alloc > 0)
-                .map(|t| now + t.remaining())
+                .map(|t| sim.now + t.remaining())
                 .min();
         }
     }
@@ -525,11 +667,11 @@ mod tests {
 
         fn reschedule<C: Collector>(&mut self, sim: &mut SimState, _c: &mut C) {
             let total = sim.total_subarrays();
-            if sim.tenants.iter().any(|t| t.alloc > 0) {
+            if sim.tenants().iter().any(|t| t.alloc > 0) {
                 return;
             }
             let Some(i) = sim
-                .tenants
+                .tenants()
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, t)| t.arrival_cycle)
@@ -537,14 +679,15 @@ mod tests {
             else {
                 return;
             };
-            let t = &mut sim.tenants[i];
+            let now = sim.now;
+            let t = &mut sim.tenants_mut()[i];
             t.alloc = total;
             let (wt, en) = {
                 let table = t.compiled.table(total);
                 (table.total_cycles(), table.total_energy())
             };
             t.switch_table(wt, en);
-            t.slice_start = sim.now;
+            t.slice_start = now;
         }
     }
 
@@ -618,6 +761,62 @@ mod tests {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
         let trace = vec![req(0, 0.0), req(1, 1e-4), req(2, 3e10)];
         let _ = run(&cfg, &trace, &mut policy(), &mut NullCollector);
+    }
+
+    #[test]
+    fn retire_order_matches_the_swap_remove_scan_on_a_chain() {
+        // Positions 1, 3, 5 and 6 (the last) are done, 4 is parked. The
+        // scan over every tenant retires 1, then the done tenants that
+        // move from the last slot into 1 (6, then 5), then 3; the parked
+        // tenant ends up at position 1.
+        let cfg = AcceleratorConfig::planaria();
+        let compiled = planaria_compiler::CompiledLibrary::shared_for(&cfg).shared(DnnId::TinyYolo);
+        let mut sim = SimState::new_for(cfg, SimClock::for_config(&cfg));
+        let done = [false, true, false, true, false, true, true];
+        let mut scan: Vec<(u64, bool)> = Vec::new();
+        for (id, &d) in (0u64..).zip(&done) {
+            let mut t = TenantState::new(
+                id,
+                req(id, 0.0),
+                Arc::clone(&compiled),
+                1,
+                Cycles::ZERO,
+                Cycles::ZERO,
+                Cycles::ZERO,
+            );
+            if d {
+                t.work_done = t.work_total;
+            }
+            sim.admit(t);
+            scan.push((id, d));
+        }
+        sim.park(4);
+        let parked = sim.tenants()[4].remaining();
+
+        let mut want = Vec::new();
+        let mut i = 0;
+        while i < scan.len() {
+            if scan[i].1 {
+                want.push(scan.swap_remove(i).0);
+            } else {
+                i += 1;
+            }
+        }
+        let mut got = Vec::new();
+        sim.retire_done(|t| got.push(t.request.id));
+        assert_eq!(got, want);
+        assert_eq!(got, [1, 6, 5, 3]);
+
+        let ids: Vec<u64> = sim.tenants().iter().map(|t| t.request.id).collect();
+        assert_eq!(ids, scan.iter().map(|&(id, _)| id).collect::<Vec<_>>());
+        assert_eq!(ids, [0, 4, 2]);
+        assert_eq!(sim.best_parked(), Some(1));
+        assert_eq!(sim.parked_len(), 1);
+        assert_eq!(sim.awake(), [0, 2]);
+        assert_eq!(sim.parked_remaining, parked);
+        sim.wake(1);
+        assert_eq!(sim.awake(), [0, 1, 2]);
+        assert_eq!(sim.parked_remaining, Cycles::ZERO);
     }
 
     #[test]

@@ -44,10 +44,16 @@
 //! Completion detection is exact — a tenant is done when its integer
 //! work counter reaches the table total and its overhead is burned; no
 //! `DONE_EPS`-style float tolerance. The kernel already visits every
-//! live tenant twice per event (to advance work and to refresh after
+//! awake tenant twice per event (to advance work and to refresh after
 //! the policy decides), so the next completion is one `min` in the
 //! refresh pass: a heap of estimates would add O(log T) pushes per
 //! changed tenant on top of that O(T) walk, and save nothing.
+//!
+//! A policy may park queued tenants it can answer without looking at
+//! them ([`SimState::park`]); Planaria parks those queued past their
+//! deadline. Parked tenants hold no subarrays and their work is frozen,
+//! so every kernel pass walks only the awake tenants, and the backlog a
+//! dispatcher reads counts the parked ones through one maintained sum.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

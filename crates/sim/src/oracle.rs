@@ -13,7 +13,10 @@
 //!   kept in the oracle's own admission-keyed `BTreeMap`, and skipped
 //!   when they pop; the heap is never compacted;
 //! * the retire scan runs after every event, not only on cycles where a
-//!   completion was due.
+//!   completion was due;
+//! * every pass walks every tenant, parked or not. Admission and
+//!   retirement still go through [`SimState`], so the positions a policy
+//!   parks stay keyed.
 //!
 //! The production kernel instead wakes at the earlier of the pending
 //! arrival and the minimum `now + remaining` over running tenants, so
@@ -166,7 +169,7 @@ where
 
         let dt = t_next.saturating_sub(sim.now);
         let mut any_allocated = false;
-        for t in &mut sim.tenants {
+        for t in sim.tenants_mut() {
             if t.alloc > 0 {
                 any_allocated = true;
                 t.advance(dt);
@@ -196,7 +199,7 @@ where
             }
             let compiled = policy.compiled_for(&req);
             let deadline = clock.cycles_from_seconds(req.deadline());
-            sim.tenants.push(TenantState::new(
+            sim.admit(TenantState::new(
                 next_arrival,
                 req,
                 compiled,
@@ -211,9 +214,9 @@ where
         }
 
         let mut i = 0;
-        while i < sim.tenants.len() {
-            if sim.tenants[i].is_done() {
-                let t = sim.tenants.swap_remove(i);
+        while i < sim.tenants().len() {
+            if sim.tenants()[i].is_done() {
+                let t = sim.retire(i);
                 estimates.remove(&t.admission());
                 completions.push(Completion {
                     request: t.request,
@@ -229,7 +232,7 @@ where
 
         // Push a fresh completion entry for every tenant whose estimate
         // moved; the epoch bump supersedes its previous entry.
-        for t in &sim.tenants {
+        for t in sim.tenants() {
             let target = if t.alloc > 0 {
                 Some(sim.now + t.remaining())
             } else {
@@ -253,7 +256,7 @@ where
     }
 
     debug_assert!(
-        pending.is_none() && sim.tenants.is_empty(),
+        pending.is_none() && sim.tenants().is_empty(),
         "oracle finalized with work outstanding"
     );
     let active = sim.now.saturating_sub(origin.unwrap_or(Cycles::ZERO));

@@ -7,25 +7,14 @@ use planaria_workload::Request;
 use std::sync::Arc;
 
 /// Physical-placement bitmask over up to 128 subarrays (bit *i* set ⇔
-/// subarray *i* owned).
+/// subarray *i* owned); 0 for no placement.
 ///
 /// # Panics
 ///
-/// Panics if a subarray id is ≥ 128: a larger chip needs a wider mask
-/// type, not the silent bit-63 aliasing the old `u64` mask had.
+/// Panics if the placement's ring has more than 128 subarrays
+/// ([`Allocation::mask`]).
 pub fn subarray_mask(p: Option<&Allocation>) -> u128 {
-    let mut mask = 0u128;
-    if let Some(p) = p {
-        for id in p.subarrays() {
-            assert!(
-                id.0 < 128,
-                "subarray id {} does not fit a u128 placement mask",
-                id.0
-            );
-            mask |= 1u128 << id.0;
-        }
-    }
-    mask
+    p.map_or(0, Allocation::mask)
 }
 
 /// Every subarray bit set for a chip of `n` subarrays (a monolithic
@@ -254,7 +243,7 @@ mod tests {
     fn masks_cover_the_allocation() {
         let cfg = AcceleratorConfig::planaria();
         let mut chip = Chip::new(cfg);
-        let p = chip.place(1, 4).expect("empty chip places");
+        let p = chip.place(4).expect("empty chip places");
         let m = subarray_mask(Some(&p));
         assert_eq!(m.count_ones(), 4);
         assert_eq!(subarray_mask(None), 0);
@@ -278,7 +267,7 @@ mod tests {
         assert!(cfg.num_subarrays() >= 64, "need a chip wider than 64");
         let mut chip = Chip::new(cfg);
         let n = cfg.num_subarrays();
-        let p = chip.place(7, n).expect("whole chip places");
+        let p = chip.place(n).expect("whole chip places");
         let m = subarray_mask(Some(&p));
         assert_eq!(
             m.count_ones(),

@@ -16,9 +16,15 @@
 //! completion) plus every counter and histogram of its report, and the
 //! exact `SimResult`. If any event's allocations, placements or floors
 //! diverged, the streams would differ at that event.
+//!
+//! The incremental scheduler also parks queued tenants past their
+//! deadline, and the kernel then counts their work through a frozen sum.
+//! The overload cases drive that path hardest, and the fleet case reads
+//! every node's backlog at every fabric barrier, where a wrong parked sum
+//! would show even when no allocation differs.
 
 use planaria::arch::AcceleratorConfig;
-use planaria::core::{CompiledLibrary, PlanariaEngine, SchedulingMode};
+use planaria::core::{CompiledLibrary, DispatchPolicy, Fleet, PlanariaEngine, SchedulingMode};
 use planaria::model::SplitMix64;
 use planaria::telemetry::RecordingCollector;
 use planaria::workload::Request;
@@ -143,6 +149,71 @@ fn incremental_matches_full_rescan_oracle_on_a_deep_backlog() {
             SchedulingMode::Spatial,
             &trace,
             &format!("{cfg:?}"),
+        );
+    }
+}
+
+/// Serve-burst's trace shape at λ = 2000: about three times the
+/// ~660 q/s one node serves, so the backlog grows for the whole trace and
+/// nearly every queued tenant waits past its deadline, parked.
+fn overload(requests: usize, seed: u64) -> TraceConfig {
+    TraceConfig::new(Scenario::C, QosLevel::Hard, 2000.0, requests, seed).with_burstiness(6.0)
+}
+
+/// Races the incremental scheduler against the full-rescan oracle on an
+/// overloaded trace, on both chips.
+fn assert_overload_agrees(requests: usize) {
+    let cfg = overload(requests, 0x0e7104d);
+    let trace = cfg.generate();
+    for chip in chips() {
+        let library = CompiledLibrary::new(chip);
+        let incremental = PlanariaEngine::with_library(library.clone());
+        let oracle = PlanariaEngine::with_library(library).with_incremental(false);
+        let (a, b) = (incremental.run(&trace), oracle.run(&trace));
+        let what = format!("{} subarrays, {cfg:?}", chip.num_subarrays());
+        assert_eq!(a.completions, b.completions, "{what}: completions diverged");
+        assert_eq!(a.digest(), b.digest(), "{what}: digest diverged");
+    }
+}
+
+#[test]
+fn incremental_matches_full_rescan_oracle_under_overload() {
+    assert_overload_agrees(2_000);
+}
+
+/// The overload case at 10^4 requests. The full rescan pays every
+/// backlogged tenant's table scan at every event, so this takes about a
+/// minute in release (CI runs it there) and several in debug.
+#[test]
+#[ignore = "10^4 overloaded requests through the full rescan; run with --release -- --ignored"]
+fn incremental_matches_full_rescan_oracle_under_overload_at_ten_thousand() {
+    assert_overload_agrees(10_000);
+}
+
+#[test]
+fn fleet_backlog_matches_full_rescan_nodes_under_overload() {
+    // Two nodes at λ = 2000 are still overloaded. Join-shortest-queue
+    // breaks ties by backlog and least-work routes by it, and the
+    // recording keeps every node's backlog gauge at every barrier.
+    let trace = overload(3_000, 0xf1ee7).generate();
+    let library = CompiledLibrary::new(AcceleratorConfig::planaria());
+    let fleet = |incremental: bool| {
+        let node = PlanariaEngine::with_library(library.clone()).with_incremental(incremental);
+        Fleet::new(vec![node.clone(), node]).expect("two paper chips form a fleet")
+    };
+    let (incremental, oracle) = (fleet(true), fleet(false));
+    for policy in [DispatchPolicy::JoinShortestQueue, DispatchPolicy::LeastWork] {
+        let (r_inc, s_inc, rec_inc) = incremental.run_recorded(&trace, policy);
+        let (r_full, s_full, rec_full) = oracle.run_recorded(&trace, policy);
+        assert_eq!(
+            r_inc.digest(),
+            r_full.digest(),
+            "{policy:?}: results diverged"
+        );
+        assert_eq!(s_inc, s_full, "{policy:?}: fabric stats diverged");
+        assert!(
+            rec_inc == rec_full,
+            "{policy:?}: fabric recordings diverged"
         );
     }
 }

@@ -159,24 +159,24 @@ fn chip_placement_is_consistent() {
         let mut chip = Chip::new(cfg());
         let mut placed = Vec::new();
         let tenants = rng.next_range(1, 5) as usize;
-        for tenant in 0..tenants {
+        for _ in 0..tenants {
             let s = rng.next_range(1, 5) as u32;
-            if let Some(a) = chip.place(tenant as u64, s) {
-                placed.push((tenant as u64, a));
+            if let Some(a) = chip.place(s) {
+                placed.push(a);
             }
         }
         // No subarray owned by two tenants.
         let mut owned: Vec<u32> = placed
             .iter()
-            .flat_map(|(_, a)| a.subarrays().iter().map(|s| s.0))
+            .flat_map(|a| a.subarrays().map(|s| s.0))
             .collect();
         let before = owned.len();
         owned.sort_unstable();
         owned.dedup();
         assert_eq!(owned.len(), before, "case {case}: overlapping placements");
         // Release everything: chip is whole again.
-        for (t, a) in &placed {
-            assert_eq!(chip.release(*t), a.len(), "case {case}");
+        for a in &placed {
+            assert_eq!(chip.release(a), a.len(), "case {case}");
         }
         assert_eq!(chip.free(), 16, "case {case}");
     }

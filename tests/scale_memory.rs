@@ -1,12 +1,12 @@
 //! Scale-path guarantees, measured with a counting global allocator:
 //!
-//! 1. **Steady-state events are (nearly) allocation-free.** The
-//!    `SpatialPolicy` scratch buffers, the persistent chip map and the
-//!    estimate memo stored inline on each tenant record mean the marginal
-//!    heap-allocation cost of a request is a small constant — admission
-//!    bookkeeping (tenant record, index slot, completion slot) plus the
-//!    `Allocation` segments of tenants whose placement actually changed —
-//!    instead of the former O(live tenants) fresh `Vec`s per event.
+//! 1. **Steady-state events are allocation-free.** The `SpatialPolicy`
+//!    scratch buffers, the persistent chip mask, placements that are
+//!    `Copy` ring segments and the estimate memo stored inline on each
+//!    tenant record leave only amortized `Vec` growth per request: well
+//!    under one allocation, where one allocation per placement (an id
+//!    list per re-placed tenant) read about 1.0 and fresh `Vec`s per
+//!    event read O(live tenants).
 //! 2. **Streamed runs never materialize the request trace.** A streamed
 //!    run's peak live memory stays below the materialized run's by at
 //!    least half the trace's size, and its resident request state is
@@ -89,7 +89,7 @@ fn steady_state_allocs_are_constant_per_request_and_streams_stay_lean() {
     // --- marginal allocations per request -------------------------------
     // Comparing two run lengths cancels the per-run fixed cost (policy
     // scratch growth, result buffers): what remains is the steady-state
-    // per-request cost, which must be a small constant — not O(tenants).
+    // per-request cost, which must stay well under one allocation.
     let n1 = 400usize;
     let n2 = 1600usize;
     let t1 = trace_cfg(n1).generate();
@@ -101,8 +101,8 @@ fn steady_state_allocs_are_constant_per_request_and_streams_stay_lean() {
     assert_eq!(r2.completions.len(), n2);
     let marginal = (a2.saturating_sub(a1)) as f64 / (n2 - n1) as f64;
     assert!(
-        marginal < 4.0,
-        "steady-state marginal allocations per request too high: {marginal:.1} \
+        marginal < 0.5,
+        "steady-state marginal allocations per request too high: {marginal:.3} \
          (a1={a1}, a2={a2}, warmup={warm})"
     );
 
