@@ -13,6 +13,12 @@
 //! by dynamic energy — mirroring the paper's offline exhaustive search over
 //! fission possibilities and tiling sizes.
 //!
+//! Every entry point ([`compile`], [`compile_for_allocation`],
+//! [`compile_with_collector`]) dedupes the network's layer shapes once
+//! ([`ShapeTable`]) and runs that search once per distinct shape and
+//! allocation size. [`compile_uncached`] searches every layer occurrence
+//! instead; it is the oracle the equivalence tests compare against.
+//!
 //! # Example
 //!
 //! ```
@@ -34,9 +40,8 @@ pub mod table;
 
 pub use histogram::{config_histogram, ConfigUsage};
 pub use library::CompiledLibrary;
-pub use memo::{LayerShapeKey, ShapeTable, TimingMemo};
+pub use memo::ShapeTable;
 pub use table::{
-    compile, compile_for_allocation, compile_for_allocation_shaped,
-    compile_for_allocation_uncached, compile_for_allocation_with, compile_uncached,
-    compile_with_collector, CompiledDnn, ConfigTable, LayerConfig, TilePosition,
+    compile, compile_for_allocation, compile_uncached, compile_with_collector, CompiledDnn,
+    ConfigTable, LayerConfig, TilePosition,
 };

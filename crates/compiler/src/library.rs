@@ -10,8 +10,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// All nine benchmark networks compiled for one accelerator configuration.
 ///
-/// Compilation (16 tables × every layer × every arrangement) happens once;
-/// engines and benchmark harnesses share the library via cheap clones.
+/// Compilation (16 tables × every distinct layer shape × every
+/// arrangement) happens once; engines and benchmark harnesses share the
+/// library via cheap clones.
 #[derive(Debug, Clone)]
 pub struct CompiledLibrary {
     cfg: AcceleratorConfig,
@@ -24,11 +25,10 @@ impl CompiledLibrary {
     /// The nine networks are independent, so they fan out over the
     /// [`planaria_parallel`] pool (worker count from `PLANARIA_JOBS` /
     /// [`std::thread::available_parallelism`]). Each network compiles
-    /// with its own shape-keyed memo ([`crate::ShapeTable`] +
-    /// [`crate::TimingMemo`]) — built once per network and amortized
-    /// across all per-allocation tables — and results join in
-    /// `DnnId::ALL` index order, so the library is bit-identical at any
-    /// job count.
+    /// through [`compile`], which dedupes its layer shapes once
+    /// ([`crate::ShapeTable`]) and searches per distinct shape in every
+    /// per-allocation table, and results join in `DnnId::ALL` index
+    /// order, so the library is bit-identical at any job count.
     pub fn new(cfg: AcceleratorConfig) -> Self {
         Self::with_jobs(cfg, effective_jobs())
     }

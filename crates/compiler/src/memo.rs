@@ -1,62 +1,38 @@
-//! Shape-keyed timing memoization for the offline compiler.
+//! Shape deduplication for the offline compiler.
 //!
 //! DNNs repeat layer shapes heavily — ResNet-50's residual stages reuse a
 //! handful of convolution shapes dozens of times, GNMT's recurrent steps
-//! are a single shape repeated 25×. The un-memoized compiler re-runs the
-//! full arrangement search (`time_layer` over every fission arrangement)
-//! for each occurrence. This module caches timing results by **layer
-//! shape**, so every distinct `(shape, arrangement, allocation)` triple is
-//! timed exactly once per accelerator configuration — the same
-//! precompute-once philosophy the paper applies to `PREDICTTIME` ("reduces
-//! to merely looking up" precomputed entries, §V), turned on the simulator
-//! itself.
+//! are a single shape repeated 25×. [`ShapeTable`] maps every layer to a
+//! dense id of its **shape** (the operator payload, which unlike the
+//! layer name is identical for every repetition), so the table compiler
+//! runs the arrangement search once per distinct `(shape, allocation)`
+//! pair — the same precompute-once philosophy the paper applies to
+//! `PREDICTTIME` ("reduces to merely looking up" precomputed entries, §V),
+//! turned on the simulator itself.
 //!
-//! Two cache levels:
-//!
-//! * the **selection cache** maps `(LayerShapeKey, subarrays)` to the
-//!   chosen `(Arrangement, LayerTiming, Picojoules)` — a repeated shape
-//!   skips the entire arrangement search;
-//! * the **timing cache** maps `(LayerShapeKey, Arrangement, subarrays)`
-//!   to `(LayerTiming, Picojoules)` — for direct [`TimingMemo::time`]
-//!   probes (the compiler's vector layers, which repeat heavily in
-//!   recurrent networks).
-//!
-//! The selection search itself calls `time_layer` directly rather than
-//! going through the timing cache: the selection cache already
-//! short-circuits repeated shapes, so no `(shape, arrangement,
-//! allocation)` triple is ever probed twice by the search — and the
-//! analytic timing model is cheap enough that inserting every probe into
-//! a `BTreeMap` costs more than recomputing it.
-//!
-//! Determinism: `time_layer` and `EnergyModel::dynamic_energy` are pure
-//! functions of `(cfg, shape, arrangement, allocation)`, so a cache hit
-//! returns bit-identical values to a recomputation. A memo is bound to one
-//! [`AcceleratorConfig`] at construction and panics if used with another,
-//! which makes cross-config cache poisoning impossible.
+//! No associative cache sits below the dedup: within one table every
+//! `(shape, allocation)` pair is searched exactly once, and the analytic
+//! timing model is cheap enough that inserting every search probe into a
+//! `BTreeMap` costs more than recomputing it. Determinism: `time_layer`
+//! and `EnergyModel::dynamic_energy` are pure functions of `(cfg, shape,
+//! arrangement, allocation)`, so a deduplicated search is bit-identical
+//! to re-running it per occurrence (`compile_uncached`, the oracle).
 
-use planaria_arch::{AcceleratorConfig, Arrangement};
-use planaria_energy::EnergyModel;
-use planaria_model::units::Picojoules;
 use planaria_model::{Dnn, LayerOp};
-use planaria_timing::{time_layer, ExecContext, LayerTiming};
 use std::collections::BTreeMap;
 
-/// The memo key for a layer's shape: the operator payload itself, which
-/// (unlike the layer *name*) is identical for every repetition of a shape.
-pub type LayerShapeKey = LayerOp;
-
 /// Per-network shape deduplication: maps every layer index to a dense
-/// shape id, so per-layer cache probes in the table compiler are O(1)
-/// `Vec` lookups instead of `BTreeMap` searches over large `LayerOp`
-/// keys. Built once per network (one `BTreeMap` pass) and amortized
-/// across all 16 per-allocation tables.
+/// shape id, so per-layer lookups in the table compiler are O(1) `Vec`
+/// indexing instead of `BTreeMap` searches over large `LayerOp` keys.
+/// Built once per network (one `BTreeMap` pass) and amortized across all
+/// per-allocation tables.
 ///
 /// The benchmark suite repeats shapes heavily — ResNet-50 collapses 105
 /// layers to 36 distinct shapes, YOLOv3 172 → 38, GNMT 38 → 6 — so the
 /// arrangement search runs per *distinct* shape, not per layer.
 #[derive(Debug, Clone)]
 pub struct ShapeTable {
-    shapes: Vec<LayerShapeKey>,
+    shapes: Vec<LayerOp>,
     index: Vec<usize>,
 }
 
@@ -65,7 +41,7 @@ impl ShapeTable {
     /// (so shape ids — and everything derived from them — are
     /// deterministic).
     pub fn for_dnn(dnn: &Dnn) -> Self {
-        let mut ids: BTreeMap<LayerShapeKey, usize> = BTreeMap::new();
+        let mut ids: BTreeMap<LayerOp, usize> = BTreeMap::new();
         let mut shapes = Vec::new();
         let mut index = Vec::with_capacity(dnn.num_layers());
         for layer in dnn.layers() {
@@ -80,7 +56,7 @@ impl ShapeTable {
     }
 
     /// The distinct shapes, in first-occurrence order.
-    pub fn shapes(&self) -> &[LayerShapeKey] {
+    pub fn shapes(&self) -> &[LayerOp] {
         &self.shapes
     }
 
@@ -104,143 +80,9 @@ impl ShapeTable {
     }
 }
 
-/// A per-configuration timing memo (see the module docs).
-#[derive(Debug, Clone)]
-pub struct TimingMemo {
-    cfg: AcceleratorConfig,
-    timing: BTreeMap<(LayerShapeKey, Arrangement, u32), (LayerTiming, Picojoules)>,
-    selection: BTreeMap<(LayerShapeKey, u32), (Arrangement, LayerTiming, Picojoules)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl TimingMemo {
-    /// An empty memo bound to `cfg`.
-    pub fn new(cfg: &AcceleratorConfig) -> Self {
-        Self {
-            cfg: *cfg,
-            timing: BTreeMap::new(),
-            selection: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Cache hits observed so far (selection- and timing-level combined).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (entries computed) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of cached entries (timing- and selection-level combined).
-    pub fn len(&self) -> usize {
-        self.timing.len() + self.selection.len()
-    }
-
-    /// Whether the memo has no entries yet.
-    pub fn is_empty(&self) -> bool {
-        self.timing.is_empty() && self.selection.is_empty()
-    }
-
-    fn assert_cfg(&self, cfg: &AcceleratorConfig) {
-        assert!(
-            self.cfg == *cfg,
-            "TimingMemo is bound to one accelerator configuration; \
-             build a fresh memo per config"
-        );
-    }
-
-    /// Times `op` on `arr` under `ctx`, consulting the timing cache.
-    pub fn time(
-        &mut self,
-        ctx: &ExecContext,
-        em: &EnergyModel,
-        op: &LayerOp,
-        arr: Arrangement,
-    ) -> (LayerTiming, Picojoules) {
-        self.assert_cfg(&ctx.cfg);
-        let key = (*op, arr, ctx.subarrays);
-        if let Some(&cached) = self.timing.get(&key) {
-            self.hits += 1;
-            return cached;
-        }
-        let t = time_layer(ctx, op, arr);
-        let e = em.dynamic_energy(&t.counts);
-        self.timing.insert(key, (t, e));
-        self.misses += 1;
-        (t, e)
-    }
-
-    /// The compiler's full per-layer search (minimum cycles, near-ties
-    /// broken by dynamic energy), consulting the selection cache so a
-    /// repeated shape costs one `BTreeMap` lookup.
-    pub fn select(
-        &mut self,
-        ctx: &ExecContext,
-        em: &EnergyModel,
-        op: &LayerOp,
-        tie_tolerance: f64,
-    ) -> (Arrangement, LayerTiming, Picojoules) {
-        self.assert_cfg(&ctx.cfg);
-        let key = (*op, ctx.subarrays);
-        if let Some(&cached) = self.selection.get(&key) {
-            self.hits += 1;
-            return cached;
-        }
-        let mut best: Option<(Arrangement, LayerTiming, Picojoules)> = None;
-        for arr in Arrangement::enumerate_for(&ctx.cfg, ctx.subarrays) {
-            // Probe directly — the selection cache above guarantees this
-            // search runs at most once per (shape, allocation), so caching
-            // the individual probes would only add insert overhead.
-            let t = time_layer(ctx, op, arr);
-            let e = em.dynamic_energy(&t.counts);
-            let better = match &best {
-                None => true,
-                Some((_, bt, be)) => {
-                    let much_faster = t.cycles.as_f64() * tie_tolerance < bt.cycles.as_f64();
-                    let near_tie = t.cycles.as_f64() <= bt.cycles.as_f64() * tie_tolerance;
-                    much_faster || (near_tie && e < *be)
-                }
-            };
-            if better {
-                best = Some((arr, t, e));
-            }
-        }
-        // lint: enumerate_for always yields at least the trivial arrangement
-        let chosen = best.expect("at least one arrangement");
-        self.selection.insert(key, chosen);
-        self.misses += 1;
-        chosen
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn repeated_shapes_hit_the_cache() {
-        let cfg = AcceleratorConfig::planaria();
-        let ctx = ExecContext::full_chip(&cfg);
-        let em = EnergyModel::for_config(&cfg);
-        let op = LayerOp::Conv(planaria_model::ConvSpec::new(64, 64, 3, 3, 1, 1, 28, 28));
-        let mut memo = TimingMemo::new(&cfg);
-        let first = memo.select(&ctx, &em, &op, 1.02);
-        let misses_after_first = memo.misses();
-        let second = memo.select(&ctx, &em, &op, 1.02);
-        assert_eq!(first, second);
-        assert_eq!(
-            memo.misses(),
-            misses_after_first,
-            "second call is pure lookup"
-        );
-        assert!(memo.hits() >= 1);
-        assert!(!memo.is_empty());
-    }
 
     #[test]
     fn shape_table_dedupes_and_round_trips() {
@@ -254,17 +96,5 @@ mod tests {
         for (i, layer) in dnn.layers().iter().enumerate() {
             assert_eq!(st.shapes()[st.shape_id(i)], layer.op);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one accelerator configuration")]
-    fn cross_config_use_is_rejected() {
-        let planaria = AcceleratorConfig::planaria();
-        let mono = AcceleratorConfig::monolithic();
-        let ctx = ExecContext::full_chip(&mono);
-        let em = EnergyModel::for_config(&mono);
-        let op = LayerOp::MatMul(planaria_model::MatMulSpec::new(1, 64, 64));
-        let mut memo = TimingMemo::new(&planaria);
-        let _ = memo.time(&ctx, &em, &op, Arrangement::new(1, 1, 1));
     }
 }

@@ -1,10 +1,11 @@
 //! Configuration tables: the compiler's output artifact.
 
-use crate::memo::{ShapeTable, TimingMemo};
+use crate::memo::ShapeTable;
 use planaria_arch::{AcceleratorConfig, Arrangement};
 use planaria_energy::EnergyModel;
 use planaria_model::units::{Bytes, Cycles, Picojoules};
-use planaria_model::Dnn;
+use planaria_model::{Dnn, Layer, LayerOp};
+use planaria_telemetry::{Collector, Counter, Event, NullCollector};
 use planaria_timing::{time_layer, ExecContext, LayerTiming};
 
 /// Near-tie tolerance for energy-based selection between arrangements of
@@ -75,15 +76,15 @@ impl ConfigTable {
 
     /// End-to-end cycles.
     ///
-    /// Every `ConfigTable` covers at least one layer: the only
-    /// constructors are [`compile_for_allocation`] and friends, which
-    /// reject zero-layer networks (and [`planaria_model::DnnBuilder`]
-    /// cannot build one in the first place). A zero-layer table would
-    /// silently report 0 cycles everywhere, so the invariant is asserted
-    /// at compile time instead of papered over with `unwrap_or(&0)`.
+    /// Every `ConfigTable` covers at least one layer: every compile
+    /// function rejects zero-layer networks (and
+    /// [`planaria_model::DnnBuilder`] cannot build one in the first
+    /// place). A zero-layer table would silently report 0 cycles
+    /// everywhere, so the invariant is asserted at compile time instead
+    /// of papered over with `unwrap_or(&0)`.
     pub fn total_cycles(&self) -> Cycles {
-        // lint: compile_for_allocation rejects empty DNNs, so a table
-        // always has at least one cumulative-cycle entry
+        // lint: table assembly rejects empty DNNs, so a table always has
+        // at least one cumulative-cycle entry
         Cycles::new(*self.cum_cycles.last().expect("table covers >= 1 layer"))
     }
 
@@ -129,13 +130,6 @@ impl ConfigTable {
             tile_bytes: lc.timing.tile_bytes,
         }
     }
-
-    /// Work fraction completed after executing `cycles` from fraction
-    /// `done` (saturating at 1).
-    pub fn advance(&self, done: f64, cycles: Cycles) -> f64 {
-        let total = self.total_cycles().get().max(1) as f64;
-        (done + cycles.as_f64() / total).min(1.0)
-    }
 }
 
 /// A DNN compiled for every allocation size 1..=N (the paper's "16 binaries
@@ -176,214 +170,24 @@ impl CompiledDnn {
     }
 }
 
-/// Compiles one table for a fixed allocation size (with a fresh
-/// shape-keyed memo; repeated layer shapes are timed once).
-///
-/// # Panics
-///
-/// Panics on a zero-layer network — an empty configuration table would
-/// silently report 0 cycles (see [`ConfigTable::total_cycles`]).
-/// `planaria_model::DnnBuilder::build` already rejects empty networks, so
-/// this is a defense-in-depth assertion.
-pub fn compile_for_allocation(cfg: &AcceleratorConfig, dnn: &Dnn, subarrays: u32) -> ConfigTable {
-    let mut memo = TimingMemo::new(cfg);
-    compile_for_allocation_with(cfg, dnn, subarrays, &mut memo)
-}
-
-/// Compiles one table for a fixed allocation size, consulting (and
-/// filling) a caller-provided [`TimingMemo`].
-///
-/// The memo must be bound to `cfg` (see [`TimingMemo::new`]); output is
-/// bit-identical to [`compile_for_allocation_uncached`] because every
-/// cached value is a pure function of `(cfg, shape, arrangement,
-/// allocation)`.
-///
-/// # Panics
-///
-/// Panics on a zero-layer network or a memo bound to a different
-/// configuration.
-pub fn compile_for_allocation_with(
-    cfg: &AcceleratorConfig,
-    dnn: &Dnn,
-    subarrays: u32,
-    memo: &mut TimingMemo,
-) -> ConfigTable {
-    assert!(
-        dnn.num_layers() > 0,
-        "cannot compile a zero-layer DNN (empty configuration tables are invalid)"
-    );
-    let ctx = ExecContext::for_allocation(cfg, subarrays);
-    let em = EnergyModel::for_config(cfg);
-    let mut layers = Vec::with_capacity(dnn.num_layers());
-    let mut cum_cycles = Vec::with_capacity(dnn.num_layers());
-    let mut cum = 0u64;
-    let mut total_energy = Picojoules::ZERO;
-    for layer in dnn.layers() {
-        let (arrangement, timing, energy) = if layer.op.is_systolic() {
-            memo.select(&ctx, &em, &layer.op, TIE_TOLERANCE)
-        } else {
-            let arr = Arrangement::new(1, 1, 1);
-            let (t, e) = memo.time(&ctx, &em, &layer.op, arr);
-            (arr, t, e)
-        };
-        cum += (timing.cycles * layer.repeat).get();
-        cum_cycles.push(cum);
-        total_energy += energy * layer.repeat as f64;
-        layers.push(LayerConfig {
-            name: layer.name.clone(),
-            arrangement,
-            timing,
-            repeat: layer.repeat,
-            energy,
-            systolic: layer.op.is_systolic(),
-        });
-    }
-    ConfigTable {
-        subarrays,
-        layers,
-        cum_cycles,
-        total_energy,
-    }
-}
-
-/// Compiles one table against a pre-built [`ShapeTable`], so
-/// whole-network compilation builds the dedup index once and amortizes it
-/// across all per-allocation tables.
-///
-/// The arrangement search runs once per *distinct* shape; each layer then
-/// fetches its configuration with an O(1) dense-id lookup. No associative
-/// cache sits on this path — within one table every `(shape, allocation)`
-/// pair is searched exactly once, so the dedup index *is* the memo, and
-/// `BTreeMap` probes would be pure overhead (measured: they cost more
-/// than the analytic timing model they'd save). Output is bit-identical
-/// to [`compile_for_allocation_uncached`] because the search is a pure
-/// function of `(cfg, shape, allocation)`.
-///
-/// # Panics
-///
-/// Panics on a zero-layer network or a `shapes` table built from a
-/// different network.
-pub fn compile_for_allocation_shaped(
-    cfg: &AcceleratorConfig,
-    dnn: &Dnn,
-    subarrays: u32,
-    shapes: &ShapeTable,
-) -> ConfigTable {
-    assert!(
-        dnn.num_layers() > 0,
-        "cannot compile a zero-layer DNN (empty configuration tables are invalid)"
-    );
-    assert_eq!(
-        shapes.num_layers(),
-        dnn.num_layers(),
-        "shape table was built from a different network"
-    );
-    let ctx = ExecContext::for_allocation(cfg, subarrays);
-    let em = EnergyModel::for_config(cfg);
-    // One search per distinct shape; layers below index this table.
-    let selections: Vec<(Arrangement, LayerTiming, Picojoules)> = shapes
-        .shapes()
-        .iter()
-        .map(|op| {
-            if op.is_systolic() {
-                select_arrangement(&ctx, &em, op)
-            } else {
-                let arr = Arrangement::new(1, 1, 1);
-                let t = time_layer(&ctx, op, arr);
-                let e = em.dynamic_energy(&t.counts);
-                (arr, t, e)
-            }
-        })
-        .collect();
-    let mut layers = Vec::with_capacity(dnn.num_layers());
-    let mut cum_cycles = Vec::with_capacity(dnn.num_layers());
-    let mut cum = 0u64;
-    let mut total_energy = Picojoules::ZERO;
-    for (i, layer) in dnn.layers().iter().enumerate() {
-        let (arrangement, timing, energy) = selections[shapes.shape_id(i)];
-        cum += (timing.cycles * layer.repeat).get();
-        cum_cycles.push(cum);
-        total_energy += energy * layer.repeat as f64;
-        layers.push(LayerConfig {
-            name: layer.name.clone(),
-            arrangement,
-            timing,
-            repeat: layer.repeat,
-            energy,
-            systolic: layer.op.is_systolic(),
-        });
-    }
-    ConfigTable {
-        subarrays,
-        layers,
-        cum_cycles,
-        total_energy,
-    }
-}
-
-/// Reference (memo-free) compilation of one table: re-evaluates
-/// `time_layer` for every layer occurrence, exactly as the compiler did
-/// before shape memoization. Kept as the oracle for the
-/// `compile_memoized_equals_unmemoized` equivalence tests and the
-/// cold-compile benchmark baseline.
-///
-/// # Panics
-///
-/// Panics on a zero-layer network.
-pub fn compile_for_allocation_uncached(
-    cfg: &AcceleratorConfig,
-    dnn: &Dnn,
-    subarrays: u32,
-) -> ConfigTable {
-    assert!(
-        dnn.num_layers() > 0,
-        "cannot compile a zero-layer DNN (empty configuration tables are invalid)"
-    );
-    let ctx = ExecContext::for_allocation(cfg, subarrays);
-    let em = EnergyModel::for_config(cfg);
-    let mut layers = Vec::with_capacity(dnn.num_layers());
-    let mut cum_cycles = Vec::with_capacity(dnn.num_layers());
-    let mut cum = 0u64;
-    let mut total_energy = Picojoules::ZERO;
-    for layer in dnn.layers() {
-        let (arrangement, timing, energy) = if layer.op.is_systolic() {
-            select_arrangement(&ctx, &em, &layer.op)
-        } else {
-            let arr = Arrangement::new(1, 1, 1);
-            let t = time_layer(&ctx, &layer.op, arr);
-            let e = em.dynamic_energy(&t.counts);
-            (arr, t, e)
-        };
-        cum += (timing.cycles * layer.repeat).get();
-        cum_cycles.push(cum);
-        total_energy += energy * layer.repeat as f64;
-        layers.push(LayerConfig {
-            name: layer.name.clone(),
-            arrangement,
-            timing,
-            repeat: layer.repeat,
-            energy,
-            systolic: layer.op.is_systolic(),
-        });
-    }
-    ConfigTable {
-        subarrays,
-        layers,
-        cum_cycles,
-        total_energy,
-    }
-}
-
-/// Exhaustive per-layer search: minimum cycles, near-ties broken by energy.
+/// One layer shape's configuration on `ctx`'s allocation: the exhaustive
+/// arrangement search for systolic layers (minimum cycles, near-ties
+/// broken by dynamic energy), the trivial arrangement for vector layers.
 fn select_arrangement(
     ctx: &ExecContext,
     em: &EnergyModel,
-    op: &planaria_model::LayerOp,
+    op: &LayerOp,
 ) -> (Arrangement, LayerTiming, Picojoules) {
+    let probe = |arr| {
+        let t = time_layer(ctx, op, arr);
+        (arr, t, em.dynamic_energy(&t.counts))
+    };
+    if !op.is_systolic() {
+        return probe(Arrangement::new(1, 1, 1));
+    }
     let mut best: Option<(Arrangement, LayerTiming, Picojoules)> = None;
     for arr in Arrangement::enumerate_for(&ctx.cfg, ctx.subarrays) {
-        let t = time_layer(ctx, op, arr);
-        let e = em.dynamic_energy(&t.counts);
+        let (arr, t, e) = probe(arr);
         let better = match &best {
             None => true,
             Some((_, bt, be)) => {
@@ -400,6 +204,79 @@ fn select_arrangement(
     best.expect("at least one arrangement")
 }
 
+/// Assembles the table for `subarrays` from one selection per layer of
+/// `dnn`, in layer order.
+///
+/// # Panics
+///
+/// Panics on a zero-layer network: an empty configuration table would
+/// silently report 0 cycles (see [`ConfigTable::total_cycles`]).
+/// `planaria_model::DnnBuilder::build` already rejects empty networks, so
+/// this is a defense-in-depth assertion.
+fn assemble(
+    dnn: &Dnn,
+    subarrays: u32,
+    selections: impl Iterator<Item = (Arrangement, LayerTiming, Picojoules)>,
+) -> ConfigTable {
+    assert!(
+        dnn.num_layers() > 0,
+        "cannot compile a zero-layer DNN (empty configuration tables are invalid)"
+    );
+    let mut layers = Vec::with_capacity(dnn.num_layers());
+    let mut cum_cycles = Vec::with_capacity(dnn.num_layers());
+    let mut cum = 0u64;
+    let mut total_energy = Picojoules::ZERO;
+    for (layer, (arrangement, timing, energy)) in dnn.layers().iter().zip(selections) {
+        cum += (timing.cycles * layer.repeat).get();
+        cum_cycles.push(cum);
+        total_energy += energy * layer.repeat as f64;
+        layers.push(LayerConfig {
+            name: layer.name.clone(),
+            arrangement,
+            timing,
+            repeat: layer.repeat,
+            energy,
+            systolic: layer.op.is_systolic(),
+        });
+    }
+    ConfigTable {
+        subarrays,
+        layers,
+        cum_cycles,
+        total_energy,
+    }
+}
+
+/// The table for `subarrays`, searching once per distinct shape of
+/// `shapes` (built from `dnn`); each layer then reads its shape's
+/// selection by dense id.
+fn shaped_table(
+    cfg: &AcceleratorConfig,
+    dnn: &Dnn,
+    shapes: &ShapeTable,
+    subarrays: u32,
+) -> ConfigTable {
+    let ctx = ExecContext::for_allocation(cfg, subarrays);
+    let em = EnergyModel::for_config(cfg);
+    let selected: Vec<_> = shapes
+        .shapes()
+        .iter()
+        .map(|op| select_arrangement(&ctx, &em, op))
+        .collect();
+    let per_layer = (0..dnn.num_layers()).map(|i| selected[shapes.shape_id(i)]);
+    assemble(dnn, subarrays, per_layer)
+}
+
+/// Compiles one table for a fixed allocation size, searching once per
+/// distinct layer shape.
+///
+/// # Panics
+///
+/// Panics on a zero-layer network (see [`ConfigTable::total_cycles`]).
+pub fn compile_for_allocation(cfg: &AcceleratorConfig, dnn: &Dnn, subarrays: u32) -> ConfigTable {
+    shaped_table(cfg, dnn, &ShapeTable::for_dnn(dnn), subarrays)
+}
+
 /// Compiles `dnn` for every allocation size on `cfg`, deduplicating layer
 /// shapes once (via [`ShapeTable`]) so the arrangement search runs per
 /// distinct shape and allocation, not per layer occurrence.
@@ -408,60 +285,47 @@ fn select_arrangement(
 ///
 /// Panics on a zero-layer network.
 pub fn compile(cfg: &AcceleratorConfig, dnn: &Dnn) -> CompiledDnn {
-    let n = cfg.num_subarrays();
-    let shapes = ShapeTable::for_dnn(dnn);
-    let tables = (1..=n)
-        .map(|s| compile_for_allocation_shaped(cfg, dnn, s, &shapes))
-        .collect();
-    CompiledDnn {
-        name: dnn.name().to_string(),
-        tables,
-    }
+    compile_with_collector(cfg, dnn, &mut NullCollector)
 }
 
-/// Like [`compile`], streaming compilation telemetry into `c`: one
-/// [`Event::TableCompiled`](planaria_telemetry::Event::TableCompiled) per
-/// allocation size, plus memo hit/miss, distinct-shape, and
-/// layers-compiled counters.
-///
-/// Uses the shared-memo path ([`compile_for_allocation_with`]) so the
-/// hit/miss counts reflect a real cross-allocation cache; output is
-/// bit-identical to [`compile`] because every cached value is a pure
-/// function of `(cfg, shape, arrangement, allocation)` (asserted by a
-/// test below).
+/// [`compile`], streaming compilation telemetry into `c`: one
+/// [`Event::TableCompiled`] per allocation size, then the layers-compiled
+/// and distinct-shape counters and the dedup's memo traffic. Each table
+/// runs the search once per distinct shape (a miss) and serves every
+/// other layer from it (a hit), so `MemoMisses` is distinct shapes ×
+/// tables and `MemoHits` is (layers − distinct shapes) × tables.
 ///
 /// # Panics
 ///
 /// Panics on a zero-layer network.
-pub fn compile_with_collector<C: planaria_telemetry::Collector>(
+pub fn compile_with_collector<C: Collector>(
     cfg: &AcceleratorConfig,
     dnn: &Dnn,
     c: &mut C,
 ) -> CompiledDnn {
-    use planaria_telemetry::{Counter, Event};
     let n = cfg.num_subarrays();
     let shapes = ShapeTable::for_dnn(dnn);
-    let mut memo = TimingMemo::new(cfg);
-    let layers = dnn.num_layers() as u32;
-    let mut tables = Vec::with_capacity(n as usize);
-    for s in 1..=n {
-        tables.push(compile_for_allocation_with(cfg, dnn, s, &mut memo));
-        if c.is_enabled() {
+    let tables = (1..=n)
+        .map(|s| shaped_table(cfg, dnn, &shapes, s))
+        .collect();
+    if c.is_enabled() {
+        let layers = dnn.num_layers() as u32;
+        let distinct = shapes.num_shapes() as u32;
+        for subarrays in 1..=n {
             c.record(
-                planaria_model::units::Cycles::ZERO,
+                Cycles::ZERO,
                 Event::TableCompiled {
-                    subarrays: s,
+                    subarrays,
                     layers,
-                    distinct_shapes: shapes.num_shapes() as u32,
+                    distinct_shapes: distinct,
                 },
             );
         }
-    }
-    if c.is_enabled() {
-        c.add(Counter::MemoHits, memo.hits());
-        c.add(Counter::MemoMisses, memo.misses());
-        c.add(Counter::DistinctShapes, shapes.num_shapes() as u64);
-        c.add(Counter::LayersCompiled, u64::from(layers) * u64::from(n));
+        let over_tables = |count: u32| u64::from(count) * u64::from(n);
+        c.add(Counter::MemoHits, over_tables(layers - distinct));
+        c.add(Counter::MemoMisses, over_tables(distinct));
+        c.add(Counter::DistinctShapes, u64::from(distinct));
+        c.add(Counter::LayersCompiled, over_tables(layers));
     }
     CompiledDnn {
         name: dnn.name().to_string(),
@@ -469,16 +333,22 @@ pub fn compile_with_collector<C: planaria_telemetry::Collector>(
     }
 }
 
-/// Reference (memo-free) whole-network compilation; see
-/// [`compile_for_allocation_uncached`].
+/// Reference compilation without shape deduplication: re-runs the
+/// search for every layer occurrence, exactly as the compiler did before
+/// [`ShapeTable`]. Kept as the oracle for the equivalence tests in
+/// `tests/memoization.rs` and the cold-compile benchmark baseline.
 ///
 /// # Panics
 ///
 /// Panics on a zero-layer network.
 pub fn compile_uncached(cfg: &AcceleratorConfig, dnn: &Dnn) -> CompiledDnn {
-    let n = cfg.num_subarrays();
-    let tables = (1..=n)
-        .map(|s| compile_for_allocation_uncached(cfg, dnn, s))
+    let em = EnergyModel::for_config(cfg);
+    let tables = (1..=cfg.num_subarrays())
+        .map(|s| {
+            let ctx = ExecContext::for_allocation(cfg, s);
+            let search = |l: &Layer| select_arrangement(&ctx, &em, &l.op);
+            assemble(dnn, s, dnn.layers().iter().map(search))
+        })
         .collect();
     CompiledDnn {
         name: dnn.name().to_string(),
@@ -506,28 +376,34 @@ mod tests {
 
     #[test]
     fn collector_compile_is_bit_identical_and_counts_memo_traffic() {
+        use crate::memo::ShapeTable;
         use planaria_telemetry::{Counter, Event, RecordingCollector};
         let cfg = AcceleratorConfig::planaria();
-        let net = DnnId::TinyYolo.build();
-        let plain = compile(&cfg, &net);
-        let mut c = RecordingCollector::new();
-        let instrumented = compile_with_collector(&cfg, &net, &mut c);
-        assert_eq!(plain, instrumented);
-        let tables_done = c
-            .events()
-            .iter()
-            .filter(|te| matches!(te.event, Event::TableCompiled { .. }))
-            .count();
-        assert_eq!(tables_done, 16);
-        let hits = c.counter(Counter::MemoHits);
-        let misses = c.counter(Counter::MemoMisses);
-        assert!(misses > 0, "search must run at least once per shape");
-        assert!(hits > 0, "repeated shapes must hit the memo");
-        let layers = c.counter(Counter::LayersCompiled);
-        assert_eq!(layers, net.num_layers() as u64 * 16);
-        assert!(c.counter(Counter::DistinctShapes) <= net.num_layers() as u64);
-        // Every layer of every table was served by the memo.
-        assert_eq!(hits + misses, layers);
+        for id in DnnId::ALL {
+            let net = id.build();
+            let plain = compile(&cfg, &net);
+            let mut c = RecordingCollector::new();
+            let instrumented = compile_with_collector(&cfg, &net, &mut c);
+            assert_eq!(plain, instrumented, "{id:?}");
+            let tables_done = c
+                .events()
+                .iter()
+                .filter(|te| matches!(te.event, Event::TableCompiled { .. }))
+                .count();
+            assert_eq!(tables_done, 16, "{id:?}");
+            // One search per distinct shape and table; every other layer
+            // of the table reuses its shape's search.
+            let layers = net.num_layers() as u64;
+            let distinct = ShapeTable::for_dnn(&net).num_shapes() as u64;
+            assert_eq!(c.counter(Counter::MemoMisses), distinct * 16, "{id:?}");
+            assert_eq!(
+                c.counter(Counter::MemoHits),
+                (layers - distinct) * 16,
+                "{id:?}"
+            );
+            assert_eq!(c.counter(Counter::LayersCompiled), layers * 16, "{id:?}");
+            assert_eq!(c.counter(Counter::DistinctShapes), distinct, "{id:?}");
+        }
     }
 
     #[test]
@@ -560,15 +436,6 @@ mod tests {
         assert_eq!(start.layer, 0);
         assert!(end.layer > start.layer);
         assert!(!start.cycles_to_boundary.is_zero());
-    }
-
-    #[test]
-    fn advance_moves_fraction_proportionally() {
-        let c = compiled(DnnId::TinyYolo);
-        let t = c.table(4);
-        let half = t.advance(0.0, t.total_cycles() / 2);
-        assert!((half - 0.5).abs() < 0.01);
-        assert!((t.advance(0.9, t.total_cycles()) - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

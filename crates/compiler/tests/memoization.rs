@@ -1,12 +1,12 @@
-//! Equivalence proof for the compiler's shape-keyed memoization: the memo
-//! must be a pure cache, i.e. compiling with it on or off yields
-//! bit-identical `CompiledDnn` artifacts for every benchmark network.
+//! Equivalence proof for the compiler's shape deduplication: searching
+//! once per distinct layer shape must be a pure optimization, i.e. the
+//! deduplicated entry points and the per-occurrence oracle
+//! (`compile_uncached`) yield bit-identical configuration tables for
+//! every benchmark network.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_compiler::{compile, compile_uncached, TimingMemo};
-use planaria_energy::EnergyModel;
-use planaria_model::{ConvSpec, DnnId, LayerOp};
-use planaria_timing::ExecContext;
+use planaria_compiler::{compile, compile_for_allocation, compile_uncached};
+use planaria_model::DnnId;
 
 #[test]
 fn compile_memoized_equals_unmemoized() {
@@ -31,41 +31,28 @@ fn compile_memoized_equals_unmemoized_monolithic() {
     }
 }
 
+/// The single-table entry point against the oracle, for every network,
+/// every allocation size and every named geometry.
 #[test]
-fn memo_actually_hits_on_repeated_shapes() {
-    // ResNet-50 repeats its residual-stage shapes dozens of times; the
-    // memo must turn those repetitions into lookups.
-    let cfg = AcceleratorConfig::planaria();
-    let dnn = DnnId::ResNet50.build();
-    let ctx = ExecContext::full_chip(&cfg);
-    let em = EnergyModel::for_config(&cfg);
-    let mut memo = TimingMemo::new(&cfg);
-    for layer in dnn.layers().iter().filter(|l| l.op.is_systolic()) {
-        let _ = memo.select(&ctx, &em, &layer.op, 1.02);
+fn compile_for_allocation_equals_unmemoized_on_every_geometry() {
+    for cfg in [
+        AcceleratorConfig::planaria(),
+        AcceleratorConfig::monolithic(),
+        AcceleratorConfig::with_granularity(16),
+        AcceleratorConfig::throughput_tuned(),
+        AcceleratorConfig::latency_tuned(),
+    ] {
+        for id in DnnId::ALL {
+            let dnn = id.build();
+            let oracle = compile_uncached(&cfg, &dnn);
+            for s in 1..=cfg.num_subarrays() {
+                assert_eq!(
+                    compile_for_allocation(&cfg, &dnn, s),
+                    *oracle.table(s),
+                    "{id:?}: table {s} of {}",
+                    cfg.num_subarrays()
+                );
+            }
+        }
     }
-    assert!(
-        memo.hits() > 0,
-        "ResNet-50 has repeated layer shapes; the memo must hit"
-    );
-}
-
-#[test]
-fn distinct_shapes_do_not_collide() {
-    let cfg = AcceleratorConfig::planaria();
-    let ctx = ExecContext::full_chip(&cfg);
-    let em = EnergyModel::for_config(&cfg);
-    let mut memo = TimingMemo::new(&cfg);
-    let a = LayerOp::Conv(ConvSpec::new(64, 64, 3, 3, 1, 1, 28, 28));
-    let b = LayerOp::Conv(ConvSpec::new(64, 128, 3, 3, 1, 1, 28, 28));
-    let (arr_a, t_a, _) = memo.select(&ctx, &em, &a, 1.02);
-    let (arr_b, t_b, _) = memo.select(&ctx, &em, &b, 1.02);
-    // Different shapes must be cached under different keys — re-querying
-    // returns each shape's own result, not the other's.
-    assert_eq!(
-        memo.select(&ctx, &em, &a, 1.02),
-        (arr_a, t_a, memo.select(&ctx, &em, &a, 1.02).2)
-    );
-    assert_eq!(memo.select(&ctx, &em, &b, 1.02).1, t_b);
-    assert_ne!(t_a.cycles, t_b.cycles, "timing of distinct shapes differs");
-    let _ = arr_b;
 }

@@ -42,10 +42,10 @@ use std::collections::VecDeque;
 
 /// Per-node load snapshot, refreshed at each round barrier.
 ///
-/// The capacity fields (`subarrays`, `pes`) describe the node's chip
-/// geometry and are constant for a run: heterogeneous fleets expose
-/// different values per node, and geometry-aware dispatchers read them
-/// instead of assuming uniform chips.
+/// The capacity field (`subarrays`) describes the node's chip geometry
+/// and is constant for a run: heterogeneous fleets expose different
+/// values per node, and geometry-aware dispatchers read it instead of
+/// assuming uniform chips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeLoad {
     /// Live (running or queued) tenants at the last barrier.
@@ -57,8 +57,6 @@ pub struct NodeLoad {
     pub routed: usize,
     /// Fission granules this node's chip exposes (static per run).
     pub subarrays: u32,
-    /// Total MAC units on this node's chip (static per run).
-    pub pes: u64,
 }
 
 /// An online routing policy: sees one request at a time, in arrival
@@ -327,7 +325,6 @@ where
         .iter()
         .map(|cfg| NodeLoad {
             subarrays: cfg.num_subarrays(),
-            pes: cfg.total_pes(),
             ..NodeLoad::default()
         })
         .collect();

@@ -10,8 +10,9 @@
 //!   entry per admission number, and one completion entry per change of
 //!   a tenant's estimate;
 //! * superseded estimates are invalidated lazily by per-tenant epochs,
-//!   kept in the oracle's own admission-keyed `BTreeMap`, and skipped
-//!   when they pop; the heap is never compacted;
+//!   kept in the oracle's own `Vec` indexed by admission number (dense
+//!   from 0), and skipped when they pop; retirement bumps the epoch so a
+//!   retired tenant's entries stay invalid; the heap is never compacted;
 //! * the retire scan runs after every event, not only on cycles where a
 //!   completion was due;
 //! * every pass walks every tenant, parked or not. Admission and
@@ -51,7 +52,7 @@ use planaria_telemetry::Collector;
 use planaria_workload::{Completion, Request, SimResult};
 use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// What can wake the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -71,10 +72,10 @@ enum Wake {
     },
 }
 
-/// The last completion estimate the oracle pushed for one live tenant.
+/// The last completion estimate the oracle pushed for one admitted tenant.
 #[derive(Debug, Clone, Copy, Default)]
 struct Estimate {
-    /// Generation, bumped whenever `at` changes.
+    /// Generation, bumped whenever `at` changes and on retirement.
     epoch: u64,
     /// The pushed completion cycle; `None` while the tenant holds no
     /// subarrays.
@@ -82,9 +83,9 @@ struct Estimate {
 }
 
 /// One node's run re-executed on the reference loop: lazily invalidated
-/// heap, `BTreeMap` estimates, unconditional retire scan. `requests` is
-/// a slice or a stream alike. The result is the oracle the kernel is
-/// compared against.
+/// heap, admission-indexed estimates, unconditional retire scan.
+/// `requests` is a slice or a stream alike. The result is the oracle the
+/// kernel is compared against.
 ///
 /// # Panics
 ///
@@ -122,7 +123,8 @@ where
 
     let mut sim = SimState::new_for(*cfg, clock);
     let mut queue: BinaryHeap<Reverse<(Cycles, Wake)>> = BinaryHeap::new();
-    let mut estimates: BTreeMap<u64, Estimate> = BTreeMap::new();
+    // Indexed by admission number; an entry outlives its tenant.
+    let mut estimates: Vec<Estimate> = Vec::new();
     let em = EnergyModel::for_config(cfg);
 
     let mut completions: Vec<Completion> = Vec::new();
@@ -152,9 +154,7 @@ where
             };
             let valid = match wake {
                 Wake::Arrival { index } => index == next_arrival,
-                Wake::Completion { tenant, epoch } => {
-                    estimates.get(&tenant).is_some_and(|e| e.epoch == epoch)
-                }
+                Wake::Completion { tenant, epoch } => estimates[tenant as usize].epoch == epoch,
             };
             if valid {
                 while queue.peek().is_some_and(|Reverse((next, _))| *next == at) {
@@ -208,6 +208,7 @@ where
                 deadline,
                 sim.now,
             ));
+            estimates.push(Estimate::default());
             next_arrival += 1;
             arrival_pushed = false;
             pending = pull();
@@ -217,7 +218,8 @@ where
         while i < sim.tenants().len() {
             if sim.tenants()[i].is_done() {
                 let t = sim.retire(i);
-                estimates.remove(&t.admission());
+                let e = &mut estimates[t.admission() as usize];
+                e.epoch = e.epoch.wrapping_add(1);
                 completions.push(Completion {
                     request: t.request,
                     finish: clock.to_seconds(sim.now),
@@ -238,7 +240,7 @@ where
             } else {
                 None
             };
-            let e = estimates.entry(t.admission()).or_default();
+            let e = &mut estimates[t.admission() as usize];
             if target != e.at {
                 e.at = target;
                 e.epoch = e.epoch.wrapping_add(1);

@@ -30,9 +30,10 @@ pub enum Counter {
     RefillCycles,
     /// Bytes checkpointed across all reconfigurations.
     CheckpointBytes,
-    /// Compiler timing-memo cache hits.
+    /// Compiler layer-table entries served by an earlier search of the
+    /// same shape in the same table ((layers − distinct shapes) × tables).
     MemoHits,
-    /// Compiler timing-memo cache misses (entries computed).
+    /// Compiler arrangement searches run (distinct shapes × tables).
     MemoMisses,
     /// Distinct layer shapes after dedup.
     DistinctShapes,
