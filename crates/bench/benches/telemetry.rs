@@ -1,14 +1,29 @@
 //! Overhead of the telemetry layer: `NullCollector` (disabled path)
 //! versus `RecordingCollector` (full event/counter/histogram capture)
-//! versus `StatsCollector` (sketch-only flat path) — per-hook,
-//! end-to-end through the engines, and end-to-end through the cluster
-//! fabric.
+//! versus `StatsCollector` (aggregates only) — per hook, end-to-end
+//! through the engines, and end-to-end through the cluster fabric.
 //!
 //! Emits `results/BENCH_telemetry.json` with ns/event figures so the
-//! "zero overhead when off" claim is a measured number, not a slogan;
-//! `fabric_{stats,recorded}_overhead_pct` are the measured costs of the
-//! flat-memory and recording fleet runs over `Fleet::run`, whose
-//! per-node collectors are `NullCollector`s.
+//! "zero overhead when off" claim is a measured number, not a slogan.
+//! Every lane pair is raced with [`planaria_bench::race`]: the two lanes
+//! run interleaved, one call each in turn after a warmup, and each
+//! reports its median, so a ratio repeats on a shared host; single lanes
+//! (the sketch's record and query costs) report medians too.
+//! The fabric lanes:
+//!
+//! * `fabric_summary_{null,stats}_s` — the *equal-sink* pair:
+//!   `run_fabric_summary` with a `NullCollector` fabric collector and a
+//!   `DiscardSink` per node in both lanes, `NullCollector` vs
+//!   `StatsCollector` node collectors, so
+//!   `fabric_summary_stats_overhead_pct` is the node collectors' cost
+//!   alone;
+//! * `fabric_{null,stats,recorded}_s` — the `Fleet` entry points:
+//!   `Fleet::run` (a `VecSink` per node plus `SimResult` assembly) raced
+//!   against `Fleet::run_stats` (a `DiscardSink`, `StatsCollector`s for
+//!   fabric and nodes) and, separately, against `Fleet::run_recorded`
+//!   (`VecSink`s, `RecordingCollector`s); each `fabric_*_overhead_pct`
+//!   comes from its own race, and `fabric_null_s` is the `run_stats`
+//!   race's null lane.
 //!
 //! Runs under `cargo bench -p planaria-bench --bench telemetry`; plain
 //! `Instant`-based harness (wall-clock measurement infrastructure, exempt
@@ -17,33 +32,64 @@
 //! overwrite the JSON record.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{DispatchPolicy, Fleet, PlanariaEngine};
+use planaria_bench::{median, race};
+use planaria_core::{ClusterDispatcher, DispatchPolicy, Fleet, PlanariaEngine};
 use planaria_model::units::Cycles;
 use planaria_model::SplitMix64;
 use planaria_prema::PremaEngine;
+use planaria_sim::{run_fabric_summary, FabricTuning};
 use planaria_telemetry::{
     Collector, Counter, CycleSketch, Event, Metric, NullCollector, RecordingCollector,
+    StatsCollector,
 };
-use planaria_workload::{QosLevel, Scenario, TraceConfig};
+use planaria_workload::{QosLevel, Request, Scenario, TraceConfig};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Runs `f` for `iters` iterations and returns mean seconds/iteration.
-fn bench(name: &str, iters: u32, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let per_iter = start.elapsed().as_secs_f64() / f64::from(iters);
-    let (scaled, unit) = if per_iter >= 1e-3 {
-        (per_iter * 1e3, "ms")
+/// Formats seconds per call for the console.
+fn show(secs: f64) -> String {
+    if secs >= 1e-3 {
+        format!("{:>10.3} ms", secs * 1e3)
     } else {
-        (per_iter * 1e6, "us")
-    };
-    println!("{name:<44} {scaled:>10.3} {unit}/iter  ({iters} iters)");
-    per_iter
+        format!("{:>10.3} us", secs * 1e6)
+    }
+}
+
+/// Races lane `a` against lane `b` (see [`race`]), prints both medians
+/// and `b`'s overhead over `a`, and returns the medians.
+fn race_pair(
+    name: &str,
+    lanes: [&str; 2],
+    iters: u32,
+    a: impl FnMut(),
+    b: impl FnMut(),
+) -> (f64, f64) {
+    let (ta, tb) = race(iters, a, b);
+    println!(
+        "{name:<30} {:<10} {}/call  {:<10} {}/call  {:+7.1}%  ({iters} iters each)",
+        lanes[0],
+        show(ta),
+        lanes[1],
+        show(tb),
+        (tb / ta - 1.0) * 100.0
+    );
+    (ta, tb)
+}
+
+/// Median seconds per call of `f` over `iters` calls, after one warmup.
+fn time_median(name: &str, iters: u32, mut f: impl FnMut()) -> f64 {
+    f();
+    let samples = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    let t = median(samples);
+    println!("{name:<30} {}/call  ({iters} iters)", show(t));
+    t
 }
 
 /// One representative mix of collector hooks (event + counter + sample).
@@ -63,51 +109,66 @@ fn hooks<C: Collector>(c: &mut C, i: u64) {
 
 const HOOK_BATCH: u64 = 10_000;
 
+/// Fires [`HOOK_BATCH`] hook triples into a fresh collector.
+fn hook_batch<C: Collector + Default>() {
+    let mut c = C::default();
+    for i in 0..HOOK_BATCH {
+        hooks(black_box(&mut c), black_box(i));
+    }
+    black_box(&c);
+}
+
 fn bench_hooks(record: &mut Vec<(String, f64)>) {
-    let null = bench("collector/null_10k_hook_triples", 200, || {
-        let mut c = NullCollector;
-        for i in 0..HOOK_BATCH {
-            hooks(black_box(&mut c), black_box(i));
-        }
-        black_box(&c);
-    });
-    let rec = bench("collector/recording_10k_hook_triples", 200, || {
-        let mut c = RecordingCollector::new();
-        for i in 0..HOOK_BATCH {
-            hooks(black_box(&mut c), black_box(i));
-        }
-        black_box(c.len());
-    });
-    record.push((
-        "null_ns_per_hook_triple".into(),
-        null / HOOK_BATCH as f64 * 1e9,
-    ));
-    record.push((
-        "recording_ns_per_hook_triple".into(),
-        rec / HOOK_BATCH as f64 * 1e9,
-    ));
+    let per = |secs: f64| secs / HOOK_BATCH as f64 * 1e9;
+    let (null, rec) = race_pair(
+        "collector/10k_hook_triples",
+        ["null", "recording"],
+        201,
+        hook_batch::<NullCollector>,
+        hook_batch::<RecordingCollector>,
+    );
+    let (_, stats) = race_pair(
+        "collector/10k_hook_triples",
+        ["null", "stats"],
+        201,
+        hook_batch::<NullCollector>,
+        hook_batch::<StatsCollector>,
+    );
+    record.push(("null_ns_per_hook_triple".into(), per(null)));
+    record.push(("recording_ns_per_hook_triple".into(), per(rec)));
+    record.push(("stats_ns_per_hook_triple".into(), per(stats)));
 }
 
 fn bench_engines(record: &mut Vec<(String, f64)>) {
     let planaria = PlanariaEngine::new(AcceleratorConfig::planaria());
     let prema = PremaEngine::new_default();
     let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 100.0, 200, 1).generate();
-    let p_null = bench("engine/planaria_200req_null", 10, || {
-        black_box(planaria.run(black_box(&trace)));
-    });
-    let p_rec = bench("engine/planaria_200req_recording", 10, || {
-        let mut c = RecordingCollector::new();
-        black_box(planaria.run_with_collector(black_box(&trace), &mut c));
-        black_box(c.len());
-    });
-    let m_null = bench("engine/prema_200req_null", 10, || {
-        black_box(prema.run(black_box(&trace)));
-    });
-    let m_rec = bench("engine/prema_200req_recording", 10, || {
-        let mut c = RecordingCollector::new();
-        black_box(prema.run_with_collector(black_box(&trace), &mut c));
-        black_box(c.len());
-    });
+    let (p_null, p_rec) = race_pair(
+        "engine/planaria_200req",
+        ["null", "recording"],
+        201,
+        || {
+            black_box(planaria.run(black_box(&trace)));
+        },
+        || {
+            let mut c = RecordingCollector::new();
+            black_box(planaria.run_with_collector(black_box(&trace), &mut c));
+            black_box(c.len());
+        },
+    );
+    let (m_null, m_rec) = race_pair(
+        "engine/prema_200req",
+        ["null", "recording"],
+        201,
+        || {
+            black_box(prema.run(black_box(&trace)));
+        },
+        || {
+            let mut c = RecordingCollector::new();
+            black_box(prema.run_with_collector(black_box(&trace), &mut c));
+            black_box(c.len());
+        },
+    );
     // Per-event figure for the recording engine path.
     let mut c = RecordingCollector::new();
     planaria.run_with_collector(&trace, &mut c);
@@ -134,7 +195,7 @@ const SKETCH_BATCH: u64 = 100_000;
 
 fn bench_sketch(record: &mut Vec<(String, f64)>) {
     // Mixed magnitudes: exact small values, mid-range, and full-width.
-    let per = bench("sketch/record_100k_mixed_values", 100, || {
+    let per = time_median("sketch/record_100k_mixed_values", 101, || {
         let mut rng = SplitMix64::new(0x5ce7);
         let mut s = CycleSketch::new();
         for _ in 0..SKETCH_BATCH {
@@ -142,7 +203,7 @@ fn bench_sketch(record: &mut Vec<(String, f64)>) {
         }
         black_box(s.count());
     });
-    let q = bench("sketch/p99_query_on_100k", 200, || {
+    let q = time_median("sketch/build_1k_and_p99", 201, || {
         let mut rng = SplitMix64::new(0x5ce7);
         let mut s = CycleSketch::new();
         for _ in 0..1_000 {
@@ -157,22 +218,81 @@ fn bench_sketch(record: &mut Vec<(String, f64)>) {
     record.push(("sketch_build_and_p99_us".into(), q * 1e6));
 }
 
+const FABRIC_NODES: usize = 4;
+
+/// One `run_fabric_summary` over `engine` clones with a `NullCollector`
+/// fabric collector and the given node collectors.
+fn summary_run<N: Collector + Send>(
+    engine: &PlanariaEngine,
+    trace: &[Request],
+    policy: DispatchPolicy,
+    sinks: Vec<N>,
+) {
+    let cfgs = vec![*engine.library().config(); sinks.len()];
+    let (summary, _, sinks) = run_fabric_summary(
+        &cfgs,
+        cfgs.iter().map(|_| engine.spatial_policy()).collect(),
+        trace.iter().copied(),
+        &mut ClusterDispatcher::new(engine.library(), cfgs.len(), policy),
+        &FabricTuning::default(),
+        &mut NullCollector,
+        sinks,
+    );
+    black_box((summary, sinks));
+}
+
 fn bench_fabric(record: &mut Vec<(String, f64)>, smoke: bool) {
     let engine = PlanariaEngine::new(AcceleratorConfig::planaria());
-    let (requests, iters): (usize, u32) = if smoke { (500, 2) } else { (5_000, 5) };
+    let (requests, iters): (usize, u32) = if smoke { (500, 3) } else { (5_000, 61) };
     let trace =
         TraceConfig::new(Scenario::C, QosLevel::Medium, 1_000.0, requests, 0x7e1e).generate();
-    let fleet = Fleet::new(vec![engine; 4]).expect("uniform fleet");
+    let fleet = Fleet::new(vec![engine.clone(); FABRIC_NODES]).expect("uniform fleet");
     let policy = DispatchPolicy::LeastWork;
-    let plain = bench("fabric/cluster_null_path", iters, || {
-        black_box(fleet.run(&trace, policy));
-    });
-    let stats = bench("fabric/cluster_stats_path", iters, || {
-        black_box(fleet.run_stats(&trace, policy));
-    });
-    let recorded = bench("fabric/cluster_recorded_path", iters, || {
-        black_box(fleet.run_recorded(&trace, policy));
-    });
+
+    // The equal-sink pair: everything but the node collectors is shared.
+    let (sum_null, sum_stats) = race_pair(
+        "fabric/summary_equal_sinks",
+        ["null", "stats"],
+        iters,
+        || summary_run(&engine, &trace, policy, vec![NullCollector; FABRIC_NODES]),
+        || {
+            summary_run(
+                &engine,
+                &trace,
+                policy,
+                vec![StatsCollector::new(); FABRIC_NODES],
+            )
+        },
+    );
+
+    let (plain, stats) = race_pair(
+        "fabric/fleet_run_vs_run_stats",
+        ["run", "run_stats"],
+        iters,
+        || {
+            black_box(fleet.run(&trace, policy));
+        },
+        || {
+            black_box(fleet.run_stats(&trace, policy));
+        },
+    );
+    let (plain_r, recorded) = race_pair(
+        "fabric/fleet_run_vs_recorded",
+        ["run", "recorded"],
+        iters,
+        || {
+            black_box(fleet.run(&trace, policy));
+        },
+        || {
+            black_box(fleet.run_recorded(&trace, policy));
+        },
+    );
+    record.push(("fabric_summary_null_s".into(), sum_null));
+    record.push(("fabric_summary_stats_s".into(), sum_stats));
+    record.push((
+        "fabric_summary_stats_overhead_pct".into(),
+        (sum_stats / sum_null - 1.0) * 100.0,
+    ));
     record.push(("fabric_null_s".into(), plain));
     record.push(("fabric_stats_s".into(), stats));
     record.push(("fabric_recorded_s".into(), recorded));
@@ -182,12 +302,14 @@ fn bench_fabric(record: &mut Vec<(String, f64)>, smoke: bool) {
     ));
     record.push((
         "fabric_recorded_overhead_pct".into(),
-        (recorded / plain - 1.0) * 100.0,
+        (recorded / plain_r - 1.0) * 100.0,
     ));
 }
 
 fn emit_json(record: &[(String, f64)]) {
     let mut s = String::from("{\n");
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let _ = writeln!(s, "  \"host_logical_cores\": {cores},");
     for (i, (k, v)) in record.iter().enumerate() {
         let comma = if i + 1 == record.len() { "" } else { "," };
         let _ = writeln!(s, "  \"{k}\": {v:.6}{comma}");

@@ -9,10 +9,14 @@
 //!    `run` (NullCollector) and `run_with_collector` with a
 //!    `RecordingCollector` or a `StatsCollector` must produce
 //!    bit-identical results.
+//! 3. The two recording collectors aggregate identically: over one
+//!    engine run and one 4-node fleet run, a `StatsCollector` reports
+//!    exactly what a `RecordingCollector` reports.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::PlanariaEngine;
+use planaria_core::{ClusterDispatcher, DispatchPolicy, Fleet, PlanariaEngine};
 use planaria_prema::PremaEngine;
+use planaria_sim::{run_fabric_summary, FabricTuning};
 use planaria_telemetry::{
     chrome_trace, mean_occupancy, occupancy_strip, occupancy_tsv, validate_chrome_trace, Event,
     RecordingCollector, StatsCollector,
@@ -168,4 +172,42 @@ fn chrome_export_is_byte_deterministic_across_runs() {
     let (j2, t2) = export(&engine);
     assert_eq!(j1, j2, "Chrome export must be byte-deterministic");
     assert_eq!(t1, t2, "occupancy TSV must be byte-deterministic");
+}
+
+#[test]
+fn stats_and_recording_collectors_report_identically() {
+    let engine = PlanariaEngine::new(AcceleratorConfig::planaria());
+    let workload = contended_workload();
+    let mut rec = RecordingCollector::new();
+    engine.run_with_collector(&workload, &mut rec);
+    let mut stats = StatsCollector::new();
+    engine.run_with_collector(&workload, &mut stats);
+    let report = stats.report();
+    assert!(!report.counters.is_empty() && !report.sketches.is_empty());
+    assert_eq!(report, rec.report(), "engine run");
+
+    // A 4-node fleet: `run_recorded`'s recorders against the per-node
+    // and fabric `StatsCollector`s of the flat path `run_stats` drives.
+    const NODES: usize = 4;
+    let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 800.0, 200, 7).generate();
+    let policy = DispatchPolicy::JoinShortestQueue;
+    let fleet = Fleet::new(vec![engine.clone(); NODES]).expect("uniform fleet");
+    let (_, _, recording) = fleet.run_recorded(&trace, policy);
+    let mut fabric = StatsCollector::new();
+    let (_, _, sinks) = run_fabric_summary(
+        &fleet.configs(),
+        (0..NODES).map(|_| engine.spatial_policy()).collect(),
+        trace.iter().copied(),
+        &mut ClusterDispatcher::new(engine.library(), NODES, policy),
+        &FabricTuning::default(),
+        &mut fabric,
+        (0..NODES).map(|_| StatsCollector::new()).collect(),
+    );
+    assert_eq!(fabric.report(), recording.fabric.report(), "fabric");
+    assert_eq!(recording.nodes.len(), NODES);
+    for ((node, rec), sink) in recording.nodes.iter().zip(&sinks) {
+        assert_eq!(sink.report(), rec.report(), "node {node}");
+    }
+    let (cluster, _) = fleet.run_stats(&trace, policy);
+    assert_eq!(cluster.metrics, recording.merged_report(), "merged");
 }

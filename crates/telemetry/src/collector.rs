@@ -1,10 +1,9 @@
 //! The [`Collector`] trait and its implementations.
 
 use crate::event::{Event, SimMeta, TimedEvent};
-use crate::metrics::{Counter, Histogram, Metric, MetricsReport};
+use crate::metrics::{Aggregates, Counter, Metric, MetricsReport};
 use crate::sketch::CycleSketch;
 use planaria_model::units::Cycles;
-use std::collections::BTreeMap;
 
 /// A sink for simulation telemetry.
 ///
@@ -13,7 +12,7 @@ use std::collections::BTreeMap;
 /// [`NullCollector`] implementation inlines every hook to a no-op, so
 /// the uninstrumented path costs nothing and produces bit-identical
 /// results. Implementations that do record must be deterministic: no
-/// wall clock, no entropy, `BTreeMap`-ordered aggregation.
+/// wall clock, no entropy, aggregation in enum order.
 ///
 /// Call [`is_enabled`](Collector::is_enabled) before *constructing*
 /// non-trivial event payloads (placement bitmasks, breakdowns) so the
@@ -71,15 +70,13 @@ impl Collector for NullCollector {
     fn observe(&mut self, _metric: Metric, _cycles: u64) {}
 }
 
-/// A deterministic in-memory recorder: events in arrival order, counters
-/// and histograms in `BTreeMap`s keyed by their enums.
+/// A deterministic in-memory recorder: events in arrival order, counters,
+/// histograms and sketches in fixed enum-indexed slots.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecordingCollector {
     meta: SimMeta,
     events: Vec<TimedEvent>,
-    counters: BTreeMap<Counter, u64>,
-    histograms: BTreeMap<Metric, Histogram>,
-    sketches: BTreeMap<Metric, CycleSketch>,
+    aggregates: Aggregates,
 }
 
 impl RecordingCollector {
@@ -99,29 +96,14 @@ impl RecordingCollector {
         &self.events
     }
 
-    /// Counter totals.
-    pub fn counters(&self) -> &BTreeMap<Counter, u64> {
-        &self.counters
-    }
-
-    /// Histograms.
-    pub fn histograms(&self) -> &BTreeMap<Metric, Histogram> {
-        &self.histograms
-    }
-
-    /// Quantile sketches.
-    pub fn sketches(&self) -> &BTreeMap<Metric, CycleSketch> {
-        &self.sketches
-    }
-
     /// The sketch for one metric, if any samples were observed.
     pub fn sketch(&self, m: Metric) -> Option<&CycleSketch> {
-        self.sketches.get(&m)
+        self.aggregates.sketch(m)
     }
 
     /// The value of one counter (0 when never incremented).
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters.get(&c).copied().unwrap_or(0)
+        self.aggregates.counter(c)
     }
 
     /// Number of recorded events.
@@ -131,21 +113,13 @@ impl RecordingCollector {
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-            && self.counters.is_empty()
-            && self.histograms.is_empty()
-            && self.sketches.is_empty()
+        self.events.is_empty() && self.aggregates.is_empty()
     }
 
     /// Aggregates counters, histograms, and sketches into a
     /// [`MetricsReport`].
     pub fn report(&self) -> MetricsReport {
-        MetricsReport {
-            counters: self.counters.clone(),
-            histograms: self.histograms.clone(),
-            sketches: self.sketches.clone(),
-            events: self.events.len() as u64,
-        }
+        self.aggregates.report(self.events.len() as u64)
     }
 }
 
@@ -163,16 +137,19 @@ impl Collector for RecordingCollector {
         self.events.push(TimedEvent { ts, event });
     }
 
+    #[inline]
     fn add(&mut self, counter: Counter, delta: u64) {
-        *self.counters.entry(counter).or_insert(0) += delta;
+        self.aggregates.add(counter, delta);
     }
 
+    #[inline]
     fn sample(&mut self, metric: Metric, value: f64) {
-        self.histograms.entry(metric).or_default().record(value);
+        self.aggregates.sample(metric, value);
     }
 
+    #[inline]
     fn observe(&mut self, metric: Metric, cycles: u64) {
-        self.sketches.entry(metric).or_default().record(cycles);
+        self.aggregates.observe(metric, cycles);
     }
 }
 
@@ -180,16 +157,14 @@ impl Collector for RecordingCollector {
 /// `true` so engines *do* construct payloads and fire hooks, but
 /// [`record`](Collector::record) only counts the event and drops the
 /// payload — no per-event storage. Counters, histograms, and quantile
-/// sketches accumulate exactly as in [`RecordingCollector`], so a
-/// 10^6-request fabric run can report p50/p99/SLA with O(buckets)
+/// sketches accumulate in the same slot store as [`RecordingCollector`]'s,
+/// so a 10^6-request fabric run can report p50/p99/SLA with O(buckets)
 /// memory.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsCollector {
     meta: SimMeta,
     events: u64,
-    counters: BTreeMap<Counter, u64>,
-    histograms: BTreeMap<Metric, Histogram>,
-    sketches: BTreeMap<Metric, CycleSketch>,
+    aggregates: Aggregates,
 }
 
 impl StatsCollector {
@@ -210,23 +185,18 @@ impl StatsCollector {
 
     /// The value of one counter (0 when never incremented).
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters.get(&c).copied().unwrap_or(0)
+        self.aggregates.counter(c)
     }
 
     /// The sketch for one metric, if any samples were observed.
     pub fn sketch(&self, m: Metric) -> Option<&CycleSketch> {
-        self.sketches.get(&m)
+        self.aggregates.sketch(m)
     }
 
     /// Aggregates counters, histograms, and sketches into a
     /// [`MetricsReport`].
     pub fn report(&self) -> MetricsReport {
-        MetricsReport {
-            counters: self.counters.clone(),
-            histograms: self.histograms.clone(),
-            sketches: self.sketches.clone(),
-            events: self.events,
-        }
+        self.aggregates.report(self.events)
     }
 }
 
@@ -245,16 +215,19 @@ impl Collector for StatsCollector {
         self.events += 1;
     }
 
+    #[inline]
     fn add(&mut self, counter: Counter, delta: u64) {
-        *self.counters.entry(counter).or_insert(0) += delta;
+        self.aggregates.add(counter, delta);
     }
 
+    #[inline]
     fn sample(&mut self, metric: Metric, value: f64) {
-        self.histograms.entry(metric).or_default().record(value);
+        self.aggregates.sample(metric, value);
     }
 
+    #[inline]
     fn observe(&mut self, metric: Metric, cycles: u64) {
-        self.sketches.entry(metric).or_default().record(cycles);
+        self.aggregates.observe(metric, cycles);
     }
 }
 

@@ -53,6 +53,30 @@ pub enum Counter {
 }
 
 impl Counter {
+    /// Every counter in declaration order, so `ALL[i] as usize == i`:
+    /// the slot a collector keeps counter `c` in is `c as usize`.
+    pub const ALL: [Counter; 19] = [
+        Counter::Arrivals,
+        Counter::Completions,
+        Counter::SchedulingEvents,
+        Counter::Reconfigurations,
+        Counter::Preemptions,
+        Counter::DrainCycles,
+        Counter::CheckpointCycles,
+        Counter::ConfigSwapCycles,
+        Counter::RefillCycles,
+        Counter::CheckpointBytes,
+        Counter::MemoHits,
+        Counter::MemoMisses,
+        Counter::DistinctShapes,
+        Counter::LayersCompiled,
+        Counter::DramBoundCycles,
+        Counter::ComputeBoundCycles,
+        Counter::DispatchDecisions,
+        Counter::FabricRounds,
+        Counter::QosMet,
+    ];
+
     /// Stable snake_case name (JSON keys, text report rows).
     pub fn name(self) -> &'static str {
         match self {
@@ -106,6 +130,20 @@ pub enum Metric {
 }
 
 impl Metric {
+    /// Every metric in declaration order, so `ALL[i] as usize == i`:
+    /// the histogram and sketch slots of metric `m` are `m as usize`.
+    pub const ALL: [Metric; 9] = [
+        Metric::QueueDepth,
+        Metric::OccupancyPct,
+        Metric::AllocationSize,
+        Metric::QueueWaitCycles,
+        Metric::ReconfigCycles,
+        Metric::Utilization,
+        Metric::LatencyCycles,
+        Metric::NodeBacklogCycles,
+        Metric::NodeQueueDepth,
+    ];
+
     /// Stable snake_case name (JSON keys, text report rows).
     pub fn name(self) -> &'static str {
         match self {
@@ -397,6 +435,92 @@ impl MetricsReport {
     }
 }
 
+/// The counters, histograms and sketches a recording collector keeps:
+/// one fixed slot per [`Counter`] and per [`Metric`], indexed by the
+/// enum discriminant, so every hook is an array index. A slot is `None`
+/// until its first hook, which keeps [`report`](Self::report) to the
+/// keys a map would hold (a counter added with delta 0 is present, an
+/// untouched metric absent). Sketches are boxed: a collector holds one
+/// ~15 KiB [`CycleSketch`] per metric it actually observed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Aggregates {
+    counters: [Option<u64>; Counter::ALL.len()],
+    histograms: [Option<Histogram>; Metric::ALL.len()],
+    sketches: [Option<Box<CycleSketch>>; Metric::ALL.len()],
+}
+
+impl Aggregates {
+    /// Adds `delta` to a counter (creating it at 0).
+    #[inline]
+    pub(crate) fn add(&mut self, counter: Counter, delta: u64) {
+        *self.counters[counter as usize].get_or_insert(0) += delta;
+    }
+
+    /// Records one histogram sample.
+    #[inline]
+    pub(crate) fn sample(&mut self, metric: Metric, value: f64) {
+        self.histograms[metric as usize]
+            .get_or_insert_with(Histogram::new)
+            .record(value);
+    }
+
+    /// Observes one cycle sample into the metric's sketch.
+    #[inline]
+    pub(crate) fn observe(&mut self, metric: Metric, cycles: u64) {
+        self.sketches[metric as usize]
+            .get_or_insert_with(new_sketch)
+            .record(cycles);
+    }
+
+    /// The value of one counter (0 when never incremented).
+    pub(crate) fn counter(&self, c: Counter) -> u64 {
+        self.counters[c as usize].unwrap_or(0)
+    }
+
+    /// The sketch for one metric, if any samples were observed.
+    pub(crate) fn sketch(&self, m: Metric) -> Option<&CycleSketch> {
+        self.sketches[m as usize].as_deref()
+    }
+
+    /// Whether no hook has fired.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.counters.iter().all(Option::is_none)
+            && self.histograms.iter().all(Option::is_none)
+            && self.sketches.iter().all(Option::is_none)
+    }
+
+    /// The aggregates as a [`MetricsReport`] with `events` events, keys
+    /// in enum order.
+    pub(crate) fn report(&self, events: u64) -> MetricsReport {
+        MetricsReport {
+            counters: Counter::ALL
+                .into_iter()
+                .zip(self.counters)
+                .filter_map(|(c, v)| Some((c, v?)))
+                .collect(),
+            histograms: Metric::ALL
+                .into_iter()
+                .zip(self.histograms)
+                .filter_map(|(m, h)| Some((m, h?)))
+                .collect(),
+            sketches: Metric::ALL
+                .into_iter()
+                .zip(&self.sketches)
+                .filter_map(|(m, s)| Some((m, CycleSketch::clone(s.as_deref()?))))
+                .collect(),
+            events,
+        }
+    }
+}
+
+/// A fresh boxed sketch, out of line so a hook inlined into an engine
+/// loop never carries a sketch-sized stack frame.
+#[cold]
+#[inline(never)]
+fn new_sketch() -> Box<CycleSketch> {
+    Box::default()
+}
+
 /// Formats an `f64` as JSON (finite guaranteed by construction; callers
 /// only pass sums/means of finite samples).
 pub(crate) fn fmt_f64(v: f64) -> String {
@@ -515,5 +639,144 @@ mod tests {
         assert_eq!(r.dram_bound_share(), None);
         assert_eq!(r.counter(Counter::Arrivals), 0);
         assert!(r.histogram(Metric::QueueDepth).is_none());
+    }
+
+    /// The slot a counter must occupy. Wildcard-free on purpose: a new
+    /// variant does not compile until it gets an arm here, which names
+    /// its position in [`Counter::ALL`]. (A variant appended to the enum
+    /// but not to `ALL` indexes past the slot table and panics at its
+    /// first hook, so it cannot silently drop out of a report.)
+    fn counter_slot(c: Counter) -> usize {
+        match c {
+            Counter::Arrivals => 0,
+            Counter::Completions => 1,
+            Counter::SchedulingEvents => 2,
+            Counter::Reconfigurations => 3,
+            Counter::Preemptions => 4,
+            Counter::DrainCycles => 5,
+            Counter::CheckpointCycles => 6,
+            Counter::ConfigSwapCycles => 7,
+            Counter::RefillCycles => 8,
+            Counter::CheckpointBytes => 9,
+            Counter::MemoHits => 10,
+            Counter::MemoMisses => 11,
+            Counter::DistinctShapes => 12,
+            Counter::LayersCompiled => 13,
+            Counter::DramBoundCycles => 14,
+            Counter::ComputeBoundCycles => 15,
+            Counter::DispatchDecisions => 16,
+            Counter::FabricRounds => 17,
+            Counter::QosMet => 18,
+        }
+    }
+
+    /// [`counter_slot`]'s twin for [`Metric::ALL`].
+    fn metric_slot(m: Metric) -> usize {
+        match m {
+            Metric::QueueDepth => 0,
+            Metric::OccupancyPct => 1,
+            Metric::AllocationSize => 2,
+            Metric::QueueWaitCycles => 3,
+            Metric::ReconfigCycles => 4,
+            Metric::Utilization => 5,
+            Metric::LatencyCycles => 6,
+            Metric::NodeBacklogCycles => 7,
+            Metric::NodeQueueDepth => 8,
+        }
+    }
+
+    #[test]
+    fn slot_tables_list_every_variant_in_declaration_order() {
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} sits at ALL[{i}]");
+            assert_eq!(counter_slot(c), i, "{c:?}");
+        }
+        for (i, m) in Metric::ALL.into_iter().enumerate() {
+            assert_eq!(m as usize, i, "{m:?} sits at ALL[{i}]");
+            assert_eq!(metric_slot(m), i, "{m:?}");
+        }
+        // One slot per variant: names (and so report keys) are distinct.
+        let names: std::collections::BTreeSet<_> = Counter::ALL.map(Counter::name).into();
+        assert_eq!(names.len(), Counter::ALL.len());
+        let names: std::collections::BTreeSet<_> = Metric::ALL.map(Metric::name).into();
+        assert_eq!(names.len(), Metric::ALL.len());
+    }
+
+    /// One SplitMix64 stream of hooks into the slot store and into a
+    /// `BTreeMap` model (the maps a [`MetricsReport`] holds, updated the
+    /// way the collectors used to update theirs) must report `==` at
+    /// every checkpoint. The stream never touches the last counter or
+    /// the last two metrics' histograms and sketches, which must stay
+    /// absent; zero deltas, negative and very large finite samples are
+    /// drawn on purpose.
+    #[test]
+    fn slot_store_reports_what_a_map_model_reports() {
+        let mut rng = planaria_model::SplitMix64::new(0x51_07_5e);
+        let mut store = Aggregates::default();
+        let mut model = MetricsReport::default();
+        let counters = &Counter::ALL[..Counter::ALL.len() - 1];
+        let metrics = &Metric::ALL[..Metric::ALL.len() - 2];
+        let pick = |rng: &mut planaria_model::SplitMix64, n: usize| {
+            usize::try_from(rng.next_below(n as u64)).expect("index fits")
+        };
+        assert_eq!(store.report(0), model, "an empty store reports nothing");
+        assert!(store.is_empty());
+        let mut zero = Aggregates::default();
+        zero.add(Counter::FabricRounds, 0);
+        assert_eq!(
+            zero.report(0).counters.get(&Counter::FabricRounds),
+            Some(&0)
+        );
+        for step in 1..=20_000u64 {
+            match rng.next_below(3) {
+                0 => {
+                    let c = counters[pick(&mut rng, counters.len())];
+                    let delta = match rng.next_below(4) {
+                        0 => 0,
+                        1 => rng.next_u64() >> 40,
+                        _ => rng.next_below(8),
+                    };
+                    store.add(c, delta);
+                    *model.counters.entry(c).or_insert(0) += delta;
+                }
+                1 => {
+                    let m = metrics[pick(&mut rng, metrics.len())];
+                    let v = match rng.next_below(5) {
+                        0 => -(rng.next_f64() * 1e3),
+                        1 => rng.next_f64() * 1e300,
+                        2 => -(rng.next_f64() * 1e300),
+                        3 => rng.next_f64(),
+                        _ => (rng.next_below(1 << 20)) as f64,
+                    };
+                    store.sample(m, v);
+                    model.histograms.entry(m).or_default().record(v);
+                }
+                _ => {
+                    let m = metrics[pick(&mut rng, metrics.len())];
+                    let v = rng.next_u64() >> rng.next_below(64);
+                    store.observe(m, v);
+                    model.sketches.entry(m).or_default().record(v);
+                }
+            }
+            model.events = step;
+            if step % 997 == 0 || step == 20_000 {
+                let report = store.report(step);
+                assert_eq!(report, model, "step {step}");
+                assert_eq!(report.render_json(), model.render_json());
+            }
+        }
+        let report = store.report(0);
+        assert!(!store.is_empty());
+        assert!(!report.counters.contains_key(&Counter::QosMet));
+        for m in [Metric::NodeBacklogCycles, Metric::NodeQueueDepth] {
+            assert!(report.histogram(m).is_none() && report.sketch(m).is_none());
+            assert!(store.sketch(m).is_none());
+        }
+        for &c in counters {
+            assert_eq!(store.counter(c), model.counter(c));
+        }
+        for &m in metrics {
+            assert_eq!(store.sketch(m), model.sketch(m));
+        }
     }
 }
