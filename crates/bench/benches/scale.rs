@@ -18,13 +18,16 @@
 //! exactness test cannot see a memo that silently stops hitting, but
 //! this ratio against the in-run baseline can.
 //!
-//! An overload lane races the incremental scheduler against itself: the
-//! same trace shape at λ = 1000, about 1.5 times what one node serves,
-//! at n and 4n requests. The backlog then grows for the whole trace and
-//! nearly all of it waits past its deadline. Parked tenants stay out of
-//! every per-event pass, so time grows linearly (about 4× at 4n); if an
-//! event walked the backlog again it would grow with the square (about
-//! 16×). The bench fails above [`MAX_OVERLOAD_GROWTH`].
+//! Two overload lanes race the incremental scheduler against itself at n
+//! and 4n requests. The QoS-Hard lane runs the same trace shape at
+//! λ = 1000, about 1.5 times what one node serves: the backlog grows for
+//! the whole trace and nearly all of it waits past its deadline, parked.
+//! The QoS-Soft lane runs it at λ = 2000: the backlog keeps slack for
+//! longer, so it waits in deadline order and the unfit pack visits only
+//! its head. Sleeping tenants stay out of every per-event pass, so time
+//! grows linearly (about 4× at 4n); if an event walked the backlog again
+//! it would grow with the square (about 16×). The bench fails above
+//! [`MAX_OVERLOAD_GROWTH`] in either lane.
 //!
 //! The bench also measures the streaming side of the tentpole with a
 //! counting global allocator: a 10^6-request streamed `run` must keep its
@@ -99,9 +102,17 @@ fn scale_cfg(requests: usize) -> TraceConfig {
 /// 1×.
 const MIN_SPEEDUP: f64 = 1.5;
 
-/// The overload lane's trace: the same shape at λ = 1000.
-fn overload_cfg(requests: usize) -> TraceConfig {
-    TraceConfig::new(Scenario::C, QosLevel::Hard, 1000.0, requests, 5).with_burstiness(6.0)
+/// The overload lanes, with their record-key prefixes: the same trace
+/// shape at QoS-Hard and λ = 1000 (a parked backlog), and at QoS-Soft and
+/// λ = 2000 (a waiting one).
+const OVERLOAD_LANES: [(QosLevel, f64, &str); 2] = [
+    (QosLevel::Hard, 1000.0, "overload"),
+    (QosLevel::Soft, 2000.0, "overload_soft"),
+];
+
+/// An overload lane's trace.
+fn overload_cfg(qos: QosLevel, lambda: f64, requests: usize) -> TraceConfig {
+    TraceConfig::new(Scenario::C, qos, lambda, requests, 5).with_burstiness(6.0)
 }
 
 /// The most the overload lane's time may grow from n to 4n requests:
@@ -161,30 +172,34 @@ fn main() {
 
     // Overload scaling: the incremental lane against itself at n and 4n.
     let (n, iters) = if smoke { (2_500, 7) } else { (10_000, 5) };
-    let (small, large) = (overload_cfg(n).generate(), overload_cfg(4 * n).generate());
-    let (t_n, t_4n) = race(
-        iters,
-        || {
-            black_box(inc.run(black_box(&small)));
-        },
-        || {
-            black_box(inc.run(black_box(&large)));
-        },
-    );
-    let growth = t_4n / t_n;
-    println!(
-        "overload λ=1000: {n} requests {t_n:.4} s, {} requests {t_4n:.4} s, growth {growth:.2}x",
-        4 * n
-    );
-    assert!(
-        growth <= MAX_OVERLOAD_GROWTH,
-        "overload time grew {growth:.2}x from {n} to {} requests (at most \
-         {MAX_OVERLOAD_GROWTH}x): does a scheduling event walk the backlog again?",
-        4 * n
-    );
-    record.push((format!("overload_seconds_{n}"), t_n));
-    record.push((format!("overload_seconds_{}", 4 * n), t_4n));
-    record.push((format!("overload_growth_{n}_to_{}", 4 * n), growth));
+    for (qos, lambda, prefix) in OVERLOAD_LANES {
+        let small = overload_cfg(qos, lambda, n).generate();
+        let large = overload_cfg(qos, lambda, 4 * n).generate();
+        let (t_n, t_4n) = race(
+            iters,
+            || {
+                black_box(inc.run(black_box(&small)));
+            },
+            || {
+                black_box(inc.run(black_box(&large)));
+            },
+        );
+        let growth = t_4n / t_n;
+        println!(
+            "overload {qos} λ={lambda}: {n} requests {t_n:.4} s, {} requests {t_4n:.4} s, \
+             growth {growth:.2}x",
+            4 * n
+        );
+        assert!(
+            growth <= MAX_OVERLOAD_GROWTH,
+            "{qos} overload time grew {growth:.2}x from {n} to {} requests (at most \
+             {MAX_OVERLOAD_GROWTH}x): does a scheduling event walk the backlog again?",
+            4 * n
+        );
+        record.push((format!("{prefix}_seconds_{n}"), t_n));
+        record.push((format!("{prefix}_seconds_{}", 4 * n), t_4n));
+        record.push((format!("{prefix}_growth_{n}_to_{}", 4 * n), growth));
+    }
 
     // Streaming residency at the largest size: the trace is consumed
     // lazily, so peak live bytes must sit far below the materialized

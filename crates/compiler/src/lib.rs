@@ -42,6 +42,6 @@ pub use histogram::{config_histogram, ConfigUsage};
 pub use library::CompiledLibrary;
 pub use memo::ShapeTable;
 pub use table::{
-    compile, compile_for_allocation, compile_uncached, compile_with_collector, CompiledDnn,
-    ConfigTable, LayerConfig, TilePosition,
+    compile, compile_for_allocation, compile_uncached, compile_with_collector, remaining_from,
+    CompiledDnn, ConfigTable, LayerConfig, TilePosition,
 };

@@ -16,7 +16,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Debug, Clone)]
 pub struct CompiledLibrary {
     cfg: AcceleratorConfig,
-    by_id: BTreeMap<DnnId, Arc<CompiledDnn>>,
+    /// One entry per network, indexed by `DnnId` discriminant
+    /// (`DnnId::ALL` order), so a lookup is an index.
+    by_id: Vec<Arc<CompiledDnn>>,
 }
 
 impl CompiledLibrary {
@@ -36,13 +38,10 @@ impl CompiledLibrary {
     /// [`CompiledLibrary::new`] with an explicit worker count
     /// (determinism tests compare `jobs = 1` against `jobs = N`).
     pub fn with_jobs(cfg: AcceleratorConfig, jobs: usize) -> Self {
-        let compiled = par_map(DnnId::ALL.to_vec(), jobs, |id| {
-            (id, Arc::new(compile(&cfg, &id.build())))
+        let by_id = par_map(DnnId::ALL.to_vec(), jobs, |id| {
+            Arc::new(compile(&cfg, &id.build()))
         });
-        Self {
-            cfg,
-            by_id: compiled.into_iter().collect(),
-        }
+        Self { cfg, by_id }
     }
 
     /// The configuration the library was compiled for.
@@ -51,27 +50,14 @@ impl CompiledLibrary {
     }
 
     /// The compiled form of one network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the library (never happens for the
-    /// nine-network suite).
     pub fn get(&self, id: DnnId) -> &CompiledDnn {
-        // lint: the constructor inserts every DnnId, so lookup cannot fail
-        self.by_id.get(&id).expect("library covers all benchmarks")
+        &self.by_id[id as usize]
     }
 
     /// A shared handle to the compiled form of one network (engines
-    /// cache this per tenant to avoid a map lookup per scheduling
-    /// event).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the library (never happens for the
-    /// nine-network suite).
+    /// cache this per tenant to avoid a lookup per scheduling event).
     pub fn shared(&self, id: DnnId) -> Arc<CompiledDnn> {
-        // lint: the constructor inserts every DnnId, so lookup cannot fail
-        Arc::clone(self.by_id.get(&id).expect("library covers all benchmarks"))
+        Arc::clone(&self.by_id[id as usize])
     }
 
     /// A process-wide shared library for `cfg`, compiled at most once
@@ -190,8 +176,12 @@ mod tests {
     #[test]
     fn library_covers_suite_and_is_cheap_to_clone() {
         let lib = CompiledLibrary::new(AcceleratorConfig::planaria());
-        for id in DnnId::ALL {
+        for (i, id) in DnnId::ALL.into_iter().enumerate() {
+            // The library indexes by discriminant: `ALL` must list the
+            // networks in declaration order.
+            assert_eq!(id as usize, i);
             assert_eq!(lib.get(id).num_tables(), 16);
+            assert_eq!(lib.get(id).name(), id.build().name());
             assert!(lib.isolated_latency(id) > 0.0);
         }
         let clone = lib.clone();

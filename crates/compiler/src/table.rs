@@ -41,6 +41,17 @@ impl LayerConfig {
     }
 }
 
+/// Cycles left of a `total`-cycle run at progress fraction `done`
+/// (clamped to [0, 1]): the one formula behind
+/// [`ConfigTable::remaining_cycles`] and the scheduler's scan over
+/// [`CompiledDnn::total_cycles_row`], so both agree bit for bit.
+#[inline]
+pub fn remaining_from(total: Cycles, done: f64) -> Cycles {
+    let done = done.clamp(0.0, 1.0);
+    let total = total.get();
+    Cycles::new(total - (done * total as f64) as u64)
+}
+
 /// A position within a table's execution, used for preemption bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TilePosition {
@@ -82,6 +93,7 @@ impl ConfigTable {
     /// place). A zero-layer table would silently report 0 cycles
     /// everywhere, so the invariant is asserted at compile time instead
     /// of papered over with `unwrap_or(&0)`.
+    #[inline]
     pub fn total_cycles(&self) -> Cycles {
         // lint: table assembly rejects empty DNNs, so a table always has
         // at least one cumulative-cycle entry
@@ -100,9 +112,7 @@ impl ConfigTable {
 
     /// Cycles remaining from a progress fraction `done` ∈ [0, 1].
     pub fn remaining_cycles(&self, done: f64) -> Cycles {
-        let done = done.clamp(0.0, 1.0);
-        let total = self.total_cycles().get();
-        Cycles::new(total - (done * total as f64) as u64)
+        remaining_from(self.total_cycles(), done)
     }
 
     /// Locates the tile boundary following progress fraction `done`:
@@ -138,9 +148,22 @@ impl ConfigTable {
 pub struct CompiledDnn {
     name: String,
     tables: Vec<ConfigTable>,
+    /// `tables[i].total_cycles()` for every table, in the same order: the
+    /// dense row `ESTIMATERESOURCES` scans.
+    totals: Vec<Cycles>,
 }
 
 impl CompiledDnn {
+    /// Wraps one table per allocation size, deriving the totals row.
+    fn new(name: &str, tables: Vec<ConfigTable>) -> Self {
+        let totals = tables.iter().map(ConfigTable::total_cycles).collect();
+        Self {
+            name: name.to_string(),
+            tables,
+            totals,
+        }
+    }
+
     /// Network name.
     pub fn name(&self) -> &str {
         &self.name
@@ -156,6 +179,7 @@ impl CompiledDnn {
     /// # Panics
     ///
     /// Panics if `subarrays` is zero or exceeds the chip.
+    #[inline]
     pub fn table(&self, subarrays: u32) -> &ConfigTable {
         assert!(
             subarrays >= 1 && subarrays as usize <= self.tables.len(),
@@ -167,6 +191,13 @@ impl CompiledDnn {
     /// All tables, index `i` holding the table for `i + 1` subarrays.
     pub fn tables(&self) -> &[ConfigTable] {
         &self.tables
+    }
+
+    /// End-to-end cycles of every table, index `i` holding the table for
+    /// `i + 1` subarrays ([`remaining_from`] turns an entry into the
+    /// table's remaining cycles).
+    pub fn total_cycles_row(&self) -> &[Cycles] {
+        &self.totals
     }
 }
 
@@ -327,10 +358,7 @@ pub fn compile_with_collector<C: Collector>(
         c.add(Counter::DistinctShapes, u64::from(distinct));
         c.add(Counter::LayersCompiled, over_tables(layers));
     }
-    CompiledDnn {
-        name: dnn.name().to_string(),
-        tables,
-    }
+    CompiledDnn::new(dnn.name(), tables)
 }
 
 /// Reference compilation without shape deduplication: re-runs the
@@ -350,10 +378,7 @@ pub fn compile_uncached(cfg: &AcceleratorConfig, dnn: &Dnn) -> CompiledDnn {
             assemble(dnn, s, dnn.layers().iter().map(search))
         })
         .collect();
-    CompiledDnn {
-        name: dnn.name().to_string(),
-        tables,
-    }
+    CompiledDnn::new(dnn.name(), tables)
 }
 
 #[cfg(test)]
@@ -371,7 +396,12 @@ mod tests {
         assert_eq!(c.num_tables(), 16);
         for s in 1..=16 {
             assert_eq!(c.table(s).subarrays(), s);
+            assert_eq!(
+                c.total_cycles_row()[s as usize - 1],
+                c.table(s).total_cycles()
+            );
         }
+        assert_eq!(c.total_cycles_row().len(), 16);
     }
 
     #[test]
@@ -425,6 +455,10 @@ mod tests {
         assert_eq!(t.remaining_cycles(1.0), Cycles::ZERO);
         let half = t.remaining_cycles(0.5);
         assert!(half > t.total_cycles() / 3 && half < t.total_cycles() * 2 / 3);
+        // Out-of-range fractions clamp.
+        assert_eq!(t.remaining_cycles(-0.5), t.total_cycles());
+        assert_eq!(t.remaining_cycles(1.5), Cycles::ZERO);
+        assert_eq!(remaining_from(t.total_cycles(), 0.5), half);
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //! at the [`SimResult`] boundary inside the kernel.
 
 use crate::sched_state::{seed, Seed};
-use crate::scheduler::{allocate_spatially_into, min_slack_cycles, AllocScratch, SchedTask};
+use crate::scheduler::{
+    allocate_spatially_into, min_slack_cycles, unfit_score, AllocScratch, SchedTask,
+};
 use planaria_arch::{AcceleratorConfig, Allocation, Arrangement, Chip};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
 use planaria_model::units::Cycles;
-use planaria_sim::{run_streamed_sink, subarray_mask, EnginePolicy, FloorEntry, SimState};
+use planaria_sim::{
+    run_streamed_sink, subarray_mask, EnginePolicy, FloorEntry, SimState, TenantState,
+};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext, CONFIG_LOAD_CYCLES};
 use planaria_workload::{Request, SimResult, VecSink};
@@ -140,6 +144,7 @@ impl PlanariaEngine {
             // is 1 µs of this chip's clock.
             min_slack: min_slack_cycles(self.cfg().freq_hz),
             incremental: self.incremental,
+            p_max: 0,
             chip: Chip::new(*self.cfg()),
             s: Scratch::default(),
         }
@@ -156,20 +161,28 @@ impl PlanariaEngine {
 ///
 /// An event costs one estimate per awake tenant, and placement and apply
 /// work only for the tenants that hold subarrays or are granted some.
-/// The incremental scheduler parks every queued tenant past its
-/// deadline ([`SimState::park`]): its estimate is the whole chip and its
-/// unfit-path rank depends on its priority alone, so only the best
-/// parked tenant can be granted, and it alone joins the next event's
-/// columns. The rest of a deep backlog stays parked untouched.
+/// The incremental scheduler puts every tenant that stays queued to
+/// sleep. One past its deadline is parked ([`SimState::park`]): its
+/// estimate is the whole chip and its unfit-path rank depends on its
+/// priority alone, so only the best parked tenant can be granted, and it
+/// alone joins the next event's columns. One with slack left waits
+/// ([`SimState::wait`]): when the columns and the waiting tenants cannot
+/// all fit, the unfit pack visits the waiting ones in deadline order and
+/// stops at the first whose best possible score cannot enter the packing
+/// prefix. The rest of a deep backlog sleeps untouched.
 pub struct SpatialPolicy<'a> {
     library: &'a CompiledLibrary,
     mode: SchedulingMode,
     /// Unfit-path urgency clamp: 1 µs of this chip's clock, in cycles.
     min_slack: i64,
     /// Seed each estimate scan from the tenant's memo ([`seed`]). Off,
-    /// this is the full-rescan oracle: every tenant scans from 1 and no
-    /// memo is read or written.
+    /// this is the full-rescan oracle: every tenant scans from 1, no memo
+    /// is read or written, and no tenant sleeps.
     incremental: bool,
+    /// The highest priority seen on any column so far. Every waiting
+    /// tenant was a column before it slept, so `P_max / slack` bounds
+    /// its unfit-path score from above.
+    p_max: u32,
     /// Persistent chip map, `reset()` per event instead of reallocated.
     chip: Chip,
     /// Reusable per-event working memory.
@@ -185,8 +198,10 @@ struct Scratch {
     estimates: Vec<u32>,
     fit: Vec<Cycles>,
     /// Column → tenant position, ascending: the awake tenants plus the
-    /// best parked one.
+    /// best parked one, and the waiting tenants the pack grants.
     cols: Vec<usize>,
+    /// Waiting tenants this event wakes before estimating.
+    woken: Vec<usize>,
     /// This event's grant per column.
     alloc: Vec<u32>,
     /// `(tenant index, grant)` of every tenant that holds subarrays or is
@@ -207,6 +222,192 @@ fn slack_cycles(deadline: Cycles, now: Cycles) -> i64 {
     i64::try_from(deadline.get()).unwrap_or(i64::MAX) - now.get() as i64
 }
 
+/// `ESTIMATERESOURCES` for `t` at `slack` on a chip of `total`
+/// subarrays, as `(estimate, fit)`. Incremental, the scan is seeded from
+/// the tenant's memo ([`seed`]) and refreshes it; otherwise it runs from
+/// 1 and leaves the memo alone. Exact hits skip the view and the refresh:
+/// the queued-majority fastpath never pays the `fraction_done` division,
+/// and the memo already holds what a refresh would write.
+fn estimate(t: &mut TenantState, slack: i64, total: u32, incremental: bool) -> (u32, Cycles) {
+    let seeded = if incremental {
+        seed(t.memo.as_ref(), t.work_done, t.work_total, slack, total)
+    } else {
+        Seed::Floor(1)
+    };
+    match seeded {
+        Seed::Exact(floor, fit) => (floor, fit),
+        Seed::Floor(floor) => {
+            let view = SchedTask {
+                priority: t.request.priority,
+                slack,
+                done: t.fraction_done(),
+                compiled: &t.compiled,
+            };
+            let (est, fit) = view.estimate_resources_with_fit(floor, total);
+            if incremental {
+                t.memo = Some(FloorEntry {
+                    floor: est,
+                    done: t.work_done,
+                    total: t.work_total,
+                    fit,
+                });
+            }
+            (est, fit)
+        }
+    }
+}
+
+impl SpatialPolicy<'_> {
+    /// Algorithm 1 over the columns, leaving each column's grant in
+    /// `alloc`, and returns the best parked tenant's position while it
+    /// sleeps.
+    ///
+    /// The columns are every awake tenant plus the best parked one at its
+    /// position. A parked tenant scores `priority / (min_slack × total)`,
+    /// so in the unfit pack's (score desc, position asc) order the best
+    /// parked tenant comes first among them, and its whole-chip estimate
+    /// ends the packing prefix there: the others would get nothing. With
+    /// another column or a waiting tenant beside it, both sets need more
+    /// than the chip, and alone it gets the chip either way.
+    ///
+    /// Waiting tenants past their deadline rejoin the columns first (they
+    /// lead the deadline order), to be parked if they stay queued. Every
+    /// estimate is at least 1, so when the columns' estimates plus one
+    /// subarray per waiting tenant exceed the chip, the full set takes
+    /// the unfit path and the pack visits the waiting tenants lazily
+    /// ([`pack_with_waiting`](Self::pack_with_waiting)). Otherwise it may
+    /// fit: every waiting tenant wakes and is estimated as a column.
+    fn allocate_spatially(&mut self, sim: &mut SimState, now: Cycles, total: u32) -> Option<usize> {
+        self.wake_waiting(sim, now, false);
+        let mut asleep = self.fill_columns(sim);
+        let need = self.estimate_columns(sim, now, total);
+        let waiting = sim.waiting_len();
+        if waiting > 0 && waiting <= total.saturating_sub(need) as usize {
+            self.wake_waiting(sim, now, true);
+            asleep = self.fill_columns(sim);
+            self.estimate_columns(sim, now, total);
+        }
+        if sim.waiting_len() > 0 {
+            self.pack_with_waiting(sim, now, total);
+        } else {
+            let s = &mut self.s;
+            allocate_spatially_into(
+                &s.priorities,
+                &s.slacks,
+                &s.estimates,
+                &s.fit,
+                total,
+                self.min_slack,
+                &mut s.alloc,
+                &mut s.sched,
+            );
+        }
+        asleep
+    }
+
+    /// Wakes every waiting tenant, or (`all` false) those past their
+    /// deadline.
+    fn wake_waiting(&mut self, sim: &mut SimState, now: Cycles, all: bool) {
+        let woken = &mut self.s.woken;
+        woken.clear();
+        woken.extend(
+            sim.waiting()
+                .take_while(|&i| all || slack_cycles(sim.tenants()[i].deadline_cycle, now) < 0),
+        );
+        for &i in woken.iter() {
+            sim.wake(i);
+        }
+    }
+
+    /// Fills the columns with the awake tenants plus the best parked one
+    /// at its position, returning that parked tenant's position.
+    fn fill_columns(&mut self, sim: &SimState) -> Option<usize> {
+        let (cols, awake) = (&mut self.s.cols, sim.awake());
+        let parked = sim.best_parked();
+        let k = parked.map_or(awake.len(), |p| awake.partition_point(|&i| i < p));
+        cols.clear();
+        cols.extend_from_slice(&awake[..k]);
+        cols.extend(parked);
+        cols.extend_from_slice(&awake[k..]);
+        parked
+    }
+
+    /// The estimate phase: every column's `ESTIMATERESOURCES` into the
+    /// columnar views, returning the sum of the estimates. Clean memos
+    /// inside the slack band, or saturated at the whole chip, answer with
+    /// zero table lookups; other clean memos scan from their proven
+    /// floor; the rest scan from 1, or from the whole chip past the
+    /// deadline. A parked tenant's memo is clean at the whole chip, so it
+    /// answers exactly.
+    fn estimate_columns(&mut self, sim: &mut SimState, now: Cycles, total: u32) -> u32 {
+        let s = &mut self.s;
+        s.priorities.clear();
+        s.slacks.clear();
+        s.estimates.clear();
+        s.fit.clear();
+        let tenants = sim.tenants_mut();
+        for &i in &s.cols {
+            let t = &mut tenants[i];
+            let slack = slack_cycles(t.deadline_cycle, now);
+            let (est, fit) = estimate(t, slack, total, self.incremental);
+            self.p_max = self.p_max.max(t.request.priority);
+            s.priorities.push(t.request.priority);
+            s.slacks.push(slack);
+            s.estimates.push(est);
+            s.fit.push(fit);
+        }
+        s.estimates.iter().sum()
+    }
+
+    /// The unfit pack over the columns, keyed by position, then over the
+    /// waiting tenants in deadline order; granted waiting tenants wake and
+    /// join the columns.
+    ///
+    /// A waiting tenant scores at most `P_max / max(slack, min_slack)`
+    /// (its estimate is at least 1), and slack only grows along the
+    /// order, so once that bound falls strictly below a full prefix's
+    /// last score no later tenant can enter. An unvisited tenant keeps
+    /// its memo, which stays a sound floor.
+    fn pack_with_waiting(&mut self, sim: &mut SimState, now: Cycles, total: u32) {
+        let s = &mut self.s;
+        let pack = &mut s.sched.pack;
+        pack.clear();
+        for (k, &i) in s.cols.iter().enumerate() {
+            let est = s.estimates[k];
+            pack.offer(
+                unfit_score(s.priorities[k], s.slacks[k], est, self.min_slack),
+                i,
+                est,
+                total,
+            );
+        }
+        let (waiting, tenants) = sim.waiting_with_tenants();
+        for i in waiting {
+            let t = &mut tenants[i];
+            let slack = slack_cycles(t.deadline_cycle, now);
+            if pack.closed_below(unfit_score(self.p_max, slack, 1, self.min_slack), total) {
+                break;
+            }
+            let (est, _) = estimate(t, slack, total, true);
+            let score = unfit_score(t.request.priority, slack, est, self.min_slack);
+            pack.offer(score, i, est, total);
+        }
+        s.alloc.resize(s.cols.len(), 0);
+        for (i, grant) in pack.grants(total) {
+            let k = s.cols.partition_point(|&j| j < i);
+            if s.cols.get(k) != Some(&i) {
+                // A granted waiting tenant wakes before apply changes it,
+                // so the kernel's sleeping sum drops exactly the value it
+                // added.
+                sim.wake(i);
+                s.cols.insert(k, i);
+                s.alloc.insert(k, 0);
+            }
+            s.alloc[k] = grant;
+        }
+    }
+}
+
 impl EnginePolicy for SpatialPolicy<'_> {
     fn compiled_for(&mut self, request: &Request) -> Arc<CompiledDnn> {
         self.library.shared(request.dnn)
@@ -219,101 +420,32 @@ impl EnginePolicy for SpatialPolicy<'_> {
         let total = sim.total_subarrays();
         let now = sim.now;
         let cfg = *sim.config();
-        let s = &mut self.s;
-        let chip = &mut self.chip;
-        // The columns: every awake tenant, plus the best parked one at
-        // its position. A parked tenant scores `priority / (min_slack ×
-        // total)`, so in the unfit pack's (score desc, position asc)
-        // order the best parked tenant comes first among them, and its
-        // whole-chip estimate ends the packing prefix there: the others
-        // would get nothing. With another column beside it both column
-        // sets need more than the chip, and alone it gets the chip
-        // either way.
-        s.cols.clear();
-        s.cols.extend_from_slice(sim.awake());
-        let mut asleep = sim.best_parked().map(|p| {
-            let k = s.cols.partition_point(|&i| i < p);
-            s.cols.insert(k, p);
-            k
-        });
-        s.alloc.clear();
-        let tenants = sim.tenants_mut();
-        match self.mode {
-            SchedulingMode::Spatial => {
-                // Estimate phase: columnar views plus `ESTIMATERESOURCES`,
-                // seeded from the tenant's memo. Clean memos inside the
-                // slack band, or saturated at the whole chip, answer with
-                // zero table lookups; other clean memos scan from their
-                // proven floor; the rest scan from 1, or from the whole
-                // chip past the deadline. The oracle scans every tenant
-                // from 1 and leaves the memo alone. A parked tenant's memo
-                // is clean at the whole chip, so it answers exactly.
-                s.priorities.clear();
-                s.slacks.clear();
-                s.estimates.clear();
-                s.fit.clear();
-                for &i in &s.cols {
-                    let t = &mut tenants[i];
-                    let slack = slack_cycles(t.deadline_cycle, now);
-                    let seeded = if self.incremental {
-                        seed(t.memo.as_ref(), t.work_done, t.work_total, slack, total)
-                    } else {
-                        Seed::Floor(1)
-                    };
-                    let (est, fit) = match seeded {
-                        // Exact hits skip the view and the refresh: the
-                        // queued-majority fastpath never pays the
-                        // `fraction_done` division, and the memo already
-                        // holds what a refresh would write.
-                        Seed::Exact(floor, fit) => (floor, fit),
-                        Seed::Floor(floor) => {
-                            let view = SchedTask {
-                                priority: t.request.priority,
-                                slack,
-                                done: t.fraction_done(),
-                                compiled: &t.compiled,
-                            };
-                            let (est, fit) = view.estimate_resources_with_fit(floor, total);
-                            if self.incremental {
-                                t.memo = Some(FloorEntry {
-                                    floor: est,
-                                    done: t.work_done,
-                                    total: t.work_total,
-                                    fit,
-                                });
-                            }
-                            (est, fit)
-                        }
-                    };
-                    s.priorities.push(t.request.priority);
-                    s.slacks.push(slack);
-                    s.estimates.push(est);
-                    s.fit.push(fit);
-                }
-                allocate_spatially_into(
-                    &s.priorities,
-                    &s.slacks,
-                    &s.estimates,
-                    &s.fit,
-                    total,
-                    self.min_slack,
-                    &mut s.alloc,
-                    &mut s.sched,
-                );
-            }
+        self.s.alloc.clear();
+        // The best parked tenant's position while it sleeps.
+        let mut asleep = match self.mode {
+            SchedulingMode::Spatial => self.allocate_spatially(sim, now, total),
             SchedulingMode::ExclusiveFifo => {
+                let asleep = self.fill_columns(sim);
+                let s = &mut self.s;
+                let tenants = sim.tenants();
                 s.alloc.resize(s.cols.len(), 0);
                 let oldest = (0..s.cols.len()).min_by_key(|&k| tenants[s.cols[k]].arrival_cycle);
                 if let Some(k) = oldest {
                     s.alloc[k] = total;
                 }
+                asleep
             }
-        }
+        };
+        let s = &mut self.s;
+        let chip = &mut self.chip;
         // A granted parked tenant wakes before apply changes it, so the
-        // kernel's parked sum drops exactly the value it added.
-        if let Some(k) = asleep.filter(|&k| s.alloc[k] > 0) {
-            sim.wake(s.cols[k]);
-            asleep = None;
+        // kernel's sleeping sum drops exactly the value it added (granted
+        // waiting tenants woke in the pack).
+        if let Some(p) = asleep {
+            if s.alloc[s.cols.partition_point(|&j| j < p)] > 0 {
+                sim.wake(p);
+                asleep = None;
+            }
         }
         let tenants = sim.tenants_mut();
 
@@ -534,27 +666,33 @@ impl EnginePolicy for SpatialPolicy<'_> {
                 t.switch_table(work_total, table_energy);
             }
         }
-        // Park every queued tenant past its deadline. The estimate phase
-        // left its memo clean at the whole chip (both seed rules answer a
-        // negative slack there), and apply does not touch a queued
-        // tenant's work counters — a tenant preempted just now only owes
-        // more overhead. The full-rescan oracle writes no memo, so it
-        // never parks.
+        // Put every column that stays queued to sleep: park it past its
+        // deadline, let it wait otherwise. The estimate phase left a
+        // parked tenant's memo clean at the whole chip (both seed rules
+        // answer a negative slack there), and apply does not touch a
+        // queued tenant's work counters — a tenant preempted just now
+        // only owes more overhead. The full-rescan oracle writes no memo,
+        // so it never puts a tenant to sleep.
         if self.incremental && self.mode == SchedulingMode::Spatial {
-            for (k, &i) in s.cols.iter().enumerate() {
+            for &i in &s.cols {
                 let t = &sim.tenants()[i];
-                if asleep != Some(k) && s.slacks[k] < 0 && t.alloc == 0 {
+                if asleep == Some(i) || t.alloc > 0 {
+                    continue;
+                }
+                if slack_cycles(t.deadline_cycle, now) < 0 {
                     debug_assert_eq!(
                         t.memo.map(|m| (m.floor, m.done, m.total)),
                         Some((total, t.work_done, t.work_total))
                     );
                     sim.park(i);
+                } else {
+                    sim.wait(i);
                 }
             }
         }
         if telemetry_on {
             c.add(Counter::SchedulingEvents, 1);
-            let (mut queued, mut used) = (sim.parked_len(), 0u32);
+            let (mut queued, mut used) = (sim.parked_len() + sim.waiting_len(), 0u32);
             for &i in sim.awake() {
                 let a = sim.tenants()[i].alloc;
                 queued += usize::from(a == 0);

@@ -1,7 +1,8 @@
 //! Seeding incremental Algorithm 1 from a tenant's estimate memo.
 //!
 //! Every scheduling event re-runs `ESTIMATERESOURCES` over every awake
-//! tenant (parked tenants are covered below). The scan is monotone — with a tenant's work counters frozen
+//! tenant (sleeping tenants are covered below). The scan is monotone —
+//! with a tenant's work counters frozen
 //! (`done`/`total` unchanged) and slack only shrinking, the minimal
 //! fitting subarray count can only grow — so the previous event's result
 //! is a *proven floor* for the next (see
@@ -45,6 +46,18 @@
 //! the packing prefix there. So each event estimates the awake tenants
 //! plus that one parked tenant, and the other parked tenants are never
 //! walked. The oracle writes no memo, so it never parks.
+//!
+//! **Waiting.** A queued tenant that still has slack waits instead
+//! (`SimState::wait`), in deadline order. Its memo is left as the last
+//! visit wrote it: its work is frozen while it waits and its slack only
+//! shrinks, so the memo stays clean and its floor sound however many
+//! events pass unvisited. When the columns and the waiting tenants cannot
+//! all fit, the unfit pack visits the waiting tenants in deadline order
+//! and stops at the first whose best possible score, `P_max /
+//! max(slack, min_slack)`, lies strictly below a full prefix's last
+//! score; when they might fit, every waiting tenant is estimated as a
+//! column. A waiting tenant whose slack turns negative rejoins the
+//! columns and is parked if it stays queued. The oracle never waits.
 //!
 //! [`SchedTask::estimate_resources_from`]: crate::scheduler::SchedTask::estimate_resources_from
 
@@ -117,11 +130,12 @@ mod tests {
     }
 
     /// Counts the memos the wrapped policy leaves on live tenants, and
-    /// the most tenants it keeps parked at once.
+    /// the most tenants it keeps parked, and waiting, at once.
     struct MemoWatch<P> {
         inner: P,
         memos: usize,
         parked: usize,
+        waiting: usize,
     }
 
     impl<P: EnginePolicy> EnginePolicy for MemoWatch<P> {
@@ -133,12 +147,13 @@ mod tests {
             self.inner.reschedule(sim, c);
             self.memos += sim.tenants().iter().filter(|t| t.memo.is_some()).count();
             self.parked = self.parked.max(sim.parked_len());
+            self.waiting = self.waiting.max(sim.waiting_len());
         }
     }
 
-    /// `(memos, most parked)` over a bursty QoS-Hard run whose backlog
-    /// waits past its deadlines.
-    fn watch(incremental: bool) -> (usize, usize) {
+    /// `(memos, most parked, most waiting)` over a bursty QoS-Hard run
+    /// whose backlog waits past its deadlines.
+    fn watch(incremental: bool) -> (usize, usize, usize) {
         let cfg = AcceleratorConfig::planaria();
         let trace = TraceConfig::new(Scenario::C, QosLevel::Hard, 2000.0, 300, 3)
             .with_burstiness(6.0)
@@ -148,6 +163,7 @@ mod tests {
             inner: engine.spatial_policy(),
             memos: 0,
             parked: 0,
+            waiting: 0,
         };
         run_streamed_sink(
             &cfg,
@@ -156,7 +172,7 @@ mod tests {
             &mut NullCollector,
             DiscardSink,
         );
-        (watch.memos, watch.parked)
+        (watch.memos, watch.parked, watch.waiting)
     }
 
     #[test]
@@ -167,8 +183,12 @@ mod tests {
 
     #[test]
     fn full_rescan_never_parks() {
-        assert_eq!(watch(false).1, 0, "the oracle parked a tenant");
-        assert!(watch(true).1 > 0, "the incremental policy parked nothing");
+        let (_, parked, waiting) = watch(false);
+        assert_eq!(parked, 0, "the oracle parked a tenant");
+        assert_eq!(waiting, 0, "the oracle let a tenant wait");
+        let (_, parked, waiting) = watch(true);
+        assert!(parked > 0, "the incremental policy parked nothing");
+        assert!(waiting > 0, "the incremental policy let nothing wait");
     }
 
     #[test]

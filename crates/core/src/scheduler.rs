@@ -14,7 +14,7 @@
 //! dimensionless ratios, and because every term scales by the same clock,
 //! the ranking is identical to the old seconds-based one.)
 
-use planaria_compiler::CompiledDnn;
+use planaria_compiler::{remaining_from, CompiledDnn};
 use planaria_model::units::Cycles;
 
 /// Scheduler view of one task in the queue (running or waiting).
@@ -33,9 +33,14 @@ pub struct SchedTask<'a> {
 
 impl SchedTask<'_> {
     /// Predicted remaining cycles on `subarrays` granules (the
-    /// `PREDICTTIME` table lookup).
+    /// `PREDICTTIME` table lookup, read from the compiled totals row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subarrays` is zero or exceeds the chip.
     pub fn predict_cycles(&self, subarrays: u32) -> Cycles {
-        self.compiled.table(subarrays).remaining_cycles(self.done)
+        let total = self.compiled.total_cycles_row()[subarrays as usize - 1];
+        remaining_from(total, self.done)
     }
 
     /// [`predict_cycles`](Self::predict_cycles) in seconds, for
@@ -78,10 +83,17 @@ impl SchedTask<'_> {
     /// When no subarray count fits the slack, the estimate is `total` and
     /// the fit is `predict_cycles(total)` — exactly what the fit path
     /// would look up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total` exceeds the chip the tables were compiled for.
     pub fn estimate_resources_with_fit(&self, floor: u32, total: u32) -> (u32, Cycles) {
+        let floor = floor.clamp(1, total);
         let mut last = Cycles::ZERO;
-        for s in floor.clamp(1, total)..=total {
-            last = self.predict_cycles(s);
+        // The table totals for `floor..=total` subarrays, scanned in place.
+        let row = &self.compiled.total_cycles_row()[floor as usize - 1..total as usize];
+        for (s, &cycles) in (floor..).zip(row) {
+            last = remaining_from(cycles, self.done);
             if fits_slack(last, self.slack) {
                 return (s, last);
             }
@@ -154,8 +166,84 @@ pub fn schedule_tasks_spatially(tasks: &[SchedTask<'_>], total: u32, min_slack: 
 pub struct AllocScratch {
     scores: Vec<f64>,
     fractional: Vec<(usize, f64)>,
-    /// The unfit path's packing prefix: `(score, index)`, best first.
-    prefix: Vec<(f64, usize)>,
+    /// The unfit path's packing prefix.
+    pub(crate) pack: PackPrefix,
+}
+
+/// `ALLOCATEUNFITTASKS`'s rank of a task: `priority / (slack ×
+/// estimate)`, the slack clamped to at least `min_slack` so tasks past
+/// their deadline rank most urgent without a division blow-up.
+pub(crate) fn unfit_score(priority: u32, slack: i64, estimate: u32, min_slack: i64) -> f64 {
+    f64::from(priority) / (slack.max(min_slack) as f64 * f64::from(estimate))
+}
+
+/// `ALLOCATEUNFITTASKS`'s packing prefix, built from tasks offered one
+/// at a time in any order.
+///
+/// The pack grants subarrays in (score desc, key asc) order until the
+/// chip is used up, so only its packing prefix — the fewest best-ranked
+/// tasks whose estimates reach the chip — receives anything, and because
+/// every estimate is at least 1 that prefix holds at most `total` tasks.
+/// The prefix of the tasks offered so far stays sorted by that key. A
+/// task enters only while the prefix falls short of `total` or when it
+/// beats the prefix's last entry, and after an insert the tail is dropped
+/// while the rest still reaches `total`. The key is a strict total order
+/// (scores are finite: priority ≥ 1, slack clamped ≥ `min_slack` ≥ 1,
+/// estimate ≥ 1; ties fall to the distinct keys), so whatever the offer
+/// order, the prefix is the sorted pack's and every grant is equal.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PackPrefix {
+    /// `(score, key, estimate)`, best first.
+    entries: Vec<(f64, usize, u32)>,
+    /// Σ estimates over `entries`.
+    held: u32,
+}
+
+impl PackPrefix {
+    /// Empties the prefix for a new pack.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.held = 0;
+    }
+
+    /// Offers a task of `score` ([`unfit_score`]) and tie-break `key`
+    /// (distinct per task) needing `estimate` of the chip's `total`
+    /// subarrays.
+    pub(crate) fn offer(&mut self, score: f64, key: usize, estimate: u32, total: u32) {
+        let ahead = |&(s, k, _): &(f64, usize, u32)| s > score || (s == score && k < key);
+        if self.held >= total && self.entries.last().is_some_and(ahead) {
+            return;
+        }
+        let at = self.entries.partition_point(ahead);
+        self.entries.insert(at, (score, key, estimate));
+        self.held += estimate;
+        while let Some(&(_, _, last)) = self.entries.last() {
+            if self.held - last < total {
+                break;
+            }
+            self.held -= last;
+            self.entries.pop();
+        }
+    }
+
+    /// Whether no task scoring at most `bound` can enter any more: the
+    /// prefix reaches `total` and `bound` lies strictly below its last
+    /// score. The last score only rises as tasks enter, so this stays
+    /// true for the rest of the pack.
+    pub(crate) fn closed_below(&self, bound: f64, total: u32) -> bool {
+        self.held >= total && self.entries.last().is_some_and(|&(s, _, _)| bound < s)
+    }
+
+    /// `(key, grant)` for every task in the prefix, best first: each gets
+    /// its estimate while the chip lasts, the last one possibly less.
+    pub(crate) fn grants(&self, total: u32) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let mut remaining = total;
+        self.entries.iter().map(move |&(_, key, estimate)| {
+            let grant = estimate.min(remaining);
+            remaining -= grant;
+            (key, grant)
+        })
+    }
 }
 
 /// The allocation phase of Algorithm 1 over plain columnar inputs, writing
@@ -253,21 +341,9 @@ fn allocate_fit_into(
 
 /// `ALLOCATEUNFITTASKS`: rank by `priority / (slack × estimate)` and pack
 /// the chip; the last packed task may receive a partial grant, everyone
-/// else waits.
-///
-/// The pack grants subarrays in `(score desc, index asc)` order until the
-/// chip is used up, so only its *packing prefix* — the fewest best-ranked
-/// tasks whose estimates reach `total` — receives anything, and because
-/// every estimate is at least 1 that prefix holds at most `total` tasks.
-/// One pass selects it without ranking the backlog behind it:
-/// `scratch.prefix` holds the prefix of the tasks seen so far, sorted by
-/// the same key. A task enters only while the prefix falls short of
-/// `total` or when it beats the prefix's last entry, and after an insert
-/// the tail is dropped while the rest still reaches `total`. The key is a
-/// strict total order (scores are finite: priority ≥ 1, slack clamped ≥
-/// `min_slack` ≥ 1, estimate ≥ 1; ties fall to the distinct indices), so
-/// the selected prefix is the sorted pack's and every grant is equal; the
-/// test module keeps the comparator sort as the oracle.
+/// else waits. One pass offers every task to the [`PackPrefix`], keyed by
+/// its index, so the backlog behind the prefix is never ranked; the test
+/// module keeps the comparator sort as the oracle.
 fn allocate_unfit_into(
     priorities: &[u32],
     slacks: &[i64],
@@ -277,35 +353,15 @@ fn allocate_unfit_into(
     alloc: &mut Vec<u32>,
     scratch: &mut AllocScratch,
 ) {
-    let prefix = &mut scratch.prefix;
-    prefix.clear();
-    // Σ estimates over `prefix`.
-    let mut held = 0u32;
+    let pack = &mut scratch.pack;
+    pack.clear();
     for (i, &estimate) in estimates.iter().enumerate() {
-        // Tasks already past their deadline get the most urgent score.
-        let slack = slacks[i].max(min_slack) as f64;
-        let score = f64::from(priorities[i]) / (slack * f64::from(estimate));
-        // `i` is the highest index yet, so it loses every score tie.
-        if held >= total && prefix.last().is_none_or(|&(last, _)| score <= last) {
-            continue;
-        }
-        let at = prefix.partition_point(|&(s, _)| s >= score);
-        prefix.insert(at, (score, i));
-        held += estimate;
-        while let Some(&(_, last)) = prefix.last() {
-            if held - estimates[last] < total {
-                break;
-            }
-            held -= estimates[last];
-            prefix.pop();
-        }
+        let score = unfit_score(priorities[i], slacks[i], estimate, min_slack);
+        pack.offer(score, i, estimate, total);
     }
     alloc.resize(estimates.len(), 0);
-    let mut remaining = total;
-    for &(_, i) in prefix.iter() {
-        let grant = estimates[i].min(remaining);
+    for (i, grant) in pack.grants(total) {
         alloc[i] = grant;
-        remaining -= grant;
     }
 }
 
@@ -516,9 +572,18 @@ mod tests {
         // breaks by index. Chips of 1 to 128 subarrays make packing
         // prefixes from one task to well past 16; one scratch serves every
         // round, so a stale prefix from the previous round would show.
+        //
+        // The pack must grant the same when the tasks are offered in any
+        // order, keyed by index, and when part of the queue is visited
+        // lazily in (slack, index) order, the way the engine visits its
+        // waiting tenants, stopping before the first task whose score
+        // bound `P_max / max(slack, min_slack)` lies strictly below a
+        // full prefix's last score.
         let mut rng = planaria_model::SplitMix64::new(0xA110C);
         let mut scratch = AllocScratch::default();
+        let mut pack = PackPrefix::default();
         let mut hot = Vec::new();
+        let mut stopped_early = 0;
         for round in 0..800 {
             let total = [1, 16, 64, 128][rng.next_below(4) as usize];
             let n = 1 + rng.next_below(300) as usize;
@@ -555,7 +620,51 @@ mod tests {
                 PAPER_MIN_SLACK,
             );
             assert_eq!(hot, old, "round {round}: n={n} total={total}");
+
+            let score =
+                |i: usize| unfit_score(priorities[i], slacks[i], estimates[i], PAPER_MIN_SLACK);
+            let granted = |pack: &PackPrefix| {
+                let mut alloc = vec![0; n];
+                for (i, grant) in pack.grants(total) {
+                    alloc[i] = grant;
+                }
+                alloc
+            };
+            let mut order: Vec<usize> = (0..n).collect();
+            for k in (1..n).rev() {
+                order.swap(k, rng.next_below(k as u64 + 1) as usize);
+            }
+            pack.clear();
+            for &i in &order {
+                pack.offer(score(i), i, estimates[i], total);
+            }
+            assert_eq!(granted(&pack), old, "round {round}: shuffled offers");
+
+            // A random part of the shuffled queue is offered up front; the
+            // rest is visited by slack under the bound.
+            let eager = rng.next_below(n as u64 + 1) as usize;
+            let (columns, lazy) = order.split_at_mut(eager);
+            lazy.sort_by_key(|&i| (slacks[i], i));
+            let p_max = *priorities.iter().max().expect("n >= 1");
+            pack.clear();
+            for &i in columns.iter() {
+                pack.offer(score(i), i, estimates[i], total);
+            }
+            let mut visited = 0;
+            for &i in lazy.iter() {
+                if pack.closed_below(unfit_score(p_max, slacks[i], 1, PAPER_MIN_SLACK), total) {
+                    break;
+                }
+                pack.offer(score(i), i, estimates[i], total);
+                visited += 1;
+            }
+            stopped_early += usize::from(visited < lazy.len());
+            assert_eq!(granted(&pack), old, "round {round}: bounded lazy visit");
         }
+        assert!(
+            stopped_early > 100,
+            "the bound stopped {stopped_early} visits"
+        );
     }
 
     #[test]

@@ -70,6 +70,7 @@ impl SimClock {
     ///
     /// Panics if the arrival is not finite, or lies 2^63 or more cycles
     /// past the origin (scheduler slack is a signed `i64` cycle count).
+    #[inline]
     pub fn check_arrival(&self, request: &Request) -> Cycles {
         let Request { id, arrival, .. } = *request;
         let at = self.cycles_from_seconds(arrival);

@@ -42,12 +42,14 @@ pub trait EnginePolicy {
 
 /// Kernel-owned simulation state visible to policies.
 ///
-/// A policy may *park* a queued tenant whose next decisions it can
-/// answer without looking at it ([`park`](Self::park)). The kernel's
-/// advance, retire and refresh passes walk only the awake tenants, so
-/// a parked tenant must stay unchanged — no subarrays, no work, no
-/// overhead — until the policy wakes it ([`wake`](Self::wake)). A
-/// policy that never parks sees every tenant walked.
+/// A policy may put a queued tenant to sleep when it can answer that
+/// tenant's next decisions without walking it: *park* it
+/// ([`park`](Self::park), indexed by priority) or let it *wait*
+/// ([`wait`](Self::wait), indexed by deadline). The kernel's advance,
+/// retire and refresh passes walk only the awake tenants, so a sleeping
+/// tenant must stay unchanged — no subarrays, no work, no overhead —
+/// until the policy wakes it ([`wake`](Self::wake)). A policy that never
+/// puts a tenant to sleep sees every tenant walked.
 #[derive(Debug)]
 pub struct SimState {
     cfg: AcceleratorConfig,
@@ -56,18 +58,29 @@ pub struct SimState {
     pub now: Cycles,
     /// Live tenants (running or queued), in admission order modulo
     /// `swap_remove` retirement. A tenant's position is every stable
-    /// tie-break and the key of `awake` and `parked`, so only the kernel
-    /// adds or removes tenants.
+    /// tie-break and the key of `awake`, `parked` and `waiting`, so only
+    /// the kernel adds or removes tenants.
     tenants: Vec<TenantState>,
-    /// Ascending positions of the tenants not parked.
+    /// Ascending positions of the tenants that are awake.
     awake: Vec<usize>,
     /// Parked tenants keyed (priority desc, position asc), so the first
     /// entry is the best parked tenant.
     parked: BTreeSet<(Reverse<u32>, usize)>,
-    /// Σ `remaining()` over parked tenants, frozen while they stay parked.
-    parked_remaining: Cycles,
+    /// Waiting tenants keyed (deadline, position), so they iterate from
+    /// the least slack.
+    waiting: BTreeSet<(Cycles, usize)>,
+    /// Σ `remaining()` over parked and waiting tenants, frozen while they
+    /// sleep.
+    asleep_remaining: Cycles,
     /// Scratch: positions of the awake tenants found done this event.
     done: Vec<usize>,
+}
+
+/// The two indexes a tenant can sleep in.
+#[derive(Clone, Copy)]
+enum Sleep {
+    Parked,
+    Waiting,
 }
 
 impl SimState {
@@ -81,7 +94,8 @@ impl SimState {
             tenants: Vec::new(),
             awake: Vec::new(),
             parked: BTreeSet::new(),
-            parked_remaining: Cycles::ZERO,
+            waiting: BTreeSet::new(),
+            asleep_remaining: Cycles::ZERO,
             done: Vec::new(),
         }
     }
@@ -106,19 +120,20 @@ impl SimState {
         &self.tenants
     }
 
-    /// Live tenants by position, mutably. Wake a parked tenant before
-    /// changing it.
+    /// Live tenants by position, mutably. Wake a sleeping tenant before
+    /// changing its allocation, work or overhead.
     pub fn tenants_mut(&mut self) -> &mut [TenantState] {
         &mut self.tenants
     }
 
-    /// Ascending positions of the tenants that are not parked.
+    /// Ascending positions of the tenants that are awake.
     pub fn awake(&self) -> &[usize] {
         &self.awake
     }
 
     /// Position of the parked tenant with the highest priority, the
     /// lowest position among equals.
+    #[inline]
     pub fn best_parked(&self) -> Option<usize> {
         self.parked.first().map(|&(_, i)| i)
     }
@@ -128,6 +143,26 @@ impl SimState {
         self.parked.len()
     }
 
+    /// Positions of the waiting tenants by (deadline, position).
+    pub fn waiting(&self) -> impl Iterator<Item = usize> + '_ {
+        self.waiting.iter().map(|&(_, i)| i)
+    }
+
+    /// [`waiting`](Self::waiting) beside the tenants, mutably, so a
+    /// policy can refresh what it keeps on the waiting tenants it visits.
+    /// Changing a waiting tenant's allocation, work or overhead needs
+    /// [`wake`](Self::wake) first.
+    pub fn waiting_with_tenants(
+        &mut self,
+    ) -> (impl Iterator<Item = usize> + '_, &mut [TenantState]) {
+        (self.waiting.iter().map(|&(_, i)| i), &mut self.tenants)
+    }
+
+    /// Waiting tenants.
+    pub fn waiting_len(&self) -> usize {
+        self.waiting.len()
+    }
+
     /// Parks the awake tenant at position `i`: the kernel stops walking
     /// it until [`wake`](Self::wake).
     ///
@@ -135,33 +170,72 @@ impl SimState {
     ///
     /// Panics if the tenant is not awake, or holds subarrays.
     pub fn park(&mut self, i: usize) {
-        let at = self
-            .awake
-            .binary_search(&i)
-            // lint: parking a tenant that is not awake is a policy bug
-            .expect("only an awake tenant parks");
-        let t = &self.tenants[i];
-        assert_eq!(t.alloc, 0, "a tenant holding subarrays cannot park");
-        self.awake.remove(at);
-        self.parked.insert((Reverse(t.request.priority), i));
-        self.parked_remaining += t.remaining();
+        self.sleep(i, Sleep::Parked);
     }
 
-    /// Wakes the parked tenant at position `i`.
+    /// Lets the awake tenant at position `i` wait: like
+    /// [`park`](Self::park), but indexed by deadline.
     ///
     /// # Panics
     ///
-    /// Panics if the tenant is not parked.
+    /// Panics if the tenant is not awake, or holds subarrays.
+    pub fn wait(&mut self, i: usize) {
+        self.sleep(i, Sleep::Waiting);
+    }
+
+    /// Wakes the parked or waiting tenant at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tenant is neither parked nor waiting.
     pub fn wake(&mut self, i: usize) {
-        let t = &self.tenants[i];
-        let was_parked = self.parked.remove(&(Reverse(t.request.priority), i));
-        assert!(was_parked, "only a parked tenant wakes");
-        self.parked_remaining -= t.remaining();
+        let was_asleep = self.unindex(i).is_some();
+        assert!(was_asleep, "only a sleeping tenant wakes");
+        self.asleep_remaining -= self.tenants[i].remaining();
         let at = self.awake.binary_search(&i).unwrap_err();
         self.awake.insert(at, i);
     }
 
+    fn sleep(&mut self, i: usize, into: Sleep) {
+        let at = self
+            .awake
+            .binary_search(&i)
+            // lint: putting a tenant that is not awake to sleep is a policy bug
+            .expect("only an awake tenant sleeps");
+        let t = &self.tenants[i];
+        assert_eq!(t.alloc, 0, "a tenant holding subarrays cannot sleep");
+        self.asleep_remaining += t.remaining();
+        self.awake.remove(at);
+        self.index(i, into);
+    }
+
+    /// Enters the tenant at position `i` into one sleeping index under
+    /// its key.
+    fn index(&mut self, i: usize, into: Sleep) {
+        let t = &self.tenants[i];
+        match into {
+            Sleep::Parked => self.parked.insert((Reverse(t.request.priority), i)),
+            Sleep::Waiting => self.waiting.insert((t.deadline_cycle, i)),
+        };
+    }
+
+    /// Removes the tenant at position `i` from whichever sleeping index
+    /// holds it, returning that index.
+    fn unindex(&mut self, i: usize) -> Option<Sleep> {
+        // Waiting first: most wakes leave the waiting index, while a
+        // parked tenant wakes only as the best parked one.
+        let t = &self.tenants[i];
+        if self.waiting.remove(&(t.deadline_cycle, i)) {
+            Some(Sleep::Waiting)
+        } else if self.parked.remove(&(Reverse(t.request.priority), i)) {
+            Some(Sleep::Parked)
+        } else {
+            None
+        }
+    }
+
     /// Admits a tenant at the last position, awake.
+    #[inline]
     pub(crate) fn admit(&mut self, t: TenantState) {
         self.awake.push(self.tenants.len());
         self.tenants.push(t);
@@ -169,10 +243,11 @@ impl SimState {
 
     /// Removes the done tenant at position `i` by `swap_remove`, re-keying
     /// the tenant that moves from the last position into `i`. A done
-    /// tenant is awake: a parked one holds no subarrays and its work is
+    /// tenant is awake: a sleeping one holds no subarrays and its work is
     /// frozen.
     pub(crate) fn retire(&mut self, i: usize) -> TenantState {
         let last = self.tenants.len() - 1;
+        let mut moved_asleep = None;
         if self.awake.last() == Some(&last) {
             // The moved tenant takes over `i`'s entry (none moves when
             // `i` is the last position).
@@ -185,17 +260,20 @@ impl SimState {
                 // lint: only a done tenant retires, and a done tenant is awake
                 .expect("a retiring tenant is awake");
             self.awake.remove(at);
-            let key = Reverse(self.tenants[last].request.priority);
-            self.parked.remove(&(key, last));
-            self.parked.insert((key, i));
+            moved_asleep = self.unindex(last);
+            debug_assert!(moved_asleep.is_some(), "a live tenant is awake or asleep");
         }
-        self.tenants.swap_remove(i)
+        let t = self.tenants.swap_remove(i);
+        if let Some(index) = moved_asleep {
+            self.index(i, index);
+        }
+        t
     }
 
     /// Retires every done tenant, handing each to `f` in the order of an
     /// ascending `swap_remove` scan over all tenants.
     ///
-    /// Only awake tenants can be done: a parked one holds no subarrays
+    /// Only awake tenants can be done: a sleeping one holds no subarrays
     /// and its work is frozen. A retirement moves only the last tenant,
     /// into the slot being scanned, so visiting the done positions in
     /// ascending order and re-checking each slot until it holds an
@@ -314,11 +392,11 @@ impl<S: CompletionSink> NodeKernel<S> {
     }
 
     /// Total work left across live tenants, in cycles — the load signal
-    /// feedback dispatchers read at epoch barriers. Parked tenants count
-    /// through their frozen sum.
+    /// feedback dispatchers read at epoch barriers. Parked and waiting
+    /// tenants count through their frozen sum.
     pub fn outstanding_cycles(&self) -> Cycles {
         let sim = &self.sim;
-        sim.parked_remaining
+        sim.asleep_remaining
             + sim
                 .awake
                 .iter()
@@ -403,7 +481,7 @@ impl<S: CompletionSink> NodeKernel<S> {
         while let Some((t_next, completion_due)) = self.next_wake_before(bound) {
             self.events += 1;
             // Advance every allocated tenant to the event time, in
-            // ascending position order (parked tenants hold nothing). The
+            // ascending position order (sleeping tenants hold nothing). The
             // chip is busy whenever anyone holds subarrays. With telemetry
             // on, each tenant's dynamic-energy delta is attributed evenly
             // across the subarrays it holds, accumulated per pod.
@@ -765,14 +843,15 @@ mod tests {
 
     #[test]
     fn retire_order_matches_the_swap_remove_scan_on_a_chain() {
-        // Positions 1, 3, 5 and 6 (the last) are done, 4 is parked. The
-        // scan over every tenant retires 1, then the done tenants that
-        // move from the last slot into 1 (6, then 5), then 3; the parked
-        // tenant ends up at position 1.
+        // Positions 1, 3, 5 and 6 are done, 4 is parked and 7 (the last)
+        // waits. The scan over every tenant retires 1, which the waiting
+        // tenant moves into; then 3, then the done tenants that move from
+        // the last slot into 3 (6, then 5), and the parked tenant ends up
+        // at position 3.
         let cfg = AcceleratorConfig::planaria();
         let compiled = planaria_compiler::CompiledLibrary::shared_for(&cfg).shared(DnnId::TinyYolo);
         let mut sim = SimState::new_for(cfg, SimClock::for_config(&cfg));
-        let done = [false, true, false, true, false, true, true];
+        let done = [false, true, false, true, false, true, true, false];
         let mut scan: Vec<(u64, bool)> = Vec::new();
         for (id, &d) in (0u64..).zip(&done) {
             let mut t = TenantState::new(
@@ -781,7 +860,7 @@ mod tests {
                 Arc::clone(&compiled),
                 1,
                 Cycles::ZERO,
-                Cycles::ZERO,
+                Cycles::new(id),
                 Cycles::ZERO,
             );
             if d {
@@ -791,7 +870,8 @@ mod tests {
             scan.push((id, d));
         }
         sim.park(4);
-        let parked = sim.tenants()[4].remaining();
+        sim.wait(7);
+        let asleep = sim.tenants()[4].remaining() + sim.tenants()[7].remaining();
 
         let mut want = Vec::new();
         let mut i = 0;
@@ -805,18 +885,48 @@ mod tests {
         let mut got = Vec::new();
         sim.retire_done(|t| got.push(t.request.id));
         assert_eq!(got, want);
-        assert_eq!(got, [1, 6, 5, 3]);
+        assert_eq!(got, [1, 3, 6, 5]);
 
         let ids: Vec<u64> = sim.tenants().iter().map(|t| t.request.id).collect();
         assert_eq!(ids, scan.iter().map(|&(id, _)| id).collect::<Vec<_>>());
-        assert_eq!(ids, [0, 4, 2]);
-        assert_eq!(sim.best_parked(), Some(1));
+        assert_eq!(ids, [0, 7, 2, 4]);
+        assert_eq!(sim.best_parked(), Some(3));
         assert_eq!(sim.parked_len(), 1);
+        assert_eq!(sim.waiting().collect::<Vec<_>>(), [1]);
         assert_eq!(sim.awake(), [0, 2]);
-        assert_eq!(sim.parked_remaining, parked);
+        assert_eq!(sim.asleep_remaining, asleep);
         sim.wake(1);
-        assert_eq!(sim.awake(), [0, 1, 2]);
-        assert_eq!(sim.parked_remaining, Cycles::ZERO);
+        assert_eq!(sim.waiting_len(), 0);
+        sim.wake(3);
+        assert_eq!(sim.parked_len(), 0);
+        assert_eq!(sim.awake(), [0, 1, 2, 3]);
+        assert_eq!(sim.asleep_remaining, Cycles::ZERO);
+    }
+
+    #[test]
+    fn waiting_tenants_iterate_by_deadline_then_position() {
+        let cfg = AcceleratorConfig::planaria();
+        let compiled = planaria_compiler::CompiledLibrary::shared_for(&cfg).shared(DnnId::TinyYolo);
+        let mut sim = SimState::new_for(cfg, SimClock::for_config(&cfg));
+        for (id, deadline) in (0u64..).zip([30, 10, 30, 20]) {
+            sim.admit(TenantState::new(
+                id,
+                req(id, 0.0),
+                Arc::clone(&compiled),
+                1,
+                Cycles::ZERO,
+                Cycles::new(deadline),
+                Cycles::ZERO,
+            ));
+        }
+        for i in [2, 0, 3, 1] {
+            sim.wait(i);
+        }
+        assert_eq!(sim.waiting().collect::<Vec<_>>(), [1, 3, 0, 2]);
+        assert!(sim.awake().is_empty());
+        sim.wake(3);
+        assert_eq!(sim.waiting().collect::<Vec<_>>(), [1, 0, 2]);
+        assert_eq!(sim.awake(), [3]);
     }
 
     #[test]

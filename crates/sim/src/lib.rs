@@ -49,11 +49,13 @@
 //! refresh pass: a heap of estimates would add O(log T) pushes per
 //! changed tenant on top of that O(T) walk, and save nothing.
 //!
-//! A policy may park queued tenants it can answer without looking at
-//! them ([`SimState::park`]); Planaria parks those queued past their
-//! deadline. Parked tenants hold no subarrays and their work is frozen,
-//! so every kernel pass walks only the awake tenants, and the backlog a
-//! dispatcher reads counts the parked ones through one maintained sum.
+//! A policy may put queued tenants it can answer without walking them to
+//! sleep: park them ([`SimState::park`], indexed by priority) or let them
+//! wait ([`SimState::wait`], indexed by deadline). Planaria parks those
+//! queued past their deadline and lets the rest wait. Sleeping tenants
+//! hold no subarrays and their work is frozen, so every kernel pass walks
+//! only the awake tenants, and the backlog a dispatcher reads counts the
+//! sleeping ones through one maintained sum.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -194,6 +194,7 @@ impl TenantState {
 
     /// Consumes `cycles` of execution: overhead burns first, then table
     /// progress accrues (with pro-rata dynamic energy).
+    #[inline]
     pub(crate) fn advance(&mut self, mut cycles: Cycles) {
         if !self.overhead.is_zero() {
             let burn = self.overhead.min(cycles);

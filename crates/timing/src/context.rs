@@ -26,6 +26,7 @@ impl ExecContext {
     /// # Panics
     ///
     /// Panics if `subarrays` is zero or exceeds the chip.
+    #[inline]
     pub fn for_allocation(cfg: &AcceleratorConfig, subarrays: u32) -> Self {
         assert!(
             subarrays >= 1 && subarrays <= cfg.num_subarrays(),

@@ -17,10 +17,13 @@
 //! exact `SimResult`. If any event's allocations, placements or floors
 //! diverged, the streams would differ at that event.
 //!
-//! The incremental scheduler also parks queued tenants past their
-//! deadline, and the kernel then counts their work through a frozen sum.
-//! The overload cases drive that path hardest, and the fleet case reads
-//! every node's backlog at every fabric barrier, where a wrong parked sum
+//! The incremental scheduler also puts queued tenants to sleep: past
+//! their deadline they are parked, with slack left they wait in deadline
+//! order and the unfit pack visits them lazily under a score bound. The
+//! kernel counts a sleeping tenant's work through a frozen sum. The
+//! QoS-Hard overload cases drive parking hardest, the QoS-Soft and
+//! QoS-Medium ones the waiting backlog, and the fleet cases read every
+//! node's backlog at every fabric barrier, where a wrong sleeping sum
 //! would show even when no allocation differs.
 
 use planaria::arch::AcceleratorConfig;
@@ -188,6 +191,86 @@ fn incremental_matches_full_rescan_oracle_under_overload() {
 #[ignore = "10^4 overloaded requests through the full rescan; run with --release -- --ignored"]
 fn incremental_matches_full_rescan_oracle_under_overload_at_ten_thousand() {
     assert_overload_agrees(10_000);
+}
+
+/// Overloaded traces whose backlog keeps slack for a while: QoS-Soft and
+/// QoS-Medium on Scenarios A and C at λ = 2000 and 5000 (three to eight
+/// times what one node serves), bursty like serve-burst. Queued tenants
+/// wait in deadline order before their deadlines pass and they park.
+fn waiting_overload(requests: usize) -> Vec<TraceConfig> {
+    let mut cases = Vec::new();
+    for qos in [QosLevel::Soft, QosLevel::Medium] {
+        for scenario in [Scenario::A, Scenario::C] {
+            for lambda in [2000.0, 5000.0] {
+                cases.push(
+                    TraceConfig::new(scenario, qos, lambda, requests, 0x3a17).with_burstiness(6.0),
+                );
+            }
+        }
+    }
+    cases
+}
+
+#[test]
+fn incremental_matches_full_rescan_oracle_on_a_waiting_backlog() {
+    for chip in chips() {
+        let library = CompiledLibrary::new(chip);
+        for cfg in waiting_overload(1_500) {
+            assert_lanes_agree(
+                &library,
+                SchedulingMode::Spatial,
+                &cfg.generate(),
+                &format!("{cfg:?}"),
+            );
+        }
+    }
+}
+
+/// The QoS-Soft waiting-backlog cases at 10^4 requests, where the backlog
+/// grows to thousands of tenants, about a hundred of them waiting at a
+/// time. The full rescan scans every one of them at every event, so this
+/// runs in release (CI does).
+#[test]
+#[ignore = "10^4 overloaded requests through the full rescan; run with --release -- --ignored"]
+fn incremental_matches_full_rescan_oracle_on_a_waiting_backlog_at_ten_thousand() {
+    for chip in chips() {
+        let library = CompiledLibrary::new(chip);
+        let incremental = PlanariaEngine::with_library(library.clone());
+        let oracle = PlanariaEngine::with_library(library).with_incremental(false);
+        for cfg in waiting_overload(10_000)
+            .into_iter()
+            .filter(|cfg| cfg.qos == QosLevel::Soft)
+        {
+            let trace = cfg.generate();
+            let (a, b) = (incremental.run(&trace), oracle.run(&trace));
+            let what = format!("{} subarrays, {cfg:?}", chip.num_subarrays());
+            assert_eq!(a.completions, b.completions, "{what}: completions diverged");
+            assert_eq!(a.digest(), b.digest(), "{what}: digest diverged");
+        }
+    }
+}
+
+#[test]
+fn fleet_backlog_matches_full_rescan_nodes_on_a_waiting_backlog() {
+    // Two nodes at QoS-Soft and λ = 2000: each node's backlog waits in
+    // deadline order, and join-shortest-queue breaks its ties by the
+    // backlog, which counts the waiting tenants through the kernel's
+    // sleeping sum. The recording keeps every node's backlog gauge at
+    // every barrier.
+    let trace = TraceConfig::new(Scenario::C, QosLevel::Soft, 2000.0, 3_000, 0xf1ee7)
+        .with_burstiness(6.0)
+        .generate();
+    let library = CompiledLibrary::new(AcceleratorConfig::planaria());
+    let fleet = |incremental: bool| {
+        let node = PlanariaEngine::with_library(library.clone()).with_incremental(incremental);
+        Fleet::new(vec![node.clone(), node]).expect("two paper chips form a fleet")
+    };
+    let policy = DispatchPolicy::JoinShortestQueue;
+    let (r_inc, s_inc, rec_inc) = fleet(true).run_recorded(&trace, policy);
+    let (r_full, s_full, rec_full) = fleet(false).run_recorded(&trace, policy);
+    assert_eq!(r_inc.digest(), r_full.digest(), "results diverged");
+    assert_eq!(s_inc, s_full, "fabric stats diverged");
+    assert!(rec_inc == rec_full, "fabric recordings diverged");
 }
 
 #[test]

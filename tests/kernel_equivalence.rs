@@ -14,8 +14,9 @@
 //! event), on adversarial traces (same-instant bursts, hopeless
 //! deadlines, convoys, out-of-order and repeated ids), on a
 //! finer-grained chip, and under overload, where Planaria parks nearly
-//! the whole backlog and the kernel walks only the rest; every result
-//! must digest identically.
+//! the whole backlog (QoS-Hard) or lets it wait by deadline (QoS-Soft and
+//! QoS-Medium) and the kernel walks only the rest; every result must
+//! digest identically.
 
 use planaria_arch::AcceleratorConfig;
 use planaria_core::PlanariaEngine;
@@ -120,6 +121,37 @@ fn assert_overload_matches(requests: usize) {
     let mut policy = prema.node_policy();
     let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
     assert_identical(&hot, &oracle, "prema overload");
+}
+
+#[test]
+fn waiting_backlog_matches_reference_on_both_spatial_chips() {
+    // QoS-Soft and QoS-Medium overload on Scenarios A and C: the queued
+    // backlog keeps slack for a while, so Planaria lets it wait in
+    // deadline order before it parks, and the kernel walks neither.
+    for chip in [
+        AcceleratorConfig::planaria(),
+        AcceleratorConfig::with_granularity(16),
+    ] {
+        let engine = PlanariaEngine::new(chip);
+        for qos in [QosLevel::Soft, QosLevel::Medium] {
+            for scenario in [Scenario::A, Scenario::C] {
+                for lambda in [2000.0, 5000.0] {
+                    let trace = TraceConfig::new(scenario, qos, lambda, 1_500, 0x3a17)
+                        .with_burstiness(6.0)
+                        .generate();
+                    let hot = engine.run(&trace);
+                    let mut policy = engine.spatial_policy();
+                    let oracle =
+                        run_streamed_reference(&chip, &trace, &mut policy, &mut NullCollector);
+                    let tag = format!(
+                        "{scenario}/{qos}/{lambda} on {} subarrays",
+                        chip.num_subarrays()
+                    );
+                    assert_identical(&hot, &oracle, &tag);
+                }
+            }
+        }
+    }
 }
 
 #[test]
