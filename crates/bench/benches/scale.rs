@@ -41,7 +41,7 @@
 use planaria_arch::AcceleratorConfig;
 use planaria_bench::race;
 use planaria_compiler::CompiledLibrary;
-use planaria_core::PlanariaEngine;
+use planaria_core::{PlanariaEngine, SchedulingMode};
 use planaria_workload::{QosLevel, Request, Scenario, TraceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -122,8 +122,8 @@ const MAX_OVERLOAD_GROWTH: f64 = 8.0;
 fn main() {
     let smoke = std::env::var("PLANARIA_BENCH_SMOKE").is_ok_and(|v| v == "1");
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
-    let full = PlanariaEngine::with_library(library.clone()).with_incremental(false);
-    let inc = PlanariaEngine::with_library(library).with_incremental(true);
+    let full = PlanariaEngine::with_library(library.clone()).with_mode(SchedulingMode::FullRescan);
+    let inc = PlanariaEngine::with_library(library);
 
     let sizes: &[(usize, u32)] = if smoke {
         &[(2_000, 7)]

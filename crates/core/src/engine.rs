@@ -17,9 +17,7 @@ use crate::scheduler::{
 use planaria_arch::{AcceleratorConfig, Allocation, Arrangement, Chip};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
 use planaria_model::units::Cycles;
-use planaria_sim::{
-    run_streamed_sink, subarray_mask, EnginePolicy, FloorEntry, SimState, TenantState,
-};
+use planaria_sim::{run_streamed_sink, EnginePolicy, FloorEntry, SimState, TenantState};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext, CONFIG_LOAD_CYCLES};
 use planaria_workload::{Request, SimResult, VecSink};
@@ -29,9 +27,18 @@ use std::sync::Arc;
 /// How the engine assigns the chip to queued tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulingMode {
-    /// The paper's Algorithm 1: QoS-aware spatial co-location.
+    /// The paper's Algorithm 1: QoS-aware spatial co-location. Each
+    /// estimate scan is seeded from the tenant's memo ([`seed`]), and
+    /// queued tenants sleep in the kernel until they can change.
     #[default]
     Spatial,
+    /// Algorithm 1 as the paper states it, and the scheduler's one
+    /// oracle: at every event every tenant scans `ESTIMATERESOURCES`
+    /// from 1, no memo is read or written, and no tenant sleeps. Its
+    /// results are bit-identical to [`Spatial`](Self::Spatial)'s; only
+    /// the scheduler's work differs. The `incremental_equivalence` test
+    /// and the `scale` bench race against it.
+    FullRescan,
     /// Ablation: the fission hardware without spatial scheduling — the
     /// whole chip goes to the oldest queued task (per-layer fission still
     /// applies inside each run).
@@ -43,7 +50,6 @@ pub enum SchedulingMode {
 pub struct PlanariaEngine {
     library: CompiledLibrary,
     mode: SchedulingMode,
-    incremental: bool,
 }
 
 impl PlanariaEngine {
@@ -55,7 +61,6 @@ impl PlanariaEngine {
         Self {
             library: CompiledLibrary::clone(&CompiledLibrary::shared_for(&cfg)),
             mode: SchedulingMode::Spatial,
-            incremental: true,
         }
     }
 
@@ -65,25 +70,13 @@ impl PlanariaEngine {
         Self {
             library,
             mode: SchedulingMode::Spatial,
-            incremental: true,
         }
     }
 
-    /// Selects the scheduling mode (ablation hook).
+    /// Selects the scheduling mode (default [`SchedulingMode::Spatial`]):
+    /// the full-rescan oracle or the ExclusiveFifo ablation.
     pub fn with_mode(mut self, mode: SchedulingMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Toggles incremental Algorithm 1 (default **on**). With `false`, every
-    /// scheduling event rescans `ESTIMATERESOURCES` from 1 for every tenant
-    /// and never reads or writes the estimate memo — the paper's scan
-    /// verbatim, and the scheduler's one oracle: the
-    /// `incremental_equivalence` property test and the `scale` bench race
-    /// against it. Both settings produce bit-identical results; the knob
-    /// only trades scheduler work.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
         self
     }
 
@@ -143,7 +136,6 @@ impl PlanariaEngine {
             // Derived once per policy, not per event: the urgency clamp
             // is 1 µs of this chip's clock.
             min_slack: min_slack_cycles(self.cfg().freq_hz),
-            incremental: self.incremental,
             p_max: 0,
             chip: Chip::new(*self.cfg()),
             s: Scratch::default(),
@@ -161,24 +153,21 @@ impl PlanariaEngine {
 ///
 /// An event costs one estimate per awake tenant, and placement and apply
 /// work only for the tenants that hold subarrays or are granted some.
-/// The incremental scheduler puts every tenant that stays queued to
-/// sleep. One past its deadline is parked ([`SimState::park`]): its
-/// estimate is the whole chip and its unfit-path rank depends on its
-/// priority alone, so only the best parked tenant can be granted, and it
-/// alone joins the next event's columns. One with slack left waits
-/// ([`SimState::wait`]): when the columns and the waiting tenants cannot
-/// all fit, the unfit pack visits the waiting ones in deadline order and
-/// stops at the first whose best possible score cannot enter the packing
-/// prefix. The rest of a deep backlog sleeps untouched.
+/// The [`Spatial`](SchedulingMode::Spatial) scheduler puts every tenant
+/// that stays queued to sleep. One past its deadline is parked
+/// ([`SimState::park`]): its estimate is the whole chip and its
+/// unfit-path rank depends on its priority alone, so only the best parked
+/// tenant can be granted, and it alone joins the next event's columns.
+/// One with slack left waits ([`SimState::wait`]): when the columns and
+/// the waiting tenants cannot all fit, the unfit pack visits the waiting
+/// ones in deadline order and stops at the first whose best possible
+/// score cannot enter the packing prefix. The rest of a deep backlog
+/// sleeps untouched.
 pub struct SpatialPolicy<'a> {
     library: &'a CompiledLibrary,
     mode: SchedulingMode,
     /// Unfit-path urgency clamp: 1 µs of this chip's clock, in cycles.
     min_slack: i64,
-    /// Seed each estimate scan from the tenant's memo ([`seed`]). Off,
-    /// this is the full-rescan oracle: every tenant scans from 1, no memo
-    /// is read or written, and no tenant sleeps.
-    incremental: bool,
     /// The highest priority seen on any column so far. Every waiting
     /// tenant was a column before it slept, so `P_max / slack` bounds
     /// its unfit-path score from above.
@@ -223,13 +212,13 @@ fn slack_cycles(deadline: Cycles, now: Cycles) -> i64 {
 }
 
 /// `ESTIMATERESOURCES` for `t` at `slack` on a chip of `total`
-/// subarrays, as `(estimate, fit)`. Incremental, the scan is seeded from
+/// subarrays, as `(estimate, fit)`. With `memo`, the scan is seeded from
 /// the tenant's memo ([`seed`]) and refreshes it; otherwise it runs from
 /// 1 and leaves the memo alone. Exact hits skip the view and the refresh:
 /// the queued-majority fastpath never pays the `fraction_done` division,
 /// and the memo already holds what a refresh would write.
-fn estimate(t: &mut TenantState, slack: i64, total: u32, incremental: bool) -> (u32, Cycles) {
-    let seeded = if incremental {
+fn estimate(t: &mut TenantState, slack: i64, total: u32, memo: bool) -> (u32, Cycles) {
+    let seeded = if memo {
         seed(t.memo.as_ref(), t.work_done, t.work_total, slack, total)
     } else {
         Seed::Floor(1)
@@ -244,7 +233,7 @@ fn estimate(t: &mut TenantState, slack: i64, total: u32, incremental: bool) -> (
                 compiled: &t.compiled,
             };
             let (est, fit) = view.estimate_resources_with_fit(floor, total);
-            if incremental {
+            if memo {
                 t.memo = Some(FloorEntry {
                     floor: est,
                     done: t.work_done,
@@ -345,11 +334,12 @@ impl SpatialPolicy<'_> {
         s.slacks.clear();
         s.estimates.clear();
         s.fit.clear();
+        let memo = self.mode == SchedulingMode::Spatial;
         let tenants = sim.tenants_mut();
         for &i in &s.cols {
             let t = &mut tenants[i];
             let slack = slack_cycles(t.deadline_cycle, now);
-            let (est, fit) = estimate(t, slack, total, self.incremental);
+            let (est, fit) = estimate(t, slack, total, memo);
             self.p_max = self.p_max.max(t.request.priority);
             s.priorities.push(t.request.priority);
             s.slacks.push(slack);
@@ -423,7 +413,9 @@ impl EnginePolicy for SpatialPolicy<'_> {
         self.s.alloc.clear();
         // The best parked tenant's position while it sleeps.
         let mut asleep = match self.mode {
-            SchedulingMode::Spatial => self.allocate_spatially(sim, now, total),
+            SchedulingMode::Spatial | SchedulingMode::FullRescan => {
+                self.allocate_spatially(sim, now, total)
+            }
             SchedulingMode::ExclusiveFifo => {
                 let asleep = self.fill_columns(sim);
                 let s = &mut self.s;
@@ -451,16 +443,15 @@ impl EnginePolicy for SpatialPolicy<'_> {
 
         // Only tenants that hold subarrays or are granted some can change.
         // Every other tenant was queued and stays queued: it gets no
-        // claim, no placement, no table switch and no telemetry event, and
-        // its mask is already 0. Ascending position order keeps
-        // `Chip::place` and the recorded events in the sequence a walk
-        // over every tenant produces.
+        // claim, no placement, no table switch and no telemetry event.
+        // Ascending position order keeps `Chip::place` and the recorded
+        // events in the sequence a walk over every tenant produces.
         s.movers.clear();
         s.movers.extend(
             s.cols
                 .iter()
                 .zip(&s.alloc)
-                .filter(|(&i, &a)| tenants[i].alloc > 0 || a > 0)
+                .filter(|(&i, &a)| tenants[i].placement.is_some() || a > 0)
                 .map(|(&i, &a)| (i, a)),
         );
         let movers = s.movers.len();
@@ -475,16 +466,13 @@ impl EnginePolicy for SpatialPolicy<'_> {
         s.keep.clear();
         s.keep.resize(movers, false);
         for (k, &(i, a)) in s.movers.iter().enumerate() {
-            let t = &tenants[i];
-            let kept_count = a == t.alloc || (t.alloc > 0 && a == t.alloc + 1);
-            if kept_count && t.alloc > 0 {
-                if let Some(p) = &t.placement {
-                    if p.len() == t.alloc {
-                        // Re-claim the exact segment.
-                        let claimed = chip.claim(p);
-                        debug_assert!(claimed);
-                        s.keep[k] = true;
-                    }
+            if let Some(p) = &tenants[i].placement {
+                if a == p.len() || a == p.len() + 1 {
+                    // Re-claim the exact segment (growing by one is
+                    // hysteresis, below).
+                    let claimed = chip.claim(p);
+                    debug_assert!(claimed);
+                    s.keep[k] = true;
                 }
             }
         }
@@ -545,33 +533,29 @@ impl EnginePolicy for SpatialPolicy<'_> {
         let telemetry_on = c.is_enabled();
         for (k, &(i, a)) in s.movers.iter().enumerate() {
             let t = &mut tenants[i];
-            let old_mask = t.mask;
+            let old = t.placement;
+            let alloc = t.alloc();
             if !s.keep[k] {
                 t.placement = s.placements[k].take();
             }
-            if telemetry_on {
-                // The mask is telemetry-only; skip it on the NullCollector
-                // hot path (it is never read there).
-                t.mask = subarray_mask(t.placement.as_ref());
-            }
-            if a == t.alloc && !s.migrated[k] {
+            if a == alloc && !s.migrated[k] {
                 continue;
             }
             // Hysteresis: growing a running tenant by a single subarray is
             // not worth a drain + checkpoint + refill cycle; keep the old
             // allocation (this only releases capacity, never over-commits).
-            if t.alloc > 0 && a == t.alloc + 1 && !s.migrated[k] {
+            if alloc > 0 && a == alloc + 1 && !s.migrated[k] {
                 continue;
             }
             if telemetry_on {
                 // Close the execution slice the tenant just left.
-                if t.alloc > 0 {
+                if let Some(p) = old {
                     c.record(
                         now,
                         Event::ExecSlice {
                             tenant: t.request.id,
-                            subarrays: t.alloc,
-                            mask: old_mask,
+                            subarrays: p.len(),
+                            mask: p.mask(),
                             start: t.slice_start,
                             duration: now.saturating_sub(t.slice_start),
                         },
@@ -581,12 +565,12 @@ impl EnginePolicy for SpatialPolicy<'_> {
                     now,
                     Event::Allocation {
                         tenant: t.request.id,
-                        from: t.alloc,
+                        from: alloc,
                         to: a,
-                        mask: t.mask,
+                        mask: t.placement.map_or(0, |p| p.mask()),
                     },
                 );
-                if t.alloc == 0 && a > 0 {
+                if alloc == 0 && a > 0 {
                     // Leaving the queue: emit the closed wait interval.
                     let wait = now.saturating_sub(t.queued_since);
                     c.record(
@@ -611,11 +595,11 @@ impl EnginePolicy for SpatialPolicy<'_> {
             } else {
                 t.queued_since = now;
             }
-            if t.alloc > 0 && !t.work_done.is_zero() && t.work_done < t.work_total {
+            if alloc > 0 && !t.work_done.is_zero() && t.work_done < t.work_total {
                 // Preempted or resized mid-flight: finish the in-flight
                 // tile, checkpoint it, swap configurations, refill.
                 let (boundary, tile_bytes, cost) = {
-                    let old_table = t.compiled.table(t.alloc);
+                    let old_table = t.compiled.table(alloc);
                     let pos = old_table.position(t.fraction_done());
                     let old_arr = old_table.layers()[pos.layer].arrangement;
                     let new_arr = if a > 0 {
@@ -623,7 +607,7 @@ impl EnginePolicy for SpatialPolicy<'_> {
                     } else {
                         old_arr
                     };
-                    let ctx = ExecContext::for_allocation(&cfg, t.alloc.max(1));
+                    let ctx = ExecContext::for_allocation(&cfg, alloc.max(1));
                     let cost = reconfiguration_cycles(&ctx, old_arr, new_arr, pos.tile_bytes);
                     (pos.cycles_to_boundary, pos.tile_bytes, cost)
                 };
@@ -649,13 +633,13 @@ impl EnginePolicy for SpatialPolicy<'_> {
                     c.sample(Metric::ReconfigCycles, cost.total().as_f64());
                 }
                 t.overhead += boundary + cost.total();
-            } else if a > 0 && t.alloc == 0 {
+            } else if a > 0 && alloc == 0 {
                 // Fresh start on a new logical accelerator: pipeline fill
                 // is already inside the table; charge the configuration
                 // load only.
                 t.overhead += CONFIG_LOAD_CYCLES;
             }
-            t.alloc = a;
+            debug_assert_eq!(t.alloc(), a, "a changed tenant holds its grant");
             if a > 0 {
                 // Progress is a work *fraction*; the new table rescales it
                 // exactly (no-op when the table is unchanged).
@@ -673,10 +657,10 @@ impl EnginePolicy for SpatialPolicy<'_> {
         // queued tenant's work counters — a tenant preempted just now
         // only owes more overhead. The full-rescan oracle writes no memo,
         // so it never puts a tenant to sleep.
-        if self.incremental && self.mode == SchedulingMode::Spatial {
+        if self.mode == SchedulingMode::Spatial {
             for &i in &s.cols {
                 let t = &sim.tenants()[i];
-                if asleep == Some(i) || t.alloc > 0 {
+                if asleep == Some(i) || t.placement.is_some() {
                     continue;
                 }
                 if slack_cycles(t.deadline_cycle, now) < 0 {
@@ -694,7 +678,7 @@ impl EnginePolicy for SpatialPolicy<'_> {
             c.add(Counter::SchedulingEvents, 1);
             let (mut queued, mut used) = (sim.parked_len() + sim.waiting_len(), 0u32);
             for &i in sim.awake() {
-                let a = sim.tenants()[i].alloc;
+                let a = sim.tenants()[i].alloc();
                 queued += usize::from(a == 0);
                 used += a;
             }

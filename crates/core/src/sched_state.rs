@@ -31,9 +31,9 @@
 //! Every case returns the pair a scan from 1 returns (DESIGN.md §5f;
 //! pinned by the `incremental_equivalence` property test), so the
 //! incremental scheduler is result-exact, not approximate. The
-//! full-rescan oracle (`PlanariaEngine::with_incremental(false)`) never
-//! calls [`seed`] and never writes the memo: every tenant scans from 1,
-//! the paper's `ESTIMATERESOURCES` verbatim.
+//! full-rescan oracle (`SchedulingMode::FullRescan`) never calls [`seed`]
+//! and never writes the memo: every tenant scans from 1, the paper's
+//! `ESTIMATERESOURCES` verbatim.
 //!
 //! **Parking.** After each event the incremental policy parks every
 //! queued tenant with a negative slack (`SimState::park`). Both rules
@@ -101,7 +101,7 @@ pub fn seed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::PlanariaEngine;
+    use crate::engine::{PlanariaEngine, SchedulingMode};
     use crate::scheduler::SchedTask;
     use planaria_arch::AcceleratorConfig;
     use planaria_compiler::{compile, CompiledDnn};
@@ -153,12 +153,12 @@ mod tests {
 
     /// `(memos, most parked, most waiting)` over a bursty QoS-Hard run
     /// whose backlog waits past its deadlines.
-    fn watch(incremental: bool) -> (usize, usize, usize) {
+    fn watch(mode: SchedulingMode) -> (usize, usize, usize) {
         let cfg = AcceleratorConfig::planaria();
         let trace = TraceConfig::new(Scenario::C, QosLevel::Hard, 2000.0, 300, 3)
             .with_burstiness(6.0)
             .generate();
-        let engine = PlanariaEngine::new(cfg).with_incremental(incremental);
+        let engine = PlanariaEngine::new(cfg).with_mode(mode);
         let mut watch = MemoWatch {
             inner: engine.spatial_policy(),
             memos: 0,
@@ -177,16 +177,23 @@ mod tests {
 
     #[test]
     fn full_rescan_memo_never_remembers() {
-        assert_eq!(watch(false).0, 0, "the oracle wrote a memo");
-        assert!(watch(true).0 > 0, "the incremental policy memoized nothing");
+        assert_eq!(
+            watch(SchedulingMode::FullRescan).0,
+            0,
+            "the oracle wrote a memo"
+        );
+        assert!(
+            watch(SchedulingMode::Spatial).0 > 0,
+            "the incremental policy memoized nothing"
+        );
     }
 
     #[test]
     fn full_rescan_never_parks() {
-        let (_, parked, waiting) = watch(false);
+        let (_, parked, waiting) = watch(SchedulingMode::FullRescan);
         assert_eq!(parked, 0, "the oracle parked a tenant");
         assert_eq!(waiting, 0, "the oracle let a tenant wait");
-        let (_, parked, waiting) = watch(true);
+        let (_, parked, waiting) = watch(SchedulingMode::Spatial);
         assert!(parked > 0, "the incremental policy parked nothing");
         assert!(waiting > 0, "the incremental policy let nothing wait");
     }

@@ -6,14 +6,14 @@
 //! module keeps only PREMA's *decisions*: token accrual, the
 //! threshold + shortest-job pick, and the context-switch cost a
 //! preemption charges to the incoming job. The monolithic chip maps onto
-//! the kernel as "the runner holds every subarray" (`alloc = total`),
-//! so retirement, busy-time and completion logic are shared with
-//! Planaria verbatim.
+//! the kernel as "the runner's placement is the whole ring", so
+//! retirement, busy-time and completion logic are shared with Planaria
+//! verbatim.
 
-use crate::policy::{pick_with_threshold, Policy, PolicyTask};
-use planaria_arch::{AcceleratorConfig, Arrangement};
+use crate::policy::{pick_with_threshold, queued_tokens, Policy, PolicyTask};
+use planaria_arch::{AcceleratorConfig, Allocation, Arrangement};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
-use planaria_sim::{full_mask, run_streamed_sink, EnginePolicy, SimClock, SimState};
+use planaria_sim::{run_streamed_sink, EnginePolicy, SimClock, SimState};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext};
 use planaria_workload::{Request, SimResult, VecSink};
@@ -129,9 +129,7 @@ impl PremaEngine {
                 .get(),
             ctx: ExecContext::full_chip(cfg),
             mono: Arrangement::monolithic(total),
-            mask: full_mask(total),
-            total,
-            views: Vec::new(),
+            ring: Allocation::contiguous(0, total, total),
         }
     }
 }
@@ -139,10 +137,12 @@ impl PremaEngine {
 /// The PREMA scheduling policy plugged into the kernel: token-based
 /// temporal multiplexing of the whole chip.
 ///
-/// The runner is the one tenant holding subarrays (`alloc = total`;
-/// everyone else has `alloc = 0`), and each tenant's tokens live on its
-/// record ([`TenantState::tokens`]), so the policy keeps no state across
-/// events beyond its scratch buffer.
+/// The runner is the one tenant with a placement, the whole ring. Each
+/// tenant's tokens live on its record ([`TenantState::tokens`]): they are
+/// banked when the tenant is granted the chip and frozen while it runs,
+/// and a queued tenant's are read lazily from `queued_since`. So the
+/// policy keeps no state across events, and an event writes only the
+/// incumbent and the incoming tenant.
 ///
 /// [`TenantState::tokens`]: planaria_sim::TenantState::tokens
 pub struct TemporalPolicy<'a> {
@@ -152,12 +152,8 @@ pub struct TemporalPolicy<'a> {
     threshold: u64,
     ctx: ExecContext,
     mono: Arrangement,
-    /// The whole-chip placement bitmask every runner owns.
-    mask: u128,
-    total: u32,
-    /// Reusable per-event policy view buffer (grows to the live-tenant
-    /// high-water mark once; steady-state events allocate nothing).
-    views: Vec<PolicyTask>,
+    /// The whole ring, every runner's placement.
+    ring: Allocation,
 }
 
 impl EnginePolicy for TemporalPolicy<'_> {
@@ -168,34 +164,35 @@ impl EnginePolicy for TemporalPolicy<'_> {
     fn admit_subarrays(&self) -> u32 {
         // The monolithic baseline has exactly one configuration table;
         // seed work accounting with it directly (never rescaled).
-        self.total
+        self.ring.len()
     }
 
     fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
         let now = sim.now;
-        // Find the runner (the kernel retires a finished one, freeing the
-        // chip) and accrue tokens for waiting tenants; the runner does
-        // not collect. The view buffer is owned scratch: cleared, not
-        // reallocated, per event.
+        let total = self.ring.len();
+        // One read-only pass finds the runner (the kernel retires a
+        // finished one, freeing the chip) and the pick. The runner's
+        // tokens are frozen; a queued tenant's accrue from `queued_since`.
         let mut running_idx = None;
-        self.views.clear();
-        for (i, t) in sim.tenants_mut().iter_mut().enumerate() {
-            if t.alloc > 0 {
+        let tasks = sim.tenants().iter().enumerate().map(|(i, t)| {
+            let tokens = if t.placement.is_some() {
                 running_idx = Some(i);
-                t.tokens.last_update = now;
+                t.tokens
             } else {
-                t.tokens.accrue(t.request.priority, now);
-            }
-            self.views.push(PolicyTask {
+                queued_tokens(
+                    t.tokens,
+                    t.request.priority,
+                    now.saturating_sub(t.queued_since),
+                )
+            };
+            PolicyTask {
                 index: i,
-                tokens: t.tokens.tokens,
+                tokens,
                 arrival: t.arrival_cycle,
                 remaining: t.remaining(),
-            });
-        }
-
-        // Policy decision (a scheduling event fired).
-        let chosen_idx = pick_with_threshold(self.policy, &self.views, self.threshold);
+            }
+        });
+        let chosen_idx = pick_with_threshold(self.policy, tasks, self.threshold);
         if chosen_idx != running_idx {
             if let Some(cur) = running_idx {
                 // The incumbent loses the accelerator mid-flight.
@@ -205,8 +202,8 @@ impl EnginePolicy for TemporalPolicy<'_> {
                         now,
                         Event::ExecSlice {
                             tenant: t.request.id,
-                            subarrays: self.total,
-                            mask: self.mask,
+                            subarrays: total,
+                            mask: self.ring.mask(),
                             start: t.slice_start,
                             duration: now.saturating_sub(t.slice_start),
                         },
@@ -215,7 +212,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
                         now,
                         Event::Allocation {
                             tenant: t.request.id,
-                            from: self.total,
+                            from: total,
                             to: 0,
                             mask: 0,
                         },
@@ -223,8 +220,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
                 }
                 let t = &mut sim.tenants_mut()[cur];
                 t.queued_since = now;
-                t.alloc = 0;
-                t.mask = 0;
+                t.placement = None;
             }
             if let Some(next) = chosen_idx {
                 // Context switch: checkpoint the preempted job's tile and
@@ -232,7 +228,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
                 if let Some(cur) = running_idx {
                     let cost = {
                         let t = &sim.tenants()[cur];
-                        let pos = t.compiled.table(self.total).position(t.fraction_done());
+                        let pos = t.compiled.table(total).position(t.fraction_done());
                         reconfiguration_cycles(&self.ctx, self.mono, self.mono, pos.tile_bytes)
                     };
                     if c.is_enabled() {
@@ -250,8 +246,8 @@ impl EnginePolicy for TemporalPolicy<'_> {
                     sim.tenants_mut()[next].overhead += cost.total();
                 }
                 let t = &mut sim.tenants_mut()[next];
+                let wait = now.saturating_sub(t.queued_since);
                 if c.is_enabled() {
-                    let wait = now.saturating_sub(t.queued_since);
                     c.record(
                         now,
                         Event::QueueWait {
@@ -265,16 +261,18 @@ impl EnginePolicy for TemporalPolicy<'_> {
                         Event::Allocation {
                             tenant: t.request.id,
                             from: 0,
-                            to: self.total,
-                            mask: self.mask,
+                            to: total,
+                            mask: self.ring.mask(),
                         },
                     );
                     c.sample(Metric::QueueWaitCycles, wait.as_f64());
-                    c.sample(Metric::AllocationSize, f64::from(self.total));
+                    c.sample(Metric::AllocationSize, f64::from(total));
                 }
+                // Bank the tokens earned in the queue; they stay frozen
+                // while the tenant runs.
+                t.tokens = queued_tokens(t.tokens, t.request.priority, wait);
                 t.slice_start = now;
-                t.alloc = self.total;
-                t.mask = self.mask;
+                t.placement = Some(self.ring);
             }
         }
         if c.is_enabled() {

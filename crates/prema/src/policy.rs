@@ -10,8 +10,6 @@
 //! seconds-based policy).
 
 use planaria_model::units::Cycles;
-/// Per-task token bookkeeping, kept on each tenant's record.
-pub use planaria_sim::TokenState;
 
 /// Temporal scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,34 +44,43 @@ pub struct PolicyTask {
 /// is not adversarially tuned.)
 pub const TOKEN_THRESHOLD: f64 = 0.06;
 
-/// Picks the next task to occupy the accelerator; `None` when the queue
-/// is empty. `threshold` is the starvation bar in token units
-/// (priority-weighted cycles), used only by [`Policy::Prema`].
-pub fn pick_with_threshold(policy: Policy, tasks: &[PolicyTask], threshold: u64) -> Option<usize> {
-    if tasks.is_empty() {
-        return None;
-    }
-    match policy {
-        Policy::Fcfs => tasks.iter().min_by_key(|t| t.arrival).map(|t| t.index),
-        Policy::Sjf => tasks.iter().min_by_key(|t| t.remaining).map(|t| t.index),
-        Policy::Prema => {
-            // Starved tasks (tokens over the threshold) form the candidate
-            // set, shortest predicted job first; with nobody starved the
-            // policy degenerates to throughput-maximizing SJF over the
-            // whole queue.
-            let any_starved = tasks.iter().any(|t| t.tokens >= threshold);
-            tasks
-                .iter()
-                .filter(|t| !any_starved || t.tokens >= threshold)
-                .min_by_key(|t| t.remaining)
-                .map(|t| t.index)
-        }
-    }
+/// A queued task's tokens: the `banked` tokens it held when it was last
+/// granted the chip (zero at admission) plus `priority` per cycle of the
+/// `waited` cycles it has queued since, saturating.
+///
+/// Accruing the same tokens event by event, saturating at each step,
+/// gives this value bit for bit: every term is non-negative, so an
+/// unsaturated sum is exact and a saturated one stays at `u64::MAX`.
+#[inline]
+pub(crate) fn queued_tokens(banked: u64, priority: u32, waited: Cycles) -> u64 {
+    banked.saturating_add(u64::from(priority).saturating_mul(waited.get()))
+}
+
+/// Picks the next task to occupy the accelerator in one pass; `None` when
+/// there is no task. `threshold` is the starvation bar in token units
+/// (priority-weighted cycles), used only by [`Policy::Prema`]. Ties go
+/// to the first task in iteration order.
+pub fn pick_with_threshold(
+    policy: Policy,
+    tasks: impl IntoIterator<Item = PolicyTask>,
+    threshold: u64,
+) -> Option<usize> {
+    let tasks = tasks.into_iter();
+    let pick = match policy {
+        Policy::Fcfs => tasks.min_by_key(|t| t.arrival),
+        Policy::Sjf => tasks.min_by_key(|t| t.remaining),
+        // Starved tasks (tokens at or over the threshold) rank first,
+        // shortest predicted job first; with nobody starved the policy
+        // degenerates to throughput-maximizing SJF over the whole queue.
+        Policy::Prema => tasks.min_by_key(|t| (t.tokens < threshold, t.remaining)),
+    };
+    pick.map(|t| t.index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use planaria_model::SplitMix64;
 
     fn task(index: usize, tokens: u64, arrival: u64, remaining: u64) -> PolicyTask {
         PolicyTask {
@@ -86,34 +93,121 @@ mod tests {
 
     #[test]
     fn tokens_accrue_with_priority_and_time() {
-        let mut s = TokenState::default();
-        s.accrue(5, Cycles::new(2));
-        assert_eq!(s.tokens, 10);
-        s.accrue(5, Cycles::new(3));
-        assert_eq!(s.tokens, 15);
-        assert_eq!(s.last_update, Cycles::new(3));
+        // Priority 5, queued since cycle 0: 10 tokens at cycle 2, 15 at 3.
+        assert_eq!(queued_tokens(0, 5, Cycles::new(2)), 10);
+        assert_eq!(queued_tokens(0, 5, Cycles::new(3)), 15);
+        // Banked tokens carry over a grant; a fresh queue adds to them.
+        assert_eq!(queued_tokens(10, 5, Cycles::ZERO), 10);
+        assert_eq!(queued_tokens(10, 5, Cycles::new(1)), 15);
     }
 
     #[test]
     fn accrual_saturates_instead_of_overflowing() {
-        let mut s = TokenState {
-            tokens: u64::MAX - 1,
-            last_update: Cycles::ZERO,
-        };
-        s.accrue(11, Cycles::new(u64::MAX));
-        assert_eq!(s.tokens, u64::MAX);
+        assert_eq!(
+            queued_tokens(u64::MAX - 1, 11, Cycles::new(u64::MAX)),
+            u64::MAX
+        );
+        // The product alone overflows, and so does the sum alone.
+        assert_eq!(queued_tokens(0, 11, Cycles::new(u64::MAX)), u64::MAX);
+        assert_eq!(queued_tokens(u64::MAX - 1, 1, Cycles::new(2)), u64::MAX);
+        assert_eq!(queued_tokens(u64::MAX - 1, 1, Cycles::new(1)), u64::MAX);
+    }
+
+    /// The per-event accrual lazy tokens replaced, kept as the reference:
+    /// at every event a queued task adds `priority × (now − last_update)`
+    /// saturating, and the runner only moves `last_update`.
+    struct PerEvent {
+        tokens: u64,
+        last_update: Cycles,
+    }
+
+    impl PerEvent {
+        fn accrue(&mut self, priority: u32, now: Cycles) {
+            let waited = now.saturating_sub(self.last_update);
+            self.tokens = self
+                .tokens
+                .saturating_add(u64::from(priority).saturating_mul(waited.get()));
+            self.last_update = now;
+        }
+    }
+
+    /// A random value below `2^max_bits` whose bit length is close to
+    /// uniform, so tiny, large and saturating values all occur.
+    fn log_uniform(rng: &mut SplitMix64, max_bits: u64) -> u64 {
+        rng.next_u64() >> (64 - max_bits + rng.next_below(max_bits))
+    }
+
+    #[test]
+    fn lazy_tokens_equal_per_event_accrual() {
+        // A task starts queued with banked tokens up to `u64::MAX`, then
+        // alternates queued and running spans of random event counts, each
+        // event up to 2^62 cycles after the last. The engine's rule: a
+        // grant banks `queued_tokens` at `now`, a preemption restarts
+        // `queued_since`.
+        let mut rng = SplitMix64::new(0x70ce_a55e_5a7e_0001);
+        let (mut saturated, mut exact) = (0, 0);
+        for case in 0..4_000 {
+            let priority = rng.next_range(1, 11) as u32;
+            let mut now = Cycles::new(log_uniform(&mut rng, 62));
+            let mut banked = log_uniform(&mut rng, 64);
+            let mut queued_since = now;
+            let mut running = false;
+            let mut reference = PerEvent {
+                tokens: banked,
+                last_update: now,
+            };
+            for event in 0..rng.next_range(1, 24) {
+                let span = if rng.next_bool(0.1) {
+                    0
+                } else {
+                    log_uniform(&mut rng, 62)
+                };
+                let Some(at) = now.get().checked_add(span) else {
+                    break;
+                };
+                now = Cycles::new(at);
+                let lazy = if running {
+                    reference.last_update = now;
+                    banked
+                } else {
+                    reference.accrue(priority, now);
+                    queued_tokens(banked, priority, now.saturating_sub(queued_since))
+                };
+                assert_eq!(
+                    lazy, reference.tokens,
+                    "case {case}, event {event}, priority {priority}"
+                );
+                if lazy == u64::MAX {
+                    saturated += 1;
+                } else {
+                    exact += 1;
+                }
+                if rng.next_bool(0.4) {
+                    if running {
+                        queued_since = now;
+                    } else {
+                        banked = lazy;
+                    }
+                    running = !running;
+                }
+            }
+        }
+        assert!(
+            saturated > 1_000 && exact > 1_000,
+            "{saturated} saturated, {exact} exact"
+        );
     }
 
     #[test]
     fn fcfs_takes_earliest_arrival() {
         let tasks = [task(0, 0, 5, 1), task(1, 100, 2, 9)];
-        assert_eq!(pick_with_threshold(Policy::Fcfs, &tasks, 50), Some(1));
+        assert_eq!(pick_with_threshold(Policy::Fcfs, tasks, 50), Some(1));
     }
 
     #[test]
     fn sjf_takes_shortest() {
         let tasks = [task(0, 0, 5, 1), task(1, 100, 2, 9)];
-        assert_eq!(pick_with_threshold(Policy::Sjf, &tasks, 50), Some(0));
+        assert_eq!(pick_with_threshold(Policy::Sjf, tasks, 50), Some(0));
     }
 
     #[test]
@@ -122,13 +216,13 @@ mod tests {
         // shorter. Task 0 has few tokens and is excluded even though it is
         // shortest overall.
         let tasks = [task(0, 1, 0, 10), task(1, 100, 0, 900), task(2, 95, 0, 200)];
-        assert_eq!(pick_with_threshold(Policy::Prema, &tasks, 50), Some(2));
+        assert_eq!(pick_with_threshold(Policy::Prema, tasks, 50), Some(2));
     }
 
     #[test]
     fn prema_runs_sjf_when_nobody_is_starved() {
         let tasks = [task(0, 10, 0, 500), task(1, 20, 0, 200)];
-        assert_eq!(pick_with_threshold(Policy::Prema, &tasks, 50), Some(1));
+        assert_eq!(pick_with_threshold(Policy::Prema, tasks, 50), Some(1));
     }
 
     #[test]
@@ -136,13 +230,13 @@ mod tests {
         // Deterministic tie-break: equal minima pick the earliest index in
         // the caller's list (the kernel's admission order).
         let tasks = [task(3, 0, 7, 4), task(9, 0, 7, 4)];
-        assert_eq!(pick_with_threshold(Policy::Fcfs, &tasks, 50), Some(3));
-        assert_eq!(pick_with_threshold(Policy::Sjf, &tasks, 50), Some(3));
-        assert_eq!(pick_with_threshold(Policy::Prema, &tasks, 50), Some(3));
+        assert_eq!(pick_with_threshold(Policy::Fcfs, tasks, 50), Some(3));
+        assert_eq!(pick_with_threshold(Policy::Sjf, tasks, 50), Some(3));
+        assert_eq!(pick_with_threshold(Policy::Prema, tasks, 50), Some(3));
     }
 
     #[test]
     fn empty_queue_picks_nothing() {
-        assert_eq!(pick_with_threshold(Policy::Prema, &[], 50), None);
+        assert_eq!(pick_with_threshold(Policy::Prema, [], 50), None);
     }
 }

@@ -489,7 +489,7 @@ mod tests {
 
         fn reschedule<C: Collector>(&mut self, sim: &mut SimState, _c: &mut C) {
             let total = sim.total_subarrays();
-            if sim.tenants().iter().any(|t| t.alloc > 0) {
+            if sim.tenants().iter().any(|t| t.placement.is_some()) {
                 return;
             }
             let Some(i) = sim
@@ -503,7 +503,7 @@ mod tests {
             };
             let now = sim.now;
             let t = &mut sim.tenants_mut()[i];
-            t.alloc = total;
+            t.placement = Some(planaria_arch::Allocation::contiguous(0, total, total));
             let (wt, en) = {
                 let table = t.compiled.table(total);
                 (table.total_cycles(), table.total_energy())

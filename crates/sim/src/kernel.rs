@@ -34,9 +34,11 @@ pub trait EnginePolicy {
     }
 
     /// Reacts to a scheduling event at `sim.now` (an arrival and/or
-    /// completion just processed): reassign `alloc`/`placement`/`mask`,
-    /// charge reconfiguration `overhead`, switch tables, and emit
-    /// engine-specific telemetry.
+    /// completion just processed): reassign placements, charge
+    /// reconfiguration `overhead`, switch tables, and emit
+    /// engine-specific telemetry. A tenant that loses its placement
+    /// restarts `queued_since`, which opens its next queue interval and
+    /// starts PREMA's token accrual.
     fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C);
 }
 
@@ -203,7 +205,10 @@ impl SimState {
             // lint: putting a tenant that is not awake to sleep is a policy bug
             .expect("only an awake tenant sleeps");
         let t = &self.tenants[i];
-        assert_eq!(t.alloc, 0, "a tenant holding subarrays cannot sleep");
+        assert!(
+            t.placement.is_none(),
+            "a tenant holding subarrays cannot sleep"
+        );
         self.asleep_remaining += t.remaining();
         self.awake.remove(at);
         self.index(i, into);
@@ -492,24 +497,25 @@ impl<S: CompletionSink> NodeKernel<S> {
                 let mut any_allocated = false;
                 for &i in &self.sim.awake {
                     let t = &mut self.sim.tenants[i];
-                    if t.alloc > 0 {
-                        any_allocated = true;
-                        if track_pods {
-                            let before = t.energy.as_pj();
-                            t.advance(dt);
-                            let delta = t.energy.as_pj() - before;
-                            if delta > 0.0 && t.mask != 0 {
-                                let share = delta / f64::from(t.mask.count_ones());
-                                let mut m = t.mask;
-                                while m != 0 {
-                                    let bit = m.trailing_zeros();
-                                    m &= m - 1;
-                                    self.pod_pj[(bit / per_pod) as usize] += share;
-                                }
+                    let Some(p) = t.placement else {
+                        continue;
+                    };
+                    any_allocated = true;
+                    if track_pods {
+                        let before = t.energy.as_pj();
+                        t.advance(dt);
+                        let delta = t.energy.as_pj() - before;
+                        if delta > 0.0 {
+                            let share = delta / f64::from(p.len());
+                            let mut m = p.mask();
+                            while m != 0 {
+                                let bit = m.trailing_zeros();
+                                m &= m - 1;
+                                self.pod_pj[(bit / per_pod) as usize] += share;
                             }
-                        } else {
-                            t.advance(dt);
                         }
+                    } else {
+                        t.advance(dt);
                     }
                 }
                 if any_allocated {
@@ -574,13 +580,13 @@ impl<S: CompletionSink> NodeKernel<S> {
                     retired_any = true;
                     let latency = now.saturating_sub(t.arrival_cycle);
                     if c.is_enabled() {
-                        if t.alloc > 0 {
+                        if let Some(p) = t.placement {
                             c.record(
                                 now,
                                 Event::ExecSlice {
                                     tenant: t.request.id,
-                                    subarrays: t.alloc,
-                                    mask: t.mask,
+                                    subarrays: p.len(),
+                                    mask: p.mask(),
                                     start: t.slice_start,
                                     duration: now.saturating_sub(t.slice_start),
                                 },
@@ -641,7 +647,7 @@ impl<S: CompletionSink> NodeKernel<S> {
                 .awake
                 .iter()
                 .map(|&i| &sim.tenants[i])
-                .filter(|t| t.alloc > 0)
+                .filter(|t| t.placement.is_some())
                 .map(|t| sim.now + t.remaining())
                 .min();
         }
@@ -717,6 +723,7 @@ pub fn run_streamed_sink<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use planaria_arch::Allocation;
     use planaria_model::DnnId;
     use planaria_telemetry::{NullCollector, RecordingCollector};
     use planaria_workload::{SimResult, VecSink};
@@ -745,7 +752,7 @@ mod tests {
 
         fn reschedule<C: Collector>(&mut self, sim: &mut SimState, _c: &mut C) {
             let total = sim.total_subarrays();
-            if sim.tenants().iter().any(|t| t.alloc > 0) {
+            if sim.tenants().iter().any(|t| t.placement.is_some()) {
                 return;
             }
             let Some(i) = sim
@@ -759,7 +766,7 @@ mod tests {
             };
             let now = sim.now;
             let t = &mut sim.tenants_mut()[i];
-            t.alloc = total;
+            t.placement = Some(Allocation::contiguous(0, total, total));
             let (wt, en) = {
                 let table = t.compiled.table(total);
                 (table.total_cycles(), table.total_energy())

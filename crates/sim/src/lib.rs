@@ -14,7 +14,8 @@
 //!   of events is total.
 //! - [`TenantState`]: the shared per-request record (work accounting in
 //!   exact cycles, reconfiguration overhead owed, accrued energy,
-//!   queue/slice timestamps, placement mask).
+//!   queue/slice timestamps, and the ring placement that is the one
+//!   record of the subarrays it holds).
 //! - [`SimClock`]: the *only* place seconds and cycles meet. Engines and
 //!   the kernel never do float time arithmetic; conversion happens once
 //!   at the trace/`SimResult` boundary (enforced by the `planaria-checks`
@@ -72,4 +73,4 @@ pub use fabric::{
     NodeLoad,
 };
 pub use kernel::{run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState};
-pub use tenant::{full_mask, subarray_mask, FloorEntry, TenantState, TokenState};
+pub use tenant::{FloorEntry, TenantState};

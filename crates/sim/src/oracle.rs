@@ -170,7 +170,7 @@ where
         let dt = t_next.saturating_sub(sim.now);
         let mut any_allocated = false;
         for t in sim.tenants_mut() {
-            if t.alloc > 0 {
+            if t.placement.is_some() {
                 any_allocated = true;
                 t.advance(dt);
             }
@@ -235,7 +235,7 @@ where
         // Push a fresh completion entry for every tenant whose estimate
         // moved; the epoch bump supersedes its previous entry.
         for t in sim.tenants() {
-            let target = if t.alloc > 0 {
+            let target = if t.placement.is_some() {
                 Some(sim.now + t.remaining())
             } else {
                 None

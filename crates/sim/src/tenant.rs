@@ -1,36 +1,10 @@
-//! The shared per-request record and placement bitmask helpers.
+//! The shared per-request record.
 
 use planaria_arch::Allocation;
 use planaria_compiler::CompiledDnn;
 use planaria_model::units::{Cycles, Picojoules};
 use planaria_workload::Request;
 use std::sync::Arc;
-
-/// Physical-placement bitmask over up to 128 subarrays (bit *i* set ⇔
-/// subarray *i* owned); 0 for no placement.
-///
-/// # Panics
-///
-/// Panics if the placement's ring has more than 128 subarrays
-/// ([`Allocation::mask`]).
-pub fn subarray_mask(p: Option<&Allocation>) -> u128 {
-    p.map_or(0, Allocation::mask)
-}
-
-/// Every subarray bit set for a chip of `n` subarrays (a monolithic
-/// baseline owns the whole chip).
-///
-/// # Panics
-///
-/// Panics if `n > 128`.
-pub fn full_mask(n: u32) -> u128 {
-    assert!(n <= 128, "chip of {n} subarrays does not fit a u128 mask");
-    if n == 128 {
-        u128::MAX
-    } else {
-        (1u128 << n) - 1
-    }
-}
 
 /// The Planaria policy's `ESTIMATERESOURCES` memo for one tenant: the
 /// last scan's answer and the work counters it was taken at.
@@ -51,26 +25,6 @@ pub struct FloorEntry {
     pub fit: Cycles,
 }
 
-/// The PREMA policy's token bookkeeping for one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TokenState {
-    /// Accumulated tokens (priority-weighted waiting cycles).
-    pub tokens: u64,
-    /// Last cycle tokens were accrued at.
-    pub last_update: Cycles,
-}
-
-impl TokenState {
-    /// Accrues `priority × waited-cycles` tokens up to `now`.
-    pub fn accrue(&mut self, priority: u32, now: Cycles) {
-        let waited = now.saturating_sub(self.last_update);
-        self.tokens = self
-            .tokens
-            .saturating_add(u64::from(priority).saturating_mul(waited.get()));
-        self.last_update = now;
-    }
-}
-
 /// One live request inside the kernel: work accounting in exact integer
 /// cycles plus the bookkeeping both engines share.
 ///
@@ -89,12 +43,10 @@ pub struct TenantState {
     pub arrival_cycle: Cycles,
     /// QoS deadline, in kernel cycles since the run origin.
     pub deadline_cycle: Cycles,
-    /// Current allocation in subarrays (0 = queued).
-    pub alloc: u32,
-    /// Physical placement on the ring (engines that model placement).
+    /// The ring segment the tenant holds, `None` while it is queued: the
+    /// one record of its subarrays ([`alloc`](Self::alloc) is its length,
+    /// [`Allocation::mask`] its telemetry bitmask).
     pub placement: Option<Allocation>,
-    /// Placement bitmask for telemetry, kept in sync by the policy.
-    pub mask: u128,
     /// Work completed under the current table, cycles.
     pub work_done: Cycles,
     /// Total work of the current table, cycles.
@@ -105,7 +57,8 @@ pub struct TenantState {
     pub overhead: Cycles,
     /// Dynamic energy accrued so far.
     pub energy: Picojoules,
-    /// When the current queue wait began (telemetry only).
+    /// When the current queue wait began: telemetry's queue intervals,
+    /// and the start of PREMA's token accrual.
     pub queued_since: Cycles,
     /// When the current execution slice began (telemetry only).
     pub slice_start: Cycles,
@@ -113,10 +66,12 @@ pub struct TenantState {
     /// It lives on the record, so it moves with the tenant through
     /// `swap_remove` retirement and dies with it. PREMA ignores it.
     pub memo: Option<FloorEntry>,
-    /// The PREMA policy's tokens, starting from zero at admission. Like
+    /// The PREMA policy's tokens as banked at the tenant's last grant,
+    /// zero at admission. While queued it has earned `priority × (now −
+    /// queued_since)` more, which the policy adds when it reads them. Like
     /// `memo`, they move with the tenant and die with it. Planaria
     /// ignores them.
-    pub tokens: TokenState,
+    pub tokens: u64,
     /// The node's admission counter at admission (see
     /// [`admission`](Self::admission)).
     admission: u64,
@@ -144,9 +99,7 @@ impl TenantState {
             compiled,
             arrival_cycle,
             deadline_cycle,
-            alloc: 0,
             placement: None,
-            mask: 0,
             work_done: Cycles::ZERO,
             work_total,
             table_energy,
@@ -155,10 +108,7 @@ impl TenantState {
             queued_since: now,
             slice_start: now,
             memo: None,
-            tokens: TokenState {
-                tokens: 0,
-                last_update: now,
-            },
+            tokens: 0,
             admission,
         }
     }
@@ -168,6 +118,12 @@ impl TenantState {
     /// so the oracle kernel keys its completion estimates by it.
     pub(crate) fn admission(&self) -> u64 {
         self.admission
+    }
+
+    /// Subarrays held: the placement's length, 0 while queued.
+    #[inline]
+    pub fn alloc(&self) -> u32 {
+        self.placement.map_or(0, |p| p.len())
     }
 
     /// Completed work fraction ∈ [0, 1].
@@ -238,45 +194,7 @@ impl TenantState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use planaria_arch::{AcceleratorConfig, Chip};
-
-    #[test]
-    fn masks_cover_the_allocation() {
-        let cfg = AcceleratorConfig::planaria();
-        let mut chip = Chip::new(cfg);
-        let p = chip.place(4).expect("empty chip places");
-        let m = subarray_mask(Some(&p));
-        assert_eq!(m.count_ones(), 4);
-        assert_eq!(subarray_mask(None), 0);
-    }
-
-    #[test]
-    fn full_mask_sets_exactly_n_bits() {
-        assert_eq!(full_mask(0), 0);
-        assert_eq!(full_mask(1), 0b1);
-        assert_eq!(full_mask(16), 0xffff);
-        assert_eq!(full_mask(64), u128::from(u64::MAX));
-        assert_eq!(full_mask(128), u128::MAX);
-        assert_eq!(full_mask(127).count_ones(), 127);
-    }
-
-    #[test]
-    fn subarray_ids_beyond_63_get_distinct_bits() {
-        // Regression for the old u64 mask: ids ≥ 63 used to alias into
-        // bit 63. A 128-granule chip must give every subarray its own bit.
-        let cfg = AcceleratorConfig::with_granularity(16);
-        assert!(cfg.num_subarrays() >= 64, "need a chip wider than 64");
-        let mut chip = Chip::new(cfg);
-        let n = cfg.num_subarrays();
-        let p = chip.place(n).expect("whole chip places");
-        let m = subarray_mask(Some(&p));
-        assert_eq!(
-            m.count_ones(),
-            n,
-            "every subarray id must map to a distinct bit"
-        );
-        assert_eq!(m, full_mask(n));
-    }
+    use planaria_arch::AcceleratorConfig;
 
     fn demo_tenant(total: u64, energy: f64) -> TenantState {
         let compiled = Arc::new(planaria_compiler::compile(

@@ -71,20 +71,26 @@ fn chips() -> [AcceleratorConfig; 2] {
     ]
 }
 
-/// Races the incremental scheduler against the full-rescan oracle on
-/// one trace, comparing results and the complete recorded stream.
+/// The mode a lane is checked against: the full rescan for the
+/// incremental scheduler. ExclusiveFifo keeps no memo and puts no tenant
+/// to sleep, so a second run of it is its own oracle.
+fn oracle_of(mode: SchedulingMode) -> SchedulingMode {
+    match mode {
+        SchedulingMode::Spatial => SchedulingMode::FullRescan,
+        other => other,
+    }
+}
+
+/// Races a scheduling mode against its oracle on one trace, comparing
+/// results and the complete recorded stream.
 fn assert_lanes_agree(
     library: &CompiledLibrary,
     mode: SchedulingMode,
     trace: &[Request],
     what: &str,
 ) {
-    let incremental = PlanariaEngine::with_library(library.clone())
-        .with_mode(mode)
-        .with_incremental(true);
-    let oracle = PlanariaEngine::with_library(library.clone())
-        .with_mode(mode)
-        .with_incremental(false);
+    let incremental = PlanariaEngine::with_library(library.clone()).with_mode(mode);
+    let oracle = PlanariaEngine::with_library(library.clone()).with_mode(oracle_of(mode));
     let what = format!(
         "{} subarrays, {mode:?}, {what}",
         library.config().num_subarrays()
@@ -171,7 +177,7 @@ fn assert_overload_agrees(requests: usize) {
     for chip in chips() {
         let library = CompiledLibrary::new(chip);
         let incremental = PlanariaEngine::with_library(library.clone());
-        let oracle = PlanariaEngine::with_library(library).with_incremental(false);
+        let oracle = PlanariaEngine::with_library(library).with_mode(SchedulingMode::FullRescan);
         let (a, b) = (incremental.run(&trace), oracle.run(&trace));
         let what = format!("{} subarrays, {cfg:?}", chip.num_subarrays());
         assert_eq!(a.completions, b.completions, "{what}: completions diverged");
@@ -236,7 +242,7 @@ fn incremental_matches_full_rescan_oracle_on_a_waiting_backlog_at_ten_thousand()
     for chip in chips() {
         let library = CompiledLibrary::new(chip);
         let incremental = PlanariaEngine::with_library(library.clone());
-        let oracle = PlanariaEngine::with_library(library).with_incremental(false);
+        let oracle = PlanariaEngine::with_library(library).with_mode(SchedulingMode::FullRescan);
         for cfg in waiting_overload(10_000)
             .into_iter()
             .filter(|cfg| cfg.qos == QosLevel::Soft)
@@ -261,13 +267,13 @@ fn fleet_backlog_matches_full_rescan_nodes_on_a_waiting_backlog() {
         .with_burstiness(6.0)
         .generate();
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
-    let fleet = |incremental: bool| {
-        let node = PlanariaEngine::with_library(library.clone()).with_incremental(incremental);
+    let fleet = |mode: SchedulingMode| {
+        let node = PlanariaEngine::with_library(library.clone()).with_mode(mode);
         Fleet::new(vec![node.clone(), node]).expect("two paper chips form a fleet")
     };
     let policy = DispatchPolicy::JoinShortestQueue;
-    let (r_inc, s_inc, rec_inc) = fleet(true).run_recorded(&trace, policy);
-    let (r_full, s_full, rec_full) = fleet(false).run_recorded(&trace, policy);
+    let (r_inc, s_inc, rec_inc) = fleet(SchedulingMode::Spatial).run_recorded(&trace, policy);
+    let (r_full, s_full, rec_full) = fleet(SchedulingMode::FullRescan).run_recorded(&trace, policy);
     assert_eq!(r_inc.digest(), r_full.digest(), "results diverged");
     assert_eq!(s_inc, s_full, "fabric stats diverged");
     assert!(rec_inc == rec_full, "fabric recordings diverged");
@@ -280,11 +286,14 @@ fn fleet_backlog_matches_full_rescan_nodes_under_overload() {
     // recording keeps every node's backlog gauge at every barrier.
     let trace = overload(3_000, 0xf1ee7).generate();
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
-    let fleet = |incremental: bool| {
-        let node = PlanariaEngine::with_library(library.clone()).with_incremental(incremental);
+    let fleet = |mode: SchedulingMode| {
+        let node = PlanariaEngine::with_library(library.clone()).with_mode(mode);
         Fleet::new(vec![node.clone(), node]).expect("two paper chips form a fleet")
     };
-    let (incremental, oracle) = (fleet(true), fleet(false));
+    let (incremental, oracle) = (
+        fleet(SchedulingMode::Spatial),
+        fleet(SchedulingMode::FullRescan),
+    );
     for policy in [DispatchPolicy::JoinShortestQueue, DispatchPolicy::LeastWork] {
         let (r_inc, s_inc, rec_inc) = incremental.run_recorded(&trace, policy);
         let (r_full, s_full, rec_full) = oracle.run_recorded(&trace, policy);
@@ -333,8 +342,8 @@ fn incremental_streamed_matches_full_rescan_materialized() {
     // The two tentpole axes composed: lazily streamed requests through the
     // incremental scheduler vs the fully materialized full-rescan path.
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
-    let fast = PlanariaEngine::with_library(library.clone()).with_incremental(true);
-    let slow = PlanariaEngine::with_library(library.clone()).with_incremental(false);
+    let fast = PlanariaEngine::with_library(library.clone());
+    let slow = PlanariaEngine::with_library(library).with_mode(SchedulingMode::FullRescan);
     let cfg =
         TraceConfig::new(Scenario::C, QosLevel::Medium, 250.0, 600, 0xabcd).with_burstiness(4.0);
     let a = fast.run(cfg.stream());

@@ -17,14 +17,101 @@
 //! the whole backlog (QoS-Hard) or lets it wait by deadline (QoS-Soft and
 //! QoS-Medium) and the kernel walks only the rest; every result must
 //! digest identically.
+//!
+//! The reference lane also audits the chip after every scheduling event
+//! ([`Audit`]): no subarray is double-booked, a sleeping tenant holds
+//! none, and a PREMA node lends its whole ring to at most one tenant.
 
-use planaria_arch::AcceleratorConfig;
+use planaria_arch::{AcceleratorConfig, Allocation};
+use planaria_compiler::CompiledDnn;
 use planaria_core::PlanariaEngine;
 use planaria_model::DnnId;
 use planaria_prema::{Policy, PremaEngine};
 use planaria_sim::oracle::run_streamed_reference;
-use planaria_telemetry::NullCollector;
-use planaria_workload::{QosLevel, Request, Scenario, TraceConfig};
+use planaria_sim::{EnginePolicy, SimState};
+use planaria_telemetry::{Collector, NullCollector};
+use planaria_workload::{QosLevel, Request, Scenario, SimResult, TraceConfig};
+use std::borrow::Borrow;
+use std::sync::Arc;
+
+/// A policy wrapper that audits the placements after every `reschedule`:
+/// live placements are pairwise disjoint and together fit on the chip,
+/// tenants outside `awake()` hold none, and with `whole_ring` (PREMA's
+/// monolithic chip) at most one tenant holds a placement, the whole ring.
+struct Audit<P> {
+    inner: P,
+    whole_ring: bool,
+}
+
+impl<P: EnginePolicy> EnginePolicy for Audit<P> {
+    fn compiled_for(&mut self, request: &Request) -> Arc<CompiledDnn> {
+        self.inner.compiled_for(request)
+    }
+
+    fn admit_subarrays(&self) -> u32 {
+        self.inner.admit_subarrays()
+    }
+
+    fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
+        self.inner.reschedule(sim, c);
+        let total = sim.total_subarrays();
+        let chip = u128::MAX >> (128 - total);
+        let (mut used, mut held, mut holders) = (0u128, 0u32, 0usize);
+        for (i, t) in sim.tenants().iter().enumerate() {
+            let Some(p) = t.placement else {
+                continue;
+            };
+            let at = (sim.now, t.request.id, i, p);
+            assert!(sim.awake().binary_search(&i).is_ok(), "asleep: {at:?}");
+            assert_eq!(used & p.mask(), 0, "subarrays double-booked: {at:?}");
+            assert_eq!(p.mask() & !chip, 0, "off the chip: {at:?}");
+            if self.whole_ring {
+                assert_eq!(p, Allocation::contiguous(0, total, total), "{at:?}");
+            }
+            used |= p.mask();
+            held += p.len();
+            holders += 1;
+        }
+        assert!(held <= total, "cycle {}: {held} of {total} held", sim.now);
+        assert!(
+            !self.whole_ring || holders <= 1,
+            "cycle {}: {holders} runners",
+            sim.now
+        );
+    }
+}
+
+/// The reference kernel's run of `policy`, audited after every event.
+fn audited_reference<P: EnginePolicy>(
+    cfg: &AcceleratorConfig,
+    trace: impl IntoIterator<Item = impl Borrow<Request>>,
+    policy: P,
+    whole_ring: bool,
+) -> SimResult {
+    let mut audit = Audit {
+        inner: policy,
+        whole_ring,
+    };
+    run_streamed_reference(cfg, trace, &mut audit, &mut NullCollector)
+}
+
+/// Planaria's reference lane on `engine`'s chip.
+fn spatial_reference(
+    engine: &PlanariaEngine,
+    trace: impl IntoIterator<Item = impl Borrow<Request>>,
+) -> SimResult {
+    let cfg = *engine.library().config();
+    audited_reference(&cfg, trace, engine.spatial_policy(), false)
+}
+
+/// PREMA's reference lane on `engine`'s monolithic chip.
+fn prema_reference(
+    engine: &PremaEngine,
+    trace: impl IntoIterator<Item = impl Borrow<Request>>,
+) -> SimResult {
+    let cfg = *engine.library().config();
+    audited_reference(&cfg, trace, engine.node_policy(), true)
+}
 
 fn assert_identical(a: &planaria_workload::SimResult, b: &planaria_workload::SimResult, tag: &str) {
     assert_eq!(a.completions, b.completions, "{tag}: completions diverged");
@@ -36,14 +123,12 @@ fn assert_identical(a: &planaria_workload::SimResult, b: &planaria_workload::Sim
 #[test]
 fn planaria_policy_matches_reference_across_the_grid() {
     let engine = PlanariaEngine::new(planaria_arch::AcceleratorConfig::planaria());
-    let cfg = *engine.library().config();
     for scenario in Scenario::ALL {
         for qos in QosLevel::ALL {
             for lambda in [40.0, 400.0] {
                 let trace = TraceConfig::new(scenario, qos, lambda, 160, 0xBEEF).generate();
                 let hot = engine.run(&trace);
-                let mut policy = engine.spatial_policy();
-                let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+                let oracle = spatial_reference(&engine, &trace);
                 assert_identical(&hot, &oracle, &format!("{scenario}/{qos}/{lambda}"));
             }
         }
@@ -56,13 +141,11 @@ fn prema_policy_matches_reference_across_the_grid() {
         planaria_arch::AcceleratorConfig::monolithic(),
         Policy::Prema,
     );
-    let cfg = *engine.library().config();
     for scenario in Scenario::ALL {
         for qos in QosLevel::ALL {
             let trace = TraceConfig::new(scenario, qos, 120.0, 160, 0xFACE).generate();
             let hot = engine.run(&trace);
-            let mut policy = engine.node_policy();
-            let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+            let oracle = prema_reference(&engine, &trace);
             assert_identical(&hot, &oracle, &format!("prema {scenario}/{qos}"));
         }
     }
@@ -74,21 +157,17 @@ fn streamed_path_matches_streamed_reference_on_a_bursty_trace() {
     // backlogs and constant re-estimation, so the heap lane carries many
     // superseded estimates past the kernel's one minimum.
     let engine = PlanariaEngine::new(planaria_arch::AcceleratorConfig::planaria());
-    let cfg = *engine.library().config();
     let trace_cfg =
         TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 5_000, 0x5ca1e).with_burstiness(6.0);
     let hot = engine.run(trace_cfg.stream());
-    let mut policy = engine.spatial_policy();
-    let oracle = run_streamed_reference(&cfg, trace_cfg.stream(), &mut policy, &mut NullCollector);
+    let oracle = spatial_reference(&engine, trace_cfg.stream());
     assert_identical(&hot, &oracle, "bursty streamed");
 
     // PREMA on the same trace: one runner, preempted as tokens build up
     // across a deep queue.
     let prema = PremaEngine::new_default();
-    let cfg = *prema.library().config();
     let hot = prema.run(trace_cfg.stream());
-    let mut policy = prema.node_policy();
-    let oracle = run_streamed_reference(&cfg, trace_cfg.stream(), &mut policy, &mut NullCollector);
+    let oracle = prema_reference(&prema, trace_cfg.stream());
     assert_identical(&hot, &oracle, "prema bursty streamed");
 }
 
@@ -109,17 +188,14 @@ fn assert_overload_matches(requests: usize) {
     ] {
         let engine = PlanariaEngine::new(chip);
         let hot = engine.run(&trace);
-        let mut policy = engine.spatial_policy();
-        let oracle = run_streamed_reference(&chip, &trace, &mut policy, &mut NullCollector);
+        let oracle = spatial_reference(&engine, &trace);
         let tag = format!("overload on {} subarrays", chip.num_subarrays());
         assert_identical(&hot, &oracle, &tag);
     }
     let trace = overload(1000.0);
     let prema = PremaEngine::new_default();
-    let cfg = *prema.library().config();
     let hot = prema.run(&trace);
-    let mut policy = prema.node_policy();
-    let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+    let oracle = prema_reference(&prema, &trace);
     assert_identical(&hot, &oracle, "prema overload");
 }
 
@@ -140,9 +216,7 @@ fn waiting_backlog_matches_reference_on_both_spatial_chips() {
                         .with_burstiness(6.0)
                         .generate();
                     let hot = engine.run(&trace);
-                    let mut policy = engine.spatial_policy();
-                    let oracle =
-                        run_streamed_reference(&chip, &trace, &mut policy, &mut NullCollector);
+                    let oracle = spatial_reference(&engine, &trace);
                     let tag = format!(
                         "{scenario}/{qos}/{lambda} on {} subarrays",
                         chip.num_subarrays()
@@ -236,17 +310,16 @@ fn stress_traces_match_reference_on_three_chips() {
     let prema = PremaEngine::new_default();
     for (name, trace) in stress_traces() {
         for engine in &spatial {
-            let cfg = *engine.library().config();
             let hot = engine.run(&trace);
-            let mut policy = engine.spatial_policy();
-            let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
-            let tag = format!("{name} on {} subarrays", cfg.num_subarrays());
+            let oracle = spatial_reference(engine, &trace);
+            let tag = format!(
+                "{name} on {} subarrays",
+                engine.library().config().num_subarrays()
+            );
             assert_identical(&hot, &oracle, &tag);
         }
-        let cfg = *prema.library().config();
         let hot = prema.run(&trace);
-        let mut policy = prema.node_policy();
-        let oracle = run_streamed_reference(&cfg, &trace, &mut policy, &mut NullCollector);
+        let oracle = prema_reference(&prema, &trace);
         assert_identical(&hot, &oracle, &format!("prema {name}"));
     }
 }

@@ -13,7 +13,7 @@
 //! process-global, so only one test in this file measures.
 
 use planaria::arch::AcceleratorConfig;
-use planaria::core::{CompiledLibrary, PlanariaEngine};
+use planaria::core::{CompiledLibrary, PlanariaEngine, SchedulingMode};
 use planaria::model::DnnId;
 use planaria::prema::PremaEngine;
 use planaria::workload::{QosLevel, Request, Scenario, SimResult, TraceConfig};
@@ -112,7 +112,7 @@ fn non_decreasing_duplicate_ids_complete_on_both_engines() {
     // failures.
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
     let incremental = PlanariaEngine::with_library(library.clone());
-    let oracle = PlanariaEngine::with_library(library).with_incremental(false);
+    let oracle = PlanariaEngine::with_library(library).with_mode(SchedulingMode::FullRescan);
     let prema = PremaEngine::new_default();
     for seed in [0, 2, 3, 5, 14, 23] {
         for div in [2, 3, 5] {

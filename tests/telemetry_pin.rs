@@ -10,19 +10,23 @@
 //!
 //! * the 16-subarray paper chip and `granule16` (64 subarrays);
 //! * the incremental scheduler and the full-rescan oracle, which must
-//!   both hit the same pinned value;
+//!   both hit the same pinned value, and the ExclusiveFifo ablation;
 //! * a deep QoS-Hard backlog and a lightly contended QoS-Medium trace;
-//! * the PREMA baseline on the monolithic chip.
+//! * the monolithic baseline under PREMA's token policy, FCFS, SJF and
+//!   PREMA with a 1 ms starvation threshold, at which a queued tenant
+//!   starves after 0.09–1 ms.
 //!
-//! The pinned values were recorded before the scheduler's per-event work
-//! was restricted to the tenants that can change, and every
-//! optimisation since must reproduce them byte for byte. A deliberate
-//! behaviour change re-records them: the failure message prints the
-//! new value.
+//! The Spatial and PREMA pins were recorded before the scheduler's
+//! per-event work was restricted to the tenants that can change; the
+//! ExclusiveFifo, FCFS, SJF and 1 ms pins before PREMA's tokens accrued
+//! lazily and a tenant's placement became the one record of its
+//! subarrays. Every optimisation since must reproduce them byte for
+//! byte. A deliberate behaviour change re-records them: the failure
+//! message prints the new value.
 
 use planaria::arch::AcceleratorConfig;
-use planaria::core::{CompiledLibrary, PlanariaEngine};
-use planaria::prema::PremaEngine;
+use planaria::core::{CompiledLibrary, PlanariaEngine, SchedulingMode};
+use planaria::prema::{Policy, PremaEngine};
 use planaria::telemetry::{chrome_trace, RecordingCollector};
 use planaria::workload::{QosLevel, Request, Scenario, SimResult, TraceConfig};
 
@@ -54,19 +58,45 @@ fn traces() -> [(&'static str, Vec<Request>); 2] {
     ]
 }
 
-/// `(chip, trace, pinned)`.
-const PLANARIA_PINS: [(&str, &str, u64); 4] = [
-    ("planaria16", "C/H/500/b6", 0x3571_77d2_6a85_ceb0),
-    ("planaria16", "A/M/150", 0xd346_9f60_a440_4b62),
-    ("granule16", "C/H/500/b6", 0xf541_4e6a_fca7_3848),
-    ("granule16", "A/M/150", 0x1e73_4630_9bb2_650d),
+/// `(chip, modes, trace, pinned)`: every listed scheduling mode must hit
+/// the pin.
+const PLANARIA_PINS: [(&str, &[SchedulingMode], &str, u64); 8] = [
+    ("planaria16", SPATIAL, "C/H/500/b6", 0x3571_77d2_6a85_ceb0),
+    ("planaria16", SPATIAL, "A/M/150", 0xd346_9f60_a440_4b62),
+    ("granule16", SPATIAL, "C/H/500/b6", 0xf541_4e6a_fca7_3848),
+    ("granule16", SPATIAL, "A/M/150", 0x1e73_4630_9bb2_650d),
+    ("planaria16", EXCLUSIVE, "C/H/500/b6", 0x19e1_f084_3efa_3872),
+    ("planaria16", EXCLUSIVE, "A/M/150", 0x9a73_bc2a_70b2_221e),
+    ("granule16", EXCLUSIVE, "C/H/500/b6", 0x21b3_06d3_ad94_d9a5),
+    ("granule16", EXCLUSIVE, "A/M/150", 0x8b18_4733_aaea_ecc1),
 ];
 
-/// `(trace, pinned)` for PREMA on the monolithic chip.
-const PREMA_PINS: [(&str, u64); 2] = [
-    ("C/H/500/b6", 0xd45d_8885_82c8_62ea),
-    ("A/M/150", 0x9e3d_c4eb_9707_ad51),
+/// The incremental scheduler and its full-rescan oracle.
+const SPATIAL: &[SchedulingMode] = &[SchedulingMode::Spatial, SchedulingMode::FullRescan];
+const EXCLUSIVE: &[SchedulingMode] = &[SchedulingMode::ExclusiveFifo];
+
+/// `(policy, trace, pinned)` for the baseline on the monolithic chip.
+const PREMA_PINS: [(&str, &str, u64); 8] = [
+    ("prema", "C/H/500/b6", 0xd45d_8885_82c8_62ea),
+    ("prema", "A/M/150", 0x9e3d_c4eb_9707_ad51),
+    ("fcfs", "C/H/500/b6", 0x3c3c_e35e_3964_f840),
+    ("fcfs", "A/M/150", 0x7b26_4ee3_ea6b_6953),
+    ("sjf", "C/H/500/b6", 0xd2ac_1362_5838_b53e),
+    ("sjf", "A/M/150", 0x1d44_21d0_7f73_8416),
+    ("prema-1ms", "C/H/500/b6", 0x81ba_bc31_87ca_3b95),
+    ("prema-1ms", "A/M/150", 0x5be0_36ab_0e3b_ab7a),
 ];
+
+fn prema(name: &str) -> PremaEngine {
+    let mono = AcceleratorConfig::monolithic();
+    match name {
+        "prema" => PremaEngine::new_default(),
+        "fcfs" => PremaEngine::new(mono, Policy::Fcfs),
+        "sjf" => PremaEngine::new(mono, Policy::Sjf),
+        "prema-1ms" => PremaEngine::new_default().with_token_threshold(0.001),
+        _ => unreachable!("unknown baseline {name}"),
+    }
+}
 
 fn chip(name: &str) -> AcceleratorConfig {
     match name {
@@ -80,38 +110,31 @@ fn chip(name: &str) -> AcceleratorConfig {
 fn recorded_streams_match_their_pins() {
     let traces = traces();
     let mut mismatches = Vec::new();
-    for (chip_name, trace_name, pinned) in PLANARIA_PINS {
-        let library = CompiledLibrary::new(chip(chip_name));
-        let trace = &traces
+    let trace = |name: &str| {
+        &traces
             .iter()
-            .find(|(n, _)| *n == trace_name)
+            .find(|(n, _)| *n == name)
             .expect("pinned trace exists")
-            .1;
-        for incremental in [true, false] {
-            let engine =
-                PlanariaEngine::with_library(library.clone()).with_incremental(incremental);
+            .1
+    };
+    for (chip_name, modes, trace_name, pinned) in PLANARIA_PINS {
+        let library = CompiledLibrary::new(chip(chip_name));
+        for &mode in modes {
+            let engine = PlanariaEngine::with_library(library.clone()).with_mode(mode);
             let mut rec = RecordingCollector::new();
-            let r = engine.run_with_collector(trace, &mut rec);
+            let r = engine.run_with_collector(trace(trace_name), &mut rec);
             let got = pin(&rec, &r);
             if got != pinned {
-                mismatches.push(format!(
-                    "{chip_name} {trace_name} incremental={incremental}: {got:#018x}"
-                ));
+                mismatches.push(format!("{chip_name} {trace_name} {mode:?}: {got:#018x}"));
             }
         }
     }
-    let prema = PremaEngine::new_default();
-    for (trace_name, pinned) in PREMA_PINS {
-        let trace = &traces
-            .iter()
-            .find(|(n, _)| *n == trace_name)
-            .expect("pinned trace exists")
-            .1;
+    for (name, trace_name, pinned) in PREMA_PINS {
         let mut rec = RecordingCollector::new();
-        let r = prema.run_with_collector(trace, &mut rec);
+        let r = prema(name).run_with_collector(trace(trace_name), &mut rec);
         let got = pin(&rec, &r);
         if got != pinned {
-            mismatches.push(format!("prema {trace_name}: {got:#018x}"));
+            mismatches.push(format!("{name} {trace_name}: {got:#018x}"));
         }
     }
     assert!(
