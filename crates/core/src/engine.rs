@@ -95,8 +95,9 @@ impl PlanariaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival, or if an arrival is
-    /// not finite or lies 2^63 or more cycles past the first.
+    /// Panics if the requests are not sorted by arrival, if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first, or if a QoS
+    /// is negative or NaN.
     pub fn run<I>(&self, requests: I) -> SimResult
     where
         I: IntoIterator,
@@ -111,15 +112,15 @@ impl PlanariaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival, or if an arrival is
-    /// not finite or lies 2^63 or more cycles past the first.
+    /// Panics if the requests are not sorted by arrival, if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first, or if a QoS
+    /// is negative or NaN.
     pub fn run_with_collector<C, I>(&self, requests: I, c: &mut C) -> SimResult
     where
         C: Collector,
         I: IntoIterator,
         I::Item: Borrow<Request>,
     {
-        let requests = requests.into_iter().map(|r| *r.borrow());
         let mut policy = self.spatial_policy();
         let (kept, s) = run_streamed_sink(self.cfg(), requests, &mut policy, c, VecSink::default());
         SimResult::from_completions(kept.completions, s.static_energy, s.makespan)

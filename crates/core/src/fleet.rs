@@ -103,8 +103,9 @@ impl<N: FleetNode> Fleet<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival, or if an arrival is
-    /// not finite or lies 2^63 or more cycles past the first.
+    /// Panics if the requests are not sorted by arrival, if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first, or if a QoS
+    /// is negative or NaN.
     pub fn run<I>(&self, requests: I, policy: DispatchPolicy) -> (SimResult, FabricStats)
     where
         I: IntoIterator,
@@ -122,8 +123,9 @@ impl<N: FleetNode> Fleet<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival, or if an arrival is
-    /// not finite or lies 2^63 or more cycles past the first.
+    /// Panics if the requests are not sorted by arrival, if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first, or if a QoS
+    /// is negative or NaN.
     pub fn run_recorded<I>(
         &self,
         requests: I,
@@ -151,8 +153,9 @@ impl<N: FleetNode> Fleet<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival, or if an arrival is
-    /// not finite or lies 2^63 or more cycles past the first.
+    /// Panics if the requests are not sorted by arrival, if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first, or if a QoS
+    /// is negative or NaN.
     pub fn run_stats<I>(&self, requests: I, policy: DispatchPolicy) -> (ClusterStats, FabricStats)
     where
         I: IntoIterator,
@@ -163,7 +166,7 @@ impl<N: FleetNode> Fleet<N> {
         let (summary, stats, sinks) = run_fabric_summary(
             &self.configs(),
             self.policies(),
-            requests.into_iter().map(|r| *r.borrow()),
+            requests,
             &mut self.dispatcher(policy),
             &FabricTuning::default(),
             &mut fabric,

@@ -77,8 +77,9 @@ impl PremaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival, or if an arrival is
-    /// not finite or lies 2^63 or more cycles past the first.
+    /// Panics if the requests are not sorted by arrival, if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first, or if a QoS
+    /// is negative or NaN.
     pub fn run<I>(&self, requests: I) -> SimResult
     where
         I: IntoIterator,
@@ -93,15 +94,15 @@ impl PremaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the requests are not sorted by arrival, or if an arrival is
-    /// not finite or lies 2^63 or more cycles past the first.
+    /// Panics if the requests are not sorted by arrival, if an arrival is
+    /// not finite or lies 2^63 or more cycles past the first, or if a QoS
+    /// is negative or NaN.
     pub fn run_with_collector<C, I>(&self, requests: I, c: &mut C) -> SimResult
     where
         C: Collector,
         I: IntoIterator,
         I::Item: Borrow<Request>,
     {
-        let requests = requests.into_iter().map(|r| *r.borrow());
         let mut policy = self.node_policy();
         let (kept, s) = run_streamed_sink(
             self.library.config(),

@@ -2,14 +2,17 @@
 //!
 //! Everything inside the kernel and the engines runs on integer cycles;
 //! the conversions below happen exactly once, at the trace /
-//! [`SimResult`](planaria_workload::SimResult) boundary. This file is the
-//! allowlisted exception to the `planaria-checks` time-domain lint — new
-//! float-time arithmetic belongs here or nowhere.
+//! [`SimResult`](planaria_workload::SimResult) boundary. Requests enter
+//! every run through [`checked_arrivals`], which checks each one and
+//! converts its arrival and deadline once. This file is the allowlisted
+//! exception to the `planaria-checks` time-domain lint — new float-time
+//! arithmetic belongs here or nowhere.
 
 use planaria_arch::AcceleratorConfig;
 use planaria_model::units::Cycles;
 use planaria_telemetry::SimMeta;
 use planaria_workload::Request;
+use std::borrow::Borrow;
 
 /// Converts between absolute trace seconds and kernel cycles.
 ///
@@ -106,6 +109,55 @@ impl SimClock {
     }
 }
 
+/// A request as a run admits it: checked where it entered the run, its
+/// arrival and deadline on the run's clock.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrival {
+    pub(crate) request: Request,
+    pub(crate) at: Cycles,
+    /// `u64::MAX` cycles for an infinite QoS: no deadline.
+    pub(crate) deadline: Cycles,
+}
+
+/// The one way requests enter a run, a slice or a stream alike: the run's
+/// clock at `freq_hz`, anchored at the first arrival, and the requests as
+/// [`Arrival`]s on it. Drawing one checks it, and panics if the requests
+/// are unsorted, an arrival is outside the clock's range
+/// ([`SimClock::check_arrival`]) or a QoS is negative or NaN.
+pub(crate) fn checked_arrivals<I>(
+    requests: I,
+    freq_hz: f64,
+) -> (SimClock, impl Iterator<Item = Arrival>)
+where
+    I: IntoIterator,
+    I::Item: Borrow<Request>,
+{
+    let mut source = requests.into_iter().peekable();
+    let origin = source.peek().map_or(0.0, |r| r.borrow().arrival);
+    let clock = SimClock::new(origin, freq_hz);
+    let mut last = f64::NEG_INFINITY;
+    let arrivals = source.map(move |r| {
+        let request = *r.borrow();
+        let Request {
+            id, arrival, qos, ..
+        } = request;
+        assert!(arrival >= last, "trace must be sorted by arrival time");
+        last = arrival;
+        let at = clock.check_arrival(&request);
+        assert!(
+            qos >= 0.0,
+            "request {id} has a QoS of {qos} s, not a duration"
+        );
+        let deadline = clock.cycles_from_seconds(request.deadline());
+        Arrival {
+            request,
+            at,
+            deadline,
+        }
+    });
+    (clock, arrivals)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +209,31 @@ mod tests {
         for bad in [2f64.powi(63), f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             let rejected = std::panic::catch_unwind(|| c.check_arrival(&at(bad)));
             assert!(rejected.is_err(), "{bad} s accepted");
+        }
+    }
+
+    #[test]
+    fn arrivals_convert_deadlines_and_reject_a_qos_that_is_not_a_duration() {
+        let with_qos = |qos| Request {
+            id: 7,
+            dnn: planaria_model::DnnId::TinyYolo,
+            arrival: 2.0,
+            priority: 1,
+            qos,
+        };
+        let first = |qos| checked_arrivals([with_qos(qos)], 1e3).1.next();
+        let a = first(0.5).expect("one arrival");
+        assert_eq!((a.at, a.deadline), (Cycles::ZERO, Cycles::new(500)));
+        assert_eq!(first(0.0).map(|a| a.deadline), Some(Cycles::ZERO));
+        let free = first(f64::INFINITY).map(|a| a.deadline);
+        assert_eq!(
+            free,
+            Some(Cycles::new(u64::MAX)),
+            "infinite QoS: no deadline"
+        );
+        for bad in [-1e-3, f64::NAN, f64::NEG_INFINITY] {
+            let rejected = std::panic::catch_unwind(|| first(bad));
+            assert!(rejected.is_err(), "QoS {bad} s accepted");
         }
     }
 

@@ -2,12 +2,12 @@
 //! epoch-synchronized rounds behind an online dispatcher.
 //!
 //! One streamed arrival source feeds a serial [`Dispatcher`]; each node
-//! owns an independent [`NodeKernel`] plus its own policy, and every
-//! round the fabric (1) routes a window of arrivals into per-node
-//! inboxes, (2) advances each node in place up to a shared bound — on
-//! worker threads only when the round routed a full batch or drains the
-//! fleet, inline otherwise — and (3) refreshes the [`NodeLoad`] snapshot
-//! the dispatcher reads next round.
+//! owns an independent kernel plus its own policy, and every round the
+//! fabric (1) routes a window of arrivals into per-node inboxes, (2)
+//! advances each node in place up to a shared bound — on worker threads
+//! only when the round routed a full batch or drains the fleet, inline
+//! otherwise — and (3) refreshes the [`NodeLoad`] snapshot the
+//! dispatcher reads next round.
 //!
 //! # Determinism
 //!
@@ -30,7 +30,7 @@
 //! whole simulation) is independent of window size; the fabric then
 //! batches by count alone, keeping rounds rare and fan-out cheap.
 
-use crate::clock::SimClock;
+use crate::clock::{checked_arrivals, Arrival, SimClock};
 use crate::kernel::{EnginePolicy, NodeKernel, NodeSummary};
 use planaria_arch::AcceleratorConfig;
 use planaria_model::units::{Cycles, Picojoules};
@@ -106,24 +106,12 @@ pub struct FabricStats {
     pub rounds: u64,
 }
 
-/// Aggregate view of a whole fabric run when completions are not kept
-/// (the flat-memory path of [`run_fabric_summary`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FabricSummary {
-    /// Requests retired across all nodes.
-    pub completed: u64,
-    /// Dynamic plus static energy summed over nodes in node-id order.
-    pub total_energy: Picojoules,
-    /// Slowest node's makespan (each from its own first arrival).
-    pub makespan: f64,
-}
-
 /// One node's private slice of the fabric: kernel (generic over its
-/// completion sink), inbox, policy, and its own telemetry sink (merged
-/// node-id-deterministically afterwards).
+/// completion sink), inbox of checked arrivals, policy, and its own
+/// telemetry sink (merged node-id-deterministically afterwards).
 struct Lane<P, N, S: CompletionSink> {
     node: NodeKernel<S>,
-    inbox: VecDeque<Request>,
+    inbox: VecDeque<Arrival>,
     policy: P,
     sink: N,
 }
@@ -146,9 +134,9 @@ struct Lane<P, N, S: CompletionSink> {
 ///
 /// Panics if the shapes disagree (`cfgs.len() != policies.len()`, zero
 /// nodes, zero `max_batch`, mixed clock frequencies), if the source
-/// yields arrivals out of order or an arrival the clock cannot represent
-/// ([`SimClock::check_arrival`]), or if the dispatcher routes out of
-/// range.
+/// yields arrivals out of order, an arrival the clock cannot represent
+/// ([`SimClock::check_arrival`]) or a QoS that is negative or NaN, or if
+/// the dispatcher routes out of range.
 // lint: telemetry threading adds two sinks to an already-wide entry
 // point; run_fabric_summary mirrors it parameter for parameter
 #[allow(clippy::too_many_arguments)]
@@ -172,7 +160,7 @@ where
     let (lanes, rounds) = drive_fabric(
         cfgs,
         policies,
-        requests.into_iter().map(|r| *r.borrow()),
+        requests,
         dispatcher,
         tuning,
         fabric_c,
@@ -211,7 +199,8 @@ where
 /// but nodes never materialize completion vectors — each retirement only
 /// bumps aggregate tallies, so a 10^6-request run is O(live tenants)
 /// resident while percentiles still come out of the sinks' quantile
-/// sketches. Returns per-node summaries merged in node-id order.
+/// sketches. Returns the per-node summaries folded in node-id order:
+/// counts and energies summed, the slowest node's makespan.
 ///
 /// # Panics
 ///
@@ -227,11 +216,12 @@ pub fn run_fabric_summary<P, D, I, C, N>(
     tuning: &FabricTuning,
     fabric_c: &mut C,
     node_sinks: Vec<N>,
-) -> (FabricSummary, FabricStats, Vec<N>)
+) -> (NodeSummary, FabricStats, Vec<N>)
 where
     P: EnginePolicy + Send,
     D: Dispatcher + ?Sized,
-    I: IntoIterator<Item = Request>,
+    I: IntoIterator,
+    I::Item: Borrow<Request>,
     C: Collector,
     N: Collector + Send,
 {
@@ -247,14 +237,15 @@ where
     );
 
     let mut stats = FabricStats { events: 0, rounds };
-    let mut summary = FabricSummary::default();
+    let mut summary = NodeSummary::default();
     let mut sinks: Vec<N> = Vec::new();
     for lane in lanes {
         debug_assert!(lane.inbox.is_empty(), "undelivered requests in inbox");
         stats.events += lane.node.events_processed();
-        let s: NodeSummary = lane.node.into_sink().1;
+        let s = lane.node.into_sink().1;
         summary.completed += s.completed;
         summary.total_energy += s.total_energy;
+        summary.static_energy += s.static_energy;
         summary.makespan = summary.makespan.max(s.makespan);
         sinks.push(lane.sink);
     }
@@ -283,7 +274,8 @@ fn drive_fabric<P, D, I, C, N, S, F>(
 where
     P: EnginePolicy + Send,
     D: Dispatcher + ?Sized,
-    I: IntoIterator<Item = Request>,
+    I: IntoIterator,
+    I::Item: Borrow<Request>,
     C: Collector,
     N: Collector + Send,
     S: CompletionSink + Send,
@@ -302,9 +294,7 @@ where
         panic!("{e}");
     }
 
-    let mut source = requests.into_iter();
-    let mut pending: Option<Request> = source.next();
-    let clock = SimClock::new(pending.map_or(0.0, |r| r.arrival), cfgs[0].freq_hz);
+    let (clock, mut arrivals) = checked_arrivals(requests, cfgs[0].freq_hz);
     let lookahead = clock.duration_cycles(tuning.lookahead_seconds);
     fabric_c.set_meta(clock.meta(0));
 
@@ -328,13 +318,13 @@ where
             ..NodeLoad::default()
         })
         .collect();
-    let mut last_arrival = f64::NEG_INFINITY;
     let mut rounds: u64 = 0;
     let jobs = effective_jobs();
 
-    while let Some(r0) = pending {
+    let mut pending = arrivals.next();
+    while let Some(first) = pending {
         // Open a routing window at the next undelivered arrival.
-        let w_start = clock.cycles_from_seconds(r0.arrival);
+        let w_start = first.at;
         let w_end = if dispatcher.feedback() {
             // +1 so a zero lookahead still admits the opening arrival.
             Some(
@@ -346,19 +336,14 @@ where
             None
         };
         let mut batched = 0usize;
-        while let Some(r) = pending {
-            assert!(
-                r.arrival >= last_arrival,
-                "trace must be sorted by arrival time"
-            );
-            last_arrival = r.arrival;
-            let at = clock.check_arrival(&r);
+        while let Some(arrival) = pending {
+            let Arrival { request: r, at, .. } = arrival;
             if batched == tuning.max_batch || w_end.is_some_and(|e| at >= e) {
                 break;
             }
             let target = dispatcher.route(&r, at, &clock, &loads);
             assert!(target < n, "dispatcher routed to node {target} of {n}");
-            lanes[target].inbox.push_back(r);
+            lanes[target].inbox.push_back(arrival);
             loads[target].routed += 1;
             batched += 1;
             if fabric_c.is_enabled() {
@@ -375,22 +360,20 @@ where
                 );
                 fabric_c.add(Counter::DispatchDecisions, 1);
             }
-            pending = source.next();
+            pending = arrivals.next();
         }
 
         // Advance every node to the cut: the next undelivered arrival
         // (nothing may simulate past it — it could route anywhere) or
         // the window end, whichever is earlier. A dry source means no
         // future arrival can exist: drain to completion.
-        let bound = pending.map(|next| {
-            let next_at = clock.cycles_from_seconds(next.arrival);
-            w_end.map_or(next_at, |e| e.min(next_at))
-        });
+        let bound = pending.map(|next| w_end.map_or(next.at, |e| e.min(next.at)));
         // A windowed round is too little work to pay for a thread hand-off.
         let fan_out = batched == tuning.max_batch || bound.is_none();
         par_for_each_mut(&mut lanes, if fan_out { jobs } else { 1 }, |l| {
-            let mut next = || l.inbox.pop_front();
-            l.node.advance(bound, &mut next, &mut l.policy, &mut l.sink);
+            let mut inbox = std::iter::from_fn(|| l.inbox.pop_front());
+            l.node
+                .advance(bound, &mut inbox, &mut l.policy, &mut l.sink);
         });
         rounds += 1;
         for (load, lane) in loads.iter_mut().zip(&lanes) {
@@ -738,6 +721,35 @@ mod tests {
         let _ = fabric(
             &[cfg],
             vec![policy()],
+            trace,
+            &mut Jsq,
+            &FabricTuning::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "request 1 has a QoS of -0.001 s, not a duration")]
+    fn negative_qos_rejected() {
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let mut trace = [req(0, 0.0), req(1, 1e-4), req(2, 2e-4)];
+        trace[1].qos = -1e-3;
+        let _ = fabric(
+            &[cfg],
+            vec![policy()],
+            trace,
+            &mut Jsq,
+            &FabricTuning::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by arrival")]
+    fn unsorted_trace_rejected() {
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let trace = [req(0, 1.0), req(1, 0.5)];
+        let _ = fabric(
+            &[cfg, cfg],
+            vec![policy(), policy()],
             trace,
             &mut Jsq,
             &FabricTuning::default(),

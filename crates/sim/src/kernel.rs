@@ -1,7 +1,7 @@
 //! The discrete-event loop: wake → advance → admit → retire →
 //! reschedule → refresh the next completion.
 
-use crate::clock::SimClock;
+use crate::clock::{checked_arrivals, Arrival, SimClock};
 use crate::tenant::TenantState;
 use planaria_arch::AcceleratorConfig;
 use planaria_compiler::CompiledDnn;
@@ -9,6 +9,7 @@ use planaria_energy::EnergyModel;
 use planaria_model::units::{Cycles, Picojoules};
 use planaria_telemetry::{Collector, Counter, Event, Metric};
 use planaria_workload::{Completion, CompletionSink, Request};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -105,11 +106,6 @@ impl SimState {
     /// The accelerator configuration of this run.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.cfg
-    }
-
-    /// The run's clock (for boundary conversions only).
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
     }
 
     /// Total subarrays on the chip.
@@ -300,7 +296,7 @@ impl SimState {
 /// A resumable single-node discrete-event kernel.
 ///
 /// The loop lives behind a struct so a multi-node fabric can hold one
-/// kernel per node, feed each an inbox of dispatched requests, and
+/// kernel per node, feed each an inbox of dispatched arrivals, and
 /// advance them in bounded rounds (see [`crate::fabric`]). A
 /// `NodeKernel` driven once with no bound is the single-node run
 /// ([`run_streamed_sink`]), and driving it in bounded slices processes
@@ -308,7 +304,7 @@ impl SimState {
 /// events are pure wake-ups: a bound only decides how far this call
 /// walks, never when the node wakes.
 #[derive(Debug)]
-pub struct NodeKernel<S: CompletionSink> {
+pub(crate) struct NodeKernel<S: CompletionSink> {
     sim: SimState,
     /// Where retirements go: an in-memory vector
     /// ([`VecSink`](planaria_workload::VecSink)), a quantile sketch, a
@@ -318,10 +314,8 @@ pub struct NodeKernel<S: CompletionSink> {
     /// with zero dispatch cost.
     sink: S,
     em: EnergyModel,
-    /// The one not-yet-admitted arrival pulled from the source, with its
-    /// arrival cycle.
-    pending: Option<(Request, Cycles)>,
-    last_arrival: f64,
+    /// The one not-yet-admitted arrival drawn from the source.
+    pending: Option<Arrival>,
     /// The admission counter: arrivals admitted so far, which is also
     /// the admission number `pending` will get.
     next_arrival: u64,
@@ -342,7 +336,10 @@ pub struct NodeKernel<S: CompletionSink> {
     pod_emitted: [f64; MAX_PODS],
 }
 
-/// Aggregate view of a finished node ([`NodeKernel::into_sink`]).
+/// Aggregate view of a finished node ([`run_streamed_sink`]), or of a
+/// finished fabric ([`run_fabric_summary`](crate::run_fabric_summary)),
+/// whose nodes' summaries fold in node order: counts and energies add,
+/// and the makespan is the slowest node's.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NodeSummary {
     /// Requests retired.
@@ -366,13 +363,12 @@ pub struct NodeSummary {
 impl<S: CompletionSink> NodeKernel<S> {
     /// A fresh kernel retiring into `sink` (see [`CompletionSink`] for
     /// the menu: vector, sketch, disk spill, discard).
-    pub fn with_sink(cfg: &AcceleratorConfig, clock: SimClock, sink: S) -> Self {
+    pub(crate) fn with_sink(cfg: &AcceleratorConfig, clock: SimClock, sink: S) -> Self {
         Self {
             sim: SimState::new_for(*cfg, clock),
             sink,
             em: EnergyModel::for_config(cfg),
             pending: None,
-            last_arrival: f64::NEG_INFINITY,
             next_arrival: 0,
             next_completion: None,
             busy: Cycles::ZERO,
@@ -387,19 +383,19 @@ impl<S: CompletionSink> NodeKernel<S> {
 
     /// Current simulation time of this node, cycles since the clock
     /// origin.
-    pub fn now(&self) -> Cycles {
+    pub(crate) fn now(&self) -> Cycles {
         self.sim.now
     }
 
     /// Live (running or queued) tenants on this node.
-    pub fn live_tenants(&self) -> usize {
+    pub(crate) fn live_tenants(&self) -> usize {
         self.sim.tenants.len()
     }
 
     /// Total work left across live tenants, in cycles — the load signal
     /// feedback dispatchers read at epoch barriers. Parked and waiting
     /// tenants count through their frozen sum.
-    pub fn outstanding_cycles(&self) -> Cycles {
+    pub(crate) fn outstanding_cycles(&self) -> Cycles {
         let sim = &self.sim;
         sim.asleep_remaining
             + sim
@@ -409,28 +405,10 @@ impl<S: CompletionSink> NodeKernel<S> {
                 .sum::<Cycles>()
     }
 
-    /// Whether the node holds no pending arrival and no live tenants.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_none() && self.sim.tenants.is_empty()
-    }
-
     /// Wake-ups processed so far (the fabric's aggregate throughput
     /// denominator).
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.events
-    }
-
-    /// Pulls the next request from the source, checking its arrival.
-    fn pull<F: FnMut() -> Option<Request>>(&mut self, src: &mut F) {
-        self.pending = src().map(|next| {
-            assert!(
-                next.arrival >= self.last_arrival,
-                "trace must be sorted by arrival time"
-            );
-            let at = self.sim.clock.check_arrival(&next);
-            self.last_arrival = next.arrival;
-            (next, at)
-        });
     }
 
     /// The next wake-up strictly before `bound`: the earlier of the
@@ -453,7 +431,7 @@ impl<S: CompletionSink> NodeKernel<S> {
     fn next_wake_before(&self, bound: Option<Cycles>) -> Option<(Cycles, bool)> {
         let at = self
             .pending
-            .map(|(_, at)| at)
+            .map(|a| a.at)
             .into_iter()
             .chain(self.next_completion)
             .min()?;
@@ -470,15 +448,15 @@ impl<S: CompletionSink> NodeKernel<S> {
     /// The loop body is the kernel contract: wake → advance work →
     /// admit due arrivals → retire finished tenants → `reschedule` →
     /// refresh the next completion.
-    pub fn advance<P: EnginePolicy, C: Collector, F: FnMut() -> Option<Request>>(
+    pub(crate) fn advance<P: EnginePolicy, C: Collector>(
         &mut self,
         bound: Option<Cycles>,
-        src: &mut F,
+        src: &mut impl Iterator<Item = Arrival>,
         policy: &mut P,
         c: &mut C,
     ) {
         if self.pending.is_none() {
-            self.pull(src);
+            self.pending = src.next();
         }
 
         let track_pods = c.is_enabled();
@@ -527,40 +505,33 @@ impl<S: CompletionSink> NodeKernel<S> {
             // Admit every arrival due now; keep exactly one future
             // arrival pending.
             let mut maybe_done = completion_due;
-            while let Some((req, at)) = self.pending {
-                if at > self.sim.now {
+            while let Some(a) = self.pending {
+                if a.at > self.sim.now {
                     break;
                 }
                 if self.origin.is_none() {
-                    self.origin = Some(at);
+                    self.origin = Some(a.at);
                 }
                 if c.is_enabled() {
                     c.record(
                         self.sim.now,
                         Event::Arrival {
-                            tenant: req.id,
-                            dnn: req.dnn,
+                            tenant: a.request.id,
+                            dnn: a.request.dnn,
                         },
                     );
                     c.add(Counter::Arrivals, 1);
                 }
-                let compiled = policy.compiled_for(&req);
-                let deadline = self.sim.clock.cycles_from_seconds(req.deadline());
-                self.sim.admit(TenantState::new(
-                    self.next_arrival,
-                    req,
-                    compiled,
-                    policy.admit_subarrays(),
-                    at,
-                    deadline,
-                    self.sim.now,
-                ));
+                let compiled = policy.compiled_for(&a.request);
+                let subarrays = policy.admit_subarrays();
+                let t = TenantState::new(self.next_arrival, a, compiled, subarrays, self.sim.now);
+                self.sim.admit(t);
                 // A degenerate zero-work request is done the moment it is
                 // admitted, without ever holding subarrays — the one way
                 // `is_done` can flip outside a completion cycle.
                 maybe_done |= self.sim.tenants.last().is_some_and(TenantState::is_done);
                 self.next_arrival += 1;
-                self.pull(src);
+                self.pending = src.next();
             }
 
             // Retire finished tenants in the order of an ascending
@@ -655,8 +626,11 @@ impl<S: CompletionSink> NodeKernel<S> {
 
     /// Finalizes the node, handing back the sink alongside the aggregate
     /// tallies — how spill and sketch runs recover what they recorded.
-    pub fn into_sink(self) -> (S, NodeSummary) {
-        debug_assert!(self.is_idle(), "node finalized with work outstanding");
+    pub(crate) fn into_sink(self) -> (S, NodeSummary) {
+        debug_assert!(
+            self.pending.is_none() && self.sim.tenants.is_empty(),
+            "node finalized with work outstanding"
+        );
         let active = self
             .sim
             .now
@@ -691,32 +665,28 @@ impl<S: CompletionSink> NodeKernel<S> {
 ///
 /// # Panics
 ///
-/// Panics if the source yields arrivals out of order, or an arrival the
-/// clock cannot represent ([`SimClock::check_arrival`]).
-pub fn run_streamed_sink<
-    P: EnginePolicy,
-    C: Collector,
-    I: IntoIterator<Item = Request>,
-    S: CompletionSink,
->(
+/// Panics if the source yields arrivals out of order, an arrival the
+/// clock cannot represent ([`SimClock::check_arrival`]), or a QoS that is
+/// negative or NaN.
+pub fn run_streamed_sink<P, C, I, S>(
     cfg: &AcceleratorConfig,
     requests: I,
     policy: &mut P,
     c: &mut C,
     sink: S,
-) -> (S, NodeSummary) {
-    let mut source = requests.into_iter();
-    let mut head: Option<Request> = source.next();
-    let clock = SimClock::new(head.map_or(0.0, |r| r.arrival), cfg.freq_hz);
+) -> (S, NodeSummary)
+where
+    P: EnginePolicy,
+    C: Collector,
+    I: IntoIterator,
+    I::Item: Borrow<Request>,
+    S: CompletionSink,
+{
+    let (clock, mut arrivals) = checked_arrivals(requests, cfg.freq_hz);
     c.set_meta(clock.meta(cfg.num_subarrays()));
 
     let mut node = NodeKernel::with_sink(cfg, clock, sink);
-    node.advance(
-        None,
-        &mut || head.take().or_else(|| source.next()),
-        policy,
-        c,
-    );
+    node.advance(None, &mut arrivals, policy, c);
     node.into_sink()
 }
 
@@ -794,6 +764,16 @@ mod tests {
         }
     }
 
+    /// Request `id` as admitted at cycle 0 with its deadline at cycle
+    /// `deadline`.
+    fn admitted(id: u64, deadline: u64) -> Arrival {
+        Arrival {
+            request: req(id, 0.0),
+            at: Cycles::ZERO,
+            deadline: Cycles::new(deadline),
+        }
+    }
+
     #[test]
     fn empty_trace_yields_empty_result() {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
@@ -840,6 +820,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "request 1 has a QoS of NaN s, not a duration")]
+    fn nan_qos_rejected() {
+        // Converted unchecked, a NaN deadline would become cycle 0.
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let mut trace = vec![req(0, 0.0), req(1, 1e-4)];
+        trace[1].qos = f64::NAN;
+        let _ = run(&cfg, &trace, &mut policy(), &mut NullCollector);
+    }
+
+    #[test]
     #[should_panic(expected = "outside the clock's range")]
     fn arrival_past_the_cycle_range_rejected() {
         // 3e10 s is ~2.1e19 cycles at 700 MHz: past 2^63 and past u64.
@@ -861,15 +851,8 @@ mod tests {
         let done = [false, true, false, true, false, true, true, false];
         let mut scan: Vec<(u64, bool)> = Vec::new();
         for (id, &d) in (0u64..).zip(&done) {
-            let mut t = TenantState::new(
-                id,
-                req(id, 0.0),
-                Arc::clone(&compiled),
-                1,
-                Cycles::ZERO,
-                Cycles::new(id),
-                Cycles::ZERO,
-            );
+            let mut t =
+                TenantState::new(id, admitted(id, id), Arc::clone(&compiled), 1, Cycles::ZERO);
             if d {
                 t.work_done = t.work_total;
             }
@@ -916,15 +899,14 @@ mod tests {
         let compiled = planaria_compiler::CompiledLibrary::shared_for(&cfg).shared(DnnId::TinyYolo);
         let mut sim = SimState::new_for(cfg, SimClock::for_config(&cfg));
         for (id, deadline) in (0u64..).zip([30, 10, 30, 20]) {
-            sim.admit(TenantState::new(
+            let t = TenantState::new(
                 id,
-                req(id, 0.0),
+                admitted(id, deadline),
                 Arc::clone(&compiled),
                 1,
                 Cycles::ZERO,
-                Cycles::new(deadline),
-                Cycles::ZERO,
-            ));
+            );
+            sim.admit(t);
         }
         for i in [2, 0, 3, 1] {
             sim.wait(i);

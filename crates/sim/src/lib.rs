@@ -19,12 +19,15 @@
 //! - [`SimClock`]: the *only* place seconds and cycles meet. Engines and
 //!   the kernel never do float time arithmetic; conversion happens once
 //!   at the trace/`SimResult` boundary (enforced by the `planaria-checks`
-//!   time-domain lint, which allowlists exactly `clock.rs`).
-//! - [`NodeKernel`]: the event loop as a resumable per-node kernel.
-//!   Engines plug in as [`EnginePolicy`] implementations that keep only
-//!   their scheduling decision logic.
+//!   time-domain lint, which allowlists exactly `clock.rs`), where one
+//!   adapter checks each request of a run and converts its arrival and
+//!   deadline to cycles once.
+//! - The event loop as a resumable per-node kernel. Engines plug in as
+//!   [`EnginePolicy`] implementations that keep only their scheduling
+//!   decision logic.
 //!
-//! Three public functions run it:
+//! Three public functions run it, each taking a slice or a stream of
+//! requests alike:
 //!
 //! - [`run_streamed_sink`]: one node over a request stream, retiring
 //!   into any [`CompletionSink`](planaria_workload::CompletionSink). The
@@ -35,7 +38,7 @@
 //!   [`Dispatcher`], keeping every completion — bit-deterministic at
 //!   any worker count. `planaria_core::Fleet` runs on it.
 //! - [`run_fabric_summary`]: the same fabric at flat memory, keeping
-//!   aggregate tallies only.
+//!   aggregate tallies only ([`NodeSummary`]s folded in node order).
 //!
 //! [`oracle::run_streamed_reference`] re-runs one node on the algorithm
 //! the kernel replaced (a lazily invalidated binary heap of completion
@@ -69,8 +72,7 @@ mod tenant;
 
 pub use clock::SimClock;
 pub use fabric::{
-    run_fabric_summary, run_fabric_with, Dispatcher, FabricStats, FabricSummary, FabricTuning,
-    NodeLoad,
+    run_fabric_summary, run_fabric_with, Dispatcher, FabricStats, FabricTuning, NodeLoad,
 };
-pub use kernel::{run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState};
+pub use kernel::{run_streamed_sink, EnginePolicy, NodeSummary, SimState};
 pub use tenant::{FloorEntry, TenantState};

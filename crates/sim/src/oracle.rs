@@ -19,6 +19,9 @@
 //!   retirement still go through [`SimState`], so the positions a policy
 //!   parks stay keyed.
 //!
+//! Requests enter through the same checked boundary as the kernel's, so
+//! both lanes see the same arrival and deadline cycles.
+//!
 //! The production kernel instead wakes at the earlier of the pending
 //! arrival and the minimum `now + remaining` over running tenants, so
 //! the two lanes agree only if that minimum is exactly the heap's next
@@ -42,7 +45,7 @@
 //! (results are collector-independent; the telemetry suite pins that
 //! separately).
 
-use crate::clock::SimClock;
+use crate::clock::{checked_arrivals, Arrival};
 use crate::kernel::{EnginePolicy, SimState};
 use crate::tenant::TenantState;
 use planaria_arch::AcceleratorConfig;
@@ -89,8 +92,10 @@ struct Estimate {
 ///
 /// # Panics
 ///
-/// Panics if the source yields arrivals out of order, or an arrival the
-/// clock cannot represent ([`SimClock::check_arrival`]).
+/// Panics if the source yields arrivals out of order, an arrival the
+/// clock cannot represent
+/// ([`SimClock::check_arrival`](crate::SimClock::check_arrival)), or a
+/// QoS that is negative or NaN.
 pub fn run_streamed_reference<P, C, I>(
     cfg: &AcceleratorConfig,
     requests: I,
@@ -103,24 +108,7 @@ where
     I: IntoIterator,
     I::Item: Borrow<Request>,
 {
-    let mut source = requests.into_iter().map(|r| *r.borrow());
-    let mut head: Option<Request> = source.next();
-    let clock = SimClock::new(head.map_or(0.0, |r| r.arrival), cfg.freq_hz);
-    // Pulls the next request, checking its arrival as the kernel's pull does.
-    let mut last_arrival = f64::NEG_INFINITY;
-    let mut pull = move || {
-        let next = head.take().or_else(|| source.next());
-        if let Some(r) = &next {
-            assert!(
-                r.arrival >= last_arrival,
-                "trace must be sorted by arrival time"
-            );
-            clock.check_arrival(r);
-            last_arrival = r.arrival;
-        }
-        next
-    };
-
+    let (clock, mut arrivals) = checked_arrivals(requests, cfg.freq_hz);
     let mut sim = SimState::new_for(*cfg, clock);
     let mut queue: BinaryHeap<Reverse<(Cycles, Wake)>> = BinaryHeap::new();
     // Indexed by admission number; an entry outlives its tenant.
@@ -128,24 +116,20 @@ where
     let em = EnergyModel::for_config(cfg);
 
     let mut completions: Vec<Completion> = Vec::new();
-    let mut pending: Option<Request> = pull();
+    let mut pending: Option<Arrival> = arrivals.next();
     let mut next_arrival = 0u64;
     // Whether the pending arrival's wake-up is already in the heap.
     let mut arrival_pushed = false;
     let mut busy = Cycles::ZERO;
     let mut origin: Option<Cycles> = None;
 
-    if let Some(r) = &pending {
-        queue.push(Reverse((
-            clock.cycles_from_seconds(r.arrival),
-            Wake::Arrival {
-                index: next_arrival,
-            },
-        )));
-        arrival_pushed = true;
-    }
-
     loop {
+        // One arrival entry per admission number.
+        if let Some(a) = pending.filter(|_| !arrival_pushed) {
+            let index = next_arrival;
+            queue.push(Reverse((a.at, Wake::Arrival { index })));
+            arrival_pushed = true;
+        }
         // Pop the next valid entry, skipping superseded ones, then drain
         // every other entry at the same cycle: events are pure wake-ups.
         let t_next = loop {
@@ -180,38 +164,26 @@ where
         }
         sim.now = t_next;
 
-        while let Some(req) = pending {
-            let at = clock.cycles_from_seconds(req.arrival);
-            if at > sim.now {
-                if !arrival_pushed {
-                    queue.push(Reverse((
-                        at,
-                        Wake::Arrival {
-                            index: next_arrival,
-                        },
-                    )));
-                    arrival_pushed = true;
-                }
+        while let Some(a) = pending {
+            if a.at > sim.now {
                 break;
             }
             if origin.is_none() {
-                origin = Some(at);
+                origin = Some(a.at);
             }
-            let compiled = policy.compiled_for(&req);
-            let deadline = clock.cycles_from_seconds(req.deadline());
+            let compiled = policy.compiled_for(&a.request);
+            let subarrays = policy.admit_subarrays();
             sim.admit(TenantState::new(
                 next_arrival,
-                req,
+                a,
                 compiled,
-                policy.admit_subarrays(),
-                at,
-                deadline,
+                subarrays,
                 sim.now,
             ));
             estimates.push(Estimate::default());
             next_arrival += 1;
             arrival_pushed = false;
-            pending = pull();
+            pending = arrivals.next();
         }
 
         let mut i = 0;

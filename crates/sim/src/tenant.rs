@@ -1,5 +1,6 @@
 //! The shared per-request record.
 
+use crate::clock::Arrival;
 use planaria_arch::Allocation;
 use planaria_compiler::CompiledDnn;
 use planaria_model::units::{Cycles, Picojoules};
@@ -83,11 +84,9 @@ impl TenantState {
     /// exact here — zero completed work rescales to zero).
     pub(crate) fn new(
         admission: u64,
-        request: Request,
+        arrival: Arrival,
         compiled: Arc<CompiledDnn>,
         admit_subarrays: u32,
-        arrival_cycle: Cycles,
-        deadline_cycle: Cycles,
         now: Cycles,
     ) -> Self {
         let (work_total, table_energy) = {
@@ -95,10 +94,10 @@ impl TenantState {
             (table.total_cycles(), table.total_energy())
         };
         Self {
-            request,
+            request: arrival.request,
             compiled,
-            arrival_cycle,
-            deadline_cycle,
+            arrival_cycle: arrival.at,
+            deadline_cycle: arrival.deadline,
             placement: None,
             work_done: Cycles::ZERO,
             work_total,
@@ -201,21 +200,19 @@ mod tests {
             &AcceleratorConfig::planaria(),
             &planaria_model::DnnId::TinyYolo.build(),
         ));
-        let mut t = TenantState::new(
-            0,
-            Request {
-                id: 0,
-                dnn: planaria_model::DnnId::TinyYolo,
-                arrival: 0.0,
-                priority: 5,
-                qos: 1.0,
-            },
-            compiled,
-            1,
-            Cycles::ZERO,
-            Cycles::new(1000),
-            Cycles::ZERO,
-        );
+        let request = Request {
+            id: 0,
+            dnn: planaria_model::DnnId::TinyYolo,
+            arrival: 0.0,
+            priority: 5,
+            qos: 1.0,
+        };
+        let arrival = Arrival {
+            request,
+            at: Cycles::ZERO,
+            deadline: Cycles::new(1000),
+        };
+        let mut t = TenantState::new(0, arrival, compiled, 1, Cycles::ZERO);
         t.work_total = Cycles::new(total);
         t.table_energy = Picojoules::from_joules(energy);
         t

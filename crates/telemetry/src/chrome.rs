@@ -15,9 +15,9 @@
 //!   preemption instants, completion instant).
 //!
 //! Timestamps are converted from [`Cycles`] to microseconds exactly
-//! once, here, using the recording's [`SimMeta`] clock; events are
-//! sorted by cycle count (ties broken by recording order) so the output
-//! is globally monotonic and byte-deterministic.
+//! once, here, using the recording's [`SimMeta`](crate::SimMeta) clock;
+//! events are sorted by cycle count (ties broken by recording order) so
+//! the output is globally monotonic and byte-deterministic.
 
 use crate::collector::RecordingCollector;
 use crate::event::{Event, TimedEvent};

@@ -256,8 +256,9 @@ pub struct MetricsReport {
     /// Histograms in deterministic iteration order.
     pub histograms: BTreeMap<Metric, Histogram>,
     /// Streaming quantile sketches (exact-integer cycle distributions)
-    /// in deterministic iteration order.
-    pub sketches: BTreeMap<Metric, CycleSketch>,
+    /// in deterministic iteration order. Boxed, so the map's nodes stay
+    /// small and a report holds one ~15 KiB sketch per observed metric.
+    pub sketches: BTreeMap<Metric, Box<CycleSketch>>,
     /// Total events recorded alongside the aggregates.
     pub events: u64,
 }
@@ -275,7 +276,7 @@ impl MetricsReport {
 
     /// The quantile sketch for one metric, if any samples were observed.
     pub fn sketch(&self, m: Metric) -> Option<&CycleSketch> {
-        self.sketches.get(&m)
+        self.sketches.get(&m).map(|s| &**s)
     }
 
     /// Merges another report into this one: counters and event totals
@@ -506,7 +507,7 @@ impl Aggregates {
             sketches: Metric::ALL
                 .into_iter()
                 .zip(&self.sketches)
-                .filter_map(|(m, s)| Some((m, CycleSketch::clone(s.as_deref()?))))
+                .filter_map(|(m, s)| Some((m, s.clone()?)))
                 .collect(),
             events,
         }
@@ -596,7 +597,7 @@ mod tests {
         a.histograms.insert(Metric::QueueDepth, ha);
         let mut sa = CycleSketch::new();
         sa.record(100);
-        a.sketches.insert(Metric::LatencyCycles, sa);
+        a.sketches.insert(Metric::LatencyCycles, Box::new(sa));
 
         let mut b = MetricsReport::default();
         b.events = 1;
@@ -607,7 +608,7 @@ mod tests {
         b.histograms.insert(Metric::QueueDepth, hb);
         let mut sb = CycleSketch::new();
         sb.record(200);
-        b.sketches.insert(Metric::LatencyCycles, sb);
+        b.sketches.insert(Metric::LatencyCycles, Box::new(sb));
 
         let mut ab = a.clone();
         ab.merge(&b);

@@ -17,6 +17,12 @@
 //! exact `SimResult`. If any event's allocations, placements or floors
 //! diverged, the streams would differ at that event.
 //!
+//! The random cases also run the ExclusiveFifo ablation, which keeps no
+//! memo and puts no tenant to sleep, so it has no full-rescan twin: its
+//! oracle is the oracle kernel (`planaria_sim::oracle`) driving the same
+//! policy, compared on the exact `SimResult` and its digest (that kernel
+//! records no kernel-side events).
+//!
 //! The incremental scheduler also puts queued tenants to sleep: past
 //! their deadline they are parked, with slack left they wait in deadline
 //! order and the unfit pack visits them lazily under a score bound. The
@@ -29,7 +35,8 @@
 use planaria::arch::AcceleratorConfig;
 use planaria::core::{CompiledLibrary, DispatchPolicy, Fleet, PlanariaEngine, SchedulingMode};
 use planaria::model::SplitMix64;
-use planaria::telemetry::RecordingCollector;
+use planaria::sim::oracle::run_streamed_reference;
+use planaria::telemetry::{NullCollector, RecordingCollector};
 use planaria::workload::Request;
 use planaria::workload::{QosLevel, Scenario, TraceConfig};
 
@@ -71,18 +78,10 @@ fn chips() -> [AcceleratorConfig; 2] {
     ]
 }
 
-/// The mode a lane is checked against: the full rescan for the
-/// incremental scheduler. ExclusiveFifo keeps no memo and puts no tenant
-/// to sleep, so a second run of it is its own oracle.
-fn oracle_of(mode: SchedulingMode) -> SchedulingMode {
-    match mode {
-        SchedulingMode::Spatial => SchedulingMode::FullRescan,
-        other => other,
-    }
-}
-
-/// Races a scheduling mode against its oracle on one trace, comparing
-/// results and the complete recorded stream.
+/// Races a scheduling mode against its oracle on one trace. The
+/// incremental scheduler races the full rescan, compared on results and
+/// the complete recorded stream; ExclusiveFifo races the oracle kernel
+/// driving its own policy, compared on results and digest.
 fn assert_lanes_agree(
     library: &CompiledLibrary,
     mode: SchedulingMode,
@@ -90,11 +89,29 @@ fn assert_lanes_agree(
     what: &str,
 ) {
     let incremental = PlanariaEngine::with_library(library.clone()).with_mode(mode);
-    let oracle = PlanariaEngine::with_library(library.clone()).with_mode(oracle_of(mode));
     let what = format!(
         "{} subarrays, {mode:?}, {what}",
         library.config().num_subarrays()
     );
+    if mode == SchedulingMode::ExclusiveFifo {
+        let hot = incremental.run(trace);
+        let mut policy = incremental.spatial_policy();
+        let oracle =
+            run_streamed_reference(library.config(), trace, &mut policy, &mut NullCollector);
+        assert_eq!(
+            hot.completions, oracle.completions,
+            "{what}: completions diverged"
+        );
+        assert_eq!(
+            hot.total_energy, oracle.total_energy,
+            "{what}: energy diverged"
+        );
+        assert_eq!(hot.makespan, oracle.makespan, "{what}: makespan diverged");
+        assert_eq!(hot.digest(), oracle.digest(), "{what}: digest diverged");
+        return;
+    }
+    let oracle =
+        PlanariaEngine::with_library(library.clone()).with_mode(SchedulingMode::FullRescan);
     let mut t_inc = RecordingCollector::new();
     let mut t_full = RecordingCollector::new();
     let r_inc = incremental.run_with_collector(trace, &mut t_inc);

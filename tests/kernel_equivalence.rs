@@ -12,11 +12,11 @@
 //! both kernels across the scenario/QoS grid, at rates that keep the node
 //! saturated (deep backlogs re-estimate every running tenant at every
 //! event), on adversarial traces (same-instant bursts, hopeless
-//! deadlines, convoys, out-of-order and repeated ids), on a
-//! finer-grained chip, and under overload, where Planaria parks nearly
-//! the whole backlog (QoS-Hard) or lets it wait by deadline (QoS-Soft and
-//! QoS-Medium) and the kernel walks only the rest; every result must
-//! digest identically.
+//! deadlines, convoys, out-of-order and repeated ids, where Planaria's
+//! ExclusiveFifo ablation runs too), on a finer-grained chip, and under
+//! overload, where Planaria parks nearly the whole backlog (QoS-Hard) or
+//! lets it wait by deadline (QoS-Soft and QoS-Medium) and the kernel
+//! walks only the rest; every result must digest identically.
 //!
 //! The reference lane also audits the chip after every scheduling event
 //! ([`Audit`]): no subarray is double-booked, a sleeping tenant holds
@@ -24,7 +24,7 @@
 
 use planaria_arch::{AcceleratorConfig, Allocation};
 use planaria_compiler::CompiledDnn;
-use planaria_core::PlanariaEngine;
+use planaria_core::{PlanariaEngine, SchedulingMode};
 use planaria_model::DnnId;
 use planaria_prema::{Policy, PremaEngine};
 use planaria_sim::oracle::run_streamed_reference;
@@ -301,19 +301,25 @@ fn stress_traces() -> Vec<(String, Vec<Request>)> {
 
 #[test]
 fn stress_traces_match_reference_on_three_chips() {
-    // Planaria on the paper chip and on 64 finer subarrays, PREMA on
-    // the monolithic chip.
-    let spatial = [
-        PlanariaEngine::new(AcceleratorConfig::planaria()),
-        PlanariaEngine::new(AcceleratorConfig::with_granularity(16)),
-    ];
+    // Planaria and its ExclusiveFifo ablation on the paper chip and on 64
+    // finer subarrays, PREMA on the monolithic chip.
+    let mut spatial = Vec::new();
+    for chip in [
+        AcceleratorConfig::planaria(),
+        AcceleratorConfig::with_granularity(16),
+    ] {
+        let engine = PlanariaEngine::new(chip);
+        for mode in [SchedulingMode::Spatial, SchedulingMode::ExclusiveFifo] {
+            spatial.push((mode, engine.clone().with_mode(mode)));
+        }
+    }
     let prema = PremaEngine::new_default();
     for (name, trace) in stress_traces() {
-        for engine in &spatial {
+        for (mode, engine) in &spatial {
             let hot = engine.run(&trace);
             let oracle = spatial_reference(engine, &trace);
             let tag = format!(
-                "{name} on {} subarrays",
+                "{name} on {} subarrays, {mode:?}",
                 engine.library().config().num_subarrays()
             );
             assert_identical(&hot, &oracle, &tag);
