@@ -35,7 +35,7 @@ fn main() {
             let thr = |name: &str| {
                 let (_, e) = engines.iter().find(|(n, _)| *n == name).expect("policy");
                 max_throughput(
-                    |lambda, seed| e.run(&trace(scenario, qos, lambda, seed)).completions,
+                    |lambda, seed| e.run(trace(scenario, qos, lambda, seed)).completions,
                     &PROBE_SEEDS,
                     THROUGHPUT_FLOOR,
                     THROUGHPUT_CEIL,

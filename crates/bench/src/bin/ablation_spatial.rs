@@ -27,7 +27,7 @@ fn main() {
         for qos in [QosLevel::Soft, QosLevel::Medium] {
             let thr = |e: &PlanariaEngine| {
                 max_throughput(
-                    |lambda, seed| e.run(&trace(scenario, qos, lambda, seed)).completions,
+                    |lambda, seed| e.run(trace(scenario, qos, lambda, seed)).completions,
                     &PROBE_SEEDS,
                     THROUGHPUT_FLOOR,
                     THROUGHPUT_CEIL,

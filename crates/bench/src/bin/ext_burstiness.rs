@@ -23,14 +23,14 @@ fn main() {
                 .generate()
         };
         let thr_p = max_throughput(
-            |lambda, seed| sys.planaria.run(&mk(lambda, seed)).completions,
+            |lambda, seed| sys.planaria.run(mk(lambda, seed)).completions,
             &PROBE_SEEDS,
             THROUGHPUT_FLOOR,
             THROUGHPUT_CEIL,
             THROUGHPUT_ITERS,
         );
         let thr_r = max_throughput(
-            |lambda, seed| sys.prema.run(&mk(lambda, seed)).completions,
+            |lambda, seed| sys.prema.run(mk(lambda, seed)).completions,
             &PROBE_SEEDS,
             THROUGHPUT_FLOOR,
             THROUGHPUT_CEIL,

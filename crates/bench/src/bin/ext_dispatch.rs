@@ -68,13 +68,13 @@ fn main() {
         let start = std::time::Instant::now();
         let (cs, stats) = fleet.run_stats(cfg.stream(), policy);
         eprintln!("[{policy:?}: {:.1}s]", start.elapsed().as_secs_f64());
-        assert_eq!(cs.completed as usize, n, "{policy:?} lost requests");
+        assert_eq!(cs.summary.completed as usize, n, "{policy:?} lost requests");
         let lat = cs
             .metrics
             .sketch(Metric::LatencyCycles)
             .and_then(|s| LatencyStats::from_sketch(s, freq_hz))
             .expect("latency sketch populated");
-        let sla_rate = cs.metrics.counter(Counter::QosMet) as f64 / cs.completed as f64;
+        let sla_rate = cs.metrics.counter(Counter::QosMet) as f64 / cs.summary.completed as f64;
         // Backlog watermark: the worst outstanding-work any node showed
         // at any round barrier, converted to milliseconds of work.
         let max_backlog_ms = cs
@@ -94,8 +94,8 @@ fn main() {
             format!("{:.3}", lat.p99 * 1e3),
             format!("{max_backlog_ms:.3}"),
             p99_depth.to_string(),
-            format!("{:.3}", cs.makespan),
-            format!("{:.3}", cs.total_energy.to_joules()),
+            format!("{:.3}", cs.summary.makespan),
+            format!("{:.3}", cs.summary.total_energy.to_joules()),
             stats.events.to_string(),
             stats.rounds.to_string(),
         ]);

@@ -81,22 +81,22 @@ fn fleet_area(fleet: &Fleet<PlanariaEngine>) -> f64 {
         .sum()
 }
 
+/// A traffic mix: its name, scenario, QoS level and arrival rate.
+type Traffic = (&'static str, Scenario, QosLevel, f64);
+
 /// Runs one sweep point and appends its Pareto row.
 fn run_point(
     table: &mut ResultTable,
     name: &str,
-    traffic: &str,
     fleet: &Fleet<PlanariaEngine>,
-    scenario: Scenario,
-    qos: QosLevel,
-    lambda: f64,
+    (traffic, scenario, qos, lambda): Traffic,
     n: usize,
 ) {
     let cfg = TraceConfig::new(scenario, qos, lambda, n, 0x9e0);
     let start = std::time::Instant::now();
     let (cs, stats) = fleet.run_stats(cfg.stream(), DispatchPolicy::GeometryAware);
     eprintln!("[{name}/{traffic}: {:.1}s]", start.elapsed().as_secs_f64());
-    assert_eq!(cs.completed as usize, n, "{name} lost requests");
+    assert_eq!(cs.summary.completed as usize, n, "{name} lost requests");
     let cfgs = fleet.configs();
     let freq_hz = cfgs[0].freq_hz;
     let lat = cs
@@ -104,10 +104,10 @@ fn run_point(
         .sketch(Metric::LatencyCycles)
         .and_then(|s| LatencyStats::from_sketch(s, freq_hz))
         .expect("latency sketch populated");
-    let sla_rate = cs.metrics.counter(Counter::QosMet) as f64 / cs.completed as f64;
+    let sla_rate = cs.metrics.counter(Counter::QosMet) as f64 / cs.summary.completed as f64;
     let area = fleet_area(fleet);
-    let events_per_s = stats.events as f64 / cs.makespan;
-    let mj_per_req = cs.total_energy.to_joules() * 1e3 / cs.completed as f64;
+    let events_per_s = stats.events as f64 / cs.summary.makespan;
+    let mj_per_req = cs.summary.total_energy.to_joules() * 1e3 / cs.summary.completed as f64;
     table.row(vec![
         name.to_string(),
         traffic.to_string(),
@@ -146,16 +146,8 @@ fn main() {
     // Sweep 1: single-chip shapes under one contended trace.
     for point in named_sweep() {
         let fleet = fleet_of(&[point.cfg]).expect("named sweep points are valid");
-        run_point(
-            &mut table,
-            point.name,
-            "mixed",
-            &fleet,
-            Scenario::C,
-            QosLevel::Medium,
-            SINGLE_LAMBDA,
-            n,
-        );
+        let traffic = ("mixed", Scenario::C, QosLevel::Medium, SINGLE_LAMBDA);
+        run_point(&mut table, point.name, &fleet, traffic, n);
     }
 
     // Sweep 2: equal-budget four-node fleets (4 × 16 384 PEs each).
@@ -173,14 +165,14 @@ fn main() {
     // Two traffic mixes: "mixed" (QoS-M at the fleet saturation knee,
     // where deadline pressure splits by model weight) and "tight"
     // (QoS-H, every deadline 16× harder at a rate the fleets can hold).
-    let mixes: [(&str, Scenario, QosLevel, f64); 2] = [
+    let mixes: [Traffic; 2] = [
         ("mixed", Scenario::C, QosLevel::Medium, 2_450.0),
         ("tight", Scenario::C, QosLevel::Hard, 1_500.0),
     ];
-    for (traffic, scenario, qos, lambda) in mixes {
+    for traffic in mixes {
         for (name, cfgs) in &fleets {
             let fleet = fleet_of(cfgs).expect("fleet geometries are valid");
-            run_point(&mut table, name, traffic, &fleet, scenario, qos, lambda, n);
+            run_point(&mut table, name, &fleet, traffic, n);
         }
     }
     table.emit("ext_geometry");

@@ -32,7 +32,7 @@ fn main() {
             let thr = max_throughput(
                 |lambda, seed| {
                     engine
-                        .run(&trace(scenario, QosLevel::Soft, lambda, seed))
+                        .run(trace(scenario, QosLevel::Soft, lambda, seed))
                         .completions
                 },
                 &PROBE_SEEDS,

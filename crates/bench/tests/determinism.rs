@@ -41,7 +41,7 @@ fn figure_pipelines_are_bit_identical_across_job_counts() {
             max_throughput(
                 |lambda, seed| {
                     sys.planaria
-                        .run(&mini_trace(scenario, qos, lambda, seed))
+                        .run(mini_trace(scenario, qos, lambda, seed))
                         .completions
                 },
                 &seeds,
@@ -65,7 +65,7 @@ fn figure_pipelines_are_bit_identical_across_job_counts() {
             sla_satisfaction_rate(
                 |seed| {
                     sys.prema
-                        .run(&mini_trace(scenario, qos, 40.0, seed))
+                        .run(mini_trace(scenario, qos, 40.0, seed))
                         .completions
                 },
                 &seeds,
@@ -84,7 +84,7 @@ fn figure_pipelines_are_bit_identical_across_job_counts() {
     let rows = |jobs: &str| {
         with_jobs(jobs, || {
             par_grid(|sc, q| {
-                let r = sys.planaria.run(&mini_trace(sc, q, 40.0, 7));
+                let r = sys.planaria.run(mini_trace(sc, q, 40.0, 7));
                 (
                     r.mean_latency().to_bits(),
                     r.percentile_latency(0.99).map(f64::to_bits),

@@ -96,8 +96,8 @@ fn observability_plane_is_transparent_valid_and_accurate() {
 
     // 4. Flat path: same counts/QoS/sketch without completion vectors.
     let (cs, _) = with_jobs("2", || fleet.run_stats(&trace, policy));
-    assert_eq!(cs.completed, trace.len() as u64);
-    assert!((cs.makespan - result.makespan).abs() < 1e-12);
+    assert_eq!(cs.summary.completed, trace.len() as u64);
+    assert!((cs.summary.makespan - result.makespan).abs() < 1e-12);
     let qos_met = result.completions.iter().filter(|c| c.met_qos()).count() as u64;
     // The kernel judges QoS in integer cycles, the oracle in float
     // seconds; at the boundary they may disagree by a request.

@@ -98,7 +98,11 @@ fn heterogeneous_fleet_is_byte_deterministic_across_job_counts() {
     let stats_run = |jobs: &str| {
         with_jobs(jobs, || {
             let (cs, _) = fleet.run_stats(&trace, DispatchPolicy::GeometryAware);
-            (cs.completed, cs.total_energy, cs.makespan.to_bits())
+            (
+                cs.summary.completed,
+                cs.summary.total_energy,
+                cs.summary.makespan.to_bits(),
+            )
         })
     };
     assert_eq!(

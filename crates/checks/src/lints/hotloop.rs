@@ -18,7 +18,9 @@
 //!   type is resolved through the item parser's local/field type maps) —
 //!   a deep copy per event; borrow or reuse scratch instead.
 //!
-//! Scope: the kernel event loop, the multi-node fabric round loop, both
+//! Scope: the kernel event loop and its sleeping heaps
+//! (`crates/sim/src/sleep.rs`, which sleep, wake and re-key tenants
+//! every event), the multi-node fabric round loop, both
 //! engine policies and PREMA's pick (`crates/prema/src/policy.rs`, run
 //! once per PREMA event), the estimate memo's seed classification
 //! (`crates/core/src/sched_state.rs`, run per tenant per event), the
@@ -39,8 +41,9 @@ use crate::source::SourceFile;
 use crate::symbols::{ty_head, FileSymbols};
 
 /// Files forming the per-event path.
-pub(super) const HOT_SCOPE: [&str; 9] = [
+pub(super) const HOT_SCOPE: [&str; 10] = [
     "crates/sim/src/kernel.rs",
+    "crates/sim/src/sleep.rs",
     "crates/sim/src/fabric.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/fleet.rs",

@@ -201,15 +201,11 @@ pub fn check(file: &SourceFile, tokens: &[Token], syms: &FileSymbols) -> Vec<Dia
         let mut closure = None;
         for (lo, hi) in split_commas(tokens, i + 2, close) {
             let mut depth = 0i64;
-            for k in lo..hi {
+            for (k, token) in tokens.iter().enumerate().take(hi).skip(lo) {
                 match () {
-                    _ if tokens[k].is_p("(") || tokens[k].is_p("[") || tokens[k].is_p("{") => {
-                        depth += 1
-                    }
-                    _ if tokens[k].is_p(")") || tokens[k].is_p("]") || tokens[k].is_p("}") => {
-                        depth -= 1
-                    }
-                    _ if depth == 0 && tokens[k].is_p("|") => {
+                    _ if token.is_p("(") || token.is_p("[") || token.is_p("{") => depth += 1,
+                    _ if token.is_p(")") || token.is_p("]") || token.is_p("}") => depth -= 1,
+                    _ if depth == 0 && token.is_p("|") => {
                         closure = Some((k, hi));
                         break;
                     }

@@ -412,7 +412,7 @@ mod tests {
                 args: Vec::new(),
             }],
         };
-        let back = parse_cache(&render_cache(&[f.clone()])).expect("parses");
+        let back = parse_cache(&render_cache(std::slice::from_ref(&f))).expect("parses");
         assert_eq!(back, vec![f]);
     }
 }

@@ -160,8 +160,8 @@ pub(crate) fn split_commas(tokens: &[Token], start: usize, end: usize) -> Vec<(u
     let mut depth = 0i64;
     let mut angle = 0i64;
     let mut seg = start;
-    for i in start..end {
-        match &tokens[i].kind {
+    for (i, token) in tokens.iter().enumerate().take(end).skip(start) {
+        match &token.kind {
             TokKind::P("(") | TokKind::P("[") | TokKind::P("{") => depth += 1,
             TokKind::P(")") | TokKind::P("]") | TokKind::P("}") => depth -= 1,
             TokKind::P("<") => angle += 1,

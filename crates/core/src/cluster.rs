@@ -465,9 +465,9 @@ mod tests {
         let trace = TraceConfig::new(Scenario::C, QosLevel::Soft, 250.0, 40, 9).generate();
         let (mat, _) = fleet.run(&trace, DispatchPolicy::LeastWork);
         let (cs, _) = fleet.run_stats(&trace, DispatchPolicy::LeastWork);
-        assert_eq!(cs.completed, 40);
+        assert_eq!(cs.summary.completed, 40);
         assert_eq!(mat.completions.len(), 40);
-        assert!((cs.makespan - mat.makespan).abs() < 1e-12);
+        assert!((cs.summary.makespan - mat.makespan).abs() < 1e-12);
         // Sketch p99 over-reports by at most 1/32 relative to the exact
         // nearest-rank oracle on the materialized completions.
         let sketch = cs

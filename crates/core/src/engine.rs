@@ -12,7 +12,7 @@
 
 use crate::sched_state::{seed, Seed};
 use crate::scheduler::{
-    allocate_spatially_into, min_slack_cycles, unfit_score, AllocScratch, SchedTask,
+    allocate_spatially_into, min_slack_cycles, unfit_score, walk_heap, AllocScratch, SchedTask,
 };
 use planaria_arch::{AcceleratorConfig, Allocation, Arrangement, Chip};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
@@ -160,10 +160,12 @@ impl PlanariaEngine {
 /// unfit-path rank depends on its priority alone, so only the best parked
 /// tenant can be granted, and it alone joins the next event's columns.
 /// One with slack left waits ([`SimState::wait`]): when the columns and
-/// the waiting tenants cannot all fit, the unfit pack visits the waiting
-/// ones in deadline order and stops at the first whose best possible
-/// score cannot enter the packing prefix. The rest of a deep backlog
-/// sleeps untouched.
+/// the waiting tenants cannot all fit, the unfit pack walks the kernel's
+/// deadline heap top-down and skips the subtree below each waiting
+/// tenant whose best possible score cannot enter the packing prefix. The
+/// rest of a deep backlog sleeps untouched, and no event allocates for
+/// it: the kernel's sleeping heaps and the walk's stack grow to their
+/// high-water marks once.
 pub struct SpatialPolicy<'a> {
     library: &'a CompiledLibrary,
     mode: SchedulingMode,
@@ -190,8 +192,8 @@ struct Scratch {
     /// Column → tenant position, ascending: the awake tenants plus the
     /// best parked one, and the waiting tenants the pack grants.
     cols: Vec<usize>,
-    /// Waiting tenants this event wakes before estimating.
-    woken: Vec<usize>,
+    /// Waiting-heap indices the pack's top-down walk has yet to visit.
+    stack: Vec<usize>,
     /// This event's grant per column.
     alloc: Vec<u32>,
     /// `(tenant index, grant)` of every tenant that holds subarrays or is
@@ -210,6 +212,17 @@ struct Scratch {
 /// cycles — saturate here too instead of wrapping to "past due".
 fn slack_cycles(deadline: Cycles, now: Cycles) -> i64 {
     i64::try_from(deadline.get()).unwrap_or(i64::MAX) - now.get() as i64
+}
+
+/// Wakes every waiting tenant, or (`all` false) those past their
+/// deadline: the root of the deadline heap while its slack is negative.
+fn wake_waiting(sim: &mut SimState, now: Cycles, all: bool) {
+    while let Some(i) = sim.first_waiting() {
+        if !all && slack_cycles(sim.tenants()[i].deadline_cycle, now) >= 0 {
+            break;
+        }
+        sim.wake(i);
+    }
 }
 
 /// `ESTIMATERESOURCES` for `t` at `slack` on a chip of `total`
@@ -261,19 +274,20 @@ impl SpatialPolicy<'_> {
     /// than the chip, and alone it gets the chip either way.
     ///
     /// Waiting tenants past their deadline rejoin the columns first (they
-    /// lead the deadline order), to be parked if they stay queued. Every
-    /// estimate is at least 1, so when the columns' estimates plus one
-    /// subarray per waiting tenant exceed the chip, the full set takes
-    /// the unfit path and the pack visits the waiting tenants lazily
-    /// ([`pack_with_waiting`](Self::pack_with_waiting)). Otherwise it may
-    /// fit: every waiting tenant wakes and is estimated as a column.
+    /// sit at the root of the deadline heap), to be parked if they stay
+    /// queued. Every estimate is at least 1, so when the columns'
+    /// estimates plus one subarray per waiting tenant exceed the chip,
+    /// the full set takes the unfit path and the pack visits the waiting
+    /// tenants lazily ([`pack_with_waiting`](Self::pack_with_waiting)).
+    /// Otherwise it may fit: every waiting tenant wakes and is estimated
+    /// as a column.
     fn allocate_spatially(&mut self, sim: &mut SimState, now: Cycles, total: u32) -> Option<usize> {
-        self.wake_waiting(sim, now, false);
+        wake_waiting(sim, now, false);
         let mut asleep = self.fill_columns(sim);
         let need = self.estimate_columns(sim, now, total);
         let waiting = sim.waiting_len();
         if waiting > 0 && waiting <= total.saturating_sub(need) as usize {
-            self.wake_waiting(sim, now, true);
+            wake_waiting(sim, now, true);
             asleep = self.fill_columns(sim);
             self.estimate_columns(sim, now, total);
         }
@@ -293,20 +307,6 @@ impl SpatialPolicy<'_> {
             );
         }
         asleep
-    }
-
-    /// Wakes every waiting tenant, or (`all` false) those past their
-    /// deadline.
-    fn wake_waiting(&mut self, sim: &mut SimState, now: Cycles, all: bool) {
-        let woken = &mut self.s.woken;
-        woken.clear();
-        woken.extend(
-            sim.waiting()
-                .take_while(|&i| all || slack_cycles(sim.tenants()[i].deadline_cycle, now) < 0),
-        );
-        for &i in woken.iter() {
-            sim.wake(i);
-        }
     }
 
     /// Fills the columns with the awake tenants plus the best parked one
@@ -351,38 +351,43 @@ impl SpatialPolicy<'_> {
     }
 
     /// The unfit pack over the columns, keyed by position, then over the
-    /// waiting tenants in deadline order; granted waiting tenants wake and
-    /// join the columns.
+    /// waiting tenants, walking the deadline heap top-down; granted
+    /// waiting tenants wake and join the columns.
     ///
     /// A waiting tenant scores at most `P_max / max(slack, min_slack)`
-    /// (its estimate is at least 1), and slack only grows along the
-    /// order, so once that bound falls strictly below a full prefix's
-    /// last score no later tenant can enter. An unvisited tenant keeps
+    /// (its estimate is at least 1). Once that bound falls strictly below
+    /// a full prefix's last score the tenant cannot enter, and neither
+    /// can any tenant below it in the heap: their deadlines are no
+    /// earlier, so their bounds are no larger, and the last score only
+    /// rises. So the walk skips that subtree. An unvisited tenant keeps
     /// its memo, which stays a sound floor.
     fn pack_with_waiting(&mut self, sim: &mut SimState, now: Cycles, total: u32) {
         let s = &mut self.s;
         let pack = &mut s.sched.pack;
+        let (p_max, min_slack) = (self.p_max, self.min_slack);
         pack.clear();
         for (k, &i) in s.cols.iter().enumerate() {
             let est = s.estimates[k];
             pack.offer(
-                unfit_score(s.priorities[k], s.slacks[k], est, self.min_slack),
+                unfit_score(s.priorities[k], s.slacks[k], est, min_slack),
                 i,
                 est,
                 total,
             );
         }
-        let (waiting, tenants) = sim.waiting_with_tenants();
-        for i in waiting {
-            let t = &mut tenants[i];
-            let slack = slack_cycles(t.deadline_cycle, now);
-            if pack.closed_below(unfit_score(self.p_max, slack, 1, self.min_slack), total) {
-                break;
+        let (heap, tenants) = sim.waiting_heap();
+        walk_heap(heap.len(), &mut s.stack, |k| {
+            let (deadline, i) = heap[k];
+            let slack = slack_cycles(deadline, now);
+            if pack.closed_below(unfit_score(p_max, slack, 1, min_slack), total) {
+                return false;
             }
+            let t = &mut tenants[i];
             let (est, _) = estimate(t, slack, total, true);
-            let score = unfit_score(t.request.priority, slack, est, self.min_slack);
+            let score = unfit_score(t.request.priority, slack, est, min_slack);
             pack.offer(score, i, est, total);
-        }
+            true
+        });
         s.alloc.resize(s.cols.len(), 0);
         for (i, grant) in pack.grants(total) {
             let k = s.cols.partition_point(|&j| j < i);
@@ -718,7 +723,7 @@ mod tests {
     fn lone_task_runs_at_isolated_speed() {
         let e = engine();
         let r = single_request(DnnId::ResNet50, 1.0);
-        let result = e.run(&[r]);
+        let result = e.run([r]);
         assert_eq!(result.completions.len(), 1);
         let latency = result.completions[0].latency();
         let isolated = e.library.isolated_latency(DnnId::ResNet50);
@@ -846,7 +851,7 @@ mod tests {
             mk(0, DnnId::SsdResNet34, f64::INFINITY),
             mk(1, DnnId::ResNet50, 2.0 * iso),
         ];
-        let r = e.run(&trace);
+        let r = e.run(trace);
         let tight = &r.completions[1];
         assert!(
             tight.latency() <= tight.request.qos,
@@ -869,7 +874,7 @@ mod tests {
             priority: 5,
             qos: 1.0,
         };
-        let r = exclusive.run(&[mk(0), mk(1), mk(2)]);
+        let r = exclusive.run([mk(0), mk(1), mk(2)]);
         let worst = r
             .completions
             .iter()
@@ -880,7 +885,7 @@ mod tests {
             "FIFO-exclusive must serialize: {worst} vs {iso}"
         );
         // Spatial co-location beats it.
-        let s = spatial.run(&[mk(0), mk(1), mk(2)]);
+        let s = spatial.run([mk(0), mk(1), mk(2)]);
         let worst_s = s
             .completions
             .iter()

@@ -18,8 +18,9 @@ use crate::cluster::{ClusterDispatcher, DispatchPolicy};
 use crate::engine::{PlanariaEngine, SpatialPolicy};
 use planaria_arch::{AcceleratorConfig, GeometryError};
 use planaria_compiler::CompiledLibrary;
-use planaria_model::units::Picojoules;
-use planaria_sim::{run_fabric_summary, run_fabric_with, EnginePolicy, FabricStats, FabricTuning};
+use planaria_sim::{
+    run_fabric_summary, run_fabric_with, EnginePolicy, FabricStats, FabricTuning, NodeSummary,
+};
 use planaria_telemetry::{
     ClusterRecording, Collector, MetricsReport, NullCollector, RecordingCollector, StatsCollector,
 };
@@ -58,12 +59,10 @@ impl FleetNode for PlanariaEngine {
 /// percentile sketches without ever materializing a completion vector.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
-    /// Requests retired across all nodes.
-    pub completed: u64,
-    /// Dynamic plus static energy summed over nodes in node-id order.
-    pub total_energy: Picojoules,
-    /// Slowest node's makespan, seconds.
-    pub makespan: f64,
+    /// The nodes' summaries folded in node order: requests retired,
+    /// dynamic plus static energy and its static part, and the slowest
+    /// node's makespan.
+    pub summary: NodeSummary,
     /// Fabric counters merged with every node's counters, histograms and
     /// quantile sketches (latency percentiles live in
     /// [`Metric::LatencyCycles`](planaria_telemetry::Metric::LatencyCycles)).
@@ -176,13 +175,7 @@ impl<N: FleetNode> Fleet<N> {
         for sink in &sinks {
             metrics.merge(&sink.report());
         }
-        let cs = ClusterStats {
-            completed: summary.completed,
-            total_energy: summary.total_energy,
-            makespan: summary.makespan,
-            metrics,
-        };
-        (cs, stats)
+        (ClusterStats { summary, metrics }, stats)
     }
 
     fn fabric<I, C, S>(
@@ -281,9 +274,9 @@ mod tests {
         let trace = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 24, 5).generate();
         let (mat, _) = fleet.run(&trace, DispatchPolicy::GeometryAware);
         let (cs, _) = fleet.run_stats(&trace, DispatchPolicy::GeometryAware);
-        assert_eq!(cs.completed as usize, mat.completions.len());
-        assert_eq!(cs.total_energy, mat.total_energy);
-        assert_eq!(cs.makespan.to_bits(), mat.makespan.to_bits());
+        assert_eq!(cs.summary.completed as usize, mat.completions.len());
+        assert_eq!(cs.summary.total_energy, mat.total_energy);
+        assert_eq!(cs.summary.makespan.to_bits(), mat.makespan.to_bits());
     }
 
     #[test]

@@ -20,13 +20,15 @@
 //!   slack: a scan from the whole chip has one iteration, which returns
 //!   `(total, predict(total))` whether or not the count fits, and clean
 //!   counters mean `predict(total)` is still `fit`.
+//! * a negative slack otherwise, memo or not — scan from the whole chip:
+//!   no cycle count fits a negative slack ([`fits_slack`]), so a scan
+//!   from 1, or from any floor, fails at every count and returns the same
+//!   `(total, predict(total))`, which the whole chip answers in one
+//!   lookup. This is the waiting tenant that wakes past its deadline.
 //! * memo clean otherwise — scan upward from `floor` (the sound lower
 //!   bound).
 //! * no clean memo (the tenant progressed, switched tables, or is new)
-//!   and a negative slack — scan from the whole chip: no cycle count
-//!   fits a negative slack ([`fits_slack`]), so a scan from 1 fails at
-//!   every count and returns the same `(total, predict(total))`.
-//! * no clean memo otherwise — scan from 1, exactly like a fresh rescan.
+//!   otherwise — scan from 1, exactly like a fresh rescan.
 //!
 //! Every case returns the pair a scan from 1 returns (DESIGN.md §5f;
 //! pinned by the `incremental_equivalence` property test), so the
@@ -85,16 +87,12 @@ pub fn seed(
     slack: i64,
     subarrays: u32,
 ) -> Seed {
-    match memo {
-        Some(m) if m.done == done && m.total == total => {
-            if m.floor == subarrays || fits_slack(m.fit, slack) {
-                Seed::Exact(m.floor, m.fit)
-            } else {
-                Seed::Floor(m.floor)
-            }
-        }
+    let clean = memo.filter(|m| m.done == done && m.total == total);
+    match clean {
+        Some(m) if m.floor == subarrays || fits_slack(m.fit, slack) => Seed::Exact(m.floor, m.fit),
         _ if slack < 0 => Seed::Floor(subarrays),
-        _ => Seed::Floor(1),
+        Some(m) => Seed::Floor(m.floor),
+        None => Seed::Floor(1),
     }
 }
 
@@ -239,6 +237,20 @@ mod tests {
     }
 
     #[test]
+    fn clean_entry_past_its_deadline_scans_from_the_whole_chip() {
+        // A floor below the chip whose fit misses the slack: a scan from
+        // the floor would fail at every count up to the chip.
+        let m = memo(4, 10, 100, 40);
+        for slack in [-1, -40, i64::MIN] {
+            assert_eq!(
+                seed(Some(&m), cy(10), cy(100), slack, 16),
+                Seed::Floor(16),
+                "slack {slack}"
+            );
+        }
+    }
+
+    #[test]
     fn negative_slack_without_clean_memo_scans_from_the_whole_chip() {
         assert_eq!(seed(None, cy(0), cy(100), -1, 16), Seed::Floor(16));
         let dirty = memo(2, 10, 100, 40);
@@ -265,18 +277,33 @@ mod tests {
             let c = compile(&cfg, &net.build());
             let full = c.table(chip).total_cycles().get() as i64;
             for done in [0.0, 0.4] {
-                // Negative slack, no memo: the seed scans from the whole
-                // chip and lands on the scan-from-1 pair.
+                // Negative slack, with no memo or a clean one below the
+                // chip: the seed scans from the whole chip and lands on
+                // the scan-from-1 pair.
+                let (low, low_fit) = task(&c, done, 2 * full).estimate_resources_with_fit(1, chip);
+                assert!(
+                    low < chip,
+                    "{net:?}: twice the full-chip time fits below it"
+                );
+                let below = FloorEntry {
+                    floor: low,
+                    done: cy(7),
+                    total: cy(9),
+                    fit: low_fit,
+                };
                 for slack in [-1, -full, i64::MIN] {
                     let t = task(&c, done, slack);
-                    let Seed::Floor(floor) = seed(None, cy(0), cy(1), slack, chip) else {
-                        panic!("no memo is never exact");
-                    };
-                    assert_eq!(
-                        t.estimate_resources_with_fit(floor, chip),
-                        t.estimate_resources_with_fit(1, chip),
-                        "{net:?} done {done} slack {slack}"
-                    );
+                    for m in [None, Some(&below)] {
+                        let Seed::Floor(floor) = seed(m, cy(7), cy(9), slack, chip) else {
+                            panic!("no memo below the chip is exact past the deadline");
+                        };
+                        assert_eq!(floor, chip);
+                        assert_eq!(
+                            t.estimate_resources_with_fit(floor, chip),
+                            t.estimate_resources_with_fit(1, chip),
+                            "{net:?} done {done} slack {slack} memo {m:?}"
+                        );
+                    }
                 }
                 // A memo saturated at the whole chip, recorded at a slack
                 // nothing fits, answers every later (smaller) slack.

@@ -246,6 +246,23 @@ impl PackPrefix {
     }
 }
 
+/// Visits the entries of a binary heap of `len` entries top-down, by
+/// index (entry `k`'s children are `2k + 1` and `2k + 2`), skipping the
+/// subtree below every entry for which `visit` returns false. Each entry
+/// is visited after its parent, at most once. `stack` is reusable
+/// scratch.
+pub(crate) fn walk_heap(len: usize, stack: &mut Vec<usize>, mut visit: impl FnMut(usize) -> bool) {
+    stack.clear();
+    if len > 0 {
+        stack.push(0);
+    }
+    while let Some(k) = stack.pop() {
+        if visit(k) {
+            stack.extend((2 * k + 1..len.min(2 * k + 3)).rev());
+        }
+    }
+}
+
 /// The allocation phase of Algorithm 1 over plain columnar inputs, writing
 /// into a caller-owned output buffer.
 ///
@@ -260,6 +277,9 @@ impl PackPrefix {
 /// `alloc` is cleared and refilled aligned with the inputs; allocations
 /// always sum to at most `total`. `min_slack` is the unfit-path urgency
 /// clamp in cycles ([`min_slack_cycles`] of the chip's clock).
+// lint: the four columnar views are the phase's inputs, one slice each;
+// a struct bundling them would only move this list to every caller.
+#[allow(clippy::too_many_arguments)]
 pub fn allocate_spatially_into(
     priorities: &[u32],
     slacks: &[i64],
@@ -575,15 +595,17 @@ mod tests {
         //
         // The pack must grant the same when the tasks are offered in any
         // order, keyed by index, and when part of the queue is visited
-        // lazily in (slack, index) order, the way the engine visits its
-        // waiting tenants, stopping before the first task whose score
-        // bound `P_max / max(slack, min_slack)` lies strictly below a
-        // full prefix's last score.
+        // lazily: in (slack, index) order, stopping before the first task
+        // whose score bound `P_max / max(slack, min_slack)` lies strictly
+        // below a full prefix's last score, and through a top-down walk
+        // of a binary heap keyed (slack, index), the way the engine walks
+        // its waiting tenants, skipping the subtree below each such task.
         let mut rng = planaria_model::SplitMix64::new(0xA110C);
         let mut scratch = AllocScratch::default();
         let mut pack = PackPrefix::default();
         let mut hot = Vec::new();
-        let mut stopped_early = 0;
+        let (mut heap, mut stack) = (Vec::new(), Vec::new());
+        let (mut stopped_early, mut pruned_early) = (0, 0);
         for round in 0..800 {
             let total = [1, 16, 64, 128][rng.next_below(4) as usize];
             let n = 1 + rng.next_below(300) as usize;
@@ -644,6 +666,17 @@ mod tests {
             // rest is visited by slack under the bound.
             let eager = rng.next_below(n as u64 + 1) as usize;
             let (columns, lazy) = order.split_at_mut(eager);
+            // The heap is built by pushing the lazy part in its shuffled
+            // order, each push sifted up.
+            heap.clear();
+            for &i in lazy.iter() {
+                heap.push((slacks[i], i));
+                let mut at = heap.len() - 1;
+                while at > 0 && heap[(at - 1) / 2] > heap[at] {
+                    heap.swap(at, (at - 1) / 2);
+                    at = (at - 1) / 2;
+                }
+            }
             lazy.sort_by_key(|&i| (slacks[i], i));
             let p_max = *priorities.iter().max().expect("n >= 1");
             pack.clear();
@@ -660,10 +693,31 @@ mod tests {
             }
             stopped_early += usize::from(visited < lazy.len());
             assert_eq!(granted(&pack), old, "round {round}: bounded lazy visit");
+
+            pack.clear();
+            for &i in columns.iter() {
+                pack.offer(score(i), i, estimates[i], total);
+            }
+            let mut visited = 0;
+            walk_heap(heap.len(), &mut stack, |k| {
+                let (slack, i) = heap[k];
+                if pack.closed_below(unfit_score(p_max, slack, 1, PAPER_MIN_SLACK), total) {
+                    return false;
+                }
+                pack.offer(score(i), i, estimates[i], total);
+                visited += 1;
+                true
+            });
+            pruned_early += usize::from(visited < lazy.len());
+            assert_eq!(granted(&pack), old, "round {round}: pruned heap walk");
         }
         assert!(
             stopped_early > 100,
             "the bound stopped {stopped_early} visits"
+        );
+        assert!(
+            pruned_early > 100,
+            "the bound pruned {pruned_early} heap walks"
         );
     }
 

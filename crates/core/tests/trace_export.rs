@@ -140,7 +140,7 @@ fn planaria_results_are_bit_identical_across_collectors() {
         bits(&aggregated),
         "StatsCollector changed results"
     );
-    assert!(rec.len() > 0);
+    assert!(!rec.is_empty());
     assert_eq!(stats.events(), rec.len() as u64);
 }
 
@@ -156,7 +156,7 @@ fn prema_results_are_bit_identical_across_collectors() {
         bits(&recorded),
         "RecordingCollector changed results"
     );
-    assert!(rec.len() > 0);
+    assert!(!rec.is_empty());
 }
 
 #[test]

@@ -85,7 +85,7 @@ fn single_byte_corruption_never_panics_or_overreads() {
 
 #[test]
 fn truncation_is_always_detected() {
-    let mut rng = SplitMix64::new(0x7123_4cu64);
+    let mut rng = SplitMix64::new(0x0071_234c_u64);
     for case in 0..CASES {
         let program = random_program(&mut rng, 16);
         let bin = program.assemble();

@@ -47,6 +47,10 @@ impl FleetNode for MixedNode {
 
 /// A per-node policy that is either Planaria's or PREMA's, delegating
 /// every kernel hook to whichever it wraps.
+// lint: built once per node per run and called on every event, so boxing
+// the larger Planaria variant would add an indirection to every hook to
+// save a few hundred bytes per node.
+#[allow(clippy::large_enum_variant)]
 pub enum MixedPolicy<'a> {
     /// Planaria spatial scheduling on this node.
     Spatial(SpatialPolicy<'a>),

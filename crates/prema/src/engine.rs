@@ -308,7 +308,7 @@ mod tests {
             priority: 5,
             qos: 1.0,
         };
-        let result = e.run(&[r]);
+        let result = e.run([r]);
         let iso = e.library.isolated_latency(DnnId::GoogLeNet);
         let lat = result.completions[0].latency();
         assert!((lat / iso - 1.0).abs() < 0.01, "lat {lat} iso {iso}");
@@ -325,7 +325,7 @@ mod tests {
             priority: 5,
             qos: 1.0,
         };
-        let result = e.run(&[mk(0), mk(1)]);
+        let result = e.run([mk(0), mk(1)]);
         let worst = result
             .completions
             .iter()

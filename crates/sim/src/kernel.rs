@@ -2,6 +2,7 @@
 //! reschedule → refresh the next completion.
 
 use crate::clock::{checked_arrivals, Arrival, SimClock};
+use crate::sleep::{Sleep, SleepHeap, Slot};
 use crate::tenant::TenantState;
 use planaria_arch::AcceleratorConfig;
 use planaria_compiler::CompiledDnn;
@@ -11,7 +12,6 @@ use planaria_telemetry::{Collector, Counter, Event, Metric};
 use planaria_workload::{Completion, CompletionSink, Request};
 use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Widest placement mask (and thus pod count) a kernel can track.
@@ -48,11 +48,16 @@ pub trait EnginePolicy {
 /// A policy may put a queued tenant to sleep when it can answer that
 /// tenant's next decisions without walking it: *park* it
 /// ([`park`](Self::park), indexed by priority) or let it *wait*
-/// ([`wait`](Self::wait), indexed by deadline). The kernel's advance,
-/// retire and refresh passes walk only the awake tenants, so a sleeping
-/// tenant must stay unchanged — no subarrays, no work, no overhead —
-/// until the policy wakes it ([`wake`](Self::wake)). A policy that never
-/// puts a tenant to sleep sees every tenant walked.
+/// ([`wait`](Self::wait), indexed by deadline). Each index is a flat
+/// binary min-heap, so a sleep or a wake costs the log of the sleeping
+/// count and no allocation, and a policy reads the best parked tenant
+/// ([`best_parked`](Self::best_parked)), the first waiting one
+/// ([`first_waiting`](Self::first_waiting)) or the waiting heap itself
+/// ([`waiting_heap`](Self::waiting_heap)). The kernel's advance, retire
+/// and refresh passes walk only the awake tenants, so a sleeping tenant
+/// must stay unchanged — no subarrays, no work, no overhead — until the
+/// policy wakes it ([`wake`](Self::wake)). A policy that never puts a
+/// tenant to sleep sees every tenant walked.
 #[derive(Debug)]
 pub struct SimState {
     cfg: AcceleratorConfig,
@@ -64,26 +69,22 @@ pub struct SimState {
     /// tie-break and the key of `awake`, `parked` and `waiting`, so only
     /// the kernel adds or removes tenants.
     tenants: Vec<TenantState>,
+    /// Where each tenant sleeps, by position: admitted, moved and retired
+    /// with `tenants`.
+    slots: Vec<Slot>,
     /// Ascending positions of the tenants that are awake.
     awake: Vec<usize>,
-    /// Parked tenants keyed (priority desc, position asc), so the first
-    /// entry is the best parked tenant.
-    parked: BTreeSet<(Reverse<u32>, usize)>,
-    /// Waiting tenants keyed (deadline, position), so they iterate from
-    /// the least slack.
-    waiting: BTreeSet<(Cycles, usize)>,
+    /// Parked tenants keyed (priority desc, position asc), so the root is
+    /// the best parked tenant.
+    parked: SleepHeap<Reverse<u32>>,
+    /// Waiting tenants keyed (deadline, position), so the root has the
+    /// least slack.
+    waiting: SleepHeap<Cycles>,
     /// Σ `remaining()` over parked and waiting tenants, frozen while they
     /// sleep.
     asleep_remaining: Cycles,
     /// Scratch: positions of the awake tenants found done this event.
     done: Vec<usize>,
-}
-
-/// The two indexes a tenant can sleep in.
-#[derive(Clone, Copy)]
-enum Sleep {
-    Parked,
-    Waiting,
 }
 
 impl SimState {
@@ -95,9 +96,10 @@ impl SimState {
             clock,
             now: Cycles::ZERO,
             tenants: Vec::new(),
+            slots: Vec::new(),
             awake: Vec::new(),
-            parked: BTreeSet::new(),
-            waiting: BTreeSet::new(),
+            parked: SleepHeap::default(),
+            waiting: SleepHeap::default(),
             asleep_remaining: Cycles::ZERO,
             done: Vec::new(),
         }
@@ -133,7 +135,7 @@ impl SimState {
     /// lowest position among equals.
     #[inline]
     pub fn best_parked(&self) -> Option<usize> {
-        self.parked.first().map(|&(_, i)| i)
+        self.parked.root()
     }
 
     /// Parked tenants.
@@ -141,19 +143,21 @@ impl SimState {
         self.parked.len()
     }
 
-    /// Positions of the waiting tenants by (deadline, position).
-    pub fn waiting(&self) -> impl Iterator<Item = usize> + '_ {
-        self.waiting.iter().map(|&(_, i)| i)
+    /// Position of the waiting tenant with the earliest deadline, the
+    /// lowest position among equals.
+    #[inline]
+    pub fn first_waiting(&self) -> Option<usize> {
+        self.waiting.root()
     }
 
-    /// [`waiting`](Self::waiting) beside the tenants, mutably, so a
-    /// policy can refresh what it keeps on the waiting tenants it visits.
-    /// Changing a waiting tenant's allocation, work or overhead needs
-    /// [`wake`](Self::wake) first.
-    pub fn waiting_with_tenants(
-        &mut self,
-    ) -> (impl Iterator<Item = usize> + '_, &mut [TenantState]) {
-        (self.waiting.iter().map(|&(_, i)| i), &mut self.tenants)
+    /// The waiting tenants as a binary min-heap of `(deadline, position)`
+    /// entries — entry `k`'s children are entries `2k + 1` and `2k + 2`,
+    /// and neither is below it — beside the tenants, mutably, so a policy
+    /// can walk the heap top-down and refresh what it keeps on the
+    /// tenants it visits. Changing a waiting tenant's allocation, work or
+    /// overhead needs [`wake`](Self::wake) first.
+    pub fn waiting_heap(&mut self) -> (&[(Cycles, usize)], &mut [TenantState]) {
+        (self.waiting.entries(), &mut self.tenants)
     }
 
     /// Waiting tenants.
@@ -187,8 +191,14 @@ impl SimState {
     ///
     /// Panics if the tenant is neither parked nor waiting.
     pub fn wake(&mut self, i: usize) {
-        let was_asleep = self.unindex(i).is_some();
-        assert!(was_asleep, "only a sleeping tenant wakes");
+        let Slot { asleep, at } = self.slots[i];
+        let at = at as usize;
+        match asleep {
+            Some(Sleep::Parked) => self.parked.remove(at, &mut self.slots),
+            Some(Sleep::Waiting) => self.waiting.remove(at, &mut self.slots),
+            None => panic!("only a sleeping tenant wakes"),
+        }
+        self.slots[i].asleep = None;
         self.asleep_remaining -= self.tenants[i].remaining();
         let at = self.awake.binary_search(&i).unwrap_err();
         self.awake.insert(at, i);
@@ -207,39 +217,26 @@ impl SimState {
         );
         self.asleep_remaining += t.remaining();
         self.awake.remove(at);
-        self.index(i, into);
-    }
-
-    /// Enters the tenant at position `i` into one sleeping index under
-    /// its key.
-    fn index(&mut self, i: usize, into: Sleep) {
-        let t = &self.tenants[i];
+        self.slots[i].asleep = Some(into);
         match into {
-            Sleep::Parked => self.parked.insert((Reverse(t.request.priority), i)),
-            Sleep::Waiting => self.waiting.insert((t.deadline_cycle, i)),
-        };
-    }
-
-    /// Removes the tenant at position `i` from whichever sleeping index
-    /// holds it, returning that index.
-    fn unindex(&mut self, i: usize) -> Option<Sleep> {
-        // Waiting first: most wakes leave the waiting index, while a
-        // parked tenant wakes only as the best parked one.
-        let t = &self.tenants[i];
-        if self.waiting.remove(&(t.deadline_cycle, i)) {
-            Some(Sleep::Waiting)
-        } else if self.parked.remove(&(Reverse(t.request.priority), i)) {
-            Some(Sleep::Parked)
-        } else {
-            None
+            Sleep::Parked => self
+                .parked
+                .push(Reverse(t.request.priority), i, &mut self.slots),
+            Sleep::Waiting => self.waiting.push(t.deadline_cycle, i, &mut self.slots),
         }
     }
 
     /// Admits a tenant at the last position, awake.
     #[inline]
     pub(crate) fn admit(&mut self, t: TenantState) {
+        // Every heap index fits a slot's `u32`.
+        assert!(
+            self.tenants.len() < u32::MAX as usize,
+            "a node holds fewer than 2^32 - 1 live tenants"
+        );
         self.awake.push(self.tenants.len());
         self.tenants.push(t);
+        self.slots.push(Slot::default());
     }
 
     /// Removes the done tenant at position `i` by `swap_remove`, re-keying
@@ -248,7 +245,6 @@ impl SimState {
     /// frozen.
     pub(crate) fn retire(&mut self, i: usize) -> TenantState {
         let last = self.tenants.len() - 1;
-        let mut moved_asleep = None;
         if self.awake.last() == Some(&last) {
             // The moved tenant takes over `i`'s entry (none moves when
             // `i` is the last position).
@@ -261,12 +257,22 @@ impl SimState {
                 // lint: only a done tenant retires, and a done tenant is awake
                 .expect("a retiring tenant is awake");
             self.awake.remove(at);
-            moved_asleep = self.unindex(last);
-            debug_assert!(moved_asleep.is_some(), "a live tenant is awake or asleep");
+            debug_assert!(
+                self.slots[last].asleep.is_some(),
+                "a live tenant is awake or asleep"
+            );
         }
         let t = self.tenants.swap_remove(i);
-        if let Some(index) = moved_asleep {
-            self.index(i, index);
+        self.slots.swap_remove(i);
+        // A sleeper moved into `i` keeps its key but for the position,
+        // which falls: one sift-up in place.
+        if let Some(&Slot { asleep, at }) = self.slots.get(i) {
+            let at = at as usize;
+            match asleep {
+                Some(Sleep::Parked) => self.parked.lower(at, i, &mut self.slots),
+                Some(Sleep::Waiting) => self.waiting.lower(at, i, &mut self.slots),
+                None => {}
+            }
         }
         t
     }
@@ -764,6 +770,14 @@ mod tests {
         }
     }
 
+    /// The waiting tenants' positions by (deadline, position), read off
+    /// the heap.
+    fn waiting_order(sim: &mut SimState) -> Vec<usize> {
+        let mut entries = sim.waiting_heap().0.to_vec();
+        entries.sort_unstable();
+        entries.iter().map(|&(_, i)| i).collect()
+    }
+
     /// Request `id` as admitted at cycle 0 with its deadline at cycle
     /// `deadline`.
     fn admitted(id: u64, deadline: u64) -> Arrival {
@@ -882,7 +896,8 @@ mod tests {
         assert_eq!(ids, [0, 7, 2, 4]);
         assert_eq!(sim.best_parked(), Some(3));
         assert_eq!(sim.parked_len(), 1);
-        assert_eq!(sim.waiting().collect::<Vec<_>>(), [1]);
+        assert_eq!(waiting_order(&mut sim), [1]);
+        assert_eq!(sim.first_waiting(), Some(1));
         assert_eq!(sim.awake(), [0, 2]);
         assert_eq!(sim.asleep_remaining, asleep);
         sim.wake(1);
@@ -911,11 +926,19 @@ mod tests {
         for i in [2, 0, 3, 1] {
             sim.wait(i);
         }
-        assert_eq!(sim.waiting().collect::<Vec<_>>(), [1, 3, 0, 2]);
+        assert_eq!(waiting_order(&mut sim), [1, 3, 0, 2]);
         assert!(sim.awake().is_empty());
         sim.wake(3);
-        assert_eq!(sim.waiting().collect::<Vec<_>>(), [1, 0, 2]);
+        assert_eq!(waiting_order(&mut sim), [1, 0, 2]);
         assert_eq!(sim.awake(), [3]);
+        // Waking the root until none is left visits the same order.
+        let mut popped = Vec::new();
+        while let Some(i) = sim.first_waiting() {
+            popped.push(i);
+            sim.wake(i);
+        }
+        assert_eq!(popped, [1, 0, 2]);
+        assert_eq!(sim.awake(), [0, 1, 2, 3]);
     }
 
     #[test]

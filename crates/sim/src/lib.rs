@@ -55,11 +55,13 @@
 //!
 //! A policy may put queued tenants it can answer without walking them to
 //! sleep: park them ([`SimState::park`], indexed by priority) or let them
-//! wait ([`SimState::wait`], indexed by deadline). Planaria parks those
-//! queued past their deadline and lets the rest wait. Sleeping tenants
-//! hold no subarrays and their work is frozen, so every kernel pass walks
-//! only the awake tenants, and the backlog a dispatcher reads counts the
-//! sleeping ones through one maintained sum.
+//! wait ([`SimState::wait`], indexed by deadline). Both indexes are flat
+//! binary min-heaps beside one slot per tenant, so sleeping and waking
+//! cost the log of the sleeping count and allocate nothing. Planaria
+//! parks those queued past their deadline and lets the rest wait.
+//! Sleeping tenants hold no subarrays and their work is frozen, so every
+//! kernel pass walks only the awake tenants, and the backlog a dispatcher
+//! reads counts the sleeping ones through one maintained sum.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,6 +70,7 @@ mod clock;
 mod fabric;
 mod kernel;
 pub mod oracle;
+mod sleep;
 mod tenant;
 
 pub use clock::SimClock;

@@ -212,7 +212,8 @@ impl Histogram {
 
     /// The bucket index a value lands in.
     pub fn bucket_of(value: f64) -> usize {
-        if !(value >= 1.0) {
+        // NaN lands in bucket 0 with everything below 1.
+        if value.is_nan() || value < 1.0 {
             return 0;
         }
         // floor(log2(v)) + 1 without float log: count the integer bits.
@@ -567,8 +568,10 @@ mod tests {
 
     #[test]
     fn report_renders_text_and_json() {
-        let mut r = MetricsReport::default();
-        r.events = 3;
+        let mut r = MetricsReport {
+            events: 3,
+            ..MetricsReport::default()
+        };
         r.counters.insert(Counter::Arrivals, 2);
         r.counters.insert(Counter::MemoHits, 3);
         r.counters.insert(Counter::MemoMisses, 1);
@@ -589,8 +592,10 @@ mod tests {
 
     #[test]
     fn reports_merge_deterministically() {
-        let mut a = MetricsReport::default();
-        a.events = 2;
+        let mut a = MetricsReport {
+            events: 2,
+            ..MetricsReport::default()
+        };
         a.counters.insert(Counter::Arrivals, 3);
         let mut ha = Histogram::new();
         ha.record(4.0);
@@ -599,8 +604,10 @@ mod tests {
         sa.record(100);
         a.sketches.insert(Metric::LatencyCycles, Box::new(sa));
 
-        let mut b = MetricsReport::default();
-        b.events = 1;
+        let mut b = MetricsReport {
+            events: 1,
+            ..MetricsReport::default()
+        };
         b.counters.insert(Counter::Arrivals, 2);
         b.counters.insert(Counter::Completions, 5);
         let mut hb = Histogram::new();

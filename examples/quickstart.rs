@@ -38,7 +38,7 @@ fn main() {
         priority: 5,
         qos: 0.015,
     };
-    let result = engine.run(&[request(0, DnnId::ResNet50), request(1, DnnId::MobileNetV1)]);
+    let result = engine.run([request(0, DnnId::ResNet50), request(1, DnnId::MobileNetV1)]);
     for c in &result.completions {
         println!(
             "request {} ({}): latency {:.3} ms, QoS {}",

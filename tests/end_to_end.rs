@@ -97,8 +97,8 @@ fn priorities_matter_under_prema_contention() {
         t[5].priority = priority;
         t
     };
-    let low = prema_engine().run(&mk(2));
-    let high = prema_engine().run(&mk(11));
+    let low = prema_engine().run(mk(2));
+    let high = prema_engine().run(mk(11));
     let finish = |r: &planaria::workload::SimResult| {
         r.completions
             .iter()

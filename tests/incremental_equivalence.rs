@@ -332,7 +332,7 @@ fn streamed_path_is_bit_identical_to_materialized() {
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
     let engine = PlanariaEngine::with_library(library.clone());
     let prema = planaria::prema::PremaEngine::new_default();
-    let mut rng = SplitMix64::new(0x57_12ea_a1);
+    let mut rng = SplitMix64::new(0x5712_eaa1);
     for cfg in random_cases(&mut rng, 3) {
         let trace = cfg.generate();
         let materialized = engine.run(&trace);
@@ -364,7 +364,7 @@ fn incremental_streamed_matches_full_rescan_materialized() {
     let cfg =
         TraceConfig::new(Scenario::C, QosLevel::Medium, 250.0, 600, 0xabcd).with_burstiness(4.0);
     let a = fast.run(cfg.stream());
-    let b = slow.run(&cfg.generate());
+    let b = slow.run(cfg.generate());
     assert_eq!(a.completions, b.completions);
     assert_eq!(a.total_energy, b.total_energy);
     assert_eq!(a.makespan, b.makespan);

@@ -60,7 +60,7 @@ fn config_word_roundtrip() {
 /// utilization never exceeds 1.
 #[test]
 fn gemm_timing_sane() {
-    let mut rng = SplitMix64::new(0x9e3a_11);
+    let mut rng = SplitMix64::new(0x009e_3a11);
     let ctx = ExecContext::full_chip(&cfg());
     let arrs = Arrangement::enumerate(16);
     for case in 0..CASES {
@@ -90,7 +90,7 @@ fn gemm_timing_sane() {
 /// GEMM's arrangement never increases cycle count.
 #[test]
 fn bigger_arrays_never_slower() {
-    let mut rng = SplitMix64::new(0xb16a_44);
+    let mut rng = SplitMix64::new(0x00b1_6a44);
     let ctx = ExecContext::full_chip(&cfg());
     for case in 0..CASES {
         let m = rng.next_range(64, 4095);
@@ -126,7 +126,7 @@ fn scheduler_conserves_resources() {
         );
         compile(&cfg(), &b.build())
     });
-    let mut rng = SplitMix64::new(0x5c4e_d0);
+    let mut rng = SplitMix64::new(0x005c_4ed0);
     for case in 0..CASES {
         let n = rng.next_range(1, 5) as usize;
         let tasks: Vec<SchedTask> = (0..n)

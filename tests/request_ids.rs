@@ -71,9 +71,9 @@ fn ids(r: &SimResult) -> Vec<u64> {
 #[test]
 fn out_of_order_ids_complete_on_both_engines() {
     let trace = [req(1, DnnId::ResNet50, 0.0), req(0, DnnId::TinyYolo, 1e-4)];
-    let planaria = PlanariaEngine::new(AcceleratorConfig::planaria()).run(&trace);
+    let planaria = PlanariaEngine::new(AcceleratorConfig::planaria()).run(trace);
     assert_eq!(ids(&planaria), [0, 1]);
-    let prema = PremaEngine::new_default().run(&trace);
+    let prema = PremaEngine::new_default().run(trace);
     assert_eq!(ids(&prema), [0, 1]);
 }
 
@@ -89,9 +89,9 @@ fn sparse_ids_cost_no_memory_per_skipped_id() {
     for (name, run) in [
         (
             "planaria",
-            &(|| planaria.run(&trace)) as &dyn Fn() -> SimResult,
+            &(|| planaria.run(trace)) as &dyn Fn() -> SimResult,
         ),
-        ("prema", &|| prema.run(&trace)),
+        ("prema", &|| prema.run(trace)),
     ] {
         let floor = LIVE.load(Ordering::Relaxed);
         PEAK.store(floor, Ordering::Relaxed);

@@ -91,8 +91,8 @@ fn full_priority_ladder_completes() {
 fn every_network_runs_alone_on_both_systems() {
     for id in DnnId::ALL {
         let trace = [req(0, id, 0.0, 5, 10.0)];
-        let p = planaria_engine().run(&trace);
-        let m = prema_engine().run(&trace);
+        let p = planaria_engine().run(trace);
+        let m = prema_engine().run(trace);
         assert_eq!(p.completions.len(), 1, "{id} planaria");
         assert_eq!(m.completions.len(), 1, "{id} prema");
         assert!(p.completions[0].latency() > 0.0);
@@ -136,7 +136,7 @@ fn duplicate_ids_dont_collapse() {
         req(7, DnnId::TinyYolo, 0.0, 5, 1.0),
         req(7, DnnId::TinyYolo, 0.0, 5, 1.0),
     ];
-    assert_eq!(planaria_engine().run(&trace).completions.len(), 2);
+    assert_eq!(planaria_engine().run(trace).completions.len(), 2);
 }
 
 /// Makespan and energy stay finite and sane under a 1000-request stress
