@@ -87,7 +87,7 @@ fn figure_pipelines_are_bit_identical_across_job_counts() {
                 let r = sys.planaria.run(mini_trace(sc, q, 40.0, 7));
                 (
                     r.mean_latency().to_bits(),
-                    r.percentile_latency(0.99).map(f64::to_bits),
+                    r.latency_stats().map(|s| s.p99.to_bits()),
                     r.total_energy.to_joules().to_bits(),
                 )
             })

@@ -27,9 +27,8 @@
 //! streaming quantile sketch (`crates/telemetry/src/sketch.rs`,
 //! which records inside the kernel's retire path), and the completion
 //! sinks (`crates/workload/src/sink.rs`), whose `record` runs once per
-//! retirement. Their sanctioned allocation points — the spill sink's
-//! construction and run-file flush, amortized O(1) per event — are
-//! carried in the allowlist, not exempted here.
+//! retirement. Sanctioned one-time allocation points are carried in the
+//! allowlist, not exempted here.
 //! The materializing scheduler wrappers in `crates/core/src/scheduler.rs`
 //! stay out of scope on purpose — they are the convenience API; the
 //! engines call the `*_into` variants.
@@ -309,8 +308,7 @@ mod tests {
     #[test]
     fn overhaul_containers_are_in_scope() {
         // The completion sinks run per retirement: allocation idioms
-        // fire there too, with the sanctioned setup points carried in
-        // the allowlist.
+        // fire there too.
         let d = run(
             "crates/workload/src/sink.rs",
             "fn f() { let v: Vec<u32> = xs.iter().collect(); }\n",

@@ -51,7 +51,17 @@ impl PremaEngine {
 
     /// Overrides the starvation token threshold, in seconds of
     /// priority-weighted waiting (sensitivity-study hook).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is NaN or negative, which would clamp to a
+    /// zero-cycle bar that counts every queued task as starved. An
+    /// infinite threshold is legal: no task ever starves.
     pub fn with_token_threshold(mut self, threshold: f64) -> Self {
+        assert!(
+            threshold >= 0.0,
+            "token threshold must be non-negative seconds, got {threshold}"
+        );
         self.token_threshold = threshold;
         self
     }
@@ -386,6 +396,18 @@ mod tests {
         let mut trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 10.0, 5, 3).generate();
         trace.reverse();
         let _ = engine().run(&trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "token threshold must be non-negative seconds, got NaN")]
+    fn nan_token_threshold_rejected() {
+        let _ = engine().with_token_threshold(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "token threshold must be non-negative seconds, got -1")]
+    fn negative_token_threshold_rejected() {
+        let _ = engine().with_token_threshold(-1.0);
     }
 
     #[test]

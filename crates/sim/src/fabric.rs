@@ -133,10 +133,11 @@ struct Lane<P, N, S: CompletionSink> {
 /// # Panics
 ///
 /// Panics if the shapes disagree (`cfgs.len() != policies.len()`, zero
-/// nodes, zero `max_batch`, mixed clock frequencies), if the source
-/// yields arrivals out of order, an arrival the clock cannot represent
-/// ([`SimClock::check_arrival`]) or a QoS that is negative or NaN, or if
-/// the dispatcher routes out of range.
+/// nodes, zero `max_batch`, mixed clock frequencies), if
+/// `lookahead_seconds` is NaN or negative (an infinite one is legal), if
+/// the source yields arrivals out of order, an arrival the clock cannot
+/// represent ([`SimClock::check_arrival`]) or a QoS that is negative or
+/// NaN, or if the dispatcher routes out of range.
 // lint: telemetry threading adds two sinks to an already-wide entry
 // point; run_fabric_summary mirrors it parameter for parameter
 #[allow(clippy::too_many_arguments)]
@@ -286,6 +287,12 @@ where
     assert_eq!(cfgs.len(), n, "one config per node");
     assert_eq!(node_sinks.len(), n, "one telemetry sink per node");
     assert!(tuning.max_batch > 0, "max_batch must be at least 1");
+    // A NaN or negative lookahead would clamp to a zero-cycle window.
+    assert!(
+        tuning.lookahead_seconds >= 0.0,
+        "lookahead_seconds must be non-negative, got {}",
+        tuning.lookahead_seconds
+    );
     // Every node geometry must be individually valid, and the fleet must
     // share one clock: the epoch-synchronized rounds run a single cycle
     // domain (lookahead, window cuts, and barrier timestamps are all
@@ -781,6 +788,38 @@ mod tests {
             std::iter::once(req(0, 0.0)),
             &mut Rr { next: 0 },
             &FabricTuning::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead_seconds must be non-negative, got NaN")]
+    fn nan_lookahead_rejected() {
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let _ = fabric(
+            &[cfg],
+            vec![policy()],
+            std::iter::once(req(0, 0.0)),
+            &mut Jsq,
+            &FabricTuning {
+                lookahead_seconds: f64::NAN,
+                ..FabricTuning::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead_seconds must be non-negative, got -0.001")]
+    fn negative_lookahead_rejected() {
+        let cfg = planaria_arch::AcceleratorConfig::planaria();
+        let _ = fabric(
+            &[cfg],
+            vec![policy()],
+            std::iter::once(req(0, 0.0)),
+            &mut Jsq,
+            &FabricTuning {
+                lookahead_seconds: -1e-3,
+                ..FabricTuning::default()
+            },
         );
     }
 

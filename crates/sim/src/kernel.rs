@@ -313,8 +313,7 @@ impl SimState {
 pub(crate) struct NodeKernel<S: CompletionSink> {
     sim: SimState,
     /// Where retirements go: an in-memory vector
-    /// ([`VecSink`](planaria_workload::VecSink)), a quantile sketch, a
-    /// disk spill, or nothing at all
+    /// ([`VecSink`](planaria_workload::VecSink)) or nothing at all
     /// ([`DiscardSink`](planaria_workload::DiscardSink), the flat-memory
     /// fabric's). A type parameter, so the per-retirement call inlines
     /// with zero dispatch cost.
@@ -357,8 +356,7 @@ pub struct NodeSummary {
     /// The static (leakage) component of `total_energy` alone, accrued
     /// only while the chip serves tenants — exposed so exactness paths
     /// can recombine it with a dynamic sum taken in request-id order
-    /// ([`SimResult::from_completions`](planaria_workload::SimResult::from_completions),
-    /// or the spill replay's digest).
+    /// ([`SimResult::from_completions`](planaria_workload::SimResult::from_completions)).
     pub static_energy: Picojoules,
     /// Seconds from the node's own first admitted arrival to its last
     /// event (on a shared fabric clock a node that starts late is not
@@ -367,8 +365,8 @@ pub struct NodeSummary {
 }
 
 impl<S: CompletionSink> NodeKernel<S> {
-    /// A fresh kernel retiring into `sink` (see [`CompletionSink`] for
-    /// the menu: vector, sketch, disk spill, discard).
+    /// A fresh kernel retiring into `sink` (see [`CompletionSink`]: keep
+    /// every completion, or none).
     pub(crate) fn with_sink(cfg: &AcceleratorConfig, clock: SimClock, sink: S) -> Self {
         Self {
             sim: SimState::new_for(*cfg, clock),
@@ -631,7 +629,7 @@ impl<S: CompletionSink> NodeKernel<S> {
     }
 
     /// Finalizes the node, handing back the sink alongside the aggregate
-    /// tallies — how spill and sketch runs recover what they recorded.
+    /// tallies — how a run recovers what its sink recorded.
     pub(crate) fn into_sink(self) -> (S, NodeSummary) {
         debug_assert!(
             self.pending.is_none() && self.sim.tenants.is_empty(),
@@ -664,8 +662,8 @@ impl<S: CompletionSink> NodeKernel<S> {
 /// [`TraceStream`](planaria_workload::TraceStream) never exists as a
 /// `Vec`. The sink only decides what is *remembered*: a
 /// [`VecSink`](planaria_workload::VecSink) keeps every completion (the
-/// engines' `run`), a [`SpillSink`](planaria_workload::SpillSink)
-/// replays them in id order from disk at O(live tenants). The
+/// engines' `run`), a [`DiscardSink`](planaria_workload::DiscardSink)
+/// keeps none, so the run stays at O(live tenants). The
 /// [`NodeSummary`] carries the split-out static energy an id-ordered
 /// result needs.
 ///

@@ -33,8 +33,6 @@ pub mod trace;
 
 pub use metrics::{fairness, max_throughput, meets_sla, sla_satisfaction_rate, violation_rate};
 pub use qos::{qos_bound, QosLevel};
-pub use request::{
-    digest_version, Completion, DigestBuilder, LatencyStats, Request, SimResult, DIGEST_VERSION,
-};
-pub use sink::{CompletionSink, DiscardSink, SpillReader, SpillSink, VecSink};
+pub use request::{digest_version, Completion, LatencyStats, Request, SimResult, DIGEST_VERSION};
+pub use sink::{CompletionSink, DiscardSink, VecSink};
 pub use trace::{Scenario, TraceConfig, TraceStream};

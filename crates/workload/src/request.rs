@@ -82,64 +82,6 @@ pub fn digest_version(digest: u64) -> u8 {
     (digest >> 56) as u8
 }
 
-/// Streaming construction of [`SimResult::digest`]: feed the completion
-/// count, then every completion in ascending request-id order, then the
-/// aggregates. `digest()` itself is implemented on top of this, so a
-/// replayed spill stream (`planaria_workload::sink::SpillReader`)
-/// digests bit-identically to the materialized vector without ever
-/// holding one.
-#[derive(Debug, Clone)]
-pub struct DigestBuilder {
-    h: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl DigestBuilder {
-    /// Starts a digest over a result with `count` completions (the count
-    /// is mixed up front, after the version tag, so truncated streams
-    /// can never digest equal to complete ones).
-    pub fn new(count: u64) -> Self {
-        let mut b = Self { h: FNV_OFFSET };
-        b.mix(u64::from(DIGEST_VERSION));
-        b.mix(count);
-        b
-    }
-
-    fn mix(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.h ^= u64::from(byte);
-            self.h = self.h.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Mixes one completion. Callers must feed completions in ascending
-    /// request-id order — the digest is order-sensitive by design.
-    pub fn completion(&mut self, c: &Completion) {
-        let dnn = DnnId::ALL
-            .iter()
-            .position(|&d| d == c.request.dnn)
-            // lint: ALL enumerates every DnnId variant by construction
-            .expect("every DnnId appears in DnnId::ALL");
-        self.mix(c.request.id);
-        self.mix(dnn as u64);
-        self.mix(c.request.arrival.to_bits());
-        self.mix(u64::from(c.request.priority));
-        self.mix(c.request.qos.to_bits());
-        self.mix(c.finish.to_bits());
-        self.mix(c.energy.as_pj().to_bits());
-    }
-
-    /// Mixes the aggregates and seals the digest: the top byte carries
-    /// [`DIGEST_VERSION`], the low 56 bits the FNV state.
-    pub fn finish(mut self, total_energy: Picojoules, makespan: f64) -> u64 {
-        self.mix(total_energy.as_pj().to_bits());
-        self.mix(makespan.to_bits());
-        (u64::from(DIGEST_VERSION) << 56) | (self.h & ((1 << 56) - 1))
-    }
-}
-
 impl SimResult {
     /// Assembles one node's result from its completions in any order:
     /// sorts them by request id, sums their dynamic energy in that order
@@ -172,11 +114,36 @@ impl SimResult {
     /// [`digest_version`] first to report "digest format changed"
     /// rather than "results changed".
     pub fn digest(&self) -> u64 {
-        let mut b = DigestBuilder::new(self.completions.len() as u64);
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = FNV_OFFSET;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        };
+        // The count is mixed up front, after the version tag, so a
+        // truncated result can never digest equal to a complete one.
+        mix(u64::from(DIGEST_VERSION));
+        mix(self.completions.len() as u64);
         for c in &self.completions {
-            b.completion(c);
+            let dnn = DnnId::ALL
+                .iter()
+                .position(|&d| d == c.request.dnn)
+                // lint: ALL enumerates every DnnId variant by construction
+                .expect("every DnnId appears in DnnId::ALL");
+            mix(c.request.id);
+            mix(dnn as u64);
+            mix(c.request.arrival.to_bits());
+            mix(u64::from(c.request.priority));
+            mix(c.request.qos.to_bits());
+            mix(c.finish.to_bits());
+            mix(c.energy.as_pj().to_bits());
         }
-        b.finish(self.total_energy, self.makespan)
+        mix(self.total_energy.as_pj().to_bits());
+        mix(self.makespan.to_bits());
+        (u64::from(DIGEST_VERSION) << 56) | (h & ((1 << 56) - 1))
     }
 
     /// Mean end-to-end latency, seconds.
@@ -189,26 +156,6 @@ impl SimResult {
             .map(Completion::latency)
             .sum::<f64>()
             / self.completions.len() as f64
-    }
-
-    /// Latency at percentile `p` ∈ [0, 1] (nearest-rank), seconds — the
-    /// MLPerf server scenario reports p99. `None` for an empty result:
-    /// a run that completed nothing has no percentile, and silently
-    /// reporting `0.0` (a perfect latency) used to mask exactly that
-    /// failure in sweep tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside [0, 1].
-    pub fn percentile_latency(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&p), "percentile must be in [0, 1]");
-        if self.completions.is_empty() {
-            return None;
-        }
-        let mut lats: Vec<f64> = self.completions.iter().map(Completion::latency).collect();
-        lats.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = ((p * lats.len() as f64).ceil() as usize).clamp(1, lats.len());
-        Some(lats[rank - 1])
     }
 
     /// Exact latency summary of this result (the materialized oracle).
@@ -285,22 +232,19 @@ mod tests {
     }
 
     #[test]
-    fn percentile_latency_nearest_rank() {
-        let mk = |latency: f64| Completion {
-            request: req(0.0, 1.0),
-            finish: latency,
-            energy: Picojoules::ZERO,
-        };
-        let r = crate::request::SimResult {
-            completions: (1..=100).map(|i| mk(i as f64 / 1000.0)).collect(),
-            total_energy: Picojoules::ZERO,
-            makespan: 1.0,
-        };
-        let p = |p: f64| r.percentile_latency(p).expect("non-empty");
-        assert!((p(0.99) - 0.099).abs() < 1e-12);
-        assert!((p(0.5) - 0.050).abs() < 1e-12);
-        assert!((p(1.0) - 0.100).abs() < 1e-12);
-        assert!((p(0.0) - 0.001).abs() < 1e-12);
+    fn latency_stats_nearest_rank() {
+        let completions: Vec<Completion> = (1..=100)
+            .map(|i| Completion {
+                request: req(0.0, 1.0),
+                finish: i as f64 / 1000.0,
+                energy: Picojoules::ZERO,
+            })
+            .collect();
+        let s = LatencyStats::from_completions(&completions).expect("non-empty");
+        assert_eq!(s.count, 100);
+        assert!((s.p99 - 0.099).abs() < 1e-12);
+        assert!((s.p50 - 0.050).abs() < 1e-12);
+        assert!((s.max - 0.100).abs() < 1e-12);
     }
 
     #[test]
@@ -310,7 +254,6 @@ mod tests {
             total_energy: Picojoules::ZERO,
             makespan: 0.0,
         };
-        assert_eq!(empty.percentile_latency(0.99), None);
         assert_eq!(empty.latency_stats(), None);
     }
 
@@ -381,28 +324,6 @@ mod tests {
         other.makespan = 0.011;
         assert_ne!(r.digest(), other.digest());
         assert_eq!(digest_version(other.digest()), DIGEST_VERSION);
-    }
-
-    #[test]
-    fn streaming_builder_matches_digest() {
-        let mk = |id: u64| Completion {
-            request: Request {
-                id,
-                ..req(0.0, 1.0)
-            },
-            finish: 0.010 * (id + 1) as f64,
-            energy: Picojoules::new(id as f64),
-        };
-        let r = SimResult {
-            completions: (0..5).map(mk).collect(),
-            total_energy: Picojoules::new(17.0),
-            makespan: 0.050,
-        };
-        let mut b = DigestBuilder::new(r.completions.len() as u64);
-        for c in &r.completions {
-            b.completion(c);
-        }
-        assert_eq!(b.finish(r.total_energy, r.makespan), r.digest());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! ExclusiveFifo ablation runs too), on a finer-grained chip, and under
 //! overload, where Planaria parks nearly the whole backlog (QoS-Hard) or
 //! lets it wait by deadline (QoS-Soft and QoS-Medium) and the kernel
-//! walks only the rest; every result must digest identically.
+//! walks only the rest; every result must digest identically. The
+//! bursty trace also streams into a `DiscardSink` and a `VecSink`, whose
+//! node summaries must agree bit for bit.
 //!
 //! The reference lane also audits the chip after every scheduling event
 //! ([`Audit`]): no subarray is double-booked, a sleeping tenant holds
@@ -28,9 +30,11 @@ use planaria_core::{PlanariaEngine, SchedulingMode};
 use planaria_model::DnnId;
 use planaria_prema::{Policy, PremaEngine};
 use planaria_sim::oracle::run_streamed_reference;
-use planaria_sim::{EnginePolicy, SimState};
+use planaria_sim::{run_streamed_sink, EnginePolicy, NodeSummary, SimState};
 use planaria_telemetry::{Collector, NullCollector};
-use planaria_workload::{QosLevel, Request, Scenario, SimResult, TraceConfig};
+use planaria_workload::{
+    DiscardSink, QosLevel, Request, Scenario, SimResult, TraceConfig, VecSink,
+};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -120,6 +124,56 @@ fn assert_identical(a: &planaria_workload::SimResult, b: &planaria_workload::Sim
     assert_eq!(a.digest(), b.digest(), "{tag}: digest diverged");
 }
 
+/// Streams `trace` once more into a `DiscardSink` and into a `VecSink`,
+/// each with a fresh `policy()`: the sink decides only what is
+/// remembered, so the two summaries agree bit for bit, and their count
+/// and makespan are the materialized result's.
+fn assert_sinks_agree<P: EnginePolicy>(
+    cfg: &AcceleratorConfig,
+    trace: &TraceConfig,
+    mut policy: impl FnMut() -> P,
+    materialized: &SimResult,
+    tag: &str,
+) {
+    let bits = |s: NodeSummary| {
+        (
+            s.completed,
+            s.total_energy.as_pj().to_bits(),
+            s.static_energy.as_pj().to_bits(),
+            s.makespan.to_bits(),
+        )
+    };
+    let (DiscardSink, discarded) = run_streamed_sink(
+        cfg,
+        trace.stream(),
+        &mut policy(),
+        &mut NullCollector,
+        DiscardSink,
+    );
+    let (_, vec) = run_streamed_sink(
+        cfg,
+        trace.stream(),
+        &mut policy(),
+        &mut NullCollector,
+        VecSink::default(),
+    );
+    assert_eq!(
+        bits(discarded),
+        bits(vec),
+        "{tag}: the sink moved the summary"
+    );
+    assert_eq!(
+        discarded.completed,
+        materialized.completions.len() as u64,
+        "{tag}: completed"
+    );
+    assert_eq!(
+        discarded.makespan.to_bits(),
+        materialized.makespan.to_bits(),
+        "{tag}: makespan"
+    );
+}
+
 #[test]
 fn planaria_policy_matches_reference_across_the_grid() {
     let engine = PlanariaEngine::new(planaria_arch::AcceleratorConfig::planaria());
@@ -162,6 +216,14 @@ fn streamed_path_matches_streamed_reference_on_a_bursty_trace() {
     let hot = engine.run(trace_cfg.stream());
     let oracle = spatial_reference(&engine, trace_cfg.stream());
     assert_identical(&hot, &oracle, "bursty streamed");
+    let cfg = *engine.library().config();
+    assert_sinks_agree(
+        &cfg,
+        &trace_cfg,
+        || engine.spatial_policy(),
+        &hot,
+        "bursty sinks",
+    );
 
     // PREMA on the same trace: one runner, preempted as tokens build up
     // across a deep queue.
@@ -169,6 +231,14 @@ fn streamed_path_matches_streamed_reference_on_a_bursty_trace() {
     let hot = prema.run(trace_cfg.stream());
     let oracle = prema_reference(&prema, trace_cfg.stream());
     assert_identical(&hot, &oracle, "prema bursty streamed");
+    let cfg = *prema.library().config();
+    assert_sinks_agree(
+        &cfg,
+        &trace_cfg,
+        || prema.node_policy(),
+        &hot,
+        "prema bursty sinks",
+    );
 }
 
 /// Serve-burst's trace shape at three times what each engine serves on
