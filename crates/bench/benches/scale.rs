@@ -24,10 +24,13 @@
 //! the whole trace and nearly all of it waits past its deadline, parked.
 //! The QoS-Soft lane runs it at λ = 2000: the backlog keeps slack for
 //! longer, so it waits in deadline order and the unfit pack visits only
-//! its head. Sleeping tenants stay out of every per-event pass, so time
-//! grows linearly (about 4× at 4n); if an event walked the backlog again
-//! it would grow with the square (about 16×). The bench fails above
-//! [`MAX_OVERLOAD_GROWTH`] in either lane.
+//! its head. Three more lanes run the QoS-Hard trace on the PREMA
+//! baseline's monolithic chip under PREMA's token policy, FCFS and SJF:
+//! one runner, and every queued tenant asleep under its rank. Sleeping
+//! tenants stay out of every per-event pass, so time grows linearly
+//! (about 4× at 4n); if an event walked the backlog again it would grow
+//! with the square (about 16×). The bench fails above
+//! [`MAX_OVERLOAD_GROWTH`] in any lane.
 //!
 //! The bench also measures the streaming side of the tentpole with a
 //! counting global allocator: a 10^6-request streamed `run` must keep its
@@ -42,6 +45,7 @@ use planaria_arch::AcceleratorConfig;
 use planaria_bench::race;
 use planaria_compiler::CompiledLibrary;
 use planaria_core::{PlanariaEngine, SchedulingMode};
+use planaria_prema::{Policy, PremaEngine};
 use planaria_workload::{QosLevel, Request, Scenario, TraceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -115,9 +119,44 @@ fn overload_cfg(qos: QosLevel, lambda: f64, requests: usize) -> TraceConfig {
     TraceConfig::new(Scenario::C, qos, lambda, requests, 5).with_burstiness(6.0)
 }
 
-/// The most the overload lane's time may grow from n to 4n requests:
+/// The PREMA baseline's overload lanes, with their record-key prefixes:
+/// each policy on the QoS-Hard overload trace.
+const TEMPORAL_LANES: [(Policy, &str); 3] = [
+    (Policy::Prema, "prema_overload"),
+    (Policy::Fcfs, "fcfs_overload"),
+    (Policy::Sjf, "sjf_overload"),
+];
+
+/// The most an overload lane's time may grow from n to 4n requests:
 /// linear reads about 4, quadratic about 16.
 const MAX_OVERLOAD_GROWTH: f64 = 8.0;
+
+/// Races `run` on `small` (n requests) against `large` (4n), asserts the
+/// growth gate and records the lane under `prefix`.
+fn overload_lane(
+    label: &str,
+    prefix: &str,
+    (small, large): (&[Request], &[Request]),
+    iters: u32,
+    run: impl Fn(&[Request]),
+    record: &mut Vec<(String, f64)>,
+) {
+    let (n, n4) = (small.len(), large.len());
+    let (t_n, t_4n) = race(iters, || run(black_box(small)), || run(black_box(large)));
+    let growth = t_4n / t_n;
+    println!(
+        "overload {label}: {n} requests {t_n:.4} s, {n4} requests {t_4n:.4} s, \
+         growth {growth:.2}x"
+    );
+    assert!(
+        growth <= MAX_OVERLOAD_GROWTH,
+        "{label} overload time grew {growth:.2}x from {n} to {n4} requests (at most \
+         {MAX_OVERLOAD_GROWTH}x): does a scheduling event walk the backlog again?"
+    );
+    record.push((format!("{prefix}_seconds_{n}"), t_n));
+    record.push((format!("{prefix}_seconds_{n4}"), t_4n));
+    record.push((format!("{prefix}_growth_{n}_to_{n4}"), growth));
+}
 
 fn main() {
     let smoke = std::env::var("PLANARIA_BENCH_SMOKE").is_ok_and(|v| v == "1");
@@ -170,35 +209,37 @@ fn main() {
         record.push((format!("speedup_{n}"), speedup));
     }
 
-    // Overload scaling: the incremental lane against itself at n and 4n.
+    // Overload scaling: each lane against itself at n and 4n.
     let (n, iters) = if smoke { (2_500, 7) } else { (10_000, 5) };
     for (qos, lambda, prefix) in OVERLOAD_LANES {
         let small = overload_cfg(qos, lambda, n).generate();
         let large = overload_cfg(qos, lambda, 4 * n).generate();
-        let (t_n, t_4n) = race(
+        overload_lane(
+            &format!("{qos} λ={lambda}"),
+            prefix,
+            (&small, &large),
             iters,
-            || {
-                black_box(inc.run(black_box(&small)));
+            |trace| {
+                black_box(inc.run(trace));
             },
-            || {
-                black_box(inc.run(black_box(&large)));
-            },
+            &mut record,
         );
-        let growth = t_4n / t_n;
-        println!(
-            "overload {qos} λ={lambda}: {n} requests {t_n:.4} s, {} requests {t_4n:.4} s, \
-             growth {growth:.2}x",
-            4 * n
-        );
-        assert!(
-            growth <= MAX_OVERLOAD_GROWTH,
-            "{qos} overload time grew {growth:.2}x from {n} to {} requests (at most \
-             {MAX_OVERLOAD_GROWTH}x): does a scheduling event walk the backlog again?",
-            4 * n
-        );
-        record.push((format!("{prefix}_seconds_{n}"), t_n));
-        record.push((format!("{prefix}_seconds_{}", 4 * n), t_4n));
-        record.push((format!("{prefix}_growth_{n}_to_{}", 4 * n), growth));
+        if qos != QosLevel::Hard {
+            continue;
+        }
+        for (policy, prefix) in TEMPORAL_LANES {
+            let engine = PremaEngine::new(AcceleratorConfig::monolithic(), policy);
+            overload_lane(
+                &format!("{policy:?} {qos} λ={lambda}"),
+                prefix,
+                (&small, &large),
+                iters,
+                |trace| {
+                    black_box(engine.run(trace));
+                },
+                &mut record,
+            );
+        }
     }
 
     // Streaming residency at the largest size: the trace is consumed

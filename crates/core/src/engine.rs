@@ -217,12 +217,18 @@ fn slack_cycles(deadline: Cycles, now: Cycles) -> i64 {
 /// Wakes every waiting tenant, or (`all` false) those past their
 /// deadline: the root of the deadline heap while its slack is negative.
 fn wake_waiting(sim: &mut SimState, now: Cycles, all: bool) {
-    while let Some(i) = sim.first_waiting() {
-        if !all && slack_cycles(sim.tenants()[i].deadline_cycle, now) >= 0 {
+    while let Some((deadline, i)) = sim.waiting_root() {
+        if !all && slack_cycles(deadline, now) >= 0 {
             break;
         }
         sim.wake(i);
     }
+}
+
+/// A parked tenant's key: the priority, descending, so the root is the
+/// best parked tenant.
+fn parked_key(priority: u32) -> u64 {
+    u64::from(u32::MAX - priority)
 }
 
 /// `ESTIMATERESOURCES` for `t` at `slack` on a chip of `total`
@@ -313,7 +319,7 @@ impl SpatialPolicy<'_> {
     /// at its position, returning that parked tenant's position.
     fn fill_columns(&mut self, sim: &SimState) -> Option<usize> {
         let (cols, awake) = (&mut self.s.cols, sim.awake());
-        let parked = sim.best_parked();
+        let parked = sim.parked_root().map(|(_, i)| i);
         let k = parked.map_or(awake.len(), |p| awake.partition_point(|&i| i < p));
         cols.clear();
         cols.extend_from_slice(&awake[..k]);
@@ -674,9 +680,9 @@ impl EnginePolicy for SpatialPolicy<'_> {
                         t.memo.map(|m| (m.floor, m.done, m.total)),
                         Some((total, t.work_done, t.work_total))
                     );
-                    sim.park(i);
+                    sim.park(i, parked_key(t.request.priority));
                 } else {
-                    sim.wait(i);
+                    sim.wait(i, t.deadline_cycle);
                 }
             }
         }

@@ -8,11 +8,14 @@
 //! preemption charges to the incoming job. The monolithic chip maps onto
 //! the kernel as "the runner's placement is the whole ring", so
 //! retirement, busy-time and completion logic are shared with Planaria
-//! verbatim.
+//! verbatim. Queued tenants sleep in the kernel's heaps, so an event
+//! reads the runner, the arrivals of its cycle and a heap root, not the
+//! backlog.
 
-use crate::policy::{pick_with_threshold, queued_tokens, Policy, PolicyTask};
+use crate::policy::{crossing_cycle, queued_tokens, Policy, PolicyTask};
 use planaria_arch::{AcceleratorConfig, Allocation, Arrangement};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
+use planaria_model::units::Cycles;
 use planaria_sim::{run_streamed_sink, EnginePolicy, SimClock, SimState};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext};
@@ -151,11 +154,23 @@ impl PremaEngine {
 /// The runner is the one tenant with a placement, the whole ring. Each
 /// tenant's tokens live on its record ([`TenantState::tokens`]): they are
 /// banked when the tenant is granted the chip and frozen while it runs,
-/// and a queued tenant's are read lazily from `queued_since`. So the
-/// policy keeps no state across events, and an event writes only the
-/// incumbent and the incoming tenant.
+/// and a queued tenant's are read lazily from `queued_since`. So an event
+/// writes only the incumbent and the incoming tenant.
+///
+/// Every tenant that stays queued sleeps in the kernel under a key that
+/// stays fixed while it queues, so an event reads the awake tenants (the
+/// runner and this event's arrivals) and a heap root, not the backlog.
+/// FCFS parks a queued tenant under its arrival cycle and SJF under its
+/// remaining work. PREMA parks a starved one (queued tokens at or over
+/// the threshold) under its remaining work, and lets any other wait
+/// under the cycle its tokens reach the threshold (`crossing_cycle` in
+/// `policy.rs`); an event first wakes the waiting tenants whose
+/// crossing cycle has come. The pick is [`pick_with_threshold`]'s, the
+/// least `(rank, position)` over every tenant, and that function stays
+/// the pick's oracle.
 ///
 /// [`TenantState::tokens`]: planaria_sim::TenantState::tokens
+/// [`pick_with_threshold`]: crate::pick_with_threshold
 pub struct TemporalPolicy<'a> {
     library: &'a CompiledLibrary,
     policy: Policy,
@@ -165,6 +180,82 @@ pub struct TemporalPolicy<'a> {
     mono: Arrangement,
     /// The whole ring, every runner's placement.
     ring: Allocation,
+}
+
+impl TemporalPolicy<'_> {
+    /// The runner and the tenant to run next: the least `(rank,
+    /// position)` over every tenant (DESIGN.md §5e). A parked tenant ranks
+    /// `(false, key)`, so the parked root is the least parked pair; a
+    /// waiting PREMA tenant is not starved yet and ranks `(true,
+    /// remaining)`, so the waiting heap is read only when nobody is
+    /// starved.
+    fn pick(&self, sim: &mut SimState) -> (Option<usize>, Option<usize>) {
+        let now = sim.now;
+        let mut runner = None;
+        let mut best: Option<((bool, Cycles), usize)> = sim
+            .parked_root()
+            .map(|(key, i)| ((false, Cycles::new(key)), i));
+        for &i in sim.awake() {
+            let t = &sim.tenants()[i];
+            let tokens = if t.placement.is_some() {
+                runner = Some(i);
+                t.tokens
+            } else {
+                queued_tokens(
+                    t.tokens,
+                    t.request.priority,
+                    now.saturating_sub(t.queued_since),
+                )
+            };
+            let task = PolicyTask {
+                index: i,
+                tokens,
+                arrival: t.arrival_cycle,
+                remaining: t.remaining(),
+            };
+            let entry = (self.policy.rank(&task, self.threshold), i);
+            if best.is_none_or(|b| entry < b) {
+                best = Some(entry);
+            }
+        }
+        if best.is_none_or(|((unstarved, _), _)| unstarved) {
+            let (heap, tenants) = sim.waiting_heap();
+            for &(_, i) in heap {
+                let entry = ((true, tenants[i].remaining()), i);
+                if best.is_none_or(|b| entry < b) {
+                    best = Some(entry);
+                }
+            }
+        }
+        (runner, best.map(|(_, i)| i))
+    }
+
+    /// Puts every awake tenant but the runner to sleep under its key.
+    fn sleep_queued(&self, sim: &mut SimState, runner: Option<usize>) {
+        let now = sim.now;
+        // From the back, so each sleep removes the last awake entry but
+        // the runner.
+        let mut k = sim.awake().len();
+        while k > 0 {
+            k -= 1;
+            let i = sim.awake()[k];
+            if runner == Some(i) {
+                continue;
+            }
+            let t = &sim.tenants()[i];
+            let (banked, priority, since) = (t.tokens, t.request.priority, t.queued_since);
+            match self.policy {
+                Policy::Fcfs => sim.park(i, t.arrival_cycle.get()),
+                Policy::Prema
+                    if queued_tokens(banked, priority, now.saturating_sub(since))
+                        < self.threshold =>
+                {
+                    sim.wait(i, crossing_cycle(banked, priority, since, self.threshold));
+                }
+                Policy::Sjf | Policy::Prema => sim.park(i, t.remaining().get()),
+            }
+        }
+    }
 }
 
 impl EnginePolicy for TemporalPolicy<'_> {
@@ -181,30 +272,24 @@ impl EnginePolicy for TemporalPolicy<'_> {
     fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
         let now = sim.now;
         let total = self.ring.len();
-        // One read-only pass finds the runner (the kernel retires a
-        // finished one, freeing the chip) and the pick. The runner's
-        // tokens are frozen; a queued tenant's accrue from `queued_since`.
-        let mut running_idx = None;
-        let tasks = sim.tenants().iter().enumerate().map(|(i, t)| {
-            let tokens = if t.placement.is_some() {
-                running_idx = Some(i);
-                t.tokens
-            } else {
-                queued_tokens(
-                    t.tokens,
-                    t.request.priority,
-                    now.saturating_sub(t.queued_since),
-                )
-            };
-            PolicyTask {
-                index: i,
-                tokens,
-                arrival: t.arrival_cycle,
-                remaining: t.remaining(),
+        // Waiting tenants whose tokens have reached the threshold wake to
+        // be ranked as starved (the kernel retires a finished runner,
+        // freeing the chip).
+        while let Some((crossing, i)) = sim.waiting_root() {
+            if crossing > now {
+                break;
             }
-        });
-        let chosen_idx = pick_with_threshold(self.policy, tasks, self.threshold);
+            sim.wake(i);
+        }
+        let (running_idx, chosen_idx) = self.pick(sim);
         if chosen_idx != running_idx {
+            if let Some(next) = chosen_idx {
+                // A sleeping pick wakes before apply changes it, so the
+                // kernel's sleeping sum drops exactly the value it added.
+                if sim.awake().binary_search(&next).is_err() {
+                    sim.wake(next);
+                }
+            }
             if let Some(cur) = running_idx {
                 // The incumbent loses the accelerator mid-flight.
                 if c.is_enabled() {
@@ -286,6 +371,7 @@ impl EnginePolicy for TemporalPolicy<'_> {
                 t.placement = Some(self.ring);
             }
         }
+        self.sleep_queued(sim, chosen_idx);
         if c.is_enabled() {
             c.add(Counter::SchedulingEvents, 1);
             let waiting = sim.tenants().len() - usize::from(chosen_idx.is_some());

@@ -56,6 +56,32 @@ pub(crate) fn queued_tokens(banked: u64, priority: u32, waited: Cycles) -> u64 {
     banked.saturating_add(u64::from(priority).saturating_mul(waited.get()))
 }
 
+/// The first cycle at which a task queued since `queued_since` with
+/// `banked` tokens holds [`queued_tokens`] at or over `threshold`:
+/// `queued_since + ⌈(threshold − banked) / priority⌉`, saturating at
+/// `u64::MAX`, which then stands for "never before the clock ends" (as it
+/// does for priority 0, whose tokens never grow).
+///
+/// Before it every product `priority × waited` is below `threshold −
+/// banked`, so it cannot saturate and the tokens stay below the
+/// threshold; at it the product reaches `threshold − banked`, or
+/// saturates past it.
+#[inline]
+pub(crate) fn crossing_cycle(
+    banked: u64,
+    priority: u32,
+    queued_since: Cycles,
+    threshold: u64,
+) -> Cycles {
+    let short = threshold.saturating_sub(banked);
+    let waited = match u64::from(priority) {
+        _ if short == 0 => 0,
+        0 => u64::MAX,
+        p => short.div_ceil(p),
+    };
+    Cycles::new(queued_since.get().saturating_add(waited))
+}
+
 /// Picks the next task to occupy the accelerator in one pass; `None` when
 /// there is no task. `threshold` is the starvation bar in token units
 /// (priority-weighted cycles), used only by [`Policy::Prema`]. Ties go
@@ -65,16 +91,23 @@ pub fn pick_with_threshold(
     tasks: impl IntoIterator<Item = PolicyTask>,
     threshold: u64,
 ) -> Option<usize> {
-    let tasks = tasks.into_iter();
-    let pick = match policy {
-        Policy::Fcfs => tasks.min_by_key(|t| t.arrival),
-        Policy::Sjf => tasks.min_by_key(|t| t.remaining),
-        // Starved tasks (tokens at or over the threshold) rank first,
-        // shortest predicted job first; with nobody starved the policy
-        // degenerates to throughput-maximizing SJF over the whole queue.
-        Policy::Prema => tasks.min_by_key(|t| (t.tokens < threshold, t.remaining)),
-    };
+    let pick = tasks.into_iter().min_by_key(|t| policy.rank(t, threshold));
     pick.map(|t| t.index)
+}
+
+impl Policy {
+    /// The key this policy ranks a task by, the least first.
+    #[inline]
+    pub(crate) fn rank(self, t: &PolicyTask, threshold: u64) -> (bool, Cycles) {
+        match self {
+            Policy::Fcfs => (false, t.arrival),
+            Policy::Sjf => (false, t.remaining),
+            // Starved tasks (tokens at or over the threshold) rank first,
+            // shortest predicted job first; with nobody starved the policy
+            // degenerates to throughput-maximizing SJF over the whole queue.
+            Policy::Prema => (t.tokens < threshold, t.remaining),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -195,6 +228,50 @@ mod tests {
         assert!(
             saturated > 1_000 && exact > 1_000,
             "{saturated} saturated, {exact} exact"
+        );
+    }
+
+    #[test]
+    fn crossing_is_the_first_cycle_at_the_threshold() {
+        // Banked tokens, priorities (0 included), queue starts and
+        // thresholds drawn log-uniformly, so products and sums saturate.
+        // Before the crossing the tokens are below the threshold; at it
+        // they reach it, unless the crossing saturated at `u64::MAX`
+        // because the threshold lies beyond the clock.
+        let mut rng = SplitMix64::new(0xc105_51a9);
+        let (mut saturated, mut exact, mut starved) = (0, 0, 0);
+        for case in 0..200_000 {
+            let banked = log_uniform(&mut rng, 64);
+            let priority = match rng.next_below(8) {
+                0 => 0,
+                1 => u32::MAX - rng.next_below(4) as u32,
+                _ => rng.next_range(1, 11) as u32,
+            };
+            let since = Cycles::new(log_uniform(&mut rng, 64));
+            let threshold = if rng.next_bool(0.05) {
+                u64::MAX
+            } else {
+                log_uniform(&mut rng, 64)
+            };
+            let at = crossing_cycle(banked, priority, since, threshold);
+            let tokens = |c: Cycles| queued_tokens(banked, priority, c - since);
+            let tag = format!("case {case}: {banked} banked, priority {priority}, since {since:?}, threshold {threshold}");
+            assert!(at >= since, "{tag}");
+            if at > since {
+                assert!(tokens(at - Cycles::new(1)) < threshold, "{tag}: early");
+            } else {
+                starved += 1;
+            }
+            if tokens(at) >= threshold {
+                exact += 1;
+            } else {
+                assert_eq!(at, Cycles::new(u64::MAX), "{tag}: late");
+                saturated += 1;
+            }
+        }
+        assert!(
+            saturated > 1_000 && exact > 10_000 && starved > 1_000,
+            "{saturated} saturated, {exact} exact, {starved} starved"
         );
     }
 

@@ -11,7 +11,6 @@ use planaria_model::units::{Cycles, Picojoules};
 use planaria_telemetry::{Collector, Counter, Event, Metric};
 use planaria_workload::{Completion, CompletionSink, Request};
 use std::borrow::Borrow;
-use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// Widest placement mask (and thus pod count) a kernel can track.
@@ -47,17 +46,20 @@ pub trait EnginePolicy {
 ///
 /// A policy may put a queued tenant to sleep when it can answer that
 /// tenant's next decisions without walking it: *park* it
-/// ([`park`](Self::park), indexed by priority) or let it *wait*
-/// ([`wait`](Self::wait), indexed by deadline). Each index is a flat
-/// binary min-heap, so a sleep or a wake costs the log of the sleeping
-/// count and no allocation, and a policy reads the best parked tenant
-/// ([`best_parked`](Self::best_parked)), the first waiting one
-/// ([`first_waiting`](Self::first_waiting)) or the waiting heap itself
-/// ([`waiting_heap`](Self::waiting_heap)). The kernel's advance, retire
-/// and refresh passes walk only the awake tenants, so a sleeping tenant
-/// must stay unchanged — no subarrays, no work, no overhead — until the
-/// policy wakes it ([`wake`](Self::wake)). A policy that never puts a
-/// tenant to sleep sees every tenant walked.
+/// ([`park`](Self::park)) or let it *wait* ([`wait`](Self::wait)), under
+/// a key the policy chooses. Each of the two indexes is a flat binary
+/// min-heap of `(key, position)` entries, so a sleep or a wake costs the
+/// log of the sleeping count and no allocation, and a policy reads each
+/// heap's least entry ([`parked_root`](Self::parked_root),
+/// [`waiting_root`](Self::waiting_root)) or the waiting heap itself
+/// ([`waiting_heap`](Self::waiting_heap)). Planaria parks by priority and
+/// lets tenants wait by deadline; PREMA parks by remaining work (or
+/// arrival) and lets tenants wait by the cycle their tokens cross the
+/// starvation bar. The kernel's advance, retire and refresh passes walk
+/// only the awake tenants, so a sleeping tenant must stay unchanged — no
+/// subarrays, no work, no overhead — until the policy wakes it
+/// ([`wake`](Self::wake)). A policy that never puts a tenant to sleep
+/// sees every tenant walked.
 #[derive(Debug)]
 pub struct SimState {
     cfg: AcceleratorConfig,
@@ -74,11 +76,11 @@ pub struct SimState {
     slots: Vec<Slot>,
     /// Ascending positions of the tenants that are awake.
     awake: Vec<usize>,
-    /// Parked tenants keyed (priority desc, position asc), so the root is
-    /// the best parked tenant.
-    parked: SleepHeap<Reverse<u32>>,
-    /// Waiting tenants keyed (deadline, position), so the root has the
-    /// least slack.
+    /// Parked tenants keyed (policy key, position), so the root is the
+    /// least pair.
+    parked: SleepHeap<u64>,
+    /// Waiting tenants keyed (policy cycle, position), so the root is the
+    /// least pair.
     waiting: SleepHeap<Cycles>,
     /// Σ `remaining()` over parked and waiting tenants, frozen while they
     /// sleep.
@@ -131,10 +133,10 @@ impl SimState {
         &self.awake
     }
 
-    /// Position of the parked tenant with the highest priority, the
+    /// The least parked entry, `(key, position)`: the least key, the
     /// lowest position among equals.
     #[inline]
-    pub fn best_parked(&self) -> Option<usize> {
+    pub fn parked_root(&self) -> Option<(u64, usize)> {
         self.parked.root()
     }
 
@@ -143,14 +145,14 @@ impl SimState {
         self.parked.len()
     }
 
-    /// Position of the waiting tenant with the earliest deadline, the
+    /// The least waiting entry, `(key, position)`: the earliest key, the
     /// lowest position among equals.
     #[inline]
-    pub fn first_waiting(&self) -> Option<usize> {
+    pub fn waiting_root(&self) -> Option<(Cycles, usize)> {
         self.waiting.root()
     }
 
-    /// The waiting tenants as a binary min-heap of `(deadline, position)`
+    /// The waiting tenants as a binary min-heap of `(key, position)`
     /// entries — entry `k`'s children are entries `2k + 1` and `2k + 2`,
     /// and neither is below it — beside the tenants, mutably, so a policy
     /// can walk the heap top-down and refresh what it keeps on the
@@ -165,24 +167,26 @@ impl SimState {
         self.waiting.len()
     }
 
-    /// Parks the awake tenant at position `i`: the kernel stops walking
-    /// it until [`wake`](Self::wake).
+    /// Parks the awake tenant at position `i` under `key`: the kernel
+    /// stops walking it until [`wake`](Self::wake).
     ///
     /// # Panics
     ///
     /// Panics if the tenant is not awake, or holds subarrays.
-    pub fn park(&mut self, i: usize) {
+    pub fn park(&mut self, i: usize, key: u64) {
         self.sleep(i, Sleep::Parked);
+        self.parked.push(key, i, &mut self.slots);
     }
 
-    /// Lets the awake tenant at position `i` wait: like
-    /// [`park`](Self::park), but indexed by deadline.
+    /// Lets the awake tenant at position `i` wait under the cycle `key`:
+    /// like [`park`](Self::park), in the other heap.
     ///
     /// # Panics
     ///
     /// Panics if the tenant is not awake, or holds subarrays.
-    pub fn wait(&mut self, i: usize) {
+    pub fn wait(&mut self, i: usize, key: Cycles) {
         self.sleep(i, Sleep::Waiting);
+        self.waiting.push(key, i, &mut self.slots);
     }
 
     /// Wakes the parked or waiting tenant at position `i`.
@@ -204,6 +208,8 @@ impl SimState {
         self.awake.insert(at, i);
     }
 
+    /// Takes the awake tenant at position `i` out of `awake` and tags its
+    /// slot; the caller pushes it into the heap `into`.
     fn sleep(&mut self, i: usize, into: Sleep) {
         let at = self
             .awake
@@ -218,12 +224,6 @@ impl SimState {
         self.asleep_remaining += t.remaining();
         self.awake.remove(at);
         self.slots[i].asleep = Some(into);
-        match into {
-            Sleep::Parked => self
-                .parked
-                .push(Reverse(t.request.priority), i, &mut self.slots),
-            Sleep::Waiting => self.waiting.push(t.deadline_cycle, i, &mut self.slots),
-        }
     }
 
     /// Admits a tenant at the last position, awake.
@@ -871,8 +871,8 @@ mod tests {
             sim.admit(t);
             scan.push((id, d));
         }
-        sim.park(4);
-        sim.wait(7);
+        sim.park(4, 0);
+        sim.wait(7, sim.tenants()[7].deadline_cycle);
         let asleep = sim.tenants()[4].remaining() + sim.tenants()[7].remaining();
 
         let mut want = Vec::new();
@@ -892,10 +892,10 @@ mod tests {
         let ids: Vec<u64> = sim.tenants().iter().map(|t| t.request.id).collect();
         assert_eq!(ids, scan.iter().map(|&(id, _)| id).collect::<Vec<_>>());
         assert_eq!(ids, [0, 7, 2, 4]);
-        assert_eq!(sim.best_parked(), Some(3));
+        assert_eq!(sim.parked_root(), Some((0, 3)));
         assert_eq!(sim.parked_len(), 1);
         assert_eq!(waiting_order(&mut sim), [1]);
-        assert_eq!(sim.first_waiting(), Some(1));
+        assert_eq!(sim.waiting_root(), Some((Cycles::new(7), 1)));
         assert_eq!(sim.awake(), [0, 2]);
         assert_eq!(sim.asleep_remaining, asleep);
         sim.wake(1);
@@ -922,7 +922,7 @@ mod tests {
             sim.admit(t);
         }
         for i in [2, 0, 3, 1] {
-            sim.wait(i);
+            sim.wait(i, sim.tenants()[i].deadline_cycle);
         }
         assert_eq!(waiting_order(&mut sim), [1, 3, 0, 2]);
         assert!(sim.awake().is_empty());
@@ -931,7 +931,7 @@ mod tests {
         assert_eq!(sim.awake(), [3]);
         // Waking the root until none is left visits the same order.
         let mut popped = Vec::new();
-        while let Some(i) = sim.first_waiting() {
+        while let Some((_, i)) = sim.waiting_root() {
             popped.push(i);
             sim.wake(i);
         }

@@ -54,14 +54,18 @@
 //! changed tenant on top of that O(T) walk, and save nothing.
 //!
 //! A policy may put queued tenants it can answer without walking them to
-//! sleep: park them ([`SimState::park`], indexed by priority) or let them
-//! wait ([`SimState::wait`], indexed by deadline). Both indexes are flat
-//! binary min-heaps beside one slot per tenant, so sleeping and waking
-//! cost the log of the sleeping count and allocate nothing. Planaria
-//! parks those queued past their deadline and lets the rest wait.
-//! Sleeping tenants hold no subarrays and their work is frozen, so every
-//! kernel pass walks only the awake tenants, and the backlog a dispatcher
-//! reads counts the sleeping ones through one maintained sum.
+//! sleep: park them ([`SimState::park`]) or let them wait
+//! ([`SimState::wait`]), each under a key the policy chooses. Both
+//! indexes are flat binary min-heaps of `(key, position)` beside one slot
+//! per tenant, so sleeping and waking cost the log of the sleeping count
+//! and allocate nothing. Planaria parks those queued past their deadline
+//! by priority and lets the rest wait by deadline. PREMA parks its
+//! starved tenants by remaining work and lets the rest wait by the cycle
+//! their tokens reach the starvation bar; FCFS and SJF park every queued
+//! tenant by arrival or remaining work. Sleeping tenants hold no
+//! subarrays and their work is frozen, so every kernel pass walks only
+//! the awake tenants, and the backlog a dispatcher reads counts the
+//! sleeping ones through one maintained sum.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,12 +10,13 @@
 //! entry it moves into that entry's [`Slot`], which lets the kernel wake
 //! a tenant at its index and re-key one in place.
 
-/// The heap a tenant sleeps in.
+/// The heap a tenant sleeps in. The policy that puts a tenant to sleep
+/// chooses its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Sleep {
-    /// Keyed (priority desc, position asc).
+    /// Keyed (`u64` key, position).
     Parked,
-    /// Keyed (deadline, position).
+    /// Keyed (cycle, position).
     Waiting,
 }
 
@@ -49,10 +50,10 @@ impl<K: Ord + Copy> SleepHeap<K> {
         &self.entries
     }
 
-    /// The position of the least entry.
+    /// The least entry, `(key, position)`.
     #[inline]
-    pub(crate) fn root(&self) -> Option<usize> {
-        self.entries.first().map(|&(_, i)| i)
+    pub(crate) fn root(&self) -> Option<(K, usize)> {
+        self.entries.first().copied()
     }
 
     /// Enters position `i` under `key`.
@@ -152,7 +153,7 @@ mod tests {
         /// With distinct positions that is the same sorted contents, which
         /// `sorted` also compares directly.
         fn check(&self, entries: bool, sorted: bool) {
-            assert_eq!(self.heap.root(), self.model.first().map(|&(_, i)| i));
+            assert_eq!(self.heap.root(), self.model.first().copied());
             assert_eq!(self.heap.len(), self.model.len());
             if !entries {
                 return;
@@ -220,7 +221,7 @@ mod tests {
                         p.forget(key, i);
                     } else if op < 15 {
                         let &(key, i) = p.model.first().expect("non-empty");
-                        assert_eq!(p.heap.root(), Some(i));
+                        assert_eq!(p.heap.root(), Some((key, i)));
                         p.heap.remove(0, &mut p.slots);
                         p.forget(key, i);
                     } else {

@@ -19,18 +19,19 @@ pub fn violation_rate(completions: &[Completion]) -> f64 {
 /// the required percentile of requests (99 % vision / 97 % translation)
 /// finish within their QoS bound.
 pub fn meets_sla(completions: &[Completion]) -> bool {
-    let mut by_dnn: BTreeMap<DnnId, (usize, usize)> = BTreeMap::new();
+    // (total, met) per network, indexed by `DnnId as usize`.
+    let mut by_dnn = [(0usize, 0usize); DnnId::ALL.len()];
     for c in completions {
-        let e = by_dnn.entry(c.request.dnn).or_insert((0, 0));
-        e.0 += 1;
-        if c.met_qos() {
-            e.1 += 1;
-        }
+        let (total, met) = &mut by_dnn[c.request.dnn as usize];
+        *total += 1;
+        *met += usize::from(c.met_qos());
     }
-    by_dnn.iter().all(|(id, (total, met))| {
+    DnnId::ALL.into_iter().all(|id| {
         // MLPerf's percentile with finite samples: the allowed miss count
-        // is the rounded (1 - p) fraction of the sample.
-        let allowed = ((1.0 - sla_percentile(*id)) * *total as f64).round() as usize;
+        // is the rounded (1 - p) fraction of the sample. A network with no
+        // completions passes: 0 misses, 0 allowed.
+        let (total, met) = by_dnn[id as usize];
+        let allowed = ((1.0 - sla_percentile(id)) * total as f64).round() as usize;
         total - met <= allowed
     })
 }
@@ -177,6 +178,37 @@ mod tests {
             .collect();
         vs.extend((0..3).map(|_| completion(DnnId::ResNet50, 5, 0.02, 0.015)));
         assert!(!meets_sla(&vs));
+    }
+
+    #[test]
+    fn absent_networks_pass() {
+        // Only ResNet-50 and one GNMT request ran; the seven networks with
+        // no completions allow and have no misses.
+        let mut cs: Vec<_> = (0..10)
+            .map(|_| completion(DnnId::ResNet50, 5, 0.01, 0.015))
+            .collect();
+        cs.push(completion(DnnId::Gnmt, 5, 0.1, 0.25));
+        assert!(meets_sla(&cs));
+        assert!(meets_sla(&[]));
+        // One late request of the only network present fails it.
+        cs.push(completion(DnnId::ResNet50, 5, 0.02, 0.015));
+        assert!(!meets_sla(&cs));
+    }
+
+    #[test]
+    fn allowance_boundary_is_the_rounded_miss_count() {
+        // 150 vision requests allow round(1.5) = 2 misses: 2 pass, 3 fail.
+        let run = |late: usize| {
+            let mut cs: Vec<_> = (0..150 - late)
+                .map(|_| completion(DnnId::TinyYolo, 5, 0.01, 0.015))
+                .collect();
+            cs.extend((0..late).map(|_| completion(DnnId::TinyYolo, 5, 0.02, 0.015)));
+            // A passing network beside it changes nothing.
+            cs.push(completion(DnnId::ResNet50, 5, 0.01, 0.015));
+            meets_sla(&cs)
+        };
+        assert!(run(2));
+        assert!(!run(3));
     }
 
     #[test]

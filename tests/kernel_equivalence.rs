@@ -23,14 +23,21 @@
 //! The reference lane also audits the chip after every scheduling event
 //! ([`Audit`]): no subarray is double-booked, a sleeping tenant holds
 //! none, and a PREMA node lends its whole ring to at most one tenant.
+//!
+//! PREMA's policy reads only its awake tenants and the kernel's heap
+//! roots. [`PickAudit`] checks each of its picks on the production
+//! kernel against `pick_with_threshold` over every tenant, for the three
+//! temporal policies at six thresholds, and [`AwakeCount`] pins the
+//! tenants an event reads as a count.
 
 use planaria_arch::{AcceleratorConfig, Allocation};
 use planaria_compiler::CompiledDnn;
 use planaria_core::{PlanariaEngine, SchedulingMode};
+use planaria_model::units::Cycles;
 use planaria_model::DnnId;
-use planaria_prema::{Policy, PremaEngine};
+use planaria_prema::{pick_with_threshold, policy::PolicyTask, Policy, PremaEngine};
 use planaria_sim::oracle::run_streamed_reference;
-use planaria_sim::{run_streamed_sink, EnginePolicy, NodeSummary, SimState};
+use planaria_sim::{run_streamed_sink, EnginePolicy, NodeSummary, SimClock, SimState};
 use planaria_telemetry::{Collector, NullCollector};
 use planaria_workload::{
     DiscardSink, QosLevel, Request, Scenario, SimResult, TraceConfig, VecSink,
@@ -397,5 +404,183 @@ fn stress_traces_match_reference_on_three_chips() {
         let hot = prema.run(&trace);
         let oracle = prema_reference(&prema, &trace);
         assert_identical(&hot, &oracle, &format!("prema {name}"));
+    }
+}
+
+/// A temporal policy wrapper that checks every pick against its oracle:
+/// before each `reschedule` it runs `pick_with_threshold` over every
+/// tenant in position order (a runner with its banked tokens, a queued
+/// tenant with the tokens it has earned since `queued_since`), and after
+/// it asserts that exactly that tenant holds the ring, or that nobody
+/// does.
+struct PickAudit<P> {
+    inner: P,
+    policy: Policy,
+    /// The starvation bar in token units, converted as the engine does.
+    threshold: u64,
+    picks: usize,
+}
+
+/// A queued tenant's tokens, re-derived: `banked` plus `priority` per
+/// cycle waited, saturating.
+fn queued_tokens(banked: u64, priority: u32, waited: Cycles) -> u64 {
+    banked.saturating_add(u64::from(priority).saturating_mul(waited.get()))
+}
+
+impl<P: EnginePolicy> EnginePolicy for PickAudit<P> {
+    fn compiled_for(&mut self, request: &Request) -> Arc<CompiledDnn> {
+        self.inner.compiled_for(request)
+    }
+
+    fn admit_subarrays(&self) -> u32 {
+        self.inner.admit_subarrays()
+    }
+
+    fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
+        let now = sim.now;
+        let tasks = sim.tenants().iter().enumerate().map(|(i, t)| PolicyTask {
+            index: i,
+            tokens: if t.placement.is_some() {
+                t.tokens
+            } else {
+                queued_tokens(
+                    t.tokens,
+                    t.request.priority,
+                    now.saturating_sub(t.queued_since),
+                )
+            },
+            arrival: t.arrival_cycle,
+            remaining: t.remaining(),
+        });
+        let want = pick_with_threshold(self.policy, tasks, self.threshold);
+        self.inner.reschedule(sim, c);
+        let holders: Vec<usize> = (0..sim.tenants().len())
+            .filter(|&i| sim.tenants()[i].placement.is_some())
+            .collect();
+        assert_eq!(
+            holders,
+            Vec::from_iter(want),
+            "{:?} at threshold {} picked wrong at cycle {}",
+            self.policy,
+            self.threshold,
+            now
+        );
+        self.picks += 1;
+    }
+}
+
+/// The six starvation thresholds the audit runs, in seconds.
+const THRESHOLDS: [f64; 6] = [0.0, 0.001, 0.015, 0.06, 0.24, f64::INFINITY];
+
+/// Runs `trace` on the production kernel under every temporal policy and
+/// threshold with each pick audited, returning the picks checked.
+fn audit_picks(trace: &[Request], tag: &str) -> usize {
+    let cfg = AcceleratorConfig::monolithic();
+    let mut picks = 0;
+    for policy in [Policy::Prema, Policy::Fcfs, Policy::Sjf] {
+        for secs in THRESHOLDS {
+            let engine = PremaEngine::new(cfg, policy).with_token_threshold(secs);
+            let mut audit = PickAudit {
+                inner: engine.node_policy(),
+                policy,
+                threshold: SimClock::for_config(&cfg).duration_cycles(secs).get(),
+                picks: 0,
+            };
+            let (kept, _) = run_streamed_sink(
+                &cfg,
+                trace,
+                &mut audit,
+                &mut NullCollector,
+                VecSink::default(),
+            );
+            assert_eq!(
+                kept.completions.len(),
+                trace.len(),
+                "{tag}: {policy:?} at {secs} s"
+            );
+            picks += audit.picks;
+        }
+    }
+    picks
+}
+
+#[test]
+fn every_temporal_pick_matches_its_oracle() {
+    // The QoS-Hard overload trace the scale bench's PREMA lanes run: a
+    // backlog that starves, parks and wakes for the whole trace.
+    let overload = TraceConfig::new(Scenario::C, QosLevel::Hard, 1000.0, 2_000, 5)
+        .with_burstiness(6.0)
+        .generate();
+    assert!(audit_picks(&overload, "overload") > 18 * 3_000);
+    // Poisson QoS-Soft traffic near PREMA's capacity: short queues.
+    let poisson = TraceConfig::new(Scenario::A, QosLevel::Soft, 150.0, 1_000, 0x9015).generate();
+    audit_picks(&poisson, "poisson");
+    for (name, trace) in stress_traces() {
+        audit_picks(&trace, &name);
+    }
+}
+
+/// A policy wrapper that counts the awake tenants at each `reschedule`:
+/// every tenant an event's kernel passes and a sleeping policy's pick
+/// read beyond the heap roots.
+struct AwakeCount<P> {
+    inner: P,
+    events: usize,
+    awake: usize,
+    max: usize,
+}
+
+impl<P: EnginePolicy> EnginePolicy for AwakeCount<P> {
+    fn compiled_for(&mut self, request: &Request) -> Arc<CompiledDnn> {
+        self.inner.compiled_for(request)
+    }
+
+    fn admit_subarrays(&self) -> u32 {
+        self.inner.admit_subarrays()
+    }
+
+    fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
+        let awake = sim.awake().len();
+        self.events += 1;
+        self.awake += awake;
+        self.max = self.max.max(awake);
+        self.inner.reschedule(sim, c);
+    }
+}
+
+#[test]
+fn temporal_events_read_a_flat_count_of_tenants() {
+    // The QoS-Hard overload trace at n and 4n requests: the backlog grows
+    // to thousands, while each event reads the runner and the arrivals
+    // of its cycle. A policy without sleeping reads every tenant: a mean
+    // of 527 at 2 500 requests and 1 957 at 10^4 under PREMA.
+    let cfg = AcceleratorConfig::monolithic();
+    for policy in [Policy::Prema, Policy::Fcfs, Policy::Sjf] {
+        let engine = PremaEngine::new(cfg, policy);
+        let mut max = Vec::new();
+        for n in [2_500, 10_000] {
+            let trace = TraceConfig::new(Scenario::C, QosLevel::Hard, 1000.0, n, 5)
+                .with_burstiness(6.0)
+                .generate();
+            let mut count = AwakeCount {
+                inner: engine.node_policy(),
+                events: 0,
+                awake: 0,
+                max: 0,
+            };
+            run_streamed_sink(&cfg, &trace, &mut count, &mut NullCollector, DiscardSink);
+            let mean = count.awake as f64 / count.events as f64;
+            assert!(
+                mean <= 2.0,
+                "{policy:?} at {n} requests: {mean:.2} awake tenants per event"
+            );
+            max.push(count.max);
+        }
+        assert!(
+            max[1] <= max[0],
+            "{policy:?}: the most awake tenants grew from {} to {}",
+            max[0],
+            max[1]
+        );
     }
 }
