@@ -6,8 +6,7 @@
 //! PREMA failing outright on Workload-B at QoS-H.
 
 use planaria_bench::{
-    export_trace_if_requested, par_grid, planaria_throughput, prema_throughput, ratio_label,
-    ResultTable, Systems,
+    par_grid, planaria_throughput, prema_throughput, ratio_label, ResultTable, Systems,
 };
 
 fn main() {
@@ -32,5 +31,4 @@ fn main() {
         ]);
     }
     table.emit("fig12_throughput");
-    export_trace_if_requested(&sys);
 }

@@ -3,8 +3,8 @@
 //! (the paper's "for the same throughput 1/λ").
 
 use planaria_bench::{
-    export_trace_if_requested, par_grid, planaria_throughput, prema_throughput, probe_rate,
-    rate_seeds, run_planaria, run_prema, ResultTable, Systems,
+    par_grid, planaria_throughput, prema_throughput, probe_rate, rate_seeds, run_planaria,
+    run_prema, ResultTable, Systems,
 };
 use planaria_workload::sla_satisfaction_rate;
 
@@ -48,5 +48,4 @@ fn main() {
         ]);
     }
     table.emit("fig13_sla");
-    export_trace_if_requested(&sys);
 }

@@ -8,7 +8,7 @@
 //! through one pool (see [`planaria_bench::workqueue`]).
 
 use planaria_bench::workqueue::{probe_lambdas, sweep_seed_means, SystemId};
-use planaria_bench::{export_trace_if_requested, ResultTable, Systems};
+use planaria_bench::{ResultTable, Systems};
 use planaria_workload::fairness;
 
 fn main() {
@@ -43,5 +43,4 @@ fn main() {
         ]);
     }
     table.emit("fig14_fairness");
-    export_trace_if_requested(&sys);
 }

@@ -11,7 +11,7 @@
 //! through one pool (see [`planaria_bench::workqueue`]).
 
 use planaria_bench::workqueue::{probe_lambdas, sweep_seed_means};
-use planaria_bench::{export_trace_if_requested, ResultTable, Systems};
+use planaria_bench::{ResultTable, Systems};
 
 fn main() {
     let sys = Systems::new();
@@ -42,5 +42,4 @@ fn main() {
         ]);
     }
     table.emit("fig15_energy");
-    export_trace_if_requested(&sys);
 }

@@ -11,7 +11,7 @@
 //! (the trace depends only on the cell and the seed, never on the node
 //! count).
 
-use planaria_bench::{export_trace_if_requested, par_grid, trace, ResultTable, Systems};
+use planaria_bench::{par_grid, trace, ResultTable, Systems};
 use planaria_core::{min_nodes_for_sla, DispatchPolicy, Fleet};
 use planaria_parallel::{effective_jobs, par_map};
 use planaria_workload::{meets_sla, Request};
@@ -58,5 +58,4 @@ fn main() {
         ]);
     }
     table.emit("fig16_scaleout");
-    export_trace_if_requested(&sys);
 }

@@ -31,7 +31,6 @@ use planaria_compiler::CompiledLibrary;
 use planaria_core::PlanariaEngine;
 use planaria_parallel::{effective_jobs, par_map};
 use planaria_prema::{Policy, PremaEngine};
-use planaria_telemetry::{chrome_trace, validate_chrome_trace, RecordingCollector};
 use planaria_workload::{QosLevel, Scenario, TraceConfig};
 use std::fmt::Write as _;
 use std::fs;
@@ -288,52 +287,6 @@ pub fn race(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) 
 /// The workspace `results/` directory.
 pub fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// Parses `--trace-out PATH` (or `--trace-out=PATH`) from the current
-/// binary's argv, if present.
-pub fn trace_out_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next();
-        }
-        if let Some(rest) = a.strip_prefix("--trace-out=") {
-            return Some(rest.to_string());
-        }
-    }
-    None
-}
-
-/// If the binary was invoked with `--trace-out PATH`, replays one
-/// representative contended cell (Workload-C, QoS-M, 200 q/s, 60
-/// requests, seed 1) on the Planaria engine with a recording collector
-/// and writes the self-validated Chrome trace to `PATH`.
-///
-/// The experiment's own measurement loops are untouched — they keep
-/// running with [`planaria_telemetry::NullCollector`] via the plain
-/// `run` path, so emitted tables are unaffected by the flag.
-pub fn export_trace_if_requested(sys: &Systems) {
-    let Some(path) = trace_out_arg() else {
-        return;
-    };
-    let workload = TraceConfig::new(Scenario::C, QosLevel::Medium, 200.0, 60, 1).generate();
-    let mut rec = RecordingCollector::new();
-    sys.planaria.run_with_collector(&workload, &mut rec);
-    let json = chrome_trace(&rec);
-    match validate_chrome_trace(&json) {
-        Ok(stats) => {
-            if let Err(e) = fs::write(&path, &json) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                println!(
-                    "[trace written {path}: {} events ({} spans) across {} processes]",
-                    stats.events, stats.complete, stats.processes
-                );
-            }
-        }
-        Err(e) => eprintln!("warning: trace export invalid, not writing {path}: {e}"),
-    }
 }
 
 /// Formats a throughput ratio, marking PREMA-at-floor cells the way the

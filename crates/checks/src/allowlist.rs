@@ -4,11 +4,10 @@
 //! `#` starts a comment (full-line or trailing). `IDENT` may be `*` to
 //! match any identifier at that path.
 //!
-//! `CODE` is a qualified lint code (`L2-HOT`, `L1-FLOW`, ...). A bare
-//! family code (`L2`) also matches its qualified sub-codes (`L2-TIME`,
-//! `L2-HOT`, `L2-FLOW`) so pre-split allowlists keep working;
-//! [`Allowlist::fix`] migrates such entries to the exact codes they
-//! matched and prunes stale ones.
+//! `CODE` is one lint code (`L2`, `L2-HOT`, `L1-FLOW`, ...), and an
+//! entry covers only diagnostics with exactly that code: `L2` does not
+//! cover `L2-TIME`, `L2-HOT` or `L2-FLOW`. [`Allowlist::fix`] prunes
+//! entries that match nothing.
 
 use crate::diagnostics::{Diagnostic, Lint};
 use std::fs;
@@ -18,8 +17,7 @@ use std::path::Path;
 /// One allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
-    /// Lint code (`L1`, `L2-HOT`, ...). A bare family code also matches
-    /// its qualified sub-codes.
+    /// Lint code (`L1`, `L2-HOT`, ...), matched exactly.
     pub code: String,
     /// Workspace-relative path the escape applies to.
     pub path: String,
@@ -29,18 +27,9 @@ pub struct Entry {
     pub source_line: usize,
 }
 
-/// Whether an entry code covers a diagnostic code: exact, or family
-/// prefix (`L2` covers `L2-TIME`).
-fn code_covers(entry: &str, diag: &str) -> bool {
-    entry == diag
-        || (diag.len() > entry.len() + 1
-            && diag.as_bytes()[entry.len()] == b'-'
-            && diag.starts_with(entry))
-}
-
 impl Entry {
     fn matches(&self, d: &Diagnostic) -> bool {
-        code_covers(&self.code, d.lint.code())
+        self.code == d.lint.code()
             && self.path == d.rel_path
             && (self.ident == "*" || self.ident == d.ident)
     }
@@ -165,46 +154,27 @@ impl Allowlist {
     }
 
     /// Rewrites allowlist text against the current raw diagnostics:
-    /// stale entries (matching nothing) are pruned, and entries carrying
-    /// a bare family code are migrated to the exact qualified code(s)
-    /// they matched — one line per code, comments and all other lines
-    /// preserved verbatim. Returns the new text and the rendered entries
-    /// that were pruned.
+    /// stale entries (matching nothing) are pruned, and every other line,
+    /// comments included, is kept verbatim. Returns the new text and the
+    /// rendered entries that were pruned.
     pub fn fix(text: &str, diags: &[Diagnostic]) -> Result<(String, Vec<String>), ParseError> {
         let mut out = String::new();
         let mut pruned = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
-            let Some((code, path, ident)) = parse_fields(raw, idx)? else {
-                out.push_str(raw);
-                out.push('\n');
-                continue;
-            };
-            let entry = Entry {
-                code,
-                path,
-                ident,
-                source_line: idx + 1,
-            };
-            let mut matched: Vec<&str> = diags
-                .iter()
-                .filter(|d| entry.matches(d))
-                .map(|d| d.lint.code())
-                .collect();
-            matched.sort_unstable();
-            matched.dedup();
-            if matched.is_empty() {
-                pruned.push(entry.render());
-                continue;
-            }
-            let comment = raw.find('#').map(|p| &raw[p..]).unwrap_or("");
-            for code in matched {
-                out.push_str(&format!("{} {} {}", code, entry.path, entry.ident));
-                if !comment.is_empty() {
-                    out.push(' ');
-                    out.push_str(comment);
+            if let Some((code, path, ident)) = parse_fields(raw, idx)? {
+                let entry = Entry {
+                    code,
+                    path,
+                    ident,
+                    source_line: idx + 1,
+                };
+                if !diags.iter().any(|d| entry.matches(d)) {
+                    pruned.push(entry.render());
+                    continue;
                 }
-                out.push('\n');
             }
+            out.push_str(raw);
+            out.push('\n');
         }
         Ok((out, pruned))
     }
@@ -273,16 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn family_codes_cover_qualified_sub_codes() {
+    fn family_codes_do_not_cover_qualified_sub_codes() {
         let a = Allowlist::parse("L2 crates/x/src/lib.rs *\n").unwrap();
         let (kept, unused) = a.filter(vec![
             diag_with(Lint::TimeDomain, "crates/x/src/lib.rs", "round"),
             diag_with(Lint::HotLoop, "crates/x/src/lib.rs", "collect"),
             diag_with(Lint::Determinism, "crates/x/src/lib.rs", "HashMap"),
         ]);
-        assert!(kept.is_empty(), "{kept:?}");
+        let codes: Vec<&str> = kept.iter().map(|d| d.lint.code()).collect();
+        assert_eq!(codes, vec!["L2-TIME", "L2-HOT"]);
         assert!(unused.is_empty());
-        // But a qualified entry does NOT cover its siblings or family.
+        // Nor does a qualified entry cover its siblings or family.
         let b = Allowlist::parse("L2-HOT crates/x/src/lib.rs *\n").unwrap();
         let (kept, _) = b.filter(vec![
             diag_with(Lint::TimeDomain, "crates/x/src/lib.rs", "round"),
@@ -292,18 +263,22 @@ mod tests {
     }
 
     #[test]
-    fn fix_prunes_stale_and_migrates_family_codes() {
-        let text = "# keep this header\nL2 crates/x/src/lib.rs * # one-time setup\nL1 crates/x/src/lib.rs stale\n";
-        let diags = vec![
-            diag_with(Lint::HotLoop, "crates/x/src/lib.rs", "Vec_new"),
-            diag_with(Lint::TimeDomain, "crates/x/src/lib.rs", "round"),
-        ];
+    fn fix_prunes_stale_entries() {
+        let text = "# keep this header\nL2-HOT crates/x/src/lib.rs * # one-time setup\nL1 crates/x/src/lib.rs stale\nL2 crates/x/src/lib.rs *\n";
+        let diags = vec![diag_with(Lint::HotLoop, "crates/x/src/lib.rs", "Vec_new")];
         let (fixed, pruned) = Allowlist::fix(text, &diags).unwrap();
         assert_eq!(
             fixed,
-            "# keep this header\nL2-HOT crates/x/src/lib.rs * # one-time setup\nL2-TIME crates/x/src/lib.rs * # one-time setup\n"
+            "# keep this header\nL2-HOT crates/x/src/lib.rs * # one-time setup\n"
         );
-        assert_eq!(pruned, vec!["L1 crates/x/src/lib.rs stale".to_string()]);
+        // The family entry matches no `L2` diagnostic, so it is stale too.
+        assert_eq!(
+            pruned,
+            vec![
+                "L1 crates/x/src/lib.rs stale".to_string(),
+                "L2 crates/x/src/lib.rs *".to_string()
+            ]
+        );
         // A fixed allowlist is idempotent under fix.
         let (again, pruned2) = Allowlist::fix(&fixed, &diags).unwrap();
         assert_eq!(again, fixed);

@@ -12,8 +12,8 @@
 //! out-of-workspace) — that asymmetry is the documented soundness caveat.
 
 use crate::lexer::{matching_close, TokKind, Token};
-use crate::summary::{CallRec, FileSummary, SigRec};
-use crate::symbols::{is_newtype, split_commas, FileSymbols};
+use crate::summary::{CallRec, FileSummary};
+use crate::symbols::{is_newtype, split_commas, FileSymbols, FnSym};
 
 /// Keywords that look like `word(` but are never calls.
 const NOT_CALLS: [&str; 14] = [
@@ -163,7 +163,7 @@ impl<'a> Graph<'a> {
     }
 
     /// The signature behind a global id.
-    pub fn sig(&self, gid: Gid) -> &'a SigRec {
+    pub fn sig(&self, gid: Gid) -> &'a FnSym {
         &self.files[gid.0].fns[gid.1]
     }
 
@@ -178,7 +178,7 @@ impl<'a> Graph<'a> {
     ///
     /// `caller_self_ty` is the `impl` type of the calling function, used
     /// to resolve `Self::` qualifiers.
-    pub fn resolve(&self, call: &CallRec, caller_self_ty: &str) -> Vec<Gid> {
+    pub fn resolve(&self, call: &CallRec, caller_self_ty: Option<&str>) -> Vec<Gid> {
         let Some(cands) = self.by_name.get(call.callee.as_str()) else {
             return Vec::new();
         };
@@ -191,13 +191,17 @@ impl<'a> Graph<'a> {
             cands.retain(|&g| !self.sig(g).has_self);
         }
         for q in &call.qualifier {
-            let q: &str = if q == "Self" { caller_self_ty } else { q };
+            let q: &str = if q == "Self" {
+                caller_self_ty.unwrap_or_default()
+            } else {
+                q
+            };
             if matches!(q, "crate" | "super" | "self") || q.is_empty() {
                 continue;
             }
             cands.retain(|&g| {
                 let s = self.sig(g);
-                s.self_ty == q || s.module.iter().any(|m| m == q)
+                s.self_ty.as_deref() == Some(q) || s.module.iter().any(|m| m == q)
             });
         }
         cands
@@ -209,7 +213,6 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::source::SourceFile;
-    use crate::summary::summarize;
     use crate::symbols::parse;
 
     fn calls_of(rel: &str, src: &str) -> (FileSymbols, Vec<CallRec>) {
@@ -277,7 +280,12 @@ mod tests {
             let f = SourceFile::parse(rel, src);
             let toks = lex(&f);
             let syms = parse(&f, &toks);
-            summarize(rel, 0, &syms, extract_calls(&syms, &toks), Vec::new())
+            FileSummary {
+                rel: rel.to_string(),
+                diags: Vec::new(),
+                calls: extract_calls(&syms, &toks),
+                fns: syms.fns,
+            }
         };
         let files = vec![
             mk(
@@ -296,15 +304,15 @@ mod tests {
         let g = Graph::build(&files);
         let calls = &files[2].calls;
         // Method call resolves to the lone `to_seconds` with a receiver.
-        let r0 = g.resolve(&calls[0], "");
+        let r0 = g.resolve(&calls[0], None);
         assert_eq!(r0.len(), 1);
         assert_eq!(g.file_of(r0[0]), "crates/sim/src/clock.rs");
         // `clock::helper` disambiguates by module segment.
-        let r1 = g.resolve(&calls[1], "");
+        let r1 = g.resolve(&calls[1], None);
         assert_eq!(r1.len(), 1);
         assert_eq!(g.file_of(r1[0]), "crates/sim/src/clock.rs");
         // Bare `helper` stays ambiguous: both free fns survive.
-        let r2 = g.resolve(&calls[2], "");
+        let r2 = g.resolve(&calls[2], None);
         assert_eq!(r2.len(), 2);
         // Unknown names resolve to nothing (assumed external).
         let unknown = CallRec {
@@ -315,6 +323,6 @@ mod tests {
             line: 1,
             args: Vec::new(),
         };
-        assert!(g.resolve(&unknown, "").is_empty());
+        assert!(g.resolve(&unknown, None).is_empty());
     }
 }

@@ -138,11 +138,11 @@ impl Lint {
             Lint::Parallelism => {
                 "L4 parallel determinism (closure analysis)\n\
                  \n\
-                 Closures passed to par_map/par_map_auto must be pure\n\
-                 functions of their item, and closures passed to\n\
-                 par_for_each_mut may mutate only the item they are given:\n\
-                 the fan-out is only bit-deterministic if workers share no\n\
-                 mutable state. Flagged inside the closure body: `&mut`\n\
+                 Closures passed to par_map must be pure functions of their\n\
+                 item, and closures passed to par_for_each_mut may mutate\n\
+                 only the item they are given: the fan-out is only\n\
+                 bit-deterministic if workers share no mutable state.\n\
+                 Flagged inside the closure body: `&mut`\n\
                  captures of outer state, interior mutability (Cell/RefCell/\n\
                  Mutex/RwLock/UnsafeCell/atomics), `static mut` access, and\n\
                  order-sensitive accumulation through shared state\n\

@@ -29,11 +29,9 @@
 //! * **L1-FLOW newtype escape** — catches raw newtype extractions whose
 //!   value crosses a guarded `pub fn` boundary one call later.
 //!
-//! The per-file phase fans out through `planaria_parallel::par_map` and
-//! feeds an incremental cache keyed by content hash; both are invisible
-//! in the output — diagnostics are byte-identical for any job count and
-//! any cache state (the binary self-certifies this in CI). `--explain
-//! <CODE>` prints the long-form rule text.
+//! Each file is analyzed once, in one serial pass over the workspace
+//! in path order; the interprocedural lints then run over the complete
+//! summary set. `--explain <CODE>` prints the long-form rule text.
 
 pub mod allowlist;
 pub mod callgraph;
@@ -49,38 +47,12 @@ pub use diagnostics::{Diagnostic, Lint};
 pub use source::SourceFile;
 pub use summary::FileSummary;
 
-use std::collections::BTreeMap;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Analysis options.
-#[derive(Debug, Clone, Default)]
-pub struct Options {
-    /// Worker count for the per-file phase; `None` follows
-    /// `PLANARIA_JOBS`/available parallelism.
-    pub jobs: Option<usize>,
-    /// Incremental cache file. When set, per-file summaries are reused
-    /// for files whose content hash is unchanged and the cache is
-    /// rewritten after the run.
-    pub cache: Option<PathBuf>,
-}
-
-/// The result of a full analysis run.
-#[derive(Debug, Clone)]
-pub struct Analysis {
-    /// All diagnostics (unfiltered), sorted by path, line, code.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Number of workspace source files scanned.
-    pub files_total: usize,
-    /// Number of files actually re-lexed (cache misses).
-    pub files_relexed: usize,
-}
-
-/// Runs the full per-file pipeline on one source text.
-fn analyze_file(rel: &str, text: &str) -> FileSummary {
-    let hash = summary::fnv1a(text.as_bytes());
-    let file = SourceFile::parse(rel, text);
+/// Runs the line-local lints on one parsed file and summarizes it for
+/// the interprocedural pass.
+fn analyze_file(file: SourceFile) -> FileSummary {
     let tokens = lexer::lex(&file);
     let syms = symbols::parse(&file, &tokens);
     let mut diags = Vec::new();
@@ -90,40 +62,21 @@ fn analyze_file(rel: &str, text: &str) -> FileSummary {
     diags.extend(lints::hotloop::check(&file, &tokens, &syms));
     diags.extend(lints::hygiene::check(&file));
     diags.extend(lints::parallelism::check(&file, &tokens, &syms));
-    let calls = callgraph::extract_calls(&syms, &tokens);
-    summary::summarize(rel, hash, &syms, calls, diags)
+    FileSummary {
+        calls: callgraph::extract_calls(&syms, &tokens),
+        rel: file.rel,
+        diags,
+        fns: syms.fns,
+    }
 }
 
-/// Runs every lint over the workspace rooted at `root`. The per-file
-/// phase fans out via `par_map` (order restored by the index-ordered
-/// join) and consults the cache; the interprocedural lints then run over
-/// the complete summary set, so cached files fully participate in the
-/// call graph.
-pub fn analyze(root: &Path, opts: &Options) -> io::Result<Analysis> {
-    let texts = source::workspace_source_texts(root)?;
-    let files_total = texts.len();
-    let cached: BTreeMap<String, FileSummary> = opts
-        .cache
-        .as_deref()
-        .and_then(|p| fs::read_to_string(p).ok())
-        .and_then(|t| summary::parse_cache(&t))
-        .map(|files| files.into_iter().map(|f| (f.rel.clone(), f)).collect())
-        .unwrap_or_default();
-    // The closure is pure in its item: it reads only the shared cache
-    // map. That keeps the checker itself L4-clean under its own lint.
-    let worker = |(rel, text): (String, String)| -> (FileSummary, bool) {
-        let hash = summary::fnv1a(text.as_bytes());
-        match cached.get(&rel) {
-            Some(hit) if hit.hash == hash => (hit.clone(), false),
-            _ => (analyze_file(&rel, &text), true),
-        }
-    };
-    let results = match opts.jobs {
-        Some(jobs) => planaria_parallel::par_map(texts, jobs.max(1), worker),
-        None => planaria_parallel::par_map_auto(texts, worker),
-    };
-    let files_relexed = results.iter().filter(|(_, fresh)| *fresh).count();
-    let summaries: Vec<FileSummary> = results.into_iter().map(|(s, _)| s).collect();
+/// Runs every lint over the workspace rooted at `root` and returns the
+/// raw (unfiltered) diagnostics, sorted by path, line and code.
+pub fn run_all(root: &Path) -> io::Result<Vec<Diagnostic>> {
+    let summaries: Vec<FileSummary> = source::workspace_sources(root)?
+        .into_iter()
+        .map(analyze_file)
+        .collect();
     let mut diagnostics: Vec<Diagnostic> = summaries
         .iter()
         .flat_map(|s| s.diags.iter().cloned())
@@ -139,20 +92,7 @@ pub fn analyze(root: &Path, opts: &Options) -> io::Result<Analysis> {
         ))
     });
     diagnostics.dedup();
-    if let Some(path) = &opts.cache {
-        fs::write(path, summary::render_cache(&summaries))?;
-    }
-    Ok(Analysis {
-        diagnostics,
-        files_total,
-        files_relexed,
-    })
-}
-
-/// Runs every lint with default options and returns the raw (unfiltered)
-/// diagnostics, sorted by path and line.
-pub fn run_all(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    Ok(analyze(root, &Options::default())?.diagnostics)
+    Ok(diagnostics)
 }
 
 /// Runs every lint and filters through `allow`; returns `(violations,

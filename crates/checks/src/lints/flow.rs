@@ -99,7 +99,7 @@ fn tainted_set(g: &Graph<'_>) -> BTreeSet<Gid> {
                 if caller.ret != "f64" || tainted.contains(&(fi, call.caller)) {
                     continue;
                 }
-                let cands = g.resolve(call, &caller.self_ty);
+                let cands = g.resolve(call, caller.self_ty.as_deref());
                 if cands.iter().any(|c| tainted.contains(c)) {
                     tainted.insert((fi, call.caller));
                     grew = true;
@@ -143,7 +143,7 @@ fn float_flow(g: &Graph<'_>, diags: &mut Vec<Diagnostic>) {
             let Some(caller) = file.fns.get(call.caller) else {
                 continue;
             };
-            let cands = g.resolve(call, &caller.self_ty);
+            let cands = g.resolve(call, caller.self_ty.as_deref());
             let offender = cands
                 .iter()
                 .find(|&&c| tainted.contains(&c) && g.file_of(c) != CLOCK);
@@ -177,17 +177,18 @@ fn unit_flow(g: &Graph<'_>, diags: &mut Vec<Diagnostic>) {
             let Some(caller) = file.fns.get(call.caller) else {
                 continue;
             };
-            let cands = g.resolve(call, &caller.self_ty);
+            let cands = g.resolve(call, caller.self_ty.as_deref());
             for (i, fact) in call.args.iter().enumerate() {
                 let Some((newtype, via)) = fact else { continue };
                 let escape = cands.iter().find(|&&c| {
                     let sig = g.sig(c);
                     sig.is_pub
                         && UNIT_SCOPE.iter().any(|p| g.file_of(c).starts_with(p))
-                        && sig.params.get(i).is_some_and(|(_, ty)| is_bare_numeric(ty))
+                        && sig.params.get(i).is_some_and(|p| is_bare_numeric(&p.ty))
                 });
                 if let Some(&c) = escape {
-                    let (pname, pty) = &g.sig(c).params[i];
+                    let param = &g.sig(c).params[i];
+                    let (pname, pty) = (&param.name, &param.ty);
                     diags.push(Diagnostic {
                         lint: Lint::UnitFlow,
                         rel_path: file.rel.clone(),
@@ -223,15 +224,18 @@ mod tests {
     use crate::callgraph::extract_calls;
     use crate::lexer::lex;
     use crate::source::SourceFile;
-    use crate::summary::summarize;
     use crate::symbols::parse;
 
     fn mk(rel: &str, src: &str) -> FileSummary {
         let f = SourceFile::parse(rel, src);
         let toks = lex(&f);
         let syms = parse(&f, &toks);
-        let calls = extract_calls(&syms, &toks);
-        summarize(rel, 0, &syms, calls, Vec::new())
+        FileSummary {
+            rel: rel.to_string(),
+            diags: Vec::new(),
+            calls: extract_calls(&syms, &toks),
+            fns: syms.fns,
+        }
     }
 
     const CLOCK_SRC: &str = "impl SimClock {\n    pub fn to_seconds(&self, c: Cycles) -> f64 { 0.0 }\n    pub fn span_seconds(&self, a: Cycles, b: Cycles) -> f64 { 0.0 }\n}\n";

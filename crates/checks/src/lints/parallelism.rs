@@ -1,6 +1,6 @@
-//! L4 parallel-determinism: closures handed to `par_map`/`par_map_auto`
-//! must be pure functions of their item, and closures handed to
-//! `par_for_each_mut` may mutate only the item they are given.
+//! L4 parallel-determinism: closures handed to `par_map` must be pure
+//! functions of their item, and closures handed to `par_for_each_mut`
+//! may mutate only the item they are given.
 //!
 //! `planaria_parallel::par_map` joins worker results in index order, and
 //! `par_for_each_mut` hands each slice item to exactly one worker, so the
@@ -8,7 +8,7 @@
 //! A closure that mutates captured state (directly via `&mut`, or through
 //! interior mutability) reintroduces scheduling order into the results,
 //! which is exactly what the cluster fabric's per-round fan-out cannot
-//! tolerate. This pass finds every call site of the three fan-out
+//! tolerate. This pass finds every call site of the two fan-out
 //! functions, isolates the closure argument, and flags:
 //!
 //! * `&mut x` where `x` is not closure-local (a shared-state capture);
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 /// The fan-out functions whose closure argument this pass checks.
-const SITES: [&str; 3] = ["par_map", "par_map_auto", "par_for_each_mut"];
+const SITES: [&str; 2] = ["par_map", "par_for_each_mut"];
 
 /// Interior-mutability type names that make a closure order-sensitive.
 const INTERIOR: [&str; 5] = ["Cell", "RefCell", "Mutex", "RwLock", "UnsafeCell"];
@@ -282,7 +282,7 @@ mod tests {
         // `n` never names its type in the closure body; the capture is
         // resolved through the enclosing fn's declared parameter types.
         let d = run(
-            "fn f(items: Vec<u64>, n: &AtomicU64) {\n    par_map_auto(items, |x| n.fetch_add(x, Ordering::SeqCst));\n}\n",
+            "fn f(items: Vec<u64>, n: &AtomicU64) {\n    par_map(items, 4, |x| n.fetch_add(x, Ordering::SeqCst));\n}\n",
         );
         let idents: Vec<&str> = d.iter().map(|d| d.ident.as_str()).collect();
         assert!(idents.contains(&"n"), "{idents:?}");

@@ -6,7 +6,7 @@
 //! error, or stale allowlist entries (run `--fix-allowlist` to repair).
 
 use planaria_checks::diagnostics::render_json_report;
-use planaria_checks::{analyze, Allowlist, Lint, Options as AnalyzeOptions};
+use planaria_checks::{run_all, Allowlist, Lint};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -20,13 +20,11 @@ struct Options {
     root: PathBuf,
     format: Format,
     allowlist: Option<PathBuf>,
-    jobs: Option<usize>,
-    cache: Option<PathBuf>,
     fix_allowlist: bool,
 }
 
 const USAGE: &str = "usage: planaria-checks [--root DIR] [--format text|json] [--allowlist FILE]
-                       [--jobs N] [--cache FILE] [--fix-allowlist]
+                       [--fix-allowlist]
        planaria-checks --explain CODE
 
 Runs the workspace's domain-invariant lints:
@@ -40,12 +38,7 @@ Runs the workspace's domain-invariant lints:
   L4 parallelism    par_map/par_for_each_mut closures capturing shared mutable state
 
 Options:
-  --jobs N          per-file fan-out width (default: PLANARIA_JOBS or cores);
-                    output is byte-identical for any N
-  --cache FILE      incremental cache keyed by content hash; warm reruns
-                    re-lex only changed files
-  --fix-allowlist   rewrite the allowlist: prune stale entries, migrate bare
-                    family codes (L2) to the exact codes they match (L2-HOT)
+  --fix-allowlist   rewrite the allowlist, pruning stale entries
   --explain CODE    print the long-form rule text for a lint code
 
 Exits 0 when clean, 1 on violations, 2 on errors or stale allowlist entries.";
@@ -69,8 +62,6 @@ fn parse_args() -> Result<Options, String> {
     let mut root = None;
     let mut format = Format::Text;
     let mut allowlist = None;
-    let mut jobs = None;
-    let mut cache = None;
     let mut fix_allowlist = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -85,21 +76,6 @@ fn parse_args() -> Result<Options, String> {
             "--allowlist" => {
                 allowlist = Some(PathBuf::from(
                     args.next().ok_or("--allowlist requires a value")?,
-                ));
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs requires a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs must be a positive integer, got {v:?}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                jobs = Some(n);
-            }
-            "--cache" => {
-                cache = Some(PathBuf::from(
-                    args.next().ok_or("--cache requires a value")?,
                 ));
             }
             "--fix-allowlist" => fix_allowlist = true,
@@ -137,8 +113,6 @@ fn parse_args() -> Result<Options, String> {
         root,
         format,
         allowlist,
-        jobs,
-        cache,
         fix_allowlist,
     })
 }
@@ -162,27 +136,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let analysis = match analyze(
-        &opts.root,
-        &AnalyzeOptions {
-            jobs: opts.jobs,
-            cache: opts.cache.clone(),
-        },
-    ) {
-        Ok(a) => a,
+    let diags = match run_all(&opts.root) {
+        Ok(d) => d,
         Err(e) => {
             eprintln!("planaria-checks: {e}");
             return ExitCode::from(2);
         }
     };
-    if opts.cache.is_some() {
-        eprintln!(
-            "planaria-checks: {} file(s) scanned, {} re-lexed ({} cached)",
-            analysis.files_total,
-            analysis.files_relexed,
-            analysis.files_total - analysis.files_relexed
-        );
-    }
     if opts.fix_allowlist {
         let text = match std::fs::read_to_string(&allow_path) {
             Ok(t) => t,
@@ -192,7 +152,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let (fixed, pruned) = match Allowlist::fix(&text, &analysis.diagnostics) {
+        let (fixed, pruned) = match Allowlist::fix(&text, &diags) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!(
@@ -223,7 +183,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let (violations, unused) = allow.filter(analysis.diagnostics);
+    let (violations, unused) = allow.filter(diags);
     match opts.format {
         Format::Json => println!("{}", render_json_report(&violations)),
         Format::Text => {

@@ -313,9 +313,10 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Collects the workspace's library source paths: `crates/*/src/**` plus
-/// the root facade's `src/**`, in deterministic path order.
-fn workspace_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
+/// Collects and parses the workspace's library sources —
+/// `crates/*/src/**` plus the root facade's `src/**` — in deterministic
+/// path order.
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -332,34 +333,7 @@ fn workspace_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
     if root_src.is_dir() {
         collect_rs(&root_src, &mut paths)?;
     }
-    Ok(paths)
-}
-
-/// Collects and parses the workspace's library sources, in deterministic
-/// path order.
-pub fn workspace_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
-    workspace_paths(root)?
-        .iter()
-        .map(|p| SourceFile::load(root, p))
-        .collect()
-}
-
-/// Collects the workspace's library sources as raw `(rel, text)` pairs,
-/// in deterministic path order. The analysis pipeline hashes the text for
-/// the incremental cache before deciding whether to parse at all.
-pub fn workspace_source_texts(root: &Path) -> io::Result<Vec<(String, String)>> {
-    workspace_paths(root)?
-        .iter()
-        .map(|p| {
-            let text = fs::read_to_string(p)?;
-            let rel = p
-                .strip_prefix(root)
-                .unwrap_or(p)
-                .to_string_lossy()
-                .replace('\\', "/");
-            Ok((rel, text))
-        })
-        .collect()
+    paths.iter().map(|p| SourceFile::load(root, p)).collect()
 }
 
 #[cfg(test)]

@@ -1,12 +1,9 @@
 //! Integration tests for the interprocedural lints over the `flow-ws`
 //! fixture workspace — a workspace the old line-local lints pass clean,
-//! where only the call graph exposes the violations — plus the
-//! production affordances: the golden `--format json` snapshot, byte
-//! determinism across `--jobs` counts, and warm-cache reruns that re-lex
-//! only changed files.
+//! where only the call graph exposes the violations — plus the golden
+//! `--format json` snapshot and `--explain`.
 
-use planaria_checks::{analyze, run_all, Options};
-use std::fs;
+use planaria_checks::run_all;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -70,110 +67,6 @@ fn golden_json_snapshot_is_stable() {
          -p planaria-checks -- --root crates/checks/tests/fixtures/flow-ws \
          --allowlist /nonexistent-allowlist --format json"
     );
-}
-
-#[test]
-fn diagnostics_are_byte_identical_for_any_job_count() {
-    let root = fixture_root();
-    let serial = analyze(
-        &root,
-        &Options {
-            jobs: Some(1),
-            cache: None,
-        },
-    )
-    .expect("serial scan");
-    let wide = analyze(
-        &root,
-        &Options {
-            jobs: Some(8),
-            cache: None,
-        },
-    )
-    .expect("parallel scan");
-    assert_eq!(serial.diagnostics, wide.diagnostics);
-    // And at the binary level, where the JSON bytes are what CI diffs.
-    let bin = env!("CARGO_BIN_EXE_planaria-checks");
-    let run = |jobs: &str| {
-        Command::new(bin)
-            .args(["--root"])
-            .arg(&root)
-            .args(["--allowlist", "/nonexistent-allowlist"])
-            .args(["--format", "json", "--jobs", jobs])
-            .output()
-            .expect("binary runs")
-            .stdout
-    };
-    assert_eq!(run("1"), run("4"));
-}
-
-/// Copies the fixture tree into a scratch dir so a file can be touched.
-fn copy_tree(from: &Path, to: &Path) {
-    fs::create_dir_all(to).expect("mkdir");
-    for entry in fs::read_dir(from).expect("readdir") {
-        let entry = entry.expect("entry");
-        let src = entry.path();
-        let dst = to.join(entry.file_name());
-        if src.is_dir() {
-            copy_tree(&src, &dst);
-        } else {
-            fs::copy(&src, &dst).expect("copy");
-        }
-    }
-}
-
-#[test]
-fn warm_cache_rerun_relexes_only_changed_files() {
-    let scratch = std::env::temp_dir().join(format!("planaria-flow-ws-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&scratch);
-    copy_tree(&fixture_root(), &scratch);
-    let cache = scratch.join("checks.cache");
-    let opts = Options {
-        jobs: None,
-        cache: Some(cache.clone()),
-    };
-    // Cold run: every file is lexed and the cache is written.
-    let cold = analyze(&scratch, &opts).expect("cold scan");
-    assert_eq!(cold.files_total, 6);
-    assert_eq!(cold.files_relexed, 6);
-    assert!(cache.is_file(), "cache file written");
-    // Warm run: nothing changed, nothing re-lexed, identical output.
-    let warm = analyze(&scratch, &opts).expect("warm scan");
-    assert_eq!(warm.files_relexed, 0);
-    assert_eq!(warm.diagnostics, cold.diagnostics);
-    // Touch one file (a trailing comment — stripped before linting):
-    // exactly that file is re-lexed and the diagnostics are unchanged.
-    let engine = scratch.join("crates/core/src/engine.rs");
-    let mut text = fs::read_to_string(&engine).expect("read engine");
-    text.push_str("// trailing fixture comment\n");
-    fs::write(&engine, text).expect("write engine");
-    let touched = analyze(&scratch, &opts).expect("touched scan");
-    assert_eq!(touched.files_relexed, 1);
-    assert_eq!(touched.diagnostics, cold.diagnostics);
-    let _ = fs::remove_dir_all(&scratch);
-}
-
-#[test]
-fn corrupt_cache_is_discarded_not_trusted() {
-    let scratch = std::env::temp_dir().join(format!("planaria-flow-cc-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&scratch);
-    fs::create_dir_all(&scratch).expect("mkdir");
-    let cache = scratch.join("checks.cache");
-    fs::write(&cache, "not a planaria cache\n\x01garbage").expect("write garbage");
-    let opts = Options {
-        jobs: None,
-        cache: Some(cache.clone()),
-    };
-    let a = analyze(&fixture_root(), &opts).expect("scan");
-    // The garbage cache is ignored: everything re-lexes, output matches
-    // an uncached run, and the cache file is rewritten valid.
-    assert_eq!(a.files_relexed, a.files_total);
-    let fresh = run_all(&fixture_root()).expect("uncached scan");
-    assert_eq!(a.diagnostics, fresh);
-    let warm = analyze(&fixture_root(), &opts).expect("warm scan");
-    assert_eq!(warm.files_relexed, 0);
-    assert_eq!(warm.diagnostics, fresh);
-    let _ = fs::remove_dir_all(&scratch);
 }
 
 #[test]

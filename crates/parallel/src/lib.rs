@@ -141,16 +141,6 @@ where
         .collect()
 }
 
-/// [`par_map`] with the worker count chosen by [`effective_jobs`].
-pub fn par_map_auto<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    par_map(items, effective_jobs(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -497,6 +497,27 @@ mod tests {
     }
 
     #[test]
+    fn zero_and_infinite_thresholds_schedule_exactly_like_sjf() {
+        // `Policy::rank` keys PREMA by (not starved, remaining). At a zero
+        // threshold every queued task is starved from admission and at an
+        // infinite one none ever is, so either way the key orders the
+        // queue as SJF's does: by remaining work, ties by position.
+        let cfg = AcceleratorConfig::monolithic();
+        let sjf = PremaEngine::new(cfg, Policy::Sjf);
+        let zero = PremaEngine::new(cfg, Policy::Prema).with_token_threshold(0.0);
+        let infinite = PremaEngine::new(cfg, Policy::Prema).with_token_threshold(f64::INFINITY);
+        for scenario in [Scenario::A, Scenario::B, Scenario::C] {
+            for (qos, lambda) in [(QosLevel::Soft, 200.0), (QosLevel::Hard, 1000.0)] {
+                let trace = TraceConfig::new(scenario, qos, lambda, 2_000, 9).generate();
+                let want = sjf.run(&trace).digest();
+                let cell = format!("{scenario:?} {qos:?} at {lambda} q/s");
+                assert_eq!(zero.run(&trace).digest(), want, "threshold 0, {cell}");
+                assert_eq!(infinite.run(&trace).digest(), want, "threshold inf, {cell}");
+            }
+        }
+    }
+
+    #[test]
     fn preemptions_show_up_in_telemetry() {
         // Two heavy jobs plus a late short high-priority one: PREMA must
         // preempt at least once, and the kernel-side events must balance.
