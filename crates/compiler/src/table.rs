@@ -6,7 +6,7 @@ use planaria_energy::EnergyModel;
 use planaria_model::units::{Bytes, Cycles, Picojoules};
 use planaria_model::{Dnn, Layer, LayerOp};
 use planaria_telemetry::{Collector, Counter, Event, NullCollector};
-use planaria_timing::{time_layer, ExecContext, LayerTiming};
+use planaria_timing::{reconfiguration_cycles, time_layer, ExecContext, LayerTiming, ReconfigCost};
 
 /// Near-tie tolerance for energy-based selection between arrangements of
 /// almost-equal latency.
@@ -61,6 +61,32 @@ pub struct TilePosition {
     pub cycles_to_boundary: Cycles,
     /// Checkpoint size if preempted at that boundary.
     pub tile_bytes: Bytes,
+    /// §IV-C's cost of stopping at that boundary and resuming in the
+    /// layer's own arrangement: [`reconfiguration_cycles`] from it to
+    /// itself on the table's allocation. A run resumed on another table
+    /// refills that table's array instead
+    /// ([`CompiledDnn::refill_cycles`]).
+    pub reconfig: ReconfigCost,
+}
+
+/// One layer's preemption constants on its table's allocation, computed
+/// at compile time: all that [`ConfigTable::position`] reads of a layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TileRow {
+    /// Cycles of one tile, at least 1.
+    cycles_per_tile: u64,
+    tile_bytes: Bytes,
+    reconfig: ReconfigCost,
+}
+
+impl TileRow {
+    fn new(ctx: &ExecContext, arrangement: Arrangement, timing: &LayerTiming) -> Self {
+        Self {
+            cycles_per_tile: timing.cycles_per_tile.get().max(1),
+            tile_bytes: timing.tile_bytes,
+            reconfig: reconfiguration_cycles(ctx, arrangement, arrangement, timing.tile_bytes),
+        }
+    }
 }
 
 /// The per-allocation configuration table: per-layer optimal configs plus
@@ -71,6 +97,8 @@ pub struct ConfigTable {
     layers: Vec<LayerConfig>,
     /// Cumulative cycles *after* each layer (including repeats).
     cum_cycles: Vec<u64>,
+    /// Each layer's [`TileRow`], beside `cum_cycles`.
+    tiles: Vec<TileRow>,
     total_energy: Picojoules,
 }
 
@@ -117,27 +145,28 @@ impl ConfigTable {
 
     /// Locates the tile boundary following progress fraction `done`:
     /// which layer is in flight, how many cycles until its current tile
-    /// completes, and the checkpoint size there.
+    /// completes, and the checkpoint size and reconfiguration cost there.
+    /// Reads only the dense per-layer rows built at compile time.
     pub fn position(&self, done: f64) -> TilePosition {
         let done = done.clamp(0.0, 1.0);
         let point = (done * self.total_cycles().as_f64()) as u64;
+        let last = self.tiles.len() - 1;
         let layer = match self.cum_cycles.binary_search(&point) {
-            Ok(i) => (i + 1).min(self.layers.len() - 1),
-            Err(i) => i.min(self.layers.len() - 1),
+            Ok(i) => (i + 1).min(last),
+            Err(i) => i.min(last),
         };
         let start = if layer == 0 {
             0
         } else {
             self.cum_cycles[layer - 1]
         };
-        let lc = &self.layers[layer];
-        let into_layer = point.saturating_sub(start);
-        let cpt = lc.timing.cycles_per_tile.get().max(1);
-        let into_tile = into_layer % cpt;
+        let row = &self.tiles[layer];
+        let into_tile = point.saturating_sub(start) % row.cycles_per_tile;
         TilePosition {
             layer,
-            cycles_to_boundary: Cycles::new(cpt - into_tile),
-            tile_bytes: lc.timing.tile_bytes,
+            cycles_to_boundary: Cycles::new(row.cycles_per_tile - into_tile),
+            tile_bytes: row.tile_bytes,
+            reconfig: row.reconfig,
         }
     }
 }
@@ -151,16 +180,32 @@ pub struct CompiledDnn {
     /// `tables[i].total_cycles()` for every table, in the same order: the
     /// dense row `ESTIMATERESOURCES` scans.
     totals: Vec<Cycles>,
+    /// `tables[i].total_energy()`, in the same order: with `totals`, what
+    /// a table switch reads.
+    energies: Vec<Picojoules>,
+    /// Refill cycles of the monolithic arrangement of `i + 1` subarrays.
+    refills: Vec<Cycles>,
 }
 
 impl CompiledDnn {
-    /// Wraps one table per allocation size, deriving the totals row.
-    fn new(name: &str, tables: Vec<ConfigTable>) -> Self {
+    /// Wraps one table per allocation size of `cfg`, deriving the rows.
+    fn new(cfg: &AcceleratorConfig, name: &str, tables: Vec<ConfigTable>) -> Self {
         let totals = tables.iter().map(ConfigTable::total_cycles).collect();
+        let energies = tables.iter().map(ConfigTable::total_energy).collect();
+        let refills = tables
+            .iter()
+            .map(|t| {
+                let ctx = ExecContext::for_allocation(cfg, t.subarrays);
+                let mono = Arrangement::monolithic(t.subarrays);
+                reconfiguration_cycles(&ctx, mono, mono, Bytes::ZERO).refill
+            })
+            .collect();
         Self {
             name: name.to_string(),
             tables,
             totals,
+            energies,
+            refills,
         }
     }
 
@@ -199,14 +244,40 @@ impl CompiledDnn {
     pub fn total_cycles_row(&self) -> &[Cycles] {
         &self.totals
     }
+
+    /// End-to-end cycles and dynamic energy of the table for `subarrays`
+    /// granules, from the dense rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subarrays` is zero or exceeds the chip.
+    #[inline]
+    pub fn totals(&self, subarrays: u32) -> (Cycles, Picojoules) {
+        let i = subarrays as usize - 1;
+        (self.totals[i], self.energies[i])
+    }
+
+    /// Cycles to refill the monolithic arrangement of `subarrays`
+    /// granules: what a run resumed on that table pays in place of the
+    /// refill in [`TilePosition::reconfig`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subarrays` is zero or exceeds the chip.
+    #[inline]
+    pub fn refill_cycles(&self, subarrays: u32) -> Cycles {
+        self.refills[subarrays as usize - 1]
+    }
 }
 
 /// One layer shape's configuration on `ctx`'s allocation: the exhaustive
-/// arrangement search for systolic layers (minimum cycles, near-ties
-/// broken by dynamic energy), the trivial arrangement for vector layers.
+/// search over `arrangements` (the allocation's realizable arrangements)
+/// for systolic layers (minimum cycles, near-ties broken by dynamic
+/// energy), the trivial arrangement for vector layers.
 fn select_arrangement(
     ctx: &ExecContext,
     em: &EnergyModel,
+    arrangements: &[Arrangement],
     op: &LayerOp,
 ) -> (Arrangement, LayerTiming, Picojoules) {
     let probe = |arr| {
@@ -217,7 +288,7 @@ fn select_arrangement(
         return probe(Arrangement::new(1, 1, 1));
     }
     let mut best: Option<(Arrangement, LayerTiming, Picojoules)> = None;
-    for arr in Arrangement::enumerate_for(&ctx.cfg, ctx.subarrays) {
+    for &arr in arrangements {
         let (arr, t, e) = probe(arr);
         let better = match &best {
             None => true,
@@ -235,6 +306,17 @@ fn select_arrangement(
     best.expect("at least one arrangement")
 }
 
+/// One layer's selection on `ctx`'s allocation with its [`TileRow`].
+fn select_with_row(
+    ctx: &ExecContext,
+    em: &EnergyModel,
+    arrangements: &[Arrangement],
+    op: &LayerOp,
+) -> ((Arrangement, LayerTiming, Picojoules), TileRow) {
+    let selection = select_arrangement(ctx, em, arrangements, op);
+    (selection, TileRow::new(ctx, selection.0, &selection.1))
+}
+
 /// Assembles the table for `subarrays` from one selection per layer of
 /// `dnn`, in layer order.
 ///
@@ -247,7 +329,7 @@ fn select_arrangement(
 fn assemble(
     dnn: &Dnn,
     subarrays: u32,
-    selections: impl Iterator<Item = (Arrangement, LayerTiming, Picojoules)>,
+    selections: impl Iterator<Item = ((Arrangement, LayerTiming, Picojoules), TileRow)>,
 ) -> ConfigTable {
     assert!(
         dnn.num_layers() > 0,
@@ -255,11 +337,13 @@ fn assemble(
     );
     let mut layers = Vec::with_capacity(dnn.num_layers());
     let mut cum_cycles = Vec::with_capacity(dnn.num_layers());
+    let mut tiles = Vec::with_capacity(dnn.num_layers());
     let mut cum = 0u64;
     let mut total_energy = Picojoules::ZERO;
-    for (layer, (arrangement, timing, energy)) in dnn.layers().iter().zip(selections) {
+    for (layer, ((arrangement, timing, energy), row)) in dnn.layers().iter().zip(selections) {
         cum += (timing.cycles * layer.repeat).get();
         cum_cycles.push(cum);
+        tiles.push(row);
         total_energy += energy * layer.repeat as f64;
         layers.push(LayerConfig {
             name: layer.name.clone(),
@@ -274,13 +358,14 @@ fn assemble(
         subarrays,
         layers,
         cum_cycles,
+        tiles,
         total_energy,
     }
 }
 
 /// The table for `subarrays`, searching once per distinct shape of
-/// `shapes` (built from `dnn`); each layer then reads its shape's
-/// selection by dense id.
+/// `shapes` (built from `dnn`) and deriving that shape's [`TileRow`]
+/// beside it; each layer then reads its shape's selection by dense id.
 fn shaped_table(
     cfg: &AcceleratorConfig,
     dnn: &Dnn,
@@ -289,10 +374,11 @@ fn shaped_table(
 ) -> ConfigTable {
     let ctx = ExecContext::for_allocation(cfg, subarrays);
     let em = EnergyModel::for_config(cfg);
+    let arrangements = Arrangement::enumerate_for(cfg, subarrays);
     let selected: Vec<_> = shapes
         .shapes()
         .iter()
-        .map(|op| select_arrangement(&ctx, &em, op))
+        .map(|op| select_with_row(&ctx, &em, &arrangements, op))
         .collect();
     let per_layer = (0..dnn.num_layers()).map(|i| selected[shapes.shape_id(i)]);
     assemble(dnn, subarrays, per_layer)
@@ -358,7 +444,7 @@ pub fn compile_with_collector<C: Collector>(
         c.add(Counter::DistinctShapes, u64::from(distinct));
         c.add(Counter::LayersCompiled, over_tables(layers));
     }
-    CompiledDnn::new(dnn.name(), tables)
+    CompiledDnn::new(cfg, dnn.name(), tables)
 }
 
 /// Reference compilation without shape deduplication: re-runs the
@@ -374,11 +460,12 @@ pub fn compile_uncached(cfg: &AcceleratorConfig, dnn: &Dnn) -> CompiledDnn {
     let tables = (1..=cfg.num_subarrays())
         .map(|s| {
             let ctx = ExecContext::for_allocation(cfg, s);
-            let search = |l: &Layer| select_arrangement(&ctx, &em, &l.op);
+            let arrangements = Arrangement::enumerate_for(cfg, s);
+            let search = |l: &Layer| select_with_row(&ctx, &em, &arrangements, &l.op);
             assemble(dnn, s, dnn.layers().iter().map(search))
         })
         .collect();
-    CompiledDnn::new(dnn.name(), tables)
+    CompiledDnn::new(cfg, dnn.name(), tables)
 }
 
 #[cfg(test)]
@@ -470,6 +557,83 @@ mod tests {
         assert_eq!(start.layer, 0);
         assert!(end.layer > start.layer);
         assert!(!start.cycles_to_boundary.is_zero());
+    }
+
+    /// `position` recomputed from the `LayerConfig` entries alone: a walk
+    /// over the layers' cycle totals to the one in flight at `done`, then
+    /// that layer's tile.
+    fn position_from_layers(t: &ConfigTable, done: f64) -> (usize, Cycles, Bytes) {
+        let point = (done.clamp(0.0, 1.0) * t.total_cycles().as_f64()) as u64;
+        let last = t.layers().len() - 1;
+        let mut start = 0;
+        for (i, l) in t.layers().iter().enumerate() {
+            let end = start + l.total_cycles().get();
+            if point < end || i == last {
+                let cpt = l.timing.cycles_per_tile.get().max(1);
+                let into_tile = point.saturating_sub(start) % cpt;
+                return (i, Cycles::new(cpt - into_tile), l.timing.tile_bytes);
+            }
+            start = end;
+        }
+        unreachable!("a table covers at least one layer")
+    }
+
+    #[test]
+    fn rows_equal_the_formulas_they_cache() {
+        let configs = [
+            AcceleratorConfig::planaria(),
+            AcceleratorConfig::monolithic(),
+            AcceleratorConfig::with_granularity(16),
+            AcceleratorConfig::throughput_tuned(),
+            AcceleratorConfig::latency_tuned(),
+        ];
+        let mut rng = planaria_model::SplitMix64::new(0x7AB1E);
+        for cfg in configs {
+            let lib = crate::CompiledLibrary::shared_for(&cfg);
+            let dim = cfg.subarray_dim;
+            for id in DnnId::ALL {
+                let c = lib.get(id);
+                assert_eq!(c.num_tables(), cfg.num_subarrays() as usize);
+                for (t, s) in c.tables().iter().zip(1..) {
+                    let what = format!("{id:?} on {s} of {} subarrays", cfg.num_subarrays());
+                    let ctx = ExecContext::for_allocation(&cfg, s);
+                    assert_eq!(t.tiles.len(), t.layers().len(), "{what}");
+                    for (row, l) in t.tiles.iter().zip(t.layers()) {
+                        let arr = l.arrangement;
+                        let cost = reconfiguration_cycles(&ctx, arr, arr, l.timing.tile_bytes);
+                        assert_eq!(row.reconfig, cost, "{what}: {}", l.name);
+                        assert_eq!(
+                            (row.cycles_per_tile, row.tile_bytes),
+                            (l.timing.cycles_per_tile.get().max(1), l.timing.tile_bytes),
+                            "{what}: {}",
+                            l.name
+                        );
+                    }
+                    let mono = Arrangement::monolithic(s);
+                    assert_eq!(
+                        c.refill_cycles(s),
+                        Cycles::new(mono.height(dim) + mono.width(dim)),
+                        "{what}"
+                    );
+                    assert_eq!(c.totals(s), (t.total_cycles(), t.total_energy()), "{what}");
+                    let total = t.total_cycles().as_f64();
+                    let boundaries = t.cum_cycles.iter().map(|&cum| cum as f64 / total);
+                    let draws: Vec<f64> = (0..16).map(|_| rng.next_f64()).collect();
+                    for done in [0.0, 1.0].into_iter().chain(boundaries).chain(draws) {
+                        let pos = t.position(done);
+                        let (layer, boundary, bytes) = position_from_layers(t, done);
+                        assert_eq!(
+                            (pos.layer, pos.cycles_to_boundary, pos.tile_bytes),
+                            (layer, boundary, bytes),
+                            "{what} at {done}"
+                        );
+                        let arr = t.layers()[layer].arrangement;
+                        let cost = reconfiguration_cycles(&ctx, arr, arr, bytes);
+                        assert_eq!(pos.reconfig, cost, "{what} at {done}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,16 +12,17 @@
 
 use crate::sched_state::{seed, Seed};
 use crate::scheduler::{
-    allocate_spatially_into, min_slack_cycles, unfit_score, walk_heap, AllocScratch, SchedTask,
+    allocate, min_slack_cycles, unfit_score, walk_heap, Column, PackPrefix, SchedTask,
 };
-use planaria_arch::{AcceleratorConfig, Allocation, Arrangement, Chip};
+use planaria_arch::{AcceleratorConfig, Chip};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
 use planaria_model::units::Cycles;
 use planaria_sim::{run_streamed_sink, EnginePolicy, FloorEntry, SimState, TenantState};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
-use planaria_timing::{reconfiguration_cycles, ExecContext, CONFIG_LOAD_CYCLES};
+use planaria_timing::CONFIG_LOAD_CYCLES;
 use planaria_workload::{Request, SimResult, VecSink};
 use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// How the engine assigns the chip to queued tenants.
@@ -148,7 +149,7 @@ impl PlanariaEngine {
 /// plus ring placement and reconfiguration accounting.
 ///
 /// Everything the per-event path needs lives here and is reused across
-/// events: the physical chip map and the columnar scratch buffers — so a
+/// events: the physical chip map and one record per column — so a
 /// steady-state scheduling event performs no heap allocation. Each
 /// tenant's estimate memo lives on its own record (`TenantState::memo`).
 ///
@@ -166,6 +167,12 @@ impl PlanariaEngine {
 /// rest of a deep backlog sleeps untouched, and no event allocates for
 /// it: the kernel's sleeping heaps and the walk's stack grow to their
 /// high-water marks once.
+///
+/// A reconfiguration reads only rows its library compiled once: the
+/// in-flight layer's tile and preemption cost
+/// ([`ConfigTable::position`](planaria_compiler::ConfigTable::position)),
+/// the new table's refill ([`CompiledDnn::refill_cycles`]) and totals
+/// ([`CompiledDnn::totals`]).
 pub struct SpatialPolicy<'a> {
     library: &'a CompiledLibrary,
     mode: SchedulingMode,
@@ -181,30 +188,21 @@ pub struct SpatialPolicy<'a> {
     s: Scratch,
 }
 
-/// Columnar scratch reused across scheduling events. Buffers grow to their
-/// high-water mark once and are only `clear()`ed afterwards.
+/// Per-event working memory. Buffers grow to their high-water mark once
+/// and are only `clear()`ed afterwards.
 #[derive(Debug, Default)]
 struct Scratch {
-    priorities: Vec<u32>,
-    slacks: Vec<i64>,
-    estimates: Vec<u32>,
-    fit: Vec<Cycles>,
-    /// Column → tenant position, ascending: the awake tenants plus the
-    /// best parked one, and the waiting tenants the pack grants.
-    cols: Vec<usize>,
+    /// One record per column, ascending by position: the awake tenants
+    /// plus the best parked one, and the waiting tenants that wake.
+    cols: Vec<Column>,
+    /// Column indices in placement order.
+    order: Vec<usize>,
     /// Waiting-heap indices the pack's top-down walk has yet to visit.
     stack: Vec<usize>,
-    /// This event's grant per column.
-    alloc: Vec<u32>,
-    /// `(tenant index, grant)` of every tenant that holds subarrays or is
-    /// granted some, in ascending index order. `keep`, `migrated`,
-    /// `placements` and `order` are indexed by position in this list.
-    movers: Vec<(usize, u32)>,
-    keep: Vec<bool>,
-    migrated: Vec<bool>,
-    placements: Vec<Option<Allocation>>,
-    order: Vec<usize>,
-    sched: AllocScratch,
+    /// The unfit path's packing prefix.
+    pack: PackPrefix,
+    /// The fit path's fractional shares, by column.
+    fractions: Vec<f64>,
 }
 
 /// Signed cycles from `now` to `deadline` (negative when past due).
@@ -212,17 +210,6 @@ struct Scratch {
 /// cycles — saturate here too instead of wrapping to "past due".
 fn slack_cycles(deadline: Cycles, now: Cycles) -> i64 {
     i64::try_from(deadline.get()).unwrap_or(i64::MAX) - now.get() as i64
-}
-
-/// Wakes every waiting tenant, or (`all` false) those past their
-/// deadline: the root of the deadline heap while its slack is negative.
-fn wake_waiting(sim: &mut SimState, now: Cycles, all: bool) {
-    while let Some((deadline, i)) = sim.waiting_root() {
-        if !all && slack_cycles(deadline, now) >= 0 {
-            break;
-        }
-        sim.wake(i);
-    }
 }
 
 /// A parked tenant's key: the priority, descending, so the root is the
@@ -267,9 +254,8 @@ fn estimate(t: &mut TenantState, slack: i64, total: u32, memo: bool) -> (u32, Cy
 }
 
 impl SpatialPolicy<'_> {
-    /// Algorithm 1 over the columns, leaving each column's grant in
-    /// `alloc`, and returns the best parked tenant's position while it
-    /// sleeps.
+    /// Algorithm 1 over the columns, leaving each column's grant, and
+    /// returns the best parked tenant's position while it sleeps.
     ///
     /// The columns are every awake tenant plus the best parked one at its
     /// position. A parked tenant scores `priority / (min_slack × total)`,
@@ -285,31 +271,40 @@ impl SpatialPolicy<'_> {
     /// estimates plus one subarray per waiting tenant exceed the chip,
     /// the full set takes the unfit path and the pack visits the waiting
     /// tenants lazily ([`pack_with_waiting`](Self::pack_with_waiting)).
-    /// Otherwise it may fit: every waiting tenant wakes and is estimated
-    /// as a column.
+    /// Otherwise it may fit: every waiting tenant wakes, is estimated and
+    /// joins the columns at its position. The columns already estimated
+    /// keep their `(estimate, fit)`: a second estimate at the same slack
+    /// would return it again (their memo answers `Exact` with it, and a
+    /// scan from 1 is a pure function of the same inputs).
     fn allocate_spatially(&mut self, sim: &mut SimState, now: Cycles, total: u32) -> Option<usize> {
-        wake_waiting(sim, now, false);
-        let mut asleep = self.fill_columns(sim);
-        let need = self.estimate_columns(sim, now, total);
+        while let Some((deadline, i)) = sim.waiting_root() {
+            if slack_cycles(deadline, now) >= 0 {
+                break;
+            }
+            sim.wake(i);
+        }
+        let asleep = self.fill_columns(sim);
+        let need = self.estimate_columns(sim, now, total, 0);
         let waiting = sim.waiting_len();
         if waiting > 0 && waiting <= total.saturating_sub(need) as usize {
-            wake_waiting(sim, now, true);
-            asleep = self.fill_columns(sim);
-            self.estimate_columns(sim, now, total);
+            let from = self.s.cols.len();
+            while let Some((_, i)) = sim.waiting_root() {
+                sim.wake(i);
+                self.s.cols.push(Column::new(i));
+            }
+            self.estimate_columns(sim, now, total, from);
+            self.s.cols.sort_unstable_by_key(|c| c.at);
         }
         if sim.waiting_len() > 0 {
             self.pack_with_waiting(sim, now, total);
         } else {
             let s = &mut self.s;
-            allocate_spatially_into(
-                &s.priorities,
-                &s.slacks,
-                &s.estimates,
-                &s.fit,
+            allocate(
+                &mut s.cols,
                 total,
                 self.min_slack,
-                &mut s.alloc,
-                &mut s.sched,
+                &mut s.fractions,
+                &mut s.pack,
             );
         }
         asleep
@@ -322,38 +317,39 @@ impl SpatialPolicy<'_> {
         let parked = sim.parked_root().map(|(_, i)| i);
         let k = parked.map_or(awake.len(), |p| awake.partition_point(|&i| i < p));
         cols.clear();
-        cols.extend_from_slice(&awake[..k]);
-        cols.extend(parked);
-        cols.extend_from_slice(&awake[k..]);
+        cols.extend(awake.iter().map(|&i| Column::new(i)));
+        if let Some(p) = parked {
+            cols.insert(k, Column::new(p));
+        }
         parked
     }
 
-    /// The estimate phase: every column's `ESTIMATERESOURCES` into the
-    /// columnar views, returning the sum of the estimates. Clean memos
-    /// inside the slack band, or saturated at the whole chip, answer with
-    /// zero table lookups; other clean memos scan from their proven
-    /// floor; the rest scan from 1, or from the whole chip past the
-    /// deadline. A parked tenant's memo is clean at the whole chip, so it
-    /// answers exactly.
-    fn estimate_columns(&mut self, sim: &mut SimState, now: Cycles, total: u32) -> u32 {
-        let s = &mut self.s;
-        s.priorities.clear();
-        s.slacks.clear();
-        s.estimates.clear();
-        s.fit.clear();
+    /// The estimate phase over the columns from index `from` on: each
+    /// one's `ESTIMATERESOURCES` and score terms into its record,
+    /// returning the sum of their estimates. Clean memos inside the slack
+    /// band, or saturated at the whole chip, answer with zero table
+    /// lookups; other clean memos scan from their proven floor; the rest
+    /// scan from 1, or from the whole chip past the deadline. A parked
+    /// tenant's memo is clean at the whole chip, so it answers exactly.
+    fn estimate_columns(
+        &mut self,
+        sim: &mut SimState,
+        now: Cycles,
+        total: u32,
+        from: usize,
+    ) -> u32 {
         let memo = self.mode == SchedulingMode::Spatial;
         let tenants = sim.tenants_mut();
-        for &i in &s.cols {
-            let t = &mut tenants[i];
-            let slack = slack_cycles(t.deadline_cycle, now);
-            let (est, fit) = estimate(t, slack, total, memo);
-            self.p_max = self.p_max.max(t.request.priority);
-            s.priorities.push(t.request.priority);
-            s.slacks.push(slack);
-            s.estimates.push(est);
-            s.fit.push(fit);
+        let mut need = 0;
+        for c in &mut self.s.cols[from..] {
+            let t = &mut tenants[c.at];
+            c.priority = t.request.priority;
+            c.slack = slack_cycles(t.deadline_cycle, now);
+            (c.estimate, c.fit) = estimate(t, c.slack, total, memo);
+            self.p_max = self.p_max.max(c.priority);
+            need += c.estimate;
         }
-        s.estimates.iter().sum()
+        need
     }
 
     /// The unfit pack over the columns, keyed by position, then over the
@@ -369,17 +365,12 @@ impl SpatialPolicy<'_> {
     /// its memo, which stays a sound floor.
     fn pack_with_waiting(&mut self, sim: &mut SimState, now: Cycles, total: u32) {
         let s = &mut self.s;
-        let pack = &mut s.sched.pack;
+        let pack = &mut s.pack;
         let (p_max, min_slack) = (self.p_max, self.min_slack);
         pack.clear();
-        for (k, &i) in s.cols.iter().enumerate() {
-            let est = s.estimates[k];
-            pack.offer(
-                unfit_score(s.priorities[k], s.slacks[k], est, min_slack),
-                i,
-                est,
-                total,
-            );
+        for c in &s.cols {
+            let score = unfit_score(c.priority, c.slack, c.estimate, min_slack);
+            pack.offer(score, c.at, c.estimate, total);
         }
         let (heap, tenants) = sim.waiting_heap();
         walk_heap(heap.len(), &mut s.stack, |k| {
@@ -394,19 +385,223 @@ impl SpatialPolicy<'_> {
             pack.offer(score, i, est, total);
             true
         });
-        s.alloc.resize(s.cols.len(), 0);
         for (i, grant) in pack.grants(total) {
-            let k = s.cols.partition_point(|&j| j < i);
-            if s.cols.get(k) != Some(&i) {
+            let k = s.cols.partition_point(|c| c.at < i);
+            if s.cols.get(k).map(|c| c.at) != Some(i) {
                 // A granted waiting tenant wakes before apply changes it,
                 // so the kernel's sleeping sum drops exactly the value it
                 // added.
                 sim.wake(i);
-                s.cols.insert(k, i);
-                s.alloc.insert(k, 0);
+                s.cols.insert(k, Column::new(i));
             }
-            s.alloc[k] = grant;
+            s.cols[k].grant = grant;
         }
+    }
+
+    /// Physical placement on the ring, filling each column's mover, keep,
+    /// migrated and fresh-segment fields, which start empty in a record
+    /// built this event. Tenants keeping their allocation keep their
+    /// segment; changed tenants are re-placed into the free gaps, largest
+    /// grant first. If fragmentation blocks a contiguous fit, the chip is
+    /// defragmented: every tenant is re-placed in descending size order
+    /// and the *moved* ones pay a migration (their stationary weights
+    /// must be re-streamed into different physical subarrays).
+    ///
+    /// Only tenants that hold subarrays or are granted some can change.
+    /// Every other column was queued and stays queued: it gets no claim,
+    /// no placement, no table switch and no telemetry event. Ascending
+    /// column order, with stable sorts, keeps `Chip::place` and the
+    /// recorded events in the sequence a walk over every tenant produces.
+    fn place(&mut self, tenants: &[TenantState]) {
+        let (s, chip) = (&mut self.s, &mut self.chip);
+        chip.reset();
+        s.order.clear();
+        for (k, c) in s.cols.iter_mut().enumerate() {
+            let held = tenants[c.at].placement;
+            c.mover = held.is_some() || c.grant > 0;
+            // Re-claim the exact segment (growing by one is hysteresis,
+            // in apply).
+            c.keep = held.is_some_and(|p| c.grant == p.len() || c.grant == p.len() + 1);
+            if let Some(p) = held.filter(|_| c.keep) {
+                let claimed = chip.claim(&p);
+                debug_assert!(claimed);
+            }
+            if !c.keep && c.grant > 0 {
+                s.order.push(k);
+            }
+        }
+        s.order.sort_by_key(|&k| Reverse(s.cols[k].grant));
+        let mut defrag_needed = false;
+        for &k in &s.order {
+            match chip.place(s.cols[k].grant) {
+                Some(p) => s.cols[k].fresh = Some(p),
+                None => {
+                    defrag_needed = true;
+                    break;
+                }
+            }
+        }
+        if !defrag_needed {
+            return;
+        }
+        // Global defragmentation: lay everyone out afresh, largest first
+        // (a multiset summing to <= total always packs a ring).
+        chip.reset();
+        s.order.clear();
+        s.order
+            .extend((0..s.cols.len()).filter(|&k| s.cols[k].grant > 0));
+        s.order.sort_by_key(|&k| Reverse(s.cols[k].grant));
+        for c in &mut s.cols {
+            c.fresh = None;
+        }
+        for &k in &s.order {
+            let c = &mut s.cols[k];
+            let p = chip
+                .place(c.grant)
+                // lint: every tenant was released above and Σalloc ≤ chip
+                // capacity, so a contiguous placement always exists
+                .expect("defragmented ring always packs");
+            if !c.keep {
+                c.fresh = Some(p);
+            } else if tenants[c.at].placement.is_some_and(|old| old != p) {
+                c.migrated = true;
+                c.keep = false;
+                c.fresh = Some(p);
+            }
+            // An unmoved kept tenant's fresh segment equals its old one.
+        }
+    }
+
+    /// Puts the queued tenant at position `i` to sleep: parks it past its
+    /// deadline, lets it wait otherwise. The estimate phase left a parked
+    /// tenant's memo clean at the whole chip (both seed rules answer a
+    /// negative slack there), and apply does not touch a queued tenant's
+    /// work counters — a tenant preempted just now only owes more
+    /// overhead.
+    fn sleep(sim: &mut SimState, i: usize, now: Cycles, total: u32) {
+        let t = &sim.tenants()[i];
+        if slack_cycles(t.deadline_cycle, now) < 0 {
+            debug_assert_eq!(
+                t.memo.map(|m| (m.floor, m.done, m.total)),
+                Some((total, t.work_done, t.work_total))
+            );
+            sim.park(i, parked_key(t.request.priority));
+        } else {
+            sim.wait(i, t.deadline_cycle);
+        }
+    }
+}
+
+/// Applies mover `col`'s placement and grant to its tenant `t` at `now`:
+/// telemetry, the §IV-C reconfiguration cost from the compiled rows, and
+/// the table switch.
+fn apply<C: Collector>(t: &mut TenantState, col: &Column, now: Cycles, c: &mut C) {
+    let a = col.grant;
+    let old = t.placement;
+    let alloc = t.alloc();
+    if !col.keep {
+        t.placement = col.fresh;
+    }
+    if a == alloc && !col.migrated {
+        return;
+    }
+    // Hysteresis: growing a running tenant by a single subarray is not
+    // worth a drain + checkpoint + refill cycle; keep the old allocation
+    // (this only releases capacity, never over-commits).
+    if alloc > 0 && a == alloc + 1 && !col.migrated {
+        return;
+    }
+    let telemetry_on = c.is_enabled();
+    if telemetry_on {
+        // Close the execution slice the tenant just left.
+        if let Some(p) = old {
+            c.record(
+                now,
+                Event::ExecSlice {
+                    tenant: t.request.id,
+                    subarrays: p.len(),
+                    mask: p.mask(),
+                    start: t.slice_start,
+                    duration: now.saturating_sub(t.slice_start),
+                },
+            );
+        }
+        c.record(
+            now,
+            Event::Allocation {
+                tenant: t.request.id,
+                from: alloc,
+                to: a,
+                mask: t.placement.map_or(0, |p| p.mask()),
+            },
+        );
+        if alloc == 0 && a > 0 {
+            // Leaving the queue: emit the closed wait interval.
+            let wait = now.saturating_sub(t.queued_since);
+            c.record(
+                now,
+                Event::QueueWait {
+                    tenant: t.request.id,
+                    start: t.queued_since,
+                    duration: wait,
+                },
+            );
+            c.sample(Metric::QueueWaitCycles, wait.as_f64());
+        }
+        if a > 0 {
+            c.sample(Metric::AllocationSize, f64::from(a));
+        }
+    }
+    // Unconditional, branch-free bookkeeping (never read by the
+    // simulation itself, so the NullCollector path stays bit-identical).
+    if a > 0 {
+        t.slice_start = now;
+    } else {
+        t.queued_since = now;
+    }
+    if alloc > 0 && !t.work_done.is_zero() && t.work_done < t.work_total {
+        // Preempted or resized mid-flight: finish the in-flight tile,
+        // checkpoint it, swap configurations, refill — the old layer's
+        // arrangement when preempted, the new table's monolithic one
+        // otherwise.
+        let pos = t.compiled.table(alloc).position(t.fraction_done());
+        let mut cost = pos.reconfig;
+        if a > 0 {
+            cost.refill = t.compiled.refill_cycles(a);
+        }
+        if telemetry_on {
+            c.record(
+                now,
+                Event::Reconfig {
+                    tenant: t.request.id,
+                    boundary: pos.cycles_to_boundary,
+                    drain: cost.drain,
+                    checkpoint: cost.checkpoint,
+                    config_swap: cost.config_swap,
+                    refill: cost.refill,
+                    checkpoint_bytes: pos.tile_bytes,
+                },
+            );
+            c.add(Counter::Reconfigurations, 1);
+            c.add(Counter::DrainCycles, cost.drain.get());
+            c.add(Counter::CheckpointCycles, cost.checkpoint.get());
+            c.add(Counter::ConfigSwapCycles, cost.config_swap.get());
+            c.add(Counter::RefillCycles, cost.refill.get());
+            c.add(Counter::CheckpointBytes, pos.tile_bytes.get());
+            c.sample(Metric::ReconfigCycles, cost.total().as_f64());
+        }
+        t.overhead += pos.cycles_to_boundary + cost.total();
+    } else if a > 0 && alloc == 0 {
+        // Fresh start on a new logical accelerator: pipeline fill is
+        // already inside the table; charge the configuration load only.
+        t.overhead += CONFIG_LOAD_CYCLES;
+    }
+    debug_assert_eq!(t.alloc(), a, "a changed tenant holds its grant");
+    if a > 0 {
+        // Progress is a work *fraction*; the new table rescales it
+        // exactly (no-op when the table is unchanged).
+        let (work_total, table_energy) = t.compiled.totals(a);
+        t.switch_table(work_total, table_energy);
     }
 }
 
@@ -419,10 +614,13 @@ impl EnginePolicy for SpatialPolicy<'_> {
         if sim.tenants().is_empty() {
             return;
         }
-        let total = sim.total_subarrays();
+        debug_assert_eq!(
+            sim.config(),
+            self.library.config(),
+            "the chip and the reconfiguration rows are the library's"
+        );
+        let total = self.chip.total();
         let now = sim.now;
-        let cfg = *sim.config();
-        self.s.alloc.clear();
         // The best parked tenant's position while it sleeps.
         let mut asleep = match self.mode {
             SchedulingMode::Spatial | SchedulingMode::FullRescan => {
@@ -430,263 +628,47 @@ impl EnginePolicy for SpatialPolicy<'_> {
             }
             SchedulingMode::ExclusiveFifo => {
                 let asleep = self.fill_columns(sim);
-                let s = &mut self.s;
                 let tenants = sim.tenants();
-                s.alloc.resize(s.cols.len(), 0);
-                let oldest = (0..s.cols.len()).min_by_key(|&k| tenants[s.cols[k]].arrival_cycle);
-                if let Some(k) = oldest {
-                    s.alloc[k] = total;
+                let oldest = self
+                    .s
+                    .cols
+                    .iter_mut()
+                    .min_by_key(|c| tenants[c.at].arrival_cycle);
+                if let Some(c) = oldest {
+                    c.grant = total;
                 }
                 asleep
             }
         };
-        let s = &mut self.s;
-        let chip = &mut self.chip;
         // A granted parked tenant wakes before apply changes it, so the
         // kernel's sleeping sum drops exactly the value it added (granted
         // waiting tenants woke in the pack).
         if let Some(p) = asleep {
-            if s.alloc[s.cols.partition_point(|&j| j < p)] > 0 {
+            let cols = &self.s.cols;
+            if cols[cols.partition_point(|c| c.at < p)].grant > 0 {
                 sim.wake(p);
                 asleep = None;
             }
         }
-        let tenants = sim.tenants_mut();
-
-        // Only tenants that hold subarrays or are granted some can change.
-        // Every other tenant was queued and stays queued: it gets no
-        // claim, no placement, no table switch and no telemetry event.
-        // Ascending position order keeps `Chip::place` and the recorded
-        // events in the sequence a walk over every tenant produces.
-        s.movers.clear();
-        s.movers.extend(
-            s.cols
-                .iter()
-                .zip(&s.alloc)
-                .filter(|(&i, &a)| tenants[i].placement.is_some() || a > 0)
-                .map(|(&i, &a)| (i, a)),
-        );
-        let movers = s.movers.len();
-
-        // Physical placement on the ring. Tenants keeping their allocation
-        // keep their segment; changed tenants are re-placed into the free
-        // gaps. If fragmentation blocks a contiguous fit, the chip is
-        // defragmented: every tenant is re-placed in descending size order
-        // and the *moved* ones pay a migration (their stationary weights
-        // must be re-streamed into different physical subarrays).
-        chip.reset();
-        s.keep.clear();
-        s.keep.resize(movers, false);
-        for (k, &(i, a)) in s.movers.iter().enumerate() {
-            if let Some(p) = &tenants[i].placement {
-                if a == p.len() || a == p.len() + 1 {
-                    // Re-claim the exact segment (growing by one is
-                    // hysteresis, below).
-                    let claimed = chip.claim(p);
-                    debug_assert!(claimed);
-                    s.keep[k] = true;
-                }
+        self.place(sim.tenants());
+        // One ascending pass applies each mover and then puts its column
+        // to sleep if it stays queued: a column ends the event placed
+        // exactly when it is granted subarrays. The full-rescan oracle
+        // writes no memo, so it never puts a tenant to sleep. `park` and
+        // `wait` emit no telemetry and read only the sleeping tenant's
+        // final state, so the effects are those of an apply pass followed
+        // by a sleep pass.
+        let sleeps = self.mode == SchedulingMode::Spatial;
+        for k in 0..self.s.cols.len() {
+            let col = self.s.cols[k];
+            if col.mover {
+                apply(&mut sim.tenants_mut()[col.at], &col, now, c);
+            }
+            if sleeps && col.grant == 0 && asleep != Some(col.at) {
+                Self::sleep(sim, col.at, now, total);
             }
         }
-        // Kept tenants keep their segment; only re-placed tenants get a
-        // fresh one here.
-        s.placements.clear();
-        s.placements.resize(movers, None);
-        s.order.clear();
-        // Ungranted movers never place; dropping them before the stable
-        // sort leaves the relative order of the placed set untouched.
-        s.order
-            .extend((0..movers).filter(|&k| !s.keep[k] && s.movers[k].1 != 0));
-        s.order.sort_by_key(|&k| std::cmp::Reverse(s.movers[k].1));
-        let mut defrag_needed = false;
-        for &k in &s.order {
-            match chip.place(s.movers[k].1) {
-                Some(p) => s.placements[k] = Some(p),
-                None => {
-                    defrag_needed = true;
-                    break;
-                }
-            }
-        }
-        s.migrated.clear();
-        s.migrated.resize(movers, false);
-        if defrag_needed {
-            // Global defragmentation: lay everyone out afresh, largest
-            // first (a multiset summing to <= total always packs a ring).
-            chip.reset();
-            s.order.clear();
-            s.order.extend(0..movers);
-            s.order.sort_by_key(|&k| std::cmp::Reverse(s.movers[k].1));
-            s.placements.fill(None);
-            for &k in &s.order {
-                let (i, a) = s.movers[k];
-                if a == 0 {
-                    continue;
-                }
-                let p = chip
-                    .place(a)
-                    // lint: every tenant was released above and Σalloc ≤ chip
-                    // capacity, so a contiguous placement always exists
-                    .expect("defragmented ring always packs");
-                if s.keep[k] {
-                    if tenants[i].placement.is_some_and(|old| old != p) {
-                        s.migrated[k] = true;
-                        s.keep[k] = false;
-                        s.placements[k] = Some(p);
-                    }
-                    // Unmoved kept tenant: the fresh segment equals the old
-                    // one.
-                } else {
-                    s.placements[k] = Some(p);
-                }
-            }
-        }
-
-        let telemetry_on = c.is_enabled();
-        for (k, &(i, a)) in s.movers.iter().enumerate() {
-            let t = &mut tenants[i];
-            let old = t.placement;
-            let alloc = t.alloc();
-            if !s.keep[k] {
-                t.placement = s.placements[k].take();
-            }
-            if a == alloc && !s.migrated[k] {
-                continue;
-            }
-            // Hysteresis: growing a running tenant by a single subarray is
-            // not worth a drain + checkpoint + refill cycle; keep the old
-            // allocation (this only releases capacity, never over-commits).
-            if alloc > 0 && a == alloc + 1 && !s.migrated[k] {
-                continue;
-            }
-            if telemetry_on {
-                // Close the execution slice the tenant just left.
-                if let Some(p) = old {
-                    c.record(
-                        now,
-                        Event::ExecSlice {
-                            tenant: t.request.id,
-                            subarrays: p.len(),
-                            mask: p.mask(),
-                            start: t.slice_start,
-                            duration: now.saturating_sub(t.slice_start),
-                        },
-                    );
-                }
-                c.record(
-                    now,
-                    Event::Allocation {
-                        tenant: t.request.id,
-                        from: alloc,
-                        to: a,
-                        mask: t.placement.map_or(0, |p| p.mask()),
-                    },
-                );
-                if alloc == 0 && a > 0 {
-                    // Leaving the queue: emit the closed wait interval.
-                    let wait = now.saturating_sub(t.queued_since);
-                    c.record(
-                        now,
-                        Event::QueueWait {
-                            tenant: t.request.id,
-                            start: t.queued_since,
-                            duration: wait,
-                        },
-                    );
-                    c.sample(Metric::QueueWaitCycles, wait.as_f64());
-                }
-                if a > 0 {
-                    c.sample(Metric::AllocationSize, f64::from(a));
-                }
-            }
-            // Unconditional, branch-free bookkeeping (never read by the
-            // simulation itself, so the NullCollector path stays
-            // bit-identical).
-            if a > 0 {
-                t.slice_start = now;
-            } else {
-                t.queued_since = now;
-            }
-            if alloc > 0 && !t.work_done.is_zero() && t.work_done < t.work_total {
-                // Preempted or resized mid-flight: finish the in-flight
-                // tile, checkpoint it, swap configurations, refill.
-                let (boundary, tile_bytes, cost) = {
-                    let old_table = t.compiled.table(alloc);
-                    let pos = old_table.position(t.fraction_done());
-                    let old_arr = old_table.layers()[pos.layer].arrangement;
-                    let new_arr = if a > 0 {
-                        Arrangement::monolithic(a)
-                    } else {
-                        old_arr
-                    };
-                    let ctx = ExecContext::for_allocation(&cfg, alloc.max(1));
-                    let cost = reconfiguration_cycles(&ctx, old_arr, new_arr, pos.tile_bytes);
-                    (pos.cycles_to_boundary, pos.tile_bytes, cost)
-                };
-                if telemetry_on {
-                    c.record(
-                        now,
-                        Event::Reconfig {
-                            tenant: t.request.id,
-                            boundary,
-                            drain: cost.drain,
-                            checkpoint: cost.checkpoint,
-                            config_swap: cost.config_swap,
-                            refill: cost.refill,
-                            checkpoint_bytes: tile_bytes,
-                        },
-                    );
-                    c.add(Counter::Reconfigurations, 1);
-                    c.add(Counter::DrainCycles, cost.drain.get());
-                    c.add(Counter::CheckpointCycles, cost.checkpoint.get());
-                    c.add(Counter::ConfigSwapCycles, cost.config_swap.get());
-                    c.add(Counter::RefillCycles, cost.refill.get());
-                    c.add(Counter::CheckpointBytes, tile_bytes.get());
-                    c.sample(Metric::ReconfigCycles, cost.total().as_f64());
-                }
-                t.overhead += boundary + cost.total();
-            } else if a > 0 && alloc == 0 {
-                // Fresh start on a new logical accelerator: pipeline fill
-                // is already inside the table; charge the configuration
-                // load only.
-                t.overhead += CONFIG_LOAD_CYCLES;
-            }
-            debug_assert_eq!(t.alloc(), a, "a changed tenant holds its grant");
-            if a > 0 {
-                // Progress is a work *fraction*; the new table rescales it
-                // exactly (no-op when the table is unchanged).
-                let (work_total, table_energy) = {
-                    let table = t.compiled.table(a);
-                    (table.total_cycles(), table.total_energy())
-                };
-                t.switch_table(work_total, table_energy);
-            }
-        }
-        // Put every column that stays queued to sleep: park it past its
-        // deadline, let it wait otherwise. The estimate phase left a
-        // parked tenant's memo clean at the whole chip (both seed rules
-        // answer a negative slack there), and apply does not touch a
-        // queued tenant's work counters — a tenant preempted just now
-        // only owes more overhead. The full-rescan oracle writes no memo,
-        // so it never puts a tenant to sleep.
-        if self.mode == SchedulingMode::Spatial {
-            for &i in &s.cols {
-                let t = &sim.tenants()[i];
-                if asleep == Some(i) || t.placement.is_some() {
-                    continue;
-                }
-                if slack_cycles(t.deadline_cycle, now) < 0 {
-                    debug_assert_eq!(
-                        t.memo.map(|m| (m.floor, m.done, m.total)),
-                        Some((total, t.work_done, t.work_total))
-                    );
-                    sim.park(i, parked_key(t.request.priority));
-                } else {
-                    sim.wait(i, t.deadline_cycle);
-                }
-            }
-        }
-        if telemetry_on {
+        if c.is_enabled() {
             c.add(Counter::SchedulingEvents, 1);
             let (mut queued, mut used) = (sim.parked_len() + sim.waiting_len(), 0u32);
             for &i in sim.awake() {

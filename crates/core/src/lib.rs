@@ -40,6 +40,4 @@ pub use planaria_model::units::{Bytes, Cycles, Picojoules};
 pub use planaria_model::SplitMix64;
 pub use planaria_sim::{FabricStats, NodeLoad};
 pub use sched_state::{FloorEntry, Seed};
-pub use scheduler::{
-    allocate_spatially_into, min_slack_cycles, schedule_tasks_spatially, AllocScratch, SchedTask,
-};
+pub use scheduler::{min_slack_cycles, schedule_tasks_spatially, SchedTask};

@@ -14,6 +14,7 @@
 //! dimensionless ratios, and because every term scales by the same clock,
 //! the ranking is identical to the old seconds-based one.)
 
+use planaria_arch::Allocation;
 use planaria_compiler::{remaining_from, CompiledDnn};
 use planaria_model::units::Cycles;
 
@@ -127,47 +128,69 @@ pub fn min_slack_cycles(freq_hz: f64) -> i64 {
 /// sum to at most `total`. `min_slack` is the urgency-score clamp in
 /// cycles — pass [`min_slack_cycles`] of the chip's clock.
 ///
-/// This is the convenient materializing wrapper; the engines' hot loop
-/// calls [`allocate_spatially_into`] directly with memoized estimates and
-/// reusable scratch buffers so steady-state events allocate nothing.
+/// This is the convenient materializing wrapper over the passes the
+/// engine runs on its reusable column records, with memoized estimates,
+/// so that steady-state events allocate nothing.
 pub fn schedule_tasks_spatially(tasks: &[SchedTask<'_>], total: u32, min_slack: i64) -> Vec<u32> {
-    let mut estimates = Vec::with_capacity(tasks.len());
-    let mut fit = Vec::with_capacity(tasks.len());
-    let mut priorities = Vec::with_capacity(tasks.len());
-    let mut slacks = Vec::with_capacity(tasks.len());
-    for t in tasks {
-        let (e, f) = t.estimate_resources_with_fit(1, total);
-        estimates.push(e);
-        fit.push(f);
-        priorities.push(t.priority);
-        slacks.push(t.slack);
-    }
-    let mut alloc = Vec::new();
-    let mut scratch = AllocScratch::default();
-    allocate_spatially_into(
-        &priorities,
-        &slacks,
-        &estimates,
-        &fit,
+    let mut cols: Vec<Column> = tasks
+        .iter()
+        .enumerate()
+        .map(|(at, t)| {
+            let (estimate, fit) = t.estimate_resources_with_fit(1, total);
+            Column {
+                priority: t.priority,
+                slack: t.slack,
+                estimate,
+                fit,
+                ..Column::new(at)
+            }
+        })
+        .collect();
+    allocate(
+        &mut cols,
         total,
         min_slack,
-        &mut alloc,
-        &mut scratch,
+        &mut Vec::new(),
+        &mut PackPrefix::default(),
     );
-    alloc
+    cols.iter().map(|c| c.grant).collect()
 }
 
-/// Reusable working memory for [`allocate_spatially_into`]. Owned by the
-/// caller (the engines keep one per policy), so repeated scheduling events
-/// reuse the same buffers instead of allocating fresh `Vec`s: once the
-/// buffers have grown to their high-water mark, allocation runs with zero
-/// heap traffic. Nothing in it carries over from one call to the next.
-#[derive(Debug, Clone, Default)]
-pub struct AllocScratch {
-    scores: Vec<f64>,
-    fractional: Vec<(usize, f64)>,
-    /// The unfit path's packing prefix.
-    pub(crate) pack: PackPrefix,
+/// One task's record in a scheduling event: what `ESTIMATERESOURCES`
+/// answered and the score terms, which the allocation passes read; the
+/// grant they write; and the engine's placement state for the event.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Column {
+    /// The tenant's position (the wrapper's task index).
+    pub(crate) at: usize,
+    pub(crate) priority: u32,
+    /// Signed cycles to the deadline.
+    pub(crate) slack: i64,
+    /// The minimum subarray count meeting the slack (the whole chip when
+    /// none does) ...
+    pub(crate) estimate: u32,
+    /// ... and the predicted remaining cycles at it.
+    pub(crate) fit: Cycles,
+    /// This event's grant.
+    pub(crate) grant: u32,
+    /// Holds subarrays or is granted some: only a mover can change.
+    pub(crate) mover: bool,
+    /// Keeps the segment it holds.
+    pub(crate) keep: bool,
+    /// Kept, but moved by defragmentation.
+    pub(crate) migrated: bool,
+    /// The segment placement chose for a re-placed mover.
+    pub(crate) fresh: Option<Allocation>,
+}
+
+impl Column {
+    /// A record for the tenant at position `at`, every other field empty.
+    pub(crate) fn new(at: usize) -> Self {
+        Self {
+            at,
+            ..Self::default()
+        }
+    }
 }
 
 /// `ALLOCATEUNFITTASKS`'s rank of a task: `priority / (slack ×
@@ -263,125 +286,88 @@ pub(crate) fn walk_heap(len: usize, stack: &mut Vec<usize>, mut visit: impl FnMu
     }
 }
 
-/// The allocation phase of Algorithm 1 over plain columnar inputs, writing
-/// into a caller-owned output buffer.
-///
-/// The estimate phase (`ESTIMATERESOURCES`) is the caller's: `estimates[i]`
-/// is task *i*'s minimum subarray count and `fit[i]` the predicted
-/// remaining cycles at that count (both from
-/// [`SchedTask::estimate_resources_with_fit`], possibly memoized). Given
-/// those, this function needs no table access at all — it is the pure
-/// `ALLOCATEFITTASKS` / `ALLOCATEUNFITTASKS` arithmetic of §V, bit-for-bit
-/// identical to the materializing wrapper above.
-///
-/// `alloc` is cleared and refilled aligned with the inputs; allocations
-/// always sum to at most `total`. `min_slack` is the unfit-path urgency
-/// clamp in cycles ([`min_slack_cycles`] of the chip's clock).
-// lint: the four columnar views are the phase's inputs, one slice each;
-// a struct bundling them would only move this list to every caller.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_spatially_into(
-    priorities: &[u32],
-    slacks: &[i64],
-    estimates: &[u32],
-    fit: &[Cycles],
+/// The allocation phase of Algorithm 1 over `cols`, whose estimates
+/// (`estimate`, `fit`; possibly memoized) and score terms are filled in:
+/// writes every column's grant. Given those, it needs no table access at
+/// all — it is the pure `ALLOCATEFITTASKS` / `ALLOCATEUNFITTASKS`
+/// arithmetic of §V. The grants always sum to at most `total`.
+/// `min_slack` is the unfit-path urgency clamp in cycles
+/// ([`min_slack_cycles`] of the chip's clock); `fractions` and `pack` are
+/// reusable scratch.
+pub(crate) fn allocate(
+    cols: &mut [Column],
     total: u32,
     min_slack: i64,
-    alloc: &mut Vec<u32>,
-    scratch: &mut AllocScratch,
+    fractions: &mut Vec<f64>,
+    pack: &mut PackPrefix,
 ) {
-    alloc.clear();
-    if estimates.is_empty() {
-        return;
-    }
-    let need: u32 = estimates.iter().sum();
+    let need: u32 = cols.iter().map(|c| c.estimate).sum();
     if need <= total {
-        allocate_fit_into(priorities, estimates, fit, total, alloc, scratch);
+        allocate_fit(cols, total - need, fractions);
     } else {
-        allocate_unfit_into(
-            priorities, slacks, estimates, total, min_slack, alloc, scratch,
-        );
+        allocate_unfit(cols, total, min_slack, pack);
     }
 }
 
-/// `ALLOCATEFITTASKS`: everyone gets their minimum; the spare subarrays are
-/// split proportionally to `priority / remaining-time`.
-fn allocate_fit_into(
-    priorities: &[u32],
-    estimates: &[u32],
-    fit: &[Cycles],
-    total: u32,
-    alloc: &mut Vec<u32>,
-    scratch: &mut AllocScratch,
-) {
-    alloc.extend_from_slice(estimates);
-    let mut spare = total - estimates.iter().sum::<u32>();
+/// `ALLOCATEFITTASKS`: everyone gets their minimum; the `spare`
+/// subarrays are split proportionally to `priority / remaining-time`.
+fn allocate_fit(cols: &mut [Column], spare: u32, fractions: &mut Vec<f64>) {
+    for c in cols.iter_mut() {
+        c.grant = c.estimate;
+    }
     if spare == 0 {
         return;
     }
-    scratch.scores.clear();
-    scratch.scores.extend(
-        priorities
-            .iter()
-            .zip(fit)
-            .map(|(&p, f)| f64::from(p) / f.as_f64().max(1.0)),
+    // Each column's score, replaced below by its share's fraction.
+    fractions.clear();
+    fractions.extend(
+        cols.iter()
+            .map(|c| f64::from(c.priority) / c.fit.as_f64().max(1.0)),
     );
-    let sum: f64 = scratch.scores.iter().sum();
+    let sum: f64 = fractions.iter().sum();
     // Integer proportional share; remainders go to the largest fractions.
-    scratch.fractional.clear();
-    for (i, score) in scratch.scores.iter().enumerate() {
-        let share = score / sum * f64::from(spare);
-        let whole = share.floor() as u32;
-        alloc[i] += whole;
-        scratch.fractional.push((i, share - share.floor()));
+    // A share lies in [0, spare], so truncating it is its floor.
+    let mut left = spare;
+    for (c, f) in cols.iter_mut().zip(fractions.iter_mut()) {
+        let share = *f / sum * f64::from(spare);
+        let whole = share as u32;
+        c.grant += whole;
+        left -= whole;
+        *f = share - f64::from(whole);
     }
-    spare -= scratch
-        .fractional
-        .iter()
-        .map(|&(i, _)| alloc[i] - estimates[i])
-        .sum::<u32>();
-    // Same stable-to-unstable translation as the unfit path: the pairs
-    // are pushed in index order, so an index tiebreak reproduces the
-    // stable descending-by-fraction order exactly, without the stable
-    // sort's allocation (fractions are finite: `share` is a ratio of
-    // finite non-NaN terms).
-    scratch.fractional.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    for &(i, _) in scratch.fractional.iter() {
-        if spare == 0 {
-            break;
+    // Each leftover subarray goes to the largest fraction not yet served,
+    // the lower column on a tie: the stable descending order, selected
+    // (fractions are finite and at least 0, so -1 marks a served one).
+    for _ in 0..cols.len().min(left as usize) {
+        let mut best = 0;
+        for k in 1..fractions.len() {
+            if fractions[k] > fractions[best] {
+                best = k;
+            }
         }
-        alloc[i] += 1;
-        spare -= 1;
+        cols[best].grant += 1;
+        fractions[best] = -1.0;
     }
 }
 
 /// `ALLOCATEUNFITTASKS`: rank by `priority / (slack × estimate)` and pack
 /// the chip; the last packed task may receive a partial grant, everyone
-/// else waits. One pass offers every task to the [`PackPrefix`], keyed by
-/// its index, so the backlog behind the prefix is never ranked; the test
-/// module keeps the comparator sort as the oracle.
-fn allocate_unfit_into(
-    priorities: &[u32],
-    slacks: &[i64],
-    estimates: &[u32],
-    total: u32,
-    min_slack: i64,
-    alloc: &mut Vec<u32>,
-    scratch: &mut AllocScratch,
-) {
-    let pack = &mut scratch.pack;
+/// else waits. One pass offers every column to the [`PackPrefix`], keyed
+/// by its index, so the backlog behind the prefix is never ranked; the
+/// test module keeps the comparator sort as the oracle.
+fn allocate_unfit(cols: &mut [Column], total: u32, min_slack: i64, pack: &mut PackPrefix) {
     pack.clear();
-    for (i, &estimate) in estimates.iter().enumerate() {
-        let score = unfit_score(priorities[i], slacks[i], estimate, min_slack);
-        pack.offer(score, i, estimate, total);
+    for (k, c) in cols.iter_mut().enumerate() {
+        pack.offer(
+            unfit_score(c.priority, c.slack, c.estimate, min_slack),
+            k,
+            c.estimate,
+            total,
+        );
+        c.grant = 0;
     }
-    alloc.resize(estimates.len(), 0);
-    for (i, grant) in pack.grants(total) {
-        alloc[i] = grant;
+    for (k, grant) in pack.grants(total) {
+        cols[k].grant = grant;
     }
 }
 
@@ -552,6 +538,82 @@ mod tests {
         assert!(schedule_tasks_spatially(&[], 16, PAPER_MIN_SLACK).is_empty());
     }
 
+    /// `ALLOCATEFITTASKS` as a stable comparator sort hands out the
+    /// leftover subarrays: the oracle for the selection in
+    /// [`allocate_fit`].
+    fn allocate_fit_by_comparator(
+        priorities: &[u32],
+        estimates: &[u32],
+        fit: &[Cycles],
+        total: u32,
+    ) -> Vec<u32> {
+        let mut alloc = estimates.to_vec();
+        let mut spare = total - estimates.iter().sum::<u32>();
+        if spare == 0 {
+            return alloc;
+        }
+        let scores: Vec<f64> = priorities
+            .iter()
+            .zip(fit)
+            .map(|(&p, f)| f64::from(p) / f.as_f64().max(1.0))
+            .collect();
+        let sum: f64 = scores.iter().sum();
+        let mut fractional = Vec::new();
+        for (i, score) in scores.iter().enumerate() {
+            let share = score / sum * f64::from(spare);
+            alloc[i] += share.floor() as u32;
+            fractional.push((i, share - share.floor()));
+        }
+        spare -= (0..alloc.len())
+            .map(|i| alloc[i] - estimates[i])
+            .sum::<u32>();
+        fractional.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        for (i, _) in fractional.into_iter().take(spare as usize) {
+            alloc[i] += 1;
+        }
+        alloc
+    }
+
+    #[test]
+    fn fit_path_matches_reference_arithmetic_over_random_queues() {
+        // Selection must hand the leftover subarrays to exactly the
+        // columns the stable descending sort of the fractions reaches
+        // first, on any queue that fits, including fraction ties (equal
+        // priority/fit pairs), which the stable sort breaks by index.
+        let mut rng = planaria_model::SplitMix64::new(0xF17);
+        let mut fractions = Vec::new();
+        let mut cols: Vec<Column> = Vec::new();
+        let mut ties = 0;
+        for round in 0..2_000 {
+            let total = [1, 16, 64, 128][rng.next_below(4) as usize];
+            let n = 1 + rng.next_below(u64::from(total.min(12))) as usize;
+            let priorities: Vec<u32> = (0..n).map(|_| 1 + rng.next_below(3) as u32).collect();
+            let fit: Vec<Cycles> = (0..n)
+                .map(|_| Cycles::new(1_000 * (1 + rng.next_below(3))))
+                .collect();
+            let mut estimates = vec![1; n];
+            for _ in 0..rng.next_below(u64::from(total) - n as u64 + 1) {
+                estimates[rng.next_below(n as u64) as usize] += 1;
+            }
+            cols.clear();
+            cols.extend((0..n).map(|i| Column {
+                priority: priorities[i],
+                estimate: estimates[i],
+                fit: fit[i],
+                ..Column::new(i)
+            }));
+            let need: u32 = estimates.iter().sum();
+            allocate_fit(&mut cols, total - need, &mut fractions);
+            let grants: Vec<u32> = cols.iter().map(|c| c.grant).collect();
+            let want = allocate_fit_by_comparator(&priorities, &estimates, &fit, total);
+            assert_eq!(grants, want, "round {round}: n={n} total={total}");
+            assert_eq!(grants.iter().sum::<u32>(), total, "round {round}");
+            let pair = |i: usize| (priorities[i], fit[i]);
+            ties += usize::from((0..n).any(|i| (i + 1..n).any(|j| pair(i) == pair(j))));
+        }
+        assert!(ties > 500, "{ties} rounds had a tie");
+    }
+
     /// The pre-overhaul `ALLOCATEUNFITTASKS`, kept as the oracle for the
     /// packing-prefix selection: the score closure runs inside a stable
     /// comparator sort of every task.
@@ -601,9 +663,9 @@ mod tests {
         // of a binary heap keyed (slack, index), the way the engine walks
         // its waiting tenants, skipping the subtree below each such task.
         let mut rng = planaria_model::SplitMix64::new(0xA110C);
-        let mut scratch = AllocScratch::default();
+        let mut scratch = PackPrefix::default();
         let mut pack = PackPrefix::default();
-        let mut hot = Vec::new();
+        let mut hot: Vec<Column> = Vec::new();
         let (mut heap, mut stack) = (Vec::new(), Vec::new());
         let (mut stopped_early, mut pruned_early) = (0, 0);
         for round in 0..800 {
@@ -625,15 +687,13 @@ mod tests {
                 });
             }
             hot.clear();
-            allocate_unfit_into(
-                &priorities,
-                &slacks,
-                &estimates,
-                total,
-                PAPER_MIN_SLACK,
-                &mut hot,
-                &mut scratch,
-            );
+            hot.extend((0..n).map(|i| Column {
+                priority: priorities[i],
+                slack: slacks[i],
+                estimate: estimates[i],
+                ..Column::new(i)
+            }));
+            allocate_unfit(&mut hot, total, PAPER_MIN_SLACK, &mut scratch);
             let old = allocate_unfit_by_comparator(
                 &priorities,
                 &slacks,
@@ -641,7 +701,8 @@ mod tests {
                 total,
                 PAPER_MIN_SLACK,
             );
-            assert_eq!(hot, old, "round {round}: n={n} total={total}");
+            let grants: Vec<u32> = hot.iter().map(|c| c.grant).collect();
+            assert_eq!(grants, old, "round {round}: n={n} total={total}");
 
             let score =
                 |i: usize| unfit_score(priorities[i], slacks[i], estimates[i], PAPER_MIN_SLACK);

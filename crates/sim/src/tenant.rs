@@ -89,10 +89,7 @@ impl TenantState {
         admit_subarrays: u32,
         now: Cycles,
     ) -> Self {
-        let (work_total, table_energy) = {
-            let table = compiled.table(admit_subarrays);
-            (table.total_cycles(), table.total_energy())
-        };
+        let (work_total, table_energy) = compiled.totals(admit_subarrays);
         Self {
             request: arrival.request,
             compiled,
